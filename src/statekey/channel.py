@@ -30,17 +30,23 @@ def _frozen_array(values, shape=None) -> np.ndarray:
     return arr
 
 
-def _check_pmf(name: str, vec: np.ndarray) -> None:
-    if np.any(vec < 0):
+def _check_entries(name: str, arr: np.ndarray) -> None:
+    # NaN compares False both ways, so finiteness is checked explicitly.
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} has non-finite entries")
+    if np.any(arr < 0):
         raise ValueError(f"{name} has negative entries")
+
+
+def _check_pmf(name: str, vec: np.ndarray) -> None:
+    _check_entries(name, vec)
     total = float(vec.sum())
     if abs(total - 1.0) > MASS_TOL:
         raise ValueError(f"{name} sums to {total!r}, expected 1 within {MASS_TOL}")
 
 
 def _check_rows(name: str, mat: np.ndarray) -> None:
-    if np.any(mat < 0):
-        raise ValueError(f"{name} has negative entries")
+    _check_entries(name, mat)
     sums = mat.sum(axis=-1)
     if np.any(np.abs(sums - 1.0) > MASS_TOL):
         raise ValueError(f"{name} rows must each sum to 1 within {MASS_TOL}")
@@ -109,11 +115,7 @@ class JointPmf:
         if probs.ndim != len(labels):
             raise ValueError(
                 f"probs has {probs.ndim} axes but {len(labels)} labels were given")
-        if np.any(probs < 0):
-            raise ValueError("joint pmf has negative entries")
-        total = float(probs.sum())
-        if abs(total - 1.0) > MASS_TOL:
-            raise ValueError(f"joint pmf mass is {total!r}, expected 1 within {MASS_TOL}")
+        _check_pmf("joint pmf", probs)
         object.__setattr__(self, "axis_labels", labels)
         object.__setattr__(self, "probs", probs)
 

@@ -64,10 +64,17 @@ def channel_from_dict(data: dict, source: str = "<dict>") -> StateChannel:
     for key in ("x_size", "s_size", "yr_size", "ye_size", "state_pmf", "kernel"):
         if key not in data:
             raise CliInputError(f"{source}: missing field {key!r}")
+    sizes = []
+    for key in ("x_size", "s_size", "yr_size", "ye_size"):
+        size = data[key]
+        if isinstance(size, float) and size.is_integer():
+            size = int(size)
+        if isinstance(size, bool) or not isinstance(size, int):
+            raise CliInputError(f"{source}: {key} must be an integer, got {size!r}")
+        sizes.append(size)
     try:
         return StateChannel(
-            int(data["x_size"]), int(data["s_size"]),
-            int(data["yr_size"]), int(data["ye_size"]),
+            *sizes,
             np.asarray(data["state_pmf"], dtype=float),
             np.asarray(data["kernel"], dtype=float))
     except (TypeError, ValueError) as exc:

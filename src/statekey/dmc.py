@@ -4,8 +4,10 @@ Four bound evaluators plus a secret-message comparison bound.  The two lower
 bounds search over auxiliary encoder policies (p(u|s), p(x|u,s)) with a
 seeded multi-start grid plus projected coordinate ascent; the upper bounds
 maximize over direct input policies p(x|s) with a multiplicative-update
-ascent (the objective is concave in p(x|s)), and the no-discussion upper
-bound additionally minimizes over output couplings with fixed marginals.
+ascent (the objective is concave in p(x|s)).  The no-discussion upper bound
+also minimizes over output couplings with fixed marginals, where the
+objective is convex: it alternates the ascent with a Sinkhorn I-projection
+of the coupling until the pair stops improving.
 
 Optima are "best found": the searches are deterministic for a fixed seed but
 carry no global-optimality certificate.
@@ -30,10 +32,19 @@ _PENALTY_WEIGHT = 8.0
 
 COUPLING_TOL = 1e-10
 
+# Alternating best-response rounds per start of the coupling upper bound.
+_COUPLING_ROUNDS = 200
+# Sinkhorn scaling: sweeps per coupling step and the marginal tolerance.
+_SINKHORN_ITERATIONS = 1000
+_SINKHORN_TOL = 1e-13
+
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Search-budget knobs shared by all bound evaluators.
+    """Search-budget knobs shared by the bound evaluators.
+
+    Every evaluator takes one, so all have the same call shape; the coupling
+    upper bound has no search budget and reads none of the fields.
 
     ``domain`` selects the auxiliary-policy search space: ``general_u``
     optimizes p(u|s) jointly with p(x|u,s); ``restricted_u`` ties the
@@ -51,8 +62,8 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.grid_resolution < 2:
             raise ValueError("grid_resolution must be >= 2")
-        if self.step_tolerance <= 0:
-            raise ValueError("step_tolerance must be positive")
+        if not 0 < self.step_tolerance < math.inf:    # False for NaN too
+            raise ValueError("step_tolerance must be positive and finite")
         if self.restarts < 1 or self.local_steps < 1:
             raise ValueError("restarts and local_steps must be positive")
         if self.domain not in ("restricted_u", "general_u"):
@@ -81,6 +92,8 @@ class CouplingFamily:
         q = np.array(self.q, dtype=float, copy=True)
         if q.shape != self.channel.kernel.shape:
             raise ValueError("coupling tensor must match the channel kernel shape")
+        if not np.all(np.isfinite(q)):
+            raise ValueError("coupling has non-finite entries")
         if np.any(q < -COUPLING_TOL):
             raise ValueError("coupling has negative entries")
         q = np.clip(q, 0.0, None)
@@ -573,21 +586,8 @@ def lower_bound_discussion(channel: StateChannel,
 
 
 # ---------------------------------------------------------------------------
-# coupling search (no-discussion upper bound)
+# coupling saddle point (no-discussion upper bound)
 # ---------------------------------------------------------------------------
-
-def _build_cell(r: np.ndarray, c: np.ndarray, block: np.ndarray):
-    """Complete a coupling cell from its free northwest block; None if infeasible."""
-    ny, ne = len(r), len(c)
-    q = np.zeros((ny, ne))
-    q[:ny - 1, :ne - 1] = block
-    q[:ny - 1, ne - 1] = r[:ny - 1] - block.sum(axis=1)
-    q[ny - 1, :ne - 1] = c[:ne - 1] - block.sum(axis=0)
-    q[ny - 1, ne - 1] = r[ny - 1] - q[ny - 1, :ne - 1].sum()
-    if q.min() < -1e-12:
-        return None
-    return np.clip(q, 0.0, None)
-
 
 def _maximal_cell(r: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Diagonal-first coupling; exactly diagonal when the marginals agree."""
@@ -605,154 +605,80 @@ def _maximal_cell(r: np.ndarray, c: np.ndarray) -> np.ndarray:
     return q
 
 
-def _vertex_cell(r, c, order_r, order_c):
-    """Northwest-corner transport vertex under the given index orders."""
-    q = np.zeros((len(r), len(c)))
-    rem_r = r[list(order_r)].copy()
-    rem_c = c[list(order_c)].copy()
-    i = j = 0
-    while i < len(r) and j < len(c):
-        m = min(rem_r[i], rem_c[j])
-        q[order_r[i], order_c[j]] = m
-        rem_r[i] -= m
-        rem_c[j] -= m
-        if rem_r[i] <= rem_c[j]:
-            i += 1
-        else:
-            j += 1
-    return q
+def _project_couplings(cells: np.ndarray, weights: np.ndarray,
+                       r: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """One Csiszar-Tusnady step: I-project the output mixture onto each cell.
 
-
-def _phi_to_q(channel, phi):
-    pr = channel.receiver_kernel()
-    pe = channel.eavesdropper_kernel()
-    x_size, s_size = channel.x_size, channel.s_size
-    ny, ne = channel.yr_size, channel.ye_size
-    d = (ny - 1) * (ne - 1)
-    q = np.zeros_like(channel.kernel)
-    for k, (x, s) in enumerate(itertools.product(range(x_size), range(s_size))):
-        block = phi[k * d:(k + 1) * d].reshape(ny - 1, ne - 1)
-        cell = _build_cell(pr[x, s], pe[x, s], block)
-        if cell is None:
-            return None
-        q[x, s] = cell
-    return q
-
-
-def _q_to_phi(q):
-    ny, ne = q.shape[2], q.shape[3]
-    blocks = [q[x, s, :ny - 1, :ne - 1].ravel()
-              for x in range(q.shape[0]) for s in range(q.shape[1])]
-    return np.concatenate(blocks) if blocks else np.zeros(0)
+    ``cells`` has shape (x*s, yr, ye) and ``weights`` holds p(s) p(x|s) per
+    cell.  Each cell becomes the Sinkhorn scaling of the mixture
+    m = sum_k w_k cells_k, restricted to the cell's support, onto the cell's
+    marginals (r_k, c_k): the minimizer of sum_k w_k D(cells_k || m).  A cell
+    with zero weight, or one whose scaling misses its marginals, is kept.
+    """
+    m = np.einsum("k,kre->re", weights, cells)
+    q = np.where(weights[:, None, None] > 0, np.where(cells > 0, m, 0.0), cells)
+    for _ in range(_SINKHORN_ITERATIONS):
+        rows = q.sum(axis=2)
+        q *= np.divide(r, rows, out=np.zeros_like(r), where=rows > 0)[:, :, None]
+        cols = q.sum(axis=1)
+        q *= np.divide(c, cols, out=np.zeros_like(c), where=cols > 0)[:, None, :]
+        row_err = np.abs(q.sum(axis=2) - r).max(axis=1)
+        if row_err.max() <= _SINKHORN_TOL:
+            break
+    met = (row_err <= _SINKHORN_TOL) & (weights > 0)
+    return np.where(met[:, None, None], q, cells)
 
 
 def upper_bound_no_discussion(channel: StateChannel,
                               cfg: OptimizerConfig) -> BoundResult:
     """min over output couplings of max over p(x|s) of I(X,S;Yr|Ye).
 
-    The inner maximization is concave and solved by multiplicative-update
-    ascent; the outer minimization searches the per-(x,s) transportation
-    polytopes with a lattice sweep (exhaustive when small, sampled otherwise,
-    flagged in diagnostics) followed by compass descent, warm-starting the
-    inner solve.  Any evaluated coupling is valid, so the reported value is a
-    true upper bound up to inner-ascent tolerance.
+    For a fixed input law the objective is I(X,S;Yr,Ye) - I(X,S;Ye): the
+    second term depends only on the fixed marginals and the first is convex
+    in the coupling, while the objective is concave in p(x|s).  The saddle
+    point is approached by alternating best responses: a multiplicative-update
+    ascent in p(x|s) (warm-started, one ``inner_solves`` each) and a
+    Csiszar-Tusnady I-projection step in the coupling (Sinkhorn scaling of all
+    (x, s) cells at once).  Two starts run, the diagonal-first coupling and
+    the independent product coupling; a start stops when its value reaches 0,
+    stops decreasing, or after ``_COUPLING_ROUNDS`` rounds.  Every coupling
+    visited is valid, so the lowest value seen is a true upper bound up to
+    inner-ascent tolerance.  ``cfg`` is not read: the solver is deterministic
+    and has no search budget.
     """
-    rng = _rng_stream(cfg.seed, 37)
     pr = channel.receiver_kernel()
     pe = channel.eavesdropper_kernel()
     x_size, s_size = channel.x_size, channel.s_size
     ny, ne = channel.yr_size, channel.ye_size
-    cells = list(itertools.product(range(x_size), range(s_size)))
-    d = (ny - 1) * (ne - 1)
-    dim = d * len(cells)
+    r = pr.reshape(-1, ny)
+    c = pe.reshape(-1, ne)
+    q_diag = np.stack([_maximal_cell(a, b) for a, b in zip(r, c)])
+    q_prod = r[:, :, None] * c[:, None, :]
 
-    warm = {"p": np.full((s_size, x_size), 1.0 / x_size)}
-    evals = {"n": 0}
-
-    def inner(q):
-        def vg(p):
-            return _cmi_value_grad(p, channel.state_pmf, q)
-        p, v = _mult_ascend(vg, warm["p"])
-        warm["p"] = p
-        evals["n"] += 1
-        return v, p
-
-    # Structured seeds: independent product and diagonal-first couplings.
-    q_prod = np.einsum("xsr,xse->xsre", pr, pe)
-    q_max = np.zeros_like(q_prod)
-    for x, s in cells:
-        q_max[x, s] = _maximal_cell(pr[x, s], pe[x, s])
-    seeds = [_q_to_phi(q_prod), _q_to_phi(q_max)]
-
-    # Random transport vertices and mixtures for additional starts.
-    for _ in range(cfg.restarts):
-        qv = np.zeros_like(q_prod)
-        weights = rng.dirichlet(np.ones(3))
-        for x, s in cells:
-            acc = np.zeros((ny, ne))
-            for w in weights:
-                acc += w * _vertex_cell(pr[x, s], pe[x, s],
-                                        rng.permutation(ny), rng.permutation(ne))
-            qv[x, s] = acc
-        seeds.append(_q_to_phi(qv))
-
-    # Lattice sweep over the free coordinates.
-    res = cfg.grid_resolution
-    lattice_axes = []
-    for k, (x, s) in enumerate(cells):
-        hi = np.minimum.outer(pr[x, s][:ny - 1], pe[x, s][:ne - 1]).ravel()
-        lattice_axes.extend(list(np.linspace(0.0, h, res + 1)) for h in hi)
-    total = math.prod(len(a) for a in lattice_axes) if dim else 1
-    exhaustive = total <= 2048
-    if dim == 0:
-        lattice = [np.zeros(0)]
-    elif exhaustive:
-        lattice = [np.array(pt) for pt in itertools.product(*lattice_axes)]
-    else:
-        lattice = [np.array([axis[rng.integers(len(axis))] for axis in lattice_axes])
-                   for _ in range(2048)]
-
-    best = {"v": np.inf, "phi": None, "p": None}
-    for phi in seeds + lattice:
-        q = _phi_to_q(channel, phi)
-        if q is None:
-            continue
-        v, p = inner(q)
-        if v < best["v"] - 1e-15:
-            best.update(v=v, phi=phi.copy(), p=p)
-
-    # Compass descent on the free coordinates from the best point found.
-    scale = np.concatenate([
-        np.minimum.outer(pr[x, s][:ny - 1], pe[x, s][:ne - 1]).ravel()
-        for x, s in cells]) if dim else np.zeros(0)
-    delta = np.maximum(scale, 1e-6) / max(res, 2)
-    budget = 1500
-    while evals["n"] < budget and dim and delta.max() > 1e-8:
-        improved = False
-        for k in range(dim):
-            for sign in (1.0, -1.0):
-                phi = best["phi"].copy()
-                phi[k] += sign * delta[k]
-                q = _phi_to_q(channel, phi)
-                if q is None:
-                    continue
-                v, p = inner(q)
-                if v < best["v"] - 1e-12:
-                    best.update(v=v, phi=phi, p=p)
-                    improved = True
-                    break
-            if evals["n"] >= budget:
+    p = np.full((s_size, x_size), 1.0 / x_size)
+    best_v, best_q, best_p = np.inf, None, None
+    solves = 0
+    for cells in (q_diag, q_prod):
+        last = np.inf
+        for _ in range(_COUPLING_ROUNDS):
+            q = cells.reshape(channel.kernel.shape)
+            p, v = _mult_ascend(
+                lambda p: _cmi_value_grad(p, channel.state_pmf, q), p)
+            solves += 1
+            if v < best_v:
+                best_v, best_q, best_p = v, q, p
+            if v <= 0.0 or v > last - 1e-12:
                 break
-        if not improved:
-            delta /= 2.0
-    q_best = _phi_to_q(channel, best["phi"])
-    coupling = CouplingFamily(channel, q_best)
+            last = v
+            weights = (channel.state_pmf[None, :] * p.T).ravel()
+            cells = _project_couplings(cells, weights, r, c)
+        if best_v <= 0.0:
+            break
     return BoundResult(
-        value_bits=best["v"], argmax_policy=InputPolicy(best["p"]),
-        diagnostics={"exhaustive_grid": 1.0 if exhaustive else 0.0,
-                     "inner_solves": float(evals["n"]),
-                     "free_dimensions": float(dim)},
-        coupling=coupling)
+        value_bits=best_v, argmax_policy=InputPolicy(best_p),
+        diagnostics={"inner_solves": float(solves),
+                     "free_dimensions": float((ny - 1) * (ne - 1) * x_size * s_size)},
+        coupling=CouplingFamily(channel, best_q))
 
 
 # ---------------------------------------------------------------------------

@@ -63,10 +63,11 @@ class SimConfig:
     def __post_init__(self):
         if not 1 <= self.n <= 24:
             raise ValueError("n must lie in [1, 24] (Monte Carlo ceiling)")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
-        if self.rate_margin <= 0:
-            raise ValueError("rate_margin must be positive")
+        # Chained comparisons are False for NaN, so NaN is rejected too.
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError("epsilon must be positive and finite")
+        if not 0 < self.rate_margin < math.inf:
+            raise ValueError("rate_margin must be positive and finite")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.mode not in ("no_discussion", "one_round_discussion"):

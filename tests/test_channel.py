@@ -62,6 +62,17 @@ class TestConstructionValidation:
         with pytest.raises(ValueError):
             InputPolicy([[0.9, 0.2]])
 
+    def test_nan_state_rejected(self):
+        # NaN fails both the sign and the mass comparison, so it once passed.
+        with pytest.raises(ValueError, match="non-finite"):
+            StateChannel.from_arrays([np.nan, 1.0], np.full((2, 2, 2, 2), 0.25))
+
+    def test_nan_kernel_rejected(self):
+        kernel = np.full((2, 2, 2, 2), 0.25)
+        kernel[1, 0, 0, 1] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            StateChannel.from_arrays([0.5, 0.5], kernel)
+
     def test_no_silent_normalization(self):
         # Slightly-off mass must be rejected, not rescaled.
         with pytest.raises(ValueError):

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from statekey import SimConfig, build_codebook, exact_leakage
-from statekey.cli import (channel_from_dict, channel_to_dict, db_to_linear,
-                          default_aux_policy, load_channel, main, save_channel)
+from statekey.cli import (CliInputError, channel_from_dict, channel_to_dict,
+                          db_to_linear, default_aux_policy, load_channel, main,
+                          save_channel)
 from conftest import (constant_channel, copy_encoder_policy,
                       degraded_binary_wiretap, factorized_binary,
                       identity_channel)
@@ -47,6 +48,16 @@ class TestChannelFiles:
         del payload["state_pmf"]
         with pytest.raises(ValueError, match="state_pmf"):
             channel_from_dict(payload)
+
+    def test_non_integral_size_is_input_error(self, tmp_path, capsys):
+        payload = channel_to_dict(identity_channel())
+        payload["x_size"] = 2.7
+        with pytest.raises(CliInputError, match="x_size"):
+            channel_from_dict(payload)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        assert main(["bounds-dmc", str(bad)]) == 2
+        assert "x_size must be an integer" in capsys.readouterr().err
 
     def test_db_conversion(self):
         assert db_to_linear(10.0) == pytest.approx(10.0)

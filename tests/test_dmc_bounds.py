@@ -5,12 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from statekey import (AuxiliaryEncoderPolicy, OptimizerConfig,
+from statekey import (AuxiliaryEncoderPolicy, CouplingFamily, OptimizerConfig,
                       StateChannel, augment_receiver, aux_policy_rate,
                       discussion_capacity_if_markov, induce_joint,
                       lower_bound_discussion, lower_bound_no_discussion,
                       mutual_information, secret_message_lower_bound,
                       upper_bound_discussion, upper_bound_no_discussion)
+from statekey.dmc import _cmi_value_grad, _mult_ascend
 from conftest import (bsc_matrix, constant_channel, factorized_binary,
                       identical_outputs_channel, random_channel)
 
@@ -146,6 +147,36 @@ class TestUpperBoundNoDiscussion:
         assert a.value_bits == b.value_bits
         assert np.array_equal(a.coupling.q, b.coupling.q)
 
+    def test_nan_coupling_rejected(self, degraded_channel):
+        q = np.array(degraded_channel.kernel)
+        q[0, 0, 0, 0] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            CouplingFamily(degraded_channel, q)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_returned_coupling_is_first_order_optimal(self, k):
+        # f(q, p) = I(X,S;Yr|Ye) is convex in q.  Moving one (x, s) cell along
+        # d = +-[[1, -1], [-1, 1]] keeps its marginals, and the slope of
+        # f(., p) along it is w(x, s) * sum(log2(q / m) * d), with
+        # w = p(s) p(x|s) and m the output mixture.  At a minimizing coupling
+        # no feasible direction descends.
+        channel = random_channel(np.random.default_rng(k), 2, 3, 2, 2)
+        q = upper_bound_no_discussion(channel, CFG).coupling.q
+        p, _ = _mult_ascend(
+            lambda p: _cmi_value_grad(p, channel.state_pmf, q),
+            np.full((channel.s_size, channel.x_size), 1.0 / channel.x_size))
+        w = channel.state_pmf[None, :] * p.T
+        m = np.einsum("xs,xsre->re", w, q)
+        d = np.array([[1.0, -1.0], [-1.0, 1.0]])
+        for x, s in np.ndindex(w.shape):
+            for direction in (d, -d):
+                if np.any(q[x, s][direction < 0] <= 0.0):
+                    continue
+                with np.errstate(divide="ignore"):
+                    log_ratio = np.log2(q[x, s] / m)
+                slope = w[x, s] * float((log_ratio * direction).sum())
+                assert slope >= -1e-5, (x, s, slope)
+
 
 class TestLowerBoundDiscussion:
     def test_constant_channel_gives_zero(self):
@@ -253,6 +284,8 @@ class TestConfigValidation:
             OptimizerConfig(grid_resolution=1)
         with pytest.raises(ValueError):
             OptimizerConfig(step_tolerance=0.0)
+        with pytest.raises(ValueError):
+            OptimizerConfig(step_tolerance=float("nan"))
         with pytest.raises(ValueError):
             OptimizerConfig(domain="anything")
 

@@ -34,6 +34,10 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             SimConfig(n=4, epsilon=0.0, rate_margin=0.1, trials=1, seed=0)
         with pytest.raises(ValueError):
+            SimConfig(n=4, epsilon=float("nan"), rate_margin=0.1, trials=1, seed=0)
+        with pytest.raises(ValueError):
+            SimConfig(n=4, epsilon=0.1, rate_margin=float("nan"), trials=1, seed=0)
+        with pytest.raises(ValueError):
             SimConfig(n=4, epsilon=0.1, rate_margin=0.1, trials=1, seed=0,
                       mode="two_rounds")
 
