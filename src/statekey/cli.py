@@ -163,11 +163,11 @@ def cmd_bounds_dmc(args) -> int:
     results["secret_message_lower_bound"] = msg
     ub = dmc.upper_bound_no_discussion(channel, cfg)
     results["upper_bound_no_discussion"] = ub
-    lbd = dmc.lower_bound_discussion(channel, cfg)
+    lbd = dmc.lower_bound_discussion(channel, cfg, no_discussion=lb)
     results["lower_bound_discussion"] = lbd
     ubd = dmc.upper_bound_discussion(channel, cfg)
     results["upper_bound_discussion"] = ubd
-    cap = dmc.discussion_capacity_if_markov(channel, cfg)
+    cap = dmc.discussion_capacity_if_markov(channel, cfg, upper=ubd)
 
     for name, res in results.items():
         print(f"{name}_bits = {_fmt(res.value_bits)}", file=out)

@@ -1,13 +1,17 @@
 """Numerical secret-key bounds for finite state-controlled wiretap channels.
 
-Four bound evaluators plus a secret-message comparison bound.  The two lower
-bounds search over auxiliary encoder policies (p(u|s), p(x|u,s)) with a
-seeded multi-start grid plus projected coordinate ascent; the upper bounds
-maximize over direct input policies p(x|s) with a multiplicative-update
-ascent (the objective is concave in p(x|s)).  The no-discussion upper bound
-also minimizes over output couplings with fixed marginals, where the
-objective is convex: it alternates the ascent with a Sinkhorn I-projection
-of the coupling until the pair stops improving.
+Four bound evaluators plus a secret-message comparison bound.  The
+no-discussion lower bound and the secret-message bound search over auxiliary
+encoder policies (p(u|s), p(x|u,s)) with a seeded multi-start grid plus
+projected coordinate ascent.  The search scores policies in batches: all
+seeds of a pass at once, then every restart in lockstep, with one batch for
+the finite-difference probes of a row and one per trial step.  The upper
+bounds maximize over direct input policies p(x|s) with a
+multiplicative-update ascent (the objective is concave in p(x|s)), and the
+discussion lower bound runs the same ascent on its closed-form scores.  The
+no-discussion upper bound also minimizes over output couplings with fixed
+marginals, where the objective is convex: it alternates the ascent with a
+Sinkhorn I-projection of the coupling until the pair stops improving.
 
 Optima are "best found": the searches are deterministic for a fixed seed but
 carry no global-optimality certificate.
@@ -23,6 +27,7 @@ import numpy as np
 
 from .channel import (AuxiliaryEncoderPolicy, InputPolicy, StateChannel,
                       induce_joint, mutual_information)
+from .sim import BudgetError
 
 LN2 = math.log(2.0)
 
@@ -37,6 +42,12 @@ _COUPLING_ROUNDS = 200
 # Sinkhorn scaling: sweeps per coupling step and the marginal tolerance.
 _SINKHORN_ITERATIONS = 1000
 _SINKHORN_TOL = 1e-13
+
+# Largest batch of float64 policies the auxiliary-policy search may build;
+# a search that would need more raises BudgetError before it starts.
+_AUX_BATCH_BYTES = 64 * 2**20
+# Structured seeds per pass: at most 64 input maps plus five fixed policies.
+_STRUCTURED_SEEDS_MAX = 69
 
 
 @dataclass(frozen=True)
@@ -60,6 +71,15 @@ class OptimizerConfig:
     domain: str = "general_u"
 
     def __post_init__(self):
+        for name in ("u_size_max", "restarts", "grid_resolution", "local_steps",
+                     "seed"):
+            value = getattr(self, name)
+            if name == "u_size_max" and value is None:
+                continue
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if self.u_size_max is not None and self.u_size_max < 1:
+            raise ValueError("u_size_max must be >= 1")
         if self.grid_resolution < 2:
             raise ValueError("grid_resolution must be >= 2")
         if not 0 < self.step_tolerance < math.inf:    # False for NaN too
@@ -71,8 +91,6 @@ class OptimizerConfig:
 
     def resolve_u_size(self, channel: StateChannel) -> int:
         if self.u_size_max is not None:
-            if self.u_size_max < 1:
-                raise ValueError("u_size_max must be >= 1")
             return self.u_size_max
         return channel.x_size * channel.s_size + 2
 
@@ -129,37 +147,42 @@ class BoundResult:
 # shared numerics
 # ---------------------------------------------------------------------------
 
-def _mi_2d(joint: np.ndarray) -> float:
-    """I(A;B) in bits from a 2-D joint pmf."""
-    pa = joint.sum(axis=1)
-    pb = joint.sum(axis=0)
+def _mi_2d(joint: np.ndarray) -> np.ndarray:
+    """I(A;B) in bits from joint pmfs over the last two axes.
+
+    Leading axes index a batch; a 2-D joint gives a scalar.
+    """
+    pa = joint.sum(axis=-1, keepdims=True)
+    pb = joint.sum(axis=-2, keepdims=True)
     mask = joint > 0
-    outer = np.outer(pa, pb)[mask]
-    vals = joint[mask]
-    return max(0.0, float((vals * (np.log2(vals) - np.log2(outer))).sum()))
+    terms = np.log2(joint, out=np.zeros(joint.shape), where=mask)
+    terms -= np.log2(pa * pb, out=np.zeros(joint.shape), where=mask)
+    terms *= joint
+    return np.maximum(0.0, terms.reshape(*terms.shape[:-2], -1).sum(axis=-1))
 
 
-def _aux_mi_triple(channel: StateChannel, u_given_s: np.ndarray,
-                   x_given_us: np.ndarray) -> tuple[float, float, float]:
-    """(I(U;Yr), I(U;Ye), I(U;S)) for the policy, by direct summation."""
-    p_su = channel.state_pmf[:, None] * u_given_s
-    p_us = p_su.T
-    pr = channel.receiver_kernel()
-    pe = channel.eavesdropper_kernel()
-    p_u_yr = np.einsum("us,usx,xsr->ur", p_us, x_given_us, pr)
-    p_u_ye = np.einsum("us,usx,xse->ue", p_us, x_given_us, pe)
-    return _mi_2d(p_u_yr), _mi_2d(p_u_ye), _mi_2d(p_us)
+def _aux_mi_triple(state_pmf: np.ndarray, kernel: np.ndarray, yr_size: int,
+                   u_rows: np.ndarray, x_rows: np.ndarray):
+    """(I(U;Yr), I(U;Ye), I(U;S)) for a batch of policies, by direct summation.
+
+    ``u_rows`` (batch, 1 or s, u) holds p(u|s), one row for every state when
+    it has a single row; ``x_rows`` (batch, u, s, x) holds p(x|u,s).
+    ``kernel`` (x, s, yr + ye) stacks p(yr|x,s) and p(ye|x,s).
+    """
+    p_us = np.swapaxes(state_pmf[:, None] * u_rows, 1, 2)
+    p_uy = np.einsum("bus,busx,xsk->buk", p_us, x_rows, kernel)
+    return (_mi_2d(p_uy[:, :, :yr_size]), _mi_2d(p_uy[:, :, yr_size:]),
+            _mi_2d(p_us))
 
 
 def _project_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection of a vector onto the probability simplex."""
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    idx = np.arange(1, len(v) + 1)
-    cond = u - css / idx > 0
-    rho = idx[cond][-1]
-    theta = css[rho - 1] / rho
-    return np.maximum(v - theta, 0.0)
+    """Euclidean projection of each row of ``v`` onto the probability simplex."""
+    u = np.sort(v, axis=1)[:, ::-1]
+    css = np.cumsum(u, axis=1) - 1.0
+    cond = u - css / np.arange(1, v.shape[1] + 1) > 0
+    rho = v.shape[1] - np.argmax(cond[:, ::-1], axis=1)    # last True, 1-based
+    theta = css[np.arange(len(v)), rho - 1] / rho
+    return np.maximum(v - theta[:, None], 0.0)
 
 
 def _rng_stream(seed: int, *key: int) -> np.random.Generator:
@@ -170,57 +193,62 @@ def _rng_stream(seed: int, *key: int) -> np.random.Generator:
 # auxiliary-policy search (lower bounds)
 # ---------------------------------------------------------------------------
 
-class _AuxPoint:
-    """Search point: u rows (tied across states when restricted) and x rows."""
+def _check_aux_budget(channel: StateChannel, cfg: OptimizerConfig,
+                      u_size: int) -> None:
+    """Refuse a search whose largest policy batch would exceed the budget.
 
-    __slots__ = ("u_rows", "x_rows", "restricted", "s_size")
+    The batches are the seeds of a pass (the structured ones plus
+    3 * restarts grid points) and the finite-difference probes of one row for
+    every restart (restarts * |U| policies for a u row, restarts * |X| for an
+    x row).  A policy holds p(u|s) and p(x|u,s) in float64.
+    """
+    policies = max(_STRUCTURED_SEEDS_MAX + 3 * cfg.restarts,
+                   cfg.restarts * max(u_size, channel.x_size))
+    need = 8 * policies * u_size * channel.s_size * (channel.x_size + 1)
+    if need > _AUX_BATCH_BYTES:
+        raise BudgetError(
+            f"the auxiliary-policy search needs a batch of {need / 2**20:.0f} MiB "
+            f"(|U|={u_size}, |S|={channel.s_size}, |X|={channel.x_size}, "
+            f"restarts={cfg.restarts}), over the {_AUX_BATCH_BYTES // 2**20} MiB "
+            "limit; lower u_size_max or restarts")
 
-    def __init__(self, u_rows, x_rows, restricted, s_size):
-        self.u_rows = u_rows          # (1 or s, u)
-        self.x_rows = x_rows          # (u, s, x)
-        self.restricted = restricted
-        self.s_size = s_size
 
-    def expand(self) -> tuple[np.ndarray, np.ndarray]:
-        ugs = np.repeat(self.u_rows, self.s_size, axis=0) if self.restricted \
-            else self.u_rows
-        return ugs, self.x_rows
+class _Incumbents:
+    """Best feasible policy of each group of search points.
 
-    def copy(self) -> "_AuxPoint":
-        return _AuxPoint(self.u_rows.copy(), self.x_rows.copy(),
-                         self.restricted, self.s_size)
+    Points are offered in evaluation order, and a group's policy is replaced
+    only by a strictly higher value, so among equal values the first stays.
+    """
 
-    def rows(self):
-        for i in range(self.u_rows.shape[0]):
-            yield ("u", i)
-        for u in range(self.x_rows.shape[0]):
-            for s in range(self.x_rows.shape[1]):
-                yield ("x", (u, s))
+    def __init__(self, groups: int, channel: StateChannel, u_size: int):
+        s_size, x_size = channel.s_size, channel.x_size
+        self.value = np.full(groups, -np.inf)
+        self.u_given_s = np.zeros((groups, s_size, u_size))
+        self.x_given_us = np.zeros((groups, u_size, s_size, x_size))
 
-    def get_row(self, ref):
-        kind, idx = ref
-        return self.u_rows[idx] if kind == "u" else self.x_rows[idx]
-
-    def set_row(self, ref, row):
-        kind, idx = ref
-        if kind == "u":
-            self.u_rows[idx] = row
-        else:
-            self.x_rows[idx] = row
-
-    def to_policy(self, u_size: int) -> AuxiliaryEncoderPolicy:
-        ugs, xus = self.expand()
-        return AuxiliaryEncoderPolicy(u_size, ugs, xus)
+    def offer(self, groups, value, feasible, u_rows, x_rows) -> None:
+        """Row i of the (len(groups), m) arrays ``value`` and ``feasible``
+        belongs to group groups[i]; its policies are rows i*m to i*m + m - 1
+        of ``u_rows`` and ``x_rows``."""
+        masked = np.where(feasible, value, -np.inf)
+        first = np.argmax(masked, axis=1)
+        top = masked[np.arange(len(first)), first]
+        win = np.flatnonzero(top > self.value[groups])
+        if win.size:
+            pick = win * masked.shape[1] + first[win]
+            self.value[groups[win]] = top[win]
+            self.u_given_s[groups[win]] = u_rows[pick]
+            self.x_given_us[groups[win]] = x_rows[pick]
 
 
 def _structured_aux_seeds(channel, u_size, restricted, rng):
     s_size, x_size = channel.s_size, channel.x_size
     u_rows_n = 1 if restricted else s_size
-    seeds = []
+    u_seeds, x_seeds = [], []
 
     def make(u_rows, x_rows):
-        seeds.append(_AuxPoint(np.array(u_rows, dtype=float),
-                               np.array(x_rows, dtype=float), restricted, s_size))
+        u_seeds.append(u_rows)
+        x_seeds.append(x_rows)
 
     const_u = np.zeros((u_rows_n, u_size))
     const_u[:, 0] = 1.0
@@ -258,7 +286,7 @@ def _structured_aux_seeds(channel, u_size, restricted, rng):
             copy_u[s, s % u_size] = 1.0
         make(copy_u, uni_x)
         make(copy_u, det_x)
-    return seeds
+    return np.array(u_seeds), np.array(x_seeds)
 
 
 def _random_grid_row(dim, resolution, rng):
@@ -271,118 +299,167 @@ def _random_grid_row(dim, resolution, rng):
 def _grid_aux_seeds(channel, u_size, restricted, resolution, count, rng):
     s_size, x_size = channel.s_size, channel.x_size
     u_rows_n = 1 if restricted else s_size
-    seeds = []
+    u_seeds, x_seeds = [], []
     for _ in range(count):
-        u_rows = np.stack([_random_grid_row(u_size, resolution, rng)
-                           for _ in range(u_rows_n)])
-        x_rows = np.stack([
-            np.stack([_random_grid_row(x_size, resolution, rng)
-                      for _ in range(s_size)])
-            for _ in range(u_size)])
-        seeds.append(_AuxPoint(u_rows, x_rows, restricted, s_size))
-    return seeds
+        u_seeds.append([_random_grid_row(u_size, resolution, rng)
+                        for _ in range(u_rows_n)])
+        x_seeds.append([[_random_grid_row(x_size, resolution, rng)
+                         for _ in range(s_size)]
+                        for _ in range(u_size)])
+    return np.array(u_seeds), np.array(x_seeds)
 
 
-def _refine_aux(point, score_fn, cfg):
-    """Cyclic row-wise projected coordinate ascent on the search score."""
-    best = score_fn(point)
+def _with_row(points, kind, index, live, new_rows, copies):
+    """Policies of the restarts ``live``, each repeated ``copies`` times, with
+    row ``index`` of ``points[kind]`` replaced by ``new_rows``."""
+    trial = [np.repeat(a[live], copies, axis=0) for a in points]
+    trial[kind][(slice(None),) + index] = new_rows
+    return trial
+
+
+def _refine_aux(u_rows, x_rows, evaluate, best, cfg):
+    """Cyclic row-wise projected coordinate ascent, every restart in lockstep.
+
+    ``u_rows`` (restarts, 1 or s, u) and ``x_rows`` (restarts, u, s, x) hold
+    the starting points and are refined in place.  All restarts visit the
+    same rows in the same order: the u rows, then the x rows (u, s).  For one
+    row, the finite-difference probes of every active restart (one per
+    coordinate, bumped by h = 1e-6 and renormalized) are scored as one batch.
+    Then the steps t = step, step/4 and step/16 are tried, each as one batch
+    of the restarts that have not yet accepted a step for this row.
+
+    Per restart the rules are those of a one-at-a-time ascent: a step is
+    taken when it beats the restart's score by more than 1e-13, a sweep
+    without one quarters its step size, and the restart leaves the batch when
+    the step size falls below 1e-5 or after ``cfg.local_steps`` sweeps.
+    ``evaluate`` offers every scored point to ``best``, one group per restart.
+    Returns the number of sweeps, summed over restarts.
+    """
+    n = len(u_rows)
     h = 1e-6
-    step = 0.25
-    iterations = 0
+    points = (u_rows, x_rows)
+    current = evaluate(u_rows, x_rows, best, np.arange(n))
+    step = np.full(n, 0.25)
+    sweeps = np.zeros(n, dtype=int)
+    active = np.ones(n, dtype=bool)
+    rows = ([(0, (i,)) for i in range(u_rows.shape[1])]
+            + [(1, (u, s)) for u in range(x_rows.shape[1])
+               for s in range(x_rows.shape[2])])
     for _ in range(cfg.local_steps):
-        improved = False
-        for ref in point.rows():
-            row = point.get_row(ref).copy()
-            grad = np.zeros_like(row)
-            for i in range(len(row)):
-                bumped = row.copy()
-                bumped[i] += h
-                bumped /= bumped.sum()
-                trial = point.copy()
-                trial.set_row(ref, bumped)
-                grad[i] = (score_fn(trial) - best) / h
-            if not np.any(grad):
-                continue
-            for t in (step, step / 4.0, step / 16.0):
-                cand_row = _project_simplex(row + t * grad)
-                trial = point.copy()
-                trial.set_row(ref, cand_row)
-                cand_score = score_fn(trial)
-                if cand_score > best + 1e-13:
-                    point, best = trial, cand_score
-                    improved = True
+        improved = np.zeros(n, dtype=bool)
+        for kind, index in rows:
+            live = np.flatnonzero(active)
+            row = points[kind][(live,) + index]
+            d = row.shape[1]
+            probes = np.repeat(row[:, None, :], d, axis=1)
+            probes[:, np.arange(d), np.arange(d)] += h
+            probes /= probes.sum(axis=2, keepdims=True)
+            score = evaluate(
+                *_with_row(points, kind, index, live, probes.reshape(-1, d), d),
+                best, live)
+            grad = (score.reshape(-1, d) - current[live, None]) / h
+            moving = np.any(grad != 0, axis=1)
+            live, row, grad = live[moving], row[moving], grad[moving]
+            for div in (1.0, 4.0, 16.0):
+                if not live.size:
                     break
-        iterations += 1
-        if not improved:
-            step /= 4.0
-            if step < 1e-5:
-                break
-    return point, best, iterations
+                cand = _project_simplex(row + (step[live] / div)[:, None] * grad)
+                score = evaluate(*_with_row(points, kind, index, live, cand, 1),
+                                 best, live)
+                up = score > current[live] + 1e-13
+                points[kind][(live[up],) + index] = cand[up]
+                current[live[up]] = score[up]
+                improved[live[up]] = True
+                live, row, grad = live[~up], row[~up], grad[~up]
+        sweeps[active] += 1
+        stalled = active & ~improved
+        step[stalled] /= 4.0
+        active &= ~(stalled & (step < 1e-5))
+        if not active.any():
+            break
+    return int(sweeps.sum())
 
 
-def _search_aux_pass(channel, cfg, objective, restricted, state, stream_key):
+def _search_aux_pass(channel, cfg, evaluate, restricted, state, stream_key):
     """One seeded multi-start pass over a policy parameterization.
 
-    Every evaluation goes through ``score_fn``, which records the best
-    feasible point seen in ``state`` (shared across passes); the returned
-    search score penalizes infeasibility so refinement can cross back into
-    the feasible region.
+    All seeds are scored as one batch, and the ``restarts`` best are refined
+    together by ``_refine_aux``.  Feasible points reach ``state["best"]``
+    (shared across passes) in the order a one-at-a-time search meets them:
+    the seeds, then each restart's points, restart by restart.
     """
     u_size = cfg.resolve_u_size(channel)
     rng = _rng_stream(cfg.seed, stream_key)
-
-    def score_fn(point):
-        ugs, xus = point.expand()
-        value, slack = objective(*_aux_mi_triple(channel, ugs, xus))
-        state["evals"] += 1
-        feasible = slack is None or slack >= -cfg.step_tolerance
-        if feasible and value > state["value"]:
-            state["value"] = value
-            state["slack"] = slack
-            state["point"] = point.copy()
-        if slack is None:
-            return value
-        return value + _PENALTY_WEIGHT * min(0.0, slack)
-
-    seeds = _structured_aux_seeds(channel, u_size, restricted, rng)
-    grid_seeds = _grid_aux_seeds(channel, u_size, restricted,
-                                 cfg.grid_resolution, 3 * cfg.restarts, rng)
-    scored = [(score_fn(s), i, s) for i, s in enumerate(seeds + grid_seeds)]
-    state["best_grid"] = max([t[0] for t in scored[len(seeds):]]
-                             + [state["best_grid"]])
-    scored.sort(key=lambda t: (-t[0], t[1]))
-    for _, _, seed_point in scored[:cfg.restarts]:
-        _, _, iters = _refine_aux(seed_point.copy(), score_fn, cfg)
-        state["iterations"] += iters
+    u_seeds, x_seeds = _structured_aux_seeds(channel, u_size, restricted, rng)
+    u_grid, x_grid = _grid_aux_seeds(channel, u_size, restricted,
+                                     cfg.grid_resolution, 3 * cfg.restarts, rng)
+    u_rows = np.concatenate([u_seeds, u_grid])
+    x_rows = np.concatenate([x_seeds, x_grid])
+    overall = np.zeros(1, dtype=int)
+    score = evaluate(u_rows, x_rows, state["best"], overall)
+    state["best_grid"] = max(state["best_grid"], float(score[len(u_seeds):].max()))
+    top = np.argsort(-score, kind="stable")[:cfg.restarts]
+    restarts = _Incumbents(len(top), channel, u_size)
+    state["iterations"] += _refine_aux(u_rows[top], x_rows[top], evaluate,
+                                       restarts, cfg)
+    state["best"].offer(overall, restarts.value[None],
+                        np.isfinite(restarts.value)[None],
+                        restarts.u_given_s, restarts.x_given_us)
 
 
 def _search_aux(channel, cfg, objective):
     """Shared multi-start driver for objectives over auxiliary policies.
 
-    ``objective(i_uyr, i_uye, i_us) -> (value, slack_or_None)``.  Infeasible
-    points (slack below -step_tolerance) never become the incumbent; the
-    constant-u policy (value 0) is always a feasible fallback.  The
-    ``general_u`` domain also runs the restricted (u independent of s)
-    parameterization, a subset of the general one where the covering
-    constraint is vacuous, so structurally feasible optima are never missed.
+    ``objective(i_uyr, i_uye, i_us) -> (value, slack_or_None)`` maps arrays
+    of information values to arrays.  Policies are scored in batches: each
+    pass scores its seeds as one batch, then refines its best seeds in
+    lockstep (see ``_refine_aux``).  Infeasible points (slack below
+    -step_tolerance) never become the incumbent; the constant-u policy
+    (value 0) is always a feasible fallback.  The ``general_u`` domain also
+    runs the restricted (u independent of s) parameterization, a subset of
+    the general one where the covering constraint is vacuous, so
+    structurally feasible optima are never missed.  A search whose largest
+    batch would exceed ``_AUX_BATCH_BYTES`` raises ``BudgetError`` first.
     """
     u_size = cfg.resolve_u_size(channel)
-    state = {"value": -np.inf, "slack": None, "point": None, "evals": 0,
+    _check_aux_budget(channel, cfg, u_size)
+    kernel = np.concatenate([channel.receiver_kernel(),
+                             channel.eavesdropper_kernel()], axis=2)
+    state = {"best": _Incumbents(1, channel, u_size), "evals": 0,
              "iterations": 0, "best_grid": -np.inf}
 
-    _search_aux_pass(channel, cfg, objective, True, state, 11)
+    def evaluate(u_rows, x_rows, best, groups):
+        """Search scores of a batch; its feasible points go to ``best``.
+
+        The batch splits into len(groups) equal consecutive groups.  The
+        score penalizes infeasibility, so refinement can cross back into the
+        feasible region.
+        """
+        value, slack = objective(*_aux_mi_triple(
+            channel.state_pmf, kernel, channel.yr_size, u_rows, x_rows))
+        state["evals"] += len(value)
+        if slack is None:
+            feasible, score = np.ones(len(value), dtype=bool), value
+        else:
+            feasible = slack >= -cfg.step_tolerance
+            score = value + _PENALTY_WEIGHT * np.minimum(0.0, slack)
+        best.offer(groups, value.reshape(len(groups), -1),
+                   feasible.reshape(len(groups), -1), u_rows, x_rows)
+        return score
+
+    _search_aux_pass(channel, cfg, evaluate, True, state, 11)
     if cfg.domain == "general_u" and channel.s_size > 1:
-        _search_aux_pass(channel, cfg, objective, False, state, 12)
+        _search_aux_pass(channel, cfg, evaluate, False, state, 12)
 
+    best = state["best"]
+    u_given_s, x_given_us = best.u_given_s[0], best.x_given_us[0]
     # The constant-u policy is feasible with value 0, so a result always exists.
-    if state["point"] is None or state["value"] < 0.0:
-        rng = _rng_stream(cfg.seed, 13)
-        const = _structured_aux_seeds(channel, u_size, True, rng)[0]
-        ugs, xus = const.expand()
-        value, slack = objective(*_aux_mi_triple(channel, ugs, xus))
-        state.update(value=max(0.0, value), slack=slack, point=const)
-
-    policy = state["point"].to_policy(u_size)
+    if not best.value[0] >= 0.0:
+        u_given_s = np.zeros((channel.s_size, u_size))
+        u_given_s[:, 0] = 1.0
+        x_given_us = np.full((u_size, channel.s_size, channel.x_size),
+                             1.0 / channel.x_size)
+    policy = AuxiliaryEncoderPolicy(u_size, u_given_s, x_given_us)
     # Recompute the reported numbers through the exact joint-pmf route.
     joint = induce_joint(channel, policy)
     i_uyr = mutual_information(joint, ["U"], ["Yr"])
@@ -395,7 +472,7 @@ def _search_aux(channel, cfg, objective):
         "best_grid_value": float(state["best_grid"]),
         "objective_evaluations": float(state["evals"]),
     }
-    return max(0.0, value), policy, slack, diagnostics
+    return max(0.0, float(value)), policy, slack, diagnostics
 
 
 def lower_bound_no_discussion(channel: StateChannel,
@@ -424,7 +501,7 @@ def secret_message_lower_bound(channel: StateChannel,
     on the constrained region.
     """
     def objective(i_uyr, i_uye, i_us):
-        return i_uyr - max(i_us, i_uye), None
+        return i_uyr - np.maximum(i_us, i_uye), None
 
     value, policy, _, diag = _search_aux(channel, cfg, objective)
     return BoundResult(value_bits=value, argmax_policy=policy, diagnostics=diag)
@@ -500,22 +577,29 @@ def _mult_ascend(value_grad, p0, max_iter=4000, tol=1e-13):
     return p, value
 
 
-def _fd_value_grad(value_fn):
-    """Adapt a plain objective to (value, grad) via normalized perturbations."""
-    h = 1e-7
+def _disc_value_grad(p_xs: np.ndarray, state_pmf: np.ndarray,
+                     kernel: np.ndarray) -> tuple[float, np.ndarray]:
+    """I(X,S;Yr) - I(Yr;Ye) and its per-(x,s) ascent scores.
 
-    def vg(p):
-        v0 = value_fn(p)
-        grad = np.zeros_like(p)
-        for s in range(p.shape[0]):
-            for x in range(p.shape[1]):
-                bumped = p.copy()
-                bumped[s, x] += h
-                bumped[s] /= bumped[s].sum()
-                grad[s, x] = (value_fn(bumped) - v0) / h
-        return v0, grad
-
-    return vg
+    With w(x,s) = p(s) p(x|s), the partial derivative in w(x,s) is, up to a
+    constant, d[s, x] = D(p(yr|x,s) || P_Yr)
+    - sum_{yr,ye} W(yr,ye|x,s) log2(P(yr,ye) / (P(yr) P(ye))).
+    As in ``_cmi_value_grad``, the factor p(s) and per-row constants are
+    dropped: the multiplicative update renormalizes each row.
+    """
+    mu = np.einsum("s,sx,xsre->xsre", state_pmf, p_xs, kernel)
+    yr_ye = mu.sum(axis=(0, 1))
+    value = _mi_2d(mu.sum(axis=3).reshape(-1, kernel.shape[2])) - _mi_2d(yr_ye)
+    p_yr = yr_ye.sum(axis=1)
+    p_ye = yr_ye.sum(axis=0)
+    pr = kernel.sum(axis=3)
+    log_r = np.log2(np.maximum(pr, 1e-300)) - np.log2(np.maximum(p_yr, 1e-300))
+    divergence = np.where(pr > 0, pr * log_r, 0.0).sum(axis=2)
+    log_dep = np.log2(np.maximum(yr_ye, 1e-300)) \
+        - np.log2(np.maximum(np.outer(p_yr, p_ye), 1e-300))
+    d = divergence - np.einsum("xsre,re->xs", kernel,
+                               np.where(yr_ye > 0, log_dep, 0.0))
+    return float(value), d.T
 
 
 def _input_policy_seeds(channel, cfg, rng):
@@ -553,24 +637,25 @@ def upper_bound_discussion(channel: StateChannel,
                        diagnostics={"restarts": float(cfg.restarts)})
 
 
-def lower_bound_discussion(channel: StateChannel,
-                           cfg: OptimizerConfig) -> BoundResult:
+def lower_bound_discussion(channel: StateChannel, cfg: OptimizerConfig,
+                           no_discussion: BoundResult | None = None
+                           ) -> BoundResult:
     """Achievable key rate with one round of public discussion.
 
     Returns max(max_{p(x|s)} [I(X,S;Yr) - I(Ye;Yr)], no-discussion bound);
     diagnostics record which branch won (``discussion_branch`` is 1.0 when
-    the one-round discussion expression attained the max).
+    the one-round discussion expression attained the max).  The first branch
+    is a multiplicative ascent on the closed-form scores of
+    ``_disc_value_grad``.  ``no_discussion`` takes the result of
+    ``lower_bound_no_discussion`` for the same channel and config when the
+    caller already has it; otherwise that search runs here.
     """
     rng = _rng_stream(cfg.seed, 24)
-
-    def value_fn(p):
-        mu = np.einsum("s,sx,xsre->xsre", channel.state_pmf, p, channel.kernel)
-        xs_yr = mu.sum(axis=3).reshape(-1, channel.yr_size)
-        yr_ye = mu.sum(axis=(0, 1))
-        return _mi_2d(xs_yr) - _mi_2d(yr_ye)
-
-    p, branch1 = _maximize_input(channel, _fd_value_grad(value_fn), cfg, rng)
-    base = lower_bound_no_discussion(channel, cfg)
+    p, branch1 = _maximize_input(
+        channel, lambda p: _disc_value_grad(p, channel.state_pmf, channel.kernel),
+        cfg, rng)
+    base = no_discussion if no_discussion is not None \
+        else lower_bound_no_discussion(channel, cfg)
     if branch1 >= base.value_bits:
         diag = dict(base.diagnostics)
         diag["discussion_branch"] = 1.0
@@ -693,19 +778,22 @@ def kernel_factorization_residual(channel: StateChannel) -> float:
     return float(np.abs(channel.kernel - product).max())
 
 
-def discussion_capacity_if_markov(channel: StateChannel,
-                                  cfg: OptimizerConfig) -> BoundResult | None:
+def discussion_capacity_if_markov(channel: StateChannel, cfg: OptimizerConfig,
+                                  upper: BoundResult | None = None
+                                  ) -> BoundResult | None:
     """Exact discussion capacity when the outputs are conditionally independent.
 
     If the kernel factorizes as p(yr|x,s) * p(ye|x,s) (within 1e-10), the
     discussion bounds coincide and the returned value is the capacity
     (diagnostics carry ``is_capacity`` = 1.0).  Returns None when the kernel
-    does not factorize.
+    does not factorize.  ``upper`` takes the result of
+    ``upper_bound_discussion`` for the same channel and config when the
+    caller already has it; otherwise that bound is computed here.
     """
     residual = kernel_factorization_residual(channel)
     if residual > 1e-10:
         return None
-    result = upper_bound_discussion(channel, cfg)
+    result = upper if upper is not None else upper_bound_discussion(channel, cfg)
     diag = dict(result.diagnostics)
     diag.update(is_capacity=1.0, factorization_residual=residual)
     return replace(result, diagnostics=diag)

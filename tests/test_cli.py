@@ -6,13 +6,13 @@ import math
 import numpy as np
 import pytest
 
-from statekey import SimConfig, build_codebook, exact_leakage
+from statekey import SimConfig, build_codebook, dmc, exact_leakage
 from statekey.cli import (CliInputError, channel_from_dict, channel_to_dict,
                           db_to_linear, default_aux_policy, load_channel, main,
                           save_channel)
 from conftest import (constant_channel, copy_encoder_policy,
                       degraded_binary_wiretap, factorized_binary,
-                      identity_channel)
+                      identity_channel, random_channel)
 
 
 def h2(p):
@@ -94,6 +94,13 @@ class TestExitCodes:
         assert rc == 3
         assert "budget" in capsys.readouterr().err.lower()
 
+    def test_search_budget_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "large.json"
+        save_channel(random_channel(np.random.default_rng(0), 16, 16, 2, 2),
+                     str(path))
+        assert main(["bounds-dmc", str(path)]) == 3
+        assert "budget exceeded" in capsys.readouterr().err
+
     def test_bad_sweep_range_is_input_error(self, capsys):
         rc = main(["gaussian", "--axis", "snr", "--start-db", "5",
                    "--stop-db", "-5", "--points", "11",
@@ -132,6 +139,22 @@ class TestBoundsCommand:
         out = capsys.readouterr().out
         assert "discussion_capacity_bits" in out
         assert "capacity" in out
+
+    def test_each_search_runs_once(self, tmp_path, monkeypatch, capsys):
+        # The discussion lower bound and the capacity flag reuse the results
+        # the command already has instead of searching again.
+        calls = {"lower_bound_no_discussion": 0, "upper_bound_discussion": 0}
+        for name in calls:
+            def counted(*args, _fn=getattr(dmc, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(dmc, name, counted)
+        path = tmp_path / "fact.json"
+        save_channel(factorized_binary(), str(path))
+        assert main(["bounds-dmc", str(path), "--restarts", "3"]) == 0
+        assert "discussion_capacity_bits" in capsys.readouterr().out
+        assert calls == {"lower_bound_no_discussion": 1,
+                         "upper_bound_discussion": 1}
 
     def test_non_factorized_kernel_not_applicable(self, degraded_file, capsys):
         rc = main(["bounds-dmc", degraded_file, "--restarts", "3",

@@ -5,15 +5,17 @@ import math
 import numpy as np
 import pytest
 
-from statekey import (AuxiliaryEncoderPolicy, CouplingFamily, OptimizerConfig,
-                      StateChannel, augment_receiver, aux_policy_rate,
+from statekey import (AuxiliaryEncoderPolicy, BudgetError, CouplingFamily,
+                      OptimizerConfig, StateChannel, augment_receiver,
+                      aux_policy_rate,
                       discussion_capacity_if_markov, induce_joint,
                       lower_bound_discussion, lower_bound_no_discussion,
                       mutual_information, secret_message_lower_bound,
                       upper_bound_discussion, upper_bound_no_discussion)
 from statekey.dmc import _cmi_value_grad, _mult_ascend
-from conftest import (bsc_matrix, constant_channel, factorized_binary,
-                      identical_outputs_channel, random_channel)
+from conftest import (bsc_matrix, constant_channel, degraded_binary_wiretap,
+                      factorized_binary, identical_outputs_channel,
+                      random_channel)
 
 
 def h2(p):
@@ -86,6 +88,66 @@ class TestLowerBoundNoDiscussion:
         assert a.constraint_slack_bits == b.constraint_slack_bits
         assert np.array_equal(a.argmax_policy.u_given_s, b.argmax_policy.u_given_s)
         assert np.array_equal(a.argmax_policy.x_given_us, b.argmax_policy.x_given_us)
+
+
+TRAJECTORY_CASES = [
+    # channel, config, bound, objective_evaluations, iterations, value
+    pytest.param(degraded_binary_wiretap, CFG_SMALL, lower_bound_no_discussion,
+                 899, 32, 0.25293250129808076, id="degraded-small-key"),
+    pytest.param(factorized_binary, CFG_SMALL, secret_message_lower_bound,
+                 6828, 130, 0.3422825308698516, id="factorized-small-message"),
+    pytest.param(lambda: random_channel(np.random.default_rng(5)), CFG_SMALL,
+                 lower_bound_no_discussion, 9840, 174, 0.05527836963712218,
+                 id="random2222-small-key"),
+    pytest.param(lambda: random_channel(np.random.default_rng(7), 2, 3, 2, 2),
+                 OptimizerConfig(restarts=4, local_steps=30, grid_resolution=3,
+                                 seed=1, u_size_max=3, domain="restricted_u"),
+                 lower_bound_no_discussion, 4332, 120, 0.1385943306553057,
+                 id="random2322-u3-restricted-key"),
+    pytest.param(lambda: random_channel(np.random.default_rng(9), 2, 2, 3, 2),
+                 OptimizerConfig(restarts=4, local_steps=30, grid_resolution=3,
+                                 seed=2, u_size_max=3),
+                 secret_message_lower_bound, 8710, 240, 0.02498335515375727,
+                 id="random2232-u3-message"),
+    # |X|^|U| = 81 > 64 input maps: the seeds draw 16 random maps instead.
+    pytest.param(lambda: random_channel(np.random.default_rng(11), 3, 2, 2, 2),
+                 OptimizerConfig(restarts=3, local_steps=20, grid_resolution=3,
+                                 seed=3, u_size_max=4),
+                 lower_bound_no_discussion, 3694, 84, 0.005751747940363039,
+                 id="random3222-u4-key"),
+]
+
+
+class TestSearchTrajectory:
+    @pytest.mark.parametrize("make_channel, cfg, bound, evals, iterations, value",
+                             TRAJECTORY_CASES)
+    def test_batched_search_retraces_the_one_at_a_time_search(
+            self, make_channel, cfg, bound, evals, iterations, value):
+        # Counts and values recorded with the search that scored one policy
+        # at a time and ran its restarts one after another.  Batching changes
+        # only the summation order of some terms, so the counts repeat
+        # exactly and the values to rounding.
+        res = bound(make_channel(), cfg)
+        assert res.diagnostics["objective_evaluations"] == evals
+        assert res.diagnostics["iterations"] == iterations
+        assert res.value_bits == pytest.approx(value, abs=1e-9)
+
+
+class TestSearchBudget:
+    def test_default_alphabet_on_large_channel_is_refused(self):
+        # |X| = |S| = 16 gives |U| = 258: one u-row probe batch would hold
+        # 8 * 258 policies of 258 * 16 * 17 entries, about 1.1 GB.
+        channel = random_channel(np.random.default_rng(0), 16, 16, 2, 2)
+        for bound in (lower_bound_no_discussion, secret_message_lower_bound):
+            with pytest.raises(BudgetError, match="u_size_max"):
+                bound(channel, OptimizerConfig())
+
+    def test_capped_alphabet_fits(self):
+        channel = random_channel(np.random.default_rng(0), 16, 16, 2, 2)
+        cfg = OptimizerConfig(u_size_max=2, restarts=1, local_steps=1,
+                              grid_resolution=2, domain="restricted_u")
+        res = lower_bound_no_discussion(channel, cfg)
+        assert res.value_bits >= 0.0
 
 
 class TestSecretMessageLowerBound:
@@ -288,6 +350,11 @@ class TestConfigValidation:
             OptimizerConfig(step_tolerance=float("nan"))
         with pytest.raises(ValueError):
             OptimizerConfig(domain="anything")
+        for bad in (dict(restarts=2.5), dict(local_steps=3.5),
+                    dict(grid_resolution=3.5), dict(u_size_max=2.5),
+                    dict(seed=1.5), dict(restarts=True), dict(u_size_max=0)):
+            with pytest.raises(ValueError):
+                OptimizerConfig(**bad)
 
     def test_default_auxiliary_alphabet_cap(self, degraded_channel):
         assert OptimizerConfig().resolve_u_size(degraded_channel) == 4
