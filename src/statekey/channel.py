@@ -6,7 +6,10 @@ input), S (transmitter-known state), Yr (receiver output) and Ye
 validated at construction and stored read-only, so every operation here is
 a pure function of immutable inputs.
 
-All information quantities are in bits (base-2 logarithms).
+All information quantities are in bits (base-2 logarithms).  The kernel
+``mi_bits`` and the triple (I(U;Yr), I(U;Ye), I(U;S)) of auxiliary policies
+(``aux_mi_triple``, and ``policy_mi_triple`` for one) are the package's only
+implementations of mutual information; every other MI is computed by them.
 """
 
 from __future__ import annotations
@@ -28,6 +31,13 @@ def _frozen_array(values, shape=None) -> np.ndarray:
         raise ValueError(f"expected shape {tuple(shape)}, got {arr.shape}")
     arr.setflags(write=False)
     return arr
+
+
+def check_integer(name: str, value, minimum: int) -> None:
+    """Reject a size, count or seed that is not an integer >= minimum (or a bool)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
+            or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 def _check_entries(name: str, arr: np.ndarray) -> None:
@@ -70,8 +80,7 @@ class StateChannel:
     def __post_init__(self):
         for label, size in (("x_size", self.x_size), ("s_size", self.s_size),
                             ("yr_size", self.yr_size), ("ye_size", self.ye_size)):
-            if int(size) < 1:
-                raise ValueError(f"{label} must be a positive integer")
+            check_integer(label, size, 1)
         pmf = _frozen_array(self.state_pmf, (self.s_size,))
         kern = _frozen_array(
             self.kernel, (self.x_size, self.s_size, self.yr_size, self.ye_size))
@@ -95,6 +104,11 @@ class StateChannel:
     def eavesdropper_kernel(self) -> np.ndarray:
         """p(ye | x, s), shape (x, s, ye)."""
         return self.kernel.sum(axis=2)
+
+    def stacked_kernel(self) -> np.ndarray:
+        """p(yr | x, s) and p(ye | x, s) side by side, shape (x, s, yr + ye)."""
+        return np.concatenate([self.receiver_kernel(), self.eavesdropper_kernel()],
+                              axis=2)
 
 
 @dataclass(frozen=True)
@@ -140,8 +154,7 @@ class AuxiliaryEncoderPolicy:
     x_given_us: np.ndarray
 
     def __post_init__(self):
-        if int(self.u_size) < 1:
-            raise ValueError("u_size must be a positive integer")
+        check_integer("u_size", self.u_size, 1)
         ugs = _frozen_array(self.u_given_s)
         if ugs.ndim != 2 or ugs.shape[1] != self.u_size:
             raise ValueError(f"u_given_s must have shape (s, {self.u_size})")
@@ -184,16 +197,22 @@ class InputPolicy:
         return self.x_given_s.shape[1]
 
 
+def check_alphabets(channel: StateChannel,
+                    policy: AuxiliaryEncoderPolicy | InputPolicy) -> None:
+    """Reject a policy whose state or input alphabet differs from the channel's."""
+    if policy.s_size != channel.s_size or policy.x_size != channel.x_size:
+        raise ValueError(
+            f"policy alphabets (s={policy.s_size}, x={policy.x_size}) do not match "
+            f"channel (s={channel.s_size}, x={channel.x_size})")
+
+
 def induce_joint(channel: StateChannel, policy: AuxiliaryEncoderPolicy) -> JointPmf:
     """Joint law of (U, X, S, Yr, Ye) under ``policy`` driving ``channel``.
 
     probs[u, x, s, yr, ye] = p(s) p(u|s) p(x|u,s) p(yr,ye|x,s), which builds the
     Markov chain u -> (x, s) -> (yr, ye) by construction.
     """
-    if policy.s_size != channel.s_size or policy.x_size != channel.x_size:
-        raise ValueError(
-            f"policy alphabets (s={policy.s_size}, x={policy.x_size}) do not match "
-            f"channel (s={channel.s_size}, x={channel.x_size})")
+    check_alphabets(channel, policy)
     probs = np.einsum("s,su,usx,xsre->uxsre",
                       channel.state_pmf, policy.u_given_s, policy.x_given_us,
                       channel.kernel)
@@ -202,10 +221,7 @@ def induce_joint(channel: StateChannel, policy: AuxiliaryEncoderPolicy) -> Joint
 
 def induce_input_joint(channel: StateChannel, policy: InputPolicy) -> JointPmf:
     """Joint law of (X, S, Yr, Ye) under a direct input distribution p(x|s)."""
-    if policy.s_size != channel.s_size or policy.x_size != channel.x_size:
-        raise ValueError(
-            f"policy alphabets (s={policy.s_size}, x={policy.x_size}) do not match "
-            f"channel (s={channel.s_size}, x={channel.x_size})")
+    check_alphabets(channel, policy)
     probs = np.einsum("s,sx,xsre->xsre",
                       channel.state_pmf, policy.x_given_s, channel.kernel)
     return JointPmf(("X", "S", "Yr", "Ye"), probs)
@@ -250,25 +266,67 @@ def _check_groups(joint: JointPmf, *groups: Sequence[str]) -> None:
         seen |= gset
 
 
+def mi_bits(joint: np.ndarray) -> np.ndarray:
+    """I(A;B) in bits from joint pmfs over the last two axes.
+
+    Leading axes index a batch; a 2-D joint gives a scalar.
+    """
+    pa = joint.sum(axis=-1, keepdims=True)
+    pb = joint.sum(axis=-2, keepdims=True)
+    mask = joint > 0
+    terms = np.log2(joint, out=np.zeros(joint.shape), where=mask)
+    terms -= np.log2(pa * pb, out=np.zeros(joint.shape), where=mask)
+    terms *= joint
+    return np.maximum(0.0, terms.reshape(*terms.shape[:-2], -1).sum(axis=-1))
+
+
+def _group_table(joint: JointPmf, *groups: Sequence[str]) -> np.ndarray:
+    """Marginal over the concatenated groups, with one flat axis per group."""
+    probs = marginalize(joint, [l for g in groups for l in g]).probs
+    ends = np.cumsum([0] + [len(g) for g in groups])
+    return probs.reshape([int(np.prod(probs.shape[i:j]))
+                          for i, j in zip(ends, ends[1:])])
+
+
 def mutual_information(joint: JointPmf, group_a: Sequence[str],
                        group_b: Sequence[str]) -> float:
     """I(A;B) in bits by exact summation, clipped to be nonnegative."""
     _check_groups(joint, group_a, group_b)
-    a, b = list(group_a), list(group_b)
-    value = (entropy_bits(joint, a) + entropy_bits(joint, b)
-             - entropy_bits(joint, a + b))
-    return max(0.0, value)
+    return float(mi_bits(_group_table(joint, group_a, group_b)))
 
 
 def conditional_mutual_information(joint: JointPmf, group_a: Sequence[str],
                                    group_b: Sequence[str],
                                    cond: Sequence[str]) -> float:
-    """I(A;B|C) in bits by exact summation, clipped to be nonnegative."""
+    """I(A;B|C) = sum_c p(c) I(A;B|C=c) in bits, clipped to be nonnegative."""
     _check_groups(joint, group_a, group_b, cond)
-    a, b, c = list(group_a), list(group_b), list(cond)
-    value = (entropy_bits(joint, a + c) + entropy_bits(joint, b + c)
-             - entropy_bits(joint, a + b + c) - entropy_bits(joint, c))
-    return max(0.0, value)
+    table = _group_table(joint, cond, group_a, group_b)
+    p_c = table.sum(axis=(1, 2))
+    seen = p_c > 0
+    return float(p_c[seen] @ mi_bits(table[seen] / p_c[seen, None, None]))
+
+
+def aux_mi_triple(state_pmf: np.ndarray, kernel: np.ndarray, yr_size: int,
+                  u_rows: np.ndarray, x_rows: np.ndarray):
+    """(I(U;Yr), I(U;Ye), I(U;S)) for a batch of policies, by direct summation.
+
+    ``u_rows`` (batch, 1 or s, u) holds p(u|s), one row for every state when
+    it has a single row; ``x_rows`` (batch, u, s, x) holds p(x|u,s).
+    ``kernel`` is the channel's ``stacked_kernel()``.
+    """
+    p_us = np.swapaxes(state_pmf[:, None] * u_rows, 1, 2)
+    p_uy = np.einsum("bus,busx,xsk->buk", p_us, x_rows, kernel)
+    return (mi_bits(p_uy[:, :, :yr_size]), mi_bits(p_uy[:, :, yr_size:]),
+            mi_bits(p_us))
+
+
+def policy_mi_triple(channel: StateChannel, policy: AuxiliaryEncoderPolicy
+                     ) -> tuple[float, float, float]:
+    """(I(U;Yr), I(U;Ye), I(U;S)) for one policy driving ``channel``."""
+    check_alphabets(channel, policy)
+    return tuple(float(v[0]) for v in aux_mi_triple(
+        channel.state_pmf, channel.stacked_kernel(), channel.yr_size,
+        policy.u_given_s[None], policy.x_given_us[None]))
 
 
 def augment_receiver(channel: StateChannel, side_info: str = "none") -> StateChannel:

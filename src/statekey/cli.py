@@ -64,14 +64,9 @@ def channel_from_dict(data: dict, source: str = "<dict>") -> StateChannel:
     for key in ("x_size", "s_size", "yr_size", "ye_size", "state_pmf", "kernel"):
         if key not in data:
             raise CliInputError(f"{source}: missing field {key!r}")
-    sizes = []
-    for key in ("x_size", "s_size", "yr_size", "ye_size"):
-        size = data[key]
-        if isinstance(size, float) and size.is_integer():
-            size = int(size)
-        if isinstance(size, bool) or not isinstance(size, int):
-            raise CliInputError(f"{source}: {key} must be an integer, got {size!r}")
-        sizes.append(size)
+    # An integral JSON number such as 2.0 is a size; StateChannel rejects the rest.
+    sizes = [int(v) if isinstance(v, float) and v.is_integer() else v
+             for v in (data[k] for k in ("x_size", "s_size", "yr_size", "ye_size"))]
     try:
         return StateChannel(
             *sizes,
@@ -287,7 +282,7 @@ def cmd_simulate(args) -> int:
     channel = load_channel(args.channel)
     mode = {"no-disc": "no_discussion", "one-round": "one_round_discussion"}[args.mode]
     cfg = sim.SimConfig(n=args.n, epsilon=args.epsilon, rate_margin=args.margin,
-                        trials=args.trials, seed=args.seed, mode=mode)
+                        trials=args.trials, seed=args.seed)
     policy = _load_policy_file(args.policy_file) if args.policy_file else None
     lines = [f"mode = {mode}", f"n = {args.n}", f"seed = {args.seed}"]
     if mode == "no_discussion":

@@ -26,13 +26,14 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .channel import (AuxiliaryEncoderPolicy, InputPolicy, StateChannel,
-                      induce_joint, mutual_information)
-from .sim import BudgetError
+                      aux_mi_triple, check_integer, mi_bits, policy_mi_triple)
+from .sim import BudgetError, _rng_stream
 
 LN2 = math.log(2.0)
 
-# Weight for steering the ascent away from covering-constraint violations;
-# feasibility itself is decided by OptimizerConfig.step_tolerance.
+# Covering-constraint slack below -_STEP_TOLERANCE makes a policy infeasible;
+# _PENALTY_WEIGHT steers the ascent away from such policies.
+_STEP_TOLERANCE = 1e-9
 _PENALTY_WEIGHT = 8.0
 
 COUPLING_TOL = 1e-10
@@ -66,26 +67,15 @@ class OptimizerConfig:
     restarts: int = 8
     grid_resolution: int = 4
     local_steps: int = 60
-    step_tolerance: float = 1e-9
     seed: int = 0
     domain: str = "general_u"
 
     def __post_init__(self):
-        for name in ("u_size_max", "restarts", "grid_resolution", "local_steps",
-                     "seed"):
-            value = getattr(self, name)
-            if name == "u_size_max" and value is None:
-                continue
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.u_size_max is not None and self.u_size_max < 1:
-            raise ValueError("u_size_max must be >= 1")
-        if self.grid_resolution < 2:
-            raise ValueError("grid_resolution must be >= 2")
-        if not 0 < self.step_tolerance < math.inf:    # False for NaN too
-            raise ValueError("step_tolerance must be positive and finite")
-        if self.restarts < 1 or self.local_steps < 1:
-            raise ValueError("restarts and local_steps must be positive")
+        for name, minimum in (("restarts", 1), ("grid_resolution", 2),
+                              ("local_steps", 1), ("seed", 0)):
+            check_integer(name, getattr(self, name), minimum)
+        if self.u_size_max is not None:
+            check_integer("u_size_max", self.u_size_max, 1)
         if self.domain not in ("restricted_u", "general_u"):
             raise ValueError(f"unknown domain {self.domain!r}")
 
@@ -147,34 +137,6 @@ class BoundResult:
 # shared numerics
 # ---------------------------------------------------------------------------
 
-def _mi_2d(joint: np.ndarray) -> np.ndarray:
-    """I(A;B) in bits from joint pmfs over the last two axes.
-
-    Leading axes index a batch; a 2-D joint gives a scalar.
-    """
-    pa = joint.sum(axis=-1, keepdims=True)
-    pb = joint.sum(axis=-2, keepdims=True)
-    mask = joint > 0
-    terms = np.log2(joint, out=np.zeros(joint.shape), where=mask)
-    terms -= np.log2(pa * pb, out=np.zeros(joint.shape), where=mask)
-    terms *= joint
-    return np.maximum(0.0, terms.reshape(*terms.shape[:-2], -1).sum(axis=-1))
-
-
-def _aux_mi_triple(state_pmf: np.ndarray, kernel: np.ndarray, yr_size: int,
-                   u_rows: np.ndarray, x_rows: np.ndarray):
-    """(I(U;Yr), I(U;Ye), I(U;S)) for a batch of policies, by direct summation.
-
-    ``u_rows`` (batch, 1 or s, u) holds p(u|s), one row for every state when
-    it has a single row; ``x_rows`` (batch, u, s, x) holds p(x|u,s).
-    ``kernel`` (x, s, yr + ye) stacks p(yr|x,s) and p(ye|x,s).
-    """
-    p_us = np.swapaxes(state_pmf[:, None] * u_rows, 1, 2)
-    p_uy = np.einsum("bus,busx,xsk->buk", p_us, x_rows, kernel)
-    return (_mi_2d(p_uy[:, :, :yr_size]), _mi_2d(p_uy[:, :, yr_size:]),
-            _mi_2d(p_us))
-
-
 def _project_simplex(v: np.ndarray) -> np.ndarray:
     """Euclidean projection of each row of ``v`` onto the probability simplex."""
     u = np.sort(v, axis=1)[:, ::-1]
@@ -183,10 +145,6 @@ def _project_simplex(v: np.ndarray) -> np.ndarray:
     rho = v.shape[1] - np.argmax(cond[:, ::-1], axis=1)    # last True, 1-based
     theta = css[np.arange(len(v)), rho - 1] / rho
     return np.maximum(v - theta[:, None], 0.0)
-
-
-def _rng_stream(seed: int, *key: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +372,7 @@ def _search_aux(channel, cfg, objective):
     of information values to arrays.  Policies are scored in batches: each
     pass scores its seeds as one batch, then refines its best seeds in
     lockstep (see ``_refine_aux``).  Infeasible points (slack below
-    -step_tolerance) never become the incumbent; the constant-u policy
+    -_STEP_TOLERANCE) never become the incumbent; the constant-u policy
     (value 0) is always a feasible fallback.  The ``general_u`` domain also
     runs the restricted (u independent of s) parameterization, a subset of
     the general one where the covering constraint is vacuous, so
@@ -423,8 +381,7 @@ def _search_aux(channel, cfg, objective):
     """
     u_size = cfg.resolve_u_size(channel)
     _check_aux_budget(channel, cfg, u_size)
-    kernel = np.concatenate([channel.receiver_kernel(),
-                             channel.eavesdropper_kernel()], axis=2)
+    kernel = channel.stacked_kernel()
     state = {"best": _Incumbents(1, channel, u_size), "evals": 0,
              "iterations": 0, "best_grid": -np.inf}
 
@@ -435,13 +392,13 @@ def _search_aux(channel, cfg, objective):
         score penalizes infeasibility, so refinement can cross back into the
         feasible region.
         """
-        value, slack = objective(*_aux_mi_triple(
+        value, slack = objective(*aux_mi_triple(
             channel.state_pmf, kernel, channel.yr_size, u_rows, x_rows))
         state["evals"] += len(value)
         if slack is None:
             feasible, score = np.ones(len(value), dtype=bool), value
         else:
-            feasible = slack >= -cfg.step_tolerance
+            feasible = slack >= -_STEP_TOLERANCE
             score = value + _PENALTY_WEIGHT * np.minimum(0.0, slack)
         best.offer(groups, value.reshape(len(groups), -1),
                    feasible.reshape(len(groups), -1), u_rows, x_rows)
@@ -460,12 +417,8 @@ def _search_aux(channel, cfg, objective):
         x_given_us = np.full((u_size, channel.s_size, channel.x_size),
                              1.0 / channel.x_size)
     policy = AuxiliaryEncoderPolicy(u_size, u_given_s, x_given_us)
-    # Recompute the reported numbers through the exact joint-pmf route.
-    joint = induce_joint(channel, policy)
-    i_uyr = mutual_information(joint, ["U"], ["Yr"])
-    i_uye = mutual_information(joint, ["U"], ["Ye"])
-    i_us = mutual_information(joint, ["U"], ["S"])
-    value, slack = objective(i_uyr, i_uye, i_us)
+    # Recompute the reported numbers from the stored policy alone.
+    value, slack = objective(*policy_mi_triple(channel, policy))
     diagnostics = {
         "iterations": float(state["iterations"]),
         "restarts": float(cfg.restarts),
@@ -481,8 +434,8 @@ def lower_bound_no_discussion(channel: StateChannel,
 
     Maximizes I(U;Yr) - I(U;Ye) over encoder policies subject to the covering
     constraint I(U;Yr) - I(U;S) >= 0; candidates violating the constraint by
-    more than ``step_tolerance`` are discarded, so the reported value is
-    always achievable.
+    more than ``_STEP_TOLERANCE`` (1e-9 bits) are discarded, so the reported
+    value is always achievable.
     """
     def objective(i_uyr, i_uye, i_us):
         return i_uyr - i_uye, i_uyr - i_us
@@ -510,10 +463,7 @@ def secret_message_lower_bound(channel: StateChannel,
 def aux_policy_rate(channel: StateChannel,
                     policy: AuxiliaryEncoderPolicy) -> tuple[float, float]:
     """(I(U;Yr) - I(U;Ye), covering slack) for one concrete policy."""
-    joint = induce_joint(channel, policy)
-    i_uyr = mutual_information(joint, ["U"], ["Yr"])
-    i_uye = mutual_information(joint, ["U"], ["Ye"])
-    i_us = mutual_information(joint, ["U"], ["S"])
+    i_uyr, i_uye, i_us = policy_mi_triple(channel, policy)
     return i_uyr - i_uye, i_uyr - i_us
 
 
@@ -589,7 +539,7 @@ def _disc_value_grad(p_xs: np.ndarray, state_pmf: np.ndarray,
     """
     mu = np.einsum("s,sx,xsre->xsre", state_pmf, p_xs, kernel)
     yr_ye = mu.sum(axis=(0, 1))
-    value = _mi_2d(mu.sum(axis=3).reshape(-1, kernel.shape[2])) - _mi_2d(yr_ye)
+    value = mi_bits(mu.sum(axis=3).reshape(-1, kernel.shape[2])) - mi_bits(yr_ye)
     p_yr = yr_ye.sum(axis=1)
     p_ye = yr_ye.sum(axis=0)
     pr = kernel.sum(axis=3)
@@ -644,8 +594,8 @@ def lower_bound_discussion(channel: StateChannel, cfg: OptimizerConfig,
 
     Returns max(max_{p(x|s)} [I(X,S;Yr) - I(Ye;Yr)], no-discussion bound);
     diagnostics record which branch won (``discussion_branch`` is 1.0 when
-    the one-round discussion expression attained the max).  The first branch
-    is a multiplicative ascent on the closed-form scores of
+    the one-round discussion expression attained the max, within 1e-12).
+    The first branch is a multiplicative ascent on the closed-form scores of
     ``_disc_value_grad``.  ``no_discussion`` takes the result of
     ``lower_bound_no_discussion`` for the same channel and config when the
     caller already has it; otherwise that search runs here.
@@ -656,7 +606,9 @@ def lower_bound_discussion(channel: StateChannel, cfg: OptimizerConfig,
         cfg, rng)
     base = no_discussion if no_discussion is not None \
         else lower_bound_no_discussion(channel, cfg)
-    if branch1 >= base.value_bits:
+    # On a tie branch 1 wins.  Both values come from different summation
+    # routes, so equal rates in exact arithmetic may differ in the last bits.
+    if branch1 >= base.value_bits - 1e-12:
         diag = dict(base.diagnostics)
         diag["discussion_branch"] = 1.0
         diag["no_discussion_value"] = base.value_bits

@@ -37,8 +37,9 @@ from itertools import product
 import numpy as np
 
 from .channel import (AuxiliaryEncoderPolicy, InputPolicy, StateChannel,
-                      entropy_bits, induce_input_joint, induce_joint,
-                      mutual_information)
+                      _entropy, check_integer, entropy_bits,
+                      induce_input_joint, mi_bits, mutual_information,
+                      policy_mi_triple)
 
 MAX_CODEBOOK = 2 ** 20
 MAX_ENUM_ATOMS = 10 ** 8
@@ -58,20 +59,17 @@ class SimConfig:
     rate_margin: float
     trials: int
     seed: int
-    mode: str = "no_discussion"
 
     def __post_init__(self):
-        if not 1 <= self.n <= 24:
+        for name, minimum in (("n", 1), ("trials", 1), ("seed", 0)):
+            check_integer(name, getattr(self, name), minimum)
+        if self.n > 24:
             raise ValueError("n must lie in [1, 24] (Monte Carlo ceiling)")
         # Chained comparisons are False for NaN, so NaN is rejected too.
         if not 0 < self.epsilon < math.inf:
             raise ValueError("epsilon must be positive and finite")
         if not 0 < self.rate_margin < math.inf:
             raise ValueError("rate_margin must be positive and finite")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if self.mode not in ("no_discussion", "one_round_discussion"):
-            raise ValueError(f"unknown mode {self.mode!r}")
 
 
 @dataclass(frozen=True)
@@ -224,9 +222,7 @@ def build_codebook(channel: StateChannel, policy: AuxiliaryEncoderPolicy,
     """
     if rng is None:
         rng = _rng_stream(cfg.seed, 0)
-    joint = induce_joint(channel, policy)
-    i_uyr = mutual_information(joint, ["U"], ["Yr"])
-    i_uye = mutual_information(joint, ["U"], ["Ye"])
+    i_uyr, i_uye, _ = policy_mi_triple(channel, policy)
     n = cfg.n
     count = math.ceil(2.0 ** (n * (i_uyr - cfg.rate_margin)))
     if count > MAX_CODEBOOK:
@@ -325,22 +321,31 @@ def transmit(channel: StateChannel, x_seq, s_seq,
     return pair // channel.ye_size, pair % channel.ye_size
 
 
-def _matrix_mi_bits(table: np.ndarray) -> float:
-    """I(row; col) in bits from an unnormalized nonnegative joint table."""
-    total = table.sum()
-    if total <= 0:
-        return 0.0
-    j = table / total
-    pr = j.sum(axis=1)
-    pc = j.sum(axis=0)
-    mask = j > 0
-    outer = np.outer(pr, pc)[mask]
-    return max(0.0, float((j[mask] * (np.log2(j[mask]) - np.log2(outer))).sum()))
-
-
 def _leakage_budget(channel: StateChannel, codebook: BinningCodebook) -> int:
     return (channel.s_size ** codebook.n) * codebook.count \
         * (channel.ye_size ** codebook.n)
+
+
+def _check_atoms(atoms: int, remedy: str) -> None:
+    """Refuse an exact-leakage enumeration of more than MAX_ENUM_ATOMS atoms."""
+    if atoms > MAX_ENUM_ATOMS:
+        raise BudgetError(
+            f"exact leakage enumeration needs {atoms} atoms "
+            f"(limit {MAX_ENUM_ATOMS}); {remedy}")
+
+
+def _product_law(rows: np.ndarray) -> np.ndarray:
+    """Flat law of a sequence of independent symbols; rows[i] is symbol i's."""
+    vec = np.ones(1)
+    for row in rows:
+        vec = np.kron(vec, row)
+    return vec
+
+
+def _leakage_bits(table: np.ndarray, n: int) -> float:
+    """I(key; view) / n in bits from an unnormalized (key, view) table."""
+    total = table.sum()
+    return float(mi_bits(table / total)) / n if total > 0 else 0.0
 
 
 def exact_leakage(codebook: BinningCodebook, channel: StateChannel,
@@ -352,11 +357,8 @@ def exact_leakage(codebook: BinningCodebook, channel: StateChannel,
     the whole codebook on encode failure), the per-symbol x sampling, and the
     memoryless kernel.  This is the module's ground-truth secrecy oracle.
     """
-    atoms = _leakage_budget(channel, codebook)
-    if atoms > MAX_ENUM_ATOMS:
-        raise BudgetError(
-            f"exact leakage enumeration needs {atoms} atoms "
-            f"(limit {MAX_ENUM_ATOMS}); reduce n or the codebook size")
+    _check_atoms(_leakage_budget(channel, codebook),
+                 "reduce n or the codebook size")
     n = codebook.n
     p_us = _joint_u_s(channel, policy)
     # p(ye | u, s) with x marginalized per symbol.
@@ -375,15 +377,17 @@ def exact_leakage(codebook: BinningCodebook, channel: StateChannel,
         k = int(mask.sum())
         weights = mask / k if k else np.full(codebook.count, 1.0 / codebook.count)
         for c in np.flatnonzero(weights):
-            vec = np.ones(1)
-            for i in range(n):
-                vec = np.kron(vec, p_ye_us[codebook.sequences[c, i], s_seq[i]])
+            vec = _product_law(p_ye_us[codebook.sequences[c], s_seq])
             table[codebook.bin_of[c]] += prob_s * weights[c] * vec
-    return _matrix_mi_bits(table) / n
+    return _leakage_bits(table, n)
 
 
 def _plugin_mi_bits(pairs: dict, trials: int) -> float:
-    """Plug-in MI estimate in bits from (key, observation) pair counts."""
+    """Plug-in MI estimate in bits from (key, observation) pair counts.
+
+    Runs only when exact leakage is over budget, where a dense
+    (bins x |Ye|^n) table for ``mi_bits`` could not hold the counts.
+    """
     keys = {}
     obs = {}
     for (k, y), c in pairs.items():
@@ -416,8 +420,7 @@ def run_no_discussion(channel: StateChannel, policy: AuxiliaryEncoderPolicy,
     pair_counts: dict = {}
     for t in range(cfg.trials):
         rng = _rng_stream(cfg.seed, 1, t)
-        s_seq = (state_cdf[None, :].repeat(n, axis=0) <
-                 rng.random(n)[:, None]).sum(axis=1)
+        s_seq = _sample_rows(state_cdf[None, :].repeat(n, axis=0), rng)
         enc = encode(codebook, channel, policy, s_seq, cfg.epsilon, rng)
         if enc is None:
             encode_failures += 1
@@ -440,8 +443,7 @@ def run_no_discussion(channel: StateChannel, policy: AuxiliaryEncoderPolicy,
     else:
         leakage = _plugin_mi_bits(pair_counts, cfg.trials) / n
         method = "estimate"
-    probs = key_counts[key_counts > 0] / cfg.trials
-    achieved = float(-(probs * np.log2(probs)).sum()) / n
+    achieved = _entropy(key_counts / cfg.trials) / n
     return SimReport(
         disagreement_prob=disagreements / cfg.trials,
         leakage_bits_per_symbol=leakage,
@@ -486,6 +488,8 @@ class _OneRoundTables:
 
 def _one_round_tables(channel: StateChannel, policy: InputPolicy,
                       cfg: SimConfig) -> _OneRoundTables:
+    # Fail before any enumeration: a one-round run always attaches exact leakage.
+    _check_atoms((channel.yr_size ** cfg.n) * (channel.ye_size ** cfg.n), "reduce n")
     joint = induce_input_joint(channel, policy)
     h_yr_given_xs = (entropy_bits(joint, ["X", "S", "Yr"])
                      - entropy_bits(joint, ["X", "S"]))
@@ -551,30 +555,21 @@ def one_round_exact_leakage(tables: _OneRoundTables, channel: StateChannel,
 
     Uses the factorization of (Yr^n, Ye^n) into an i.i.d. per-symbol joint
     (x and s are marginalized per symbol), so the enumeration cost is
-    |Yr|^n * |Ye|^n atoms.
+    |Yr|^n * |Ye|^n atoms, which ``_one_round_tables`` has checked.
     """
     n = cfg.n
-    atoms = (channel.yr_size ** n) * (channel.ye_size ** n)
-    if atoms > MAX_ENUM_ATOMS:
-        raise BudgetError(
-            f"exact leakage enumeration needs {atoms} atoms "
-            f"(limit {MAX_ENUM_ATOMS}); reduce n")
     m = np.einsum("s,sx,xsre->re", channel.state_pmf, policy.x_given_s,
                   channel.kernel)
     rows = (tables.num_bins + 1) * tables.num_subbins
     table = np.zeros((rows, channel.ye_size ** n))
     for idx in range(tables.all_yr.shape[0]):
-        seq = tables.all_yr[idx]
-        vec = np.ones(1)
-        for i in range(n):
-            vec = np.kron(vec, m[seq[i]])
         row = int(tables.bin_of[idx]) * tables.num_subbins + int(tables.sub_of[idx])
-        table[row] += vec
+        table[row] += _product_law(m[tables.all_yr[idx]])
     # Rows are (bin, sub) pairs; leakage couples the key (sub) against the
     # pair (bin, ye^n), so fold the bin coordinate into the observation axis.
     folded = table.reshape(tables.num_bins + 1, tables.num_subbins, -1)
     key_vs_view = np.moveaxis(folded, 1, 0).reshape(tables.num_subbins, -1)
-    return _matrix_mi_bits(key_vs_view) / n
+    return _leakage_bits(key_vs_view, n)
 
 
 def run_one_round_discussion(channel: StateChannel, policy: InputPolicy,
@@ -588,14 +583,6 @@ def run_one_round_discussion(channel: StateChannel, policy: InputPolicy,
     sub-bin.  Reconstruction failures count as disagreements and are reported
     through ``encode_failure_rate``.
     """
-    if policy.s_size != channel.s_size or policy.x_size != channel.x_size:
-        raise ValueError("input policy alphabets do not match the channel")
-    atoms = (channel.yr_size ** cfg.n) * (channel.ye_size ** cfg.n)
-    if atoms > MAX_ENUM_ATOMS:
-        # Fail before the trial loop: this mode always attaches exact leakage.
-        raise BudgetError(
-            f"exact leakage enumeration needs {atoms} atoms "
-            f"(limit {MAX_ENUM_ATOMS}); reduce n")
     tables = _one_round_tables(channel, policy, cfg)
     n = cfg.n
     state_cdf = np.cumsum(channel.state_pmf)
@@ -608,8 +595,7 @@ def run_one_round_discussion(channel: StateChannel, policy: InputPolicy,
     key_counts = np.zeros(tables.num_subbins)
     for t in range(cfg.trials):
         rng = _rng_stream(cfg.seed, 1, t)
-        s_seq = (state_cdf[None, :].repeat(n, axis=0) <
-                 rng.random(n)[:, None]).sum(axis=1)
+        s_seq = _sample_rows(state_cdf[None, :].repeat(n, axis=0), rng)
         x_seq = _sample_rows(x_cdf[s_seq], rng)
         yr_seq, _ = transmit(channel, x_seq, s_seq, rng)
         yr_index = int((yr_seq * powers).sum())
@@ -628,8 +614,7 @@ def run_one_round_discussion(channel: StateChannel, policy: InputPolicy,
         if int(tables.sub_of[recon]) != receiver_key:
             disagreements += 1
     leakage = one_round_exact_leakage(tables, channel, policy, cfg)
-    probs = key_counts[key_counts > 0] / cfg.trials
-    achieved = float(-(probs * np.log2(probs)).sum()) / n
+    achieved = _entropy(key_counts / cfg.trials) / n
     return SimReport(
         disagreement_prob=disagreements / cfg.trials,
         leakage_bits_per_symbol=leakage,

@@ -217,8 +217,7 @@ def test_criterion_7_one_round_discussion_scheme():
     """Reconstruction >= 90% and exact leakage (with the public index) <= 0.2."""
     channel = factorized_binary(0.0, 0.3)
     policy = uniform_input_policy(channel)
-    cfg = SimConfig(n=8, epsilon=0.4, rate_margin=0.2, trials=10_000, seed=42,
-                    mode="one_round_discussion")
+    cfg = SimConfig(n=8, epsilon=0.4, rate_margin=0.2, trials=10_000, seed=42)
     start = time.perf_counter()
     report = run_one_round_discussion(channel, policy, cfg)
     elapsed = time.perf_counter() - start

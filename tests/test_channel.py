@@ -62,6 +62,13 @@ class TestConstructionValidation:
         with pytest.raises(ValueError):
             InputPolicy([[0.9, 0.2]])
 
+    def test_non_integer_sizes_rejected(self):
+        with pytest.raises(ValueError, match="x_size must be an integer"):
+            StateChannel(2.0, 2, 2, 2, [0.5, 0.5], np.full((2, 2, 2, 2), 0.25))
+        with pytest.raises(ValueError, match="u_size must be an integer"):
+            AuxiliaryEncoderPolicy(2.0, np.full((2, 2), 0.5),
+                                   np.full((2, 2, 2), 0.5))
+
     def test_nan_state_rejected(self):
         # NaN fails both the sign and the mass comparison, so it once passed.
         with pytest.raises(ValueError, match="non-finite"):

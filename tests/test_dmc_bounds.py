@@ -345,10 +345,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             OptimizerConfig(grid_resolution=1)
         with pytest.raises(ValueError):
-            OptimizerConfig(step_tolerance=0.0)
-        with pytest.raises(ValueError):
-            OptimizerConfig(step_tolerance=float("nan"))
-        with pytest.raises(ValueError):
             OptimizerConfig(domain="anything")
         for bad in (dict(restarts=2.5), dict(local_steps=3.5),
                     dict(grid_resolution=3.5), dict(u_size_max=2.5),

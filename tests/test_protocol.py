@@ -37,9 +37,11 @@ class TestSimConfig:
             SimConfig(n=4, epsilon=float("nan"), rate_margin=0.1, trials=1, seed=0)
         with pytest.raises(ValueError):
             SimConfig(n=4, epsilon=0.1, rate_margin=float("nan"), trials=1, seed=0)
-        with pytest.raises(ValueError):
-            SimConfig(n=4, epsilon=0.1, rate_margin=0.1, trials=1, seed=0,
-                      mode="two_rounds")
+        for bad in (dict(n=2.5), dict(trials=2.5), dict(seed=1.5), dict(n=True),
+                    dict(trials=float("nan"))):
+            fields = dict(n=4, epsilon=0.1, rate_margin=0.1, trials=1, seed=0)
+            with pytest.raises(ValueError):
+                SimConfig(**{**fields, **bad})
 
 
 class TestBuildCodebook:
@@ -329,8 +331,7 @@ class TestOneRoundDiscussion:
         channel = identity_channel()
         # Epsilon beyond 0.5 makes every count band vacuous, so reconstruction
         # is pinned down by the zero-probability cells alone.
-        cfg = SimConfig(n=8, epsilon=0.55, rate_margin=0.2, trials=500, seed=11,
-                        mode="one_round_discussion")
+        cfg = SimConfig(n=8, epsilon=0.55, rate_margin=0.2, trials=500, seed=11)
         report = run_one_round_discussion(channel, uniform_input_policy(channel),
                                           cfg)
         assert report.diagnostics["reconstruction_failure_rate"] == 0.0
@@ -347,8 +348,7 @@ class TestOneRoundDiscussion:
                 for y in range(2):
                     kernel[x, s, y, y] = pr_t[x ^ s, y]
         channel = StateChannel.from_arrays([0.5, 0.5], kernel)
-        cfg = SimConfig(n=6, epsilon=0.3, rate_margin=0.2, trials=100, seed=5,
-                        mode="one_round_discussion")
+        cfg = SimConfig(n=6, epsilon=0.3, rate_margin=0.2, trials=100, seed=5)
         report = run_one_round_discussion(channel, uniform_input_policy(channel),
                                           cfg)
         assert report.diagnostics["num_subbins"] == 1
@@ -357,8 +357,7 @@ class TestOneRoundDiscussion:
 
     def test_pinned_independent_noise_benchmark(self):
         channel = factorized_binary(0.0, 0.3)
-        cfg = SimConfig(n=8, epsilon=0.4, rate_margin=0.2, trials=2000, seed=42,
-                        mode="one_round_discussion")
+        cfg = SimConfig(n=8, epsilon=0.4, rate_margin=0.2, trials=2000, seed=42)
         report = run_one_round_discussion(channel, uniform_input_policy(channel),
                                           cfg)
         assert report.diagnostics["reconstruction_success_rate"] >= 0.9
@@ -369,8 +368,7 @@ class TestOneRoundDiscussion:
 
     def test_determinism(self):
         channel = factorized_binary(0.0, 0.3)
-        cfg = SimConfig(n=6, epsilon=0.4, rate_margin=0.2, trials=300, seed=9,
-                        mode="one_round_discussion")
+        cfg = SimConfig(n=6, epsilon=0.4, rate_margin=0.2, trials=300, seed=9)
         a = run_one_round_discussion(channel, uniform_input_policy(channel), cfg)
         b = run_one_round_discussion(channel, uniform_input_policy(channel), cfg)
         assert a == b
