@@ -21,7 +21,9 @@ error.  The no-discussion decoder is bin-wise maximum likelihood under the
 single-letter law p(yr | u): it reads no ``epsilon``, and a tie between bins
 counts as an error.  When the encoder finds no typical codeword it falls
 back to a uniformly random codeword (counted in ``encode_failure_rate``);
-the exact-leakage enumeration applies the same fallback law.
+the exact-leakage enumeration applies the same fallback law.  Exact leakage
+applies each codeword's Kronecker product one mode at a time, never forming
+it: about count · n · max(|S|, |Ye|)^n multiply-adds, in chunks of codewords.
 
 Every operation is a pure function of (inputs, seed): replays are
 bit-identical, and each trial derives its own random stream from
@@ -43,6 +45,7 @@ from .channel import (AuxiliaryEncoderPolicy, InputPolicy, StateChannel,
 
 MAX_CODEBOOK = 2 ** 20
 MAX_ENUM_ATOMS = 10 ** 8
+_KRON_CHUNK_BYTES = 8 * 2 ** 20
 _TINY = np.finfo(float).tiny
 
 
@@ -97,8 +100,7 @@ class BinningCodebook:
         bins = np.array(self.bin_of, dtype=np.int64, copy=True)
         if seqs.ndim != 2 or bins.shape != (seqs.shape[0],):
             raise ValueError("sequences must be (count, n) and bin_of (count,)")
-        if self.num_bins < 1:
-            raise ValueError("num_bins must be >= 1")
+        check_integer("num_bins", self.num_bins, 1)
         if bins.size and (bins.min() < 0 or bins.max() >= self.num_bins):
             raise ValueError("bin indices out of range")
         if seqs.shape[0] >= self.num_bins and np.unique(bins).size != self.num_bins:
@@ -244,15 +246,29 @@ def build_codebook(channel: StateChannel, policy: AuxiliaryEncoderPolicy,
         rates=CodebookRates(total_rate, key_rate, total_rate - key_rate))
 
 
-def _sample_x(policy: AuxiliaryEncoderPolicy, u_seq, s_seq,
-              rng: np.random.Generator) -> np.ndarray:
-    cdf = np.cumsum(policy.x_given_us, axis=2)
-    return _sample_rows(cdf[u_seq, s_seq], rng)
+@dataclass(frozen=True)
+class _NoDiscTables:
+    """Single-letter tables of a no-discussion run, built once per run."""
+
+    p_us: np.ndarray            # p(u, s), the encoder's typicality pmf
+    x_cdf: np.ndarray           # cdf of p(x | u, s) over x, shape (u, s, x)
+    log_yr_given_u: np.ndarray  # log p(yr | u), -inf where p(u, yr) = 0
+    state_cdf: np.ndarray       # state cdf, one row per symbol, shape (n, s)
 
 
-def encode(codebook: BinningCodebook, channel: StateChannel,
-           policy: AuxiliaryEncoderPolicy, s_seq, epsilon: float,
-           rng: np.random.Generator) -> EncodeResult | None:
+def _no_disc_tables(channel: StateChannel, policy: AuxiliaryEncoderPolicy,
+                    n: int) -> _NoDiscTables:
+    joint = _joint_u_yr(channel, policy)
+    p_u = np.maximum(joint.sum(axis=1, keepdims=True), _TINY)
+    with np.errstate(divide="ignore"):
+        log_yr_given_u = np.log(joint / p_u)
+    return _NoDiscTables(_joint_u_s(channel, policy),
+                         np.cumsum(policy.x_given_us, axis=2), log_yr_given_u,
+                         np.cumsum(channel.state_pmf)[None, :].repeat(n, axis=0))
+
+
+def encode(codebook: BinningCodebook, tables: _NoDiscTables, s_seq,
+           epsilon: float, rng: np.random.Generator) -> EncodeResult | None:
     """Pick a codeword jointly typical with s_seq, then sample x per symbol.
 
     The codeword is drawn uniformly from the typical candidates.  Returns
@@ -262,21 +278,19 @@ def encode(codebook: BinningCodebook, channel: StateChannel,
     s_seq = np.asarray(s_seq, dtype=np.int64)
     if s_seq.shape != (codebook.n,):
         raise ValueError(f"s_seq must have length {codebook.n}")
-    counts = _joint_counts_rows(codebook.sequences, s_seq,
-                                policy.u_size, channel.s_size)
-    mask = _typical_mask(counts, _joint_u_s(channel, policy),
-                         codebook.n, epsilon)
+    counts = _joint_counts_rows(codebook.sequences, s_seq, *tables.p_us.shape)
+    mask = _typical_mask(counts, tables.p_us, codebook.n, epsilon)
     candidates = np.flatnonzero(mask)
     if candidates.size == 0:
         return None
     index = int(candidates[rng.integers(candidates.size)])
     u_seq = codebook.sequences[index]
     return EncodeResult(index=index, u_seq=u_seq,
-                        x_seq=_sample_x(policy, u_seq, s_seq, rng))
+                        x_seq=_sample_rows(tables.x_cdf[u_seq, s_seq], rng))
 
 
-def decode(codebook: BinningCodebook, channel: StateChannel,
-           policy: AuxiliaryEncoderPolicy, yr_seq) -> DecodeResult | None:
+def decode(codebook: BinningCodebook, tables: _NoDiscTables,
+           yr_seq) -> DecodeResult | None:
     """Maximum-likelihood key: the bin whose codewords best explain yr_seq.
 
     Each codeword u^n scores prod_i p(yr_i | u_i) under the single-letter law
@@ -288,11 +302,7 @@ def decode(codebook: BinningCodebook, channel: StateChannel,
     yr_seq = np.asarray(yr_seq, dtype=np.int64)
     if yr_seq.shape != (codebook.n,):
         raise ValueError(f"yr_seq must have length {codebook.n}")
-    joint = _joint_u_yr(channel, policy)
-    p_u = np.maximum(joint.sum(axis=1, keepdims=True), _TINY)
-    with np.errstate(divide="ignore"):
-        log_cond = np.log(joint / p_u)
-    log_lik = log_cond[codebook.sequences, yr_seq].sum(axis=1)
+    log_lik = tables.log_yr_given_u[codebook.sequences, yr_seq].sum(axis=1)
     top = int(log_lik.argmax())
     if log_lik[top] == -np.inf:
         return None
@@ -334,12 +344,23 @@ def _check_atoms(atoms: int, remedy: str) -> None:
             f"(limit {MAX_ENUM_ATOMS}); {remedy}")
 
 
-def _product_law(rows: np.ndarray) -> np.ndarray:
-    """Flat law of a sequence of independent symbols; rows[i] is symbol i's."""
-    vec = np.ones(1)
-    for row in rows:
-        vec = np.kron(vec, row)
-    return vec
+def _add_kron_rows(table: np.ndarray, rows: np.ndarray, v: np.ndarray,
+                   law: np.ndarray, seqs: np.ndarray) -> None:
+    """table[rows[b]] += v[b] @ (law[seqs[b, 0]] ⊗ ... ⊗ law[seqs[b, n-1]]).
+
+    Each step contracts a row's leading a-axis with one (a, c) matrix law[u]
+    and appends the c-axis last, so n steps end in Kronecker order.  Chunks
+    of rows keep each intermediate under ``_KRON_CHUNK_BYTES``.
+    """
+    _, a, c = law.shape
+    count, n = seqs.shape
+    step = max(1, _KRON_CHUNK_BYTES // (8 * max(a, c) ** n))
+    for lo in range(0, count, step):
+        part, mats = v[lo:lo + step], law[seqs[lo:lo + step]]
+        for i in range(n):
+            part = np.einsum("bar,bac->brc",
+                             part.reshape(len(part), a, -1), mats[:, i])
+        np.add.at(table, rows[lo:lo + step], part.reshape(len(part), -1))
 
 
 def _leakage_bits(table: np.ndarray, n: int) -> float:
@@ -352,33 +373,33 @@ def exact_leakage(codebook: BinningCodebook, channel: StateChannel,
                   policy: AuxiliaryEncoderPolicy, cfg: SimConfig) -> float:
     """Exact I(K; Ye^n) / n in bits per symbol for the binned key.
 
-    Sums the joint law of (K, Ye^n) induced by the i.i.d. state, the
-    encoder's typical-set selection (uniform over candidates, uniform over
-    the whole codebook on encode failure), the per-symbol x sampling, and the
-    memoryless kernel.  This is the module's ground-truth secrecy oracle.
+    The joint law of (K, Ye^n) follows the i.i.d. state, the encoder's
+    selection w(s^n, c) (uniform over typical candidates, else over the whole
+    codebook), the per-symbol x sampling and the memoryless kernel: codeword
+    c adds v_c (M_c1 ⊗ ... ⊗ M_cn) to its bin, with v_c[s^n] = p(s^n) w(s^n, c)
+    and M_ci[s, ye] = p(ye | u_ci, s), applied mode by mode in about
+    count · n · max(|S|, |Ye|)^n multiply-adds, plus count · |S|^n floats
+    for v.  This is the module's ground-truth secrecy oracle.
     """
     _check_atoms(_leakage_budget(channel, codebook),
                  "reduce n or the codebook size")
+    if channel.ye_size == 1:   # a constant view; v alone could take 0.8 GB
+        return 0.0
     n = codebook.n
     p_us = _joint_u_s(channel, policy)
-    # p(ye | u, s) with x marginalized per symbol.
-    p_ye_us = np.einsum("usx,xse->use", policy.x_given_us,
+    p_ye_us = np.einsum("usx,xse->use", policy.x_given_us,   # x summed out
                         channel.eavesdropper_kernel())
-    table = np.zeros((codebook.num_bins, channel.ye_size ** n))
+    weights = np.zeros((codebook.count, channel.s_size ** n))
     log_ps = np.log(np.maximum(channel.state_pmf, 1e-300))
-    for s_tuple in product(range(channel.s_size), repeat=n):
+    for j, s_tuple in enumerate(product(range(channel.s_size), repeat=n)):
         s_seq = np.asarray(s_tuple, dtype=np.int64)
         prob_s = float(np.exp(log_ps[s_seq].sum()))
-        if prob_s == 0.0:
-            continue
-        counts = _joint_counts_rows(codebook.sequences, s_seq,
-                                    policy.u_size, channel.s_size)
+        counts = _joint_counts_rows(codebook.sequences, s_seq, *p_us.shape)
         mask = _typical_mask(counts, p_us, n, cfg.epsilon)
         k = int(mask.sum())
-        weights = mask / k if k else np.full(codebook.count, 1.0 / codebook.count)
-        for c in np.flatnonzero(weights):
-            vec = _product_law(p_ye_us[codebook.sequences[c], s_seq])
-            table[codebook.bin_of[c]] += prob_s * weights[c] * vec
+        weights[:, j] = prob_s * (mask / k if k else 1.0 / codebook.count)
+    table = np.zeros((codebook.num_bins, channel.ye_size ** n))
+    _add_kron_rows(table, codebook.bin_of, weights, p_ye_us, codebook.sequences)
     return _leakage_bits(table, n)
 
 
@@ -411,8 +432,7 @@ def run_no_discussion(channel: StateChannel, policy: AuxiliaryEncoderPolicy,
     estimate is flagged.
     """
     codebook = build_codebook(channel, policy, cfg, _rng_stream(cfg.seed, 0))
-    n = cfg.n
-    state_cdf = np.cumsum(channel.state_pmf)
+    tables = _no_disc_tables(channel, policy, cfg.n)
     disagreements = 0
     encode_failures = 0
     key_counts = np.zeros(codebook.num_bins)
@@ -420,18 +440,18 @@ def run_no_discussion(channel: StateChannel, policy: AuxiliaryEncoderPolicy,
     pair_counts: dict = {}
     for t in range(cfg.trials):
         rng = _rng_stream(cfg.seed, 1, t)
-        s_seq = _sample_rows(state_cdf[None, :].repeat(n, axis=0), rng)
-        enc = encode(codebook, channel, policy, s_seq, cfg.epsilon, rng)
+        s_seq = _sample_rows(tables.state_cdf, rng)
+        enc = encode(codebook, tables, s_seq, cfg.epsilon, rng)
         if enc is None:
             encode_failures += 1
             index = int(rng.integers(codebook.count))
             u_seq = codebook.sequences[index]
-            enc = EncodeResult(index=index, u_seq=u_seq,
-                               x_seq=_sample_x(policy, u_seq, s_seq, rng))
+            enc = EncodeResult(index=index, u_seq=u_seq, x_seq=_sample_rows(
+                tables.x_cdf[u_seq, s_seq], rng))
         yr_seq, ye_seq = transmit(channel, enc.x_seq, s_seq, rng)
         key = int(codebook.bin_of[enc.index])
         key_counts[key] += 1
-        dec = decode(codebook, channel, policy, yr_seq)
+        dec = decode(codebook, tables, yr_seq)
         if dec is None or dec.key != key:
             disagreements += 1
         if not exact_ok:
@@ -441,9 +461,9 @@ def run_no_discussion(channel: StateChannel, policy: AuxiliaryEncoderPolicy,
         leakage = exact_leakage(codebook, channel, policy, cfg)
         method = "exact"
     else:
-        leakage = _plugin_mi_bits(pair_counts, cfg.trials) / n
+        leakage = _plugin_mi_bits(pair_counts, cfg.trials) / cfg.n
         method = "estimate"
-    achieved = _entropy(key_counts / cfg.trials) / n
+    achieved = _entropy(key_counts / cfg.trials) / cfg.n
     return SimReport(
         disagreement_prob=disagreements / cfg.trials,
         leakage_bits_per_symbol=leakage,
@@ -468,8 +488,7 @@ def _enumerate_sequences(alphabet: int, n: int) -> np.ndarray:
         raise BudgetError(
             f"enumerating {alphabet}^{n} output sequences exceeds the "
             f"{MAX_CODEBOOK} limit; reduce n")
-    grids = np.indices((alphabet,) * n).reshape(n, -1).T
-    return grids.astype(np.int64)
+    return np.indices((alphabet,) * n).reshape(n, -1).T.astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -481,8 +500,7 @@ class _OneRoundTables:
     sub_of: np.ndarray          # key sub-bin per sequence
     num_bins: int
     num_subbins: int
-    typical: np.ndarray         # marginal-typicality mask
-    p_xsyr: np.ndarray          # p(x, s, yr) single-letter
+    p_yr_xs: np.ndarray         # p(yr, (x, s)) single-letter
     key_rate_target: float
 
 
@@ -504,26 +522,19 @@ def _one_round_tables(channel: StateChannel, policy: InputPolicy,
     p_yr = joint.probs.sum(axis=(0, 1, 3))
     counts = np.stack([(all_yr == v).sum(axis=1) for v in range(channel.yr_size)],
                       axis=1)
-    typical = _typical_mask(counts, p_yr, n, cfg.epsilon)
-    typ_idx = np.flatnonzero(typical)
+    typ_idx = np.flatnonzero(_typical_mask(counts, p_yr, n, cfg.epsilon))
     num_bins = min(num_bins, max(1, typ_idx.size))
-    rng = _rng_stream(cfg.seed, 0)
-    order = rng.permutation(typ_idx.size)
+    ranked = typ_idx[_rng_stream(cfg.seed, 0).permutation(typ_idx.size)]
     bin_of = np.full(all_yr.shape[0], num_bins, dtype=np.int64)   # overflow bin
     sub_of = np.zeros(all_yr.shape[0], dtype=np.int64)
-    fill = np.zeros(num_bins, dtype=np.int64)
-    for rank, pos in enumerate(order):
-        seq_index = typ_idx[pos]
-        b = rank % num_bins
-        bin_of[seq_index] = b
-        sub_of[seq_index] = fill[b] % num_subbins
-        fill[b] += 1
-    p_xsyr = np.einsum("s,sx,xsr->xsr", channel.state_pmf, policy.x_given_s,
-                       channel.receiver_kernel())
+    # Rank r fills bin r % num_bins as that bin's (r // num_bins)-th member.
+    rounds, bin_of[ranked] = np.divmod(np.arange(ranked.size), num_bins)
+    sub_of[ranked] = rounds % num_subbins
+    p_yr_xs = np.einsum("s,sx,xsr->rxs", channel.state_pmf, policy.x_given_s,
+                        channel.receiver_kernel()).reshape(channel.yr_size, -1)
     return _OneRoundTables(all_yr=all_yr, bin_of=bin_of, sub_of=sub_of,
                            num_bins=num_bins, num_subbins=num_subbins,
-                           typical=typical, p_xsyr=p_xsyr,
-                           key_rate_target=max(0.0, key_exponent))
+                           p_yr_xs=p_yr_xs, key_rate_target=max(0.0, key_exponent))
 
 
 def _reconstruct(tables: _OneRoundTables, channel: StateChannel,
@@ -533,17 +544,10 @@ def _reconstruct(tables: _OneRoundTables, channel: StateChannel,
     members = np.flatnonzero(tables.bin_of == published_bin)
     if members.size == 0:
         return None
-    rows = tables.all_yr[members]
-    n = rows.shape[1]
-    pair = (x_seq * channel.s_size + s_seq).astype(np.int64)
-    counts = _joint_counts_rows(rows, pair,
-                                channel.yr_size,
-                                channel.x_size * channel.s_size)
-    # Reorder cells: counts are (yr, (x,s)) but the pmf is (x, s, yr).
-    pmf = np.moveaxis(tables.p_xsyr.reshape(channel.x_size * channel.s_size,
-                                            channel.yr_size), 0, 1)
-    mask = _typical_mask(counts, pmf, n, epsilon)
-    hits = np.flatnonzero(mask)
+    counts = _joint_counts_rows(tables.all_yr[members],
+                                x_seq * channel.s_size + s_seq, *tables.p_yr_xs.shape)
+    hits = np.flatnonzero(_typical_mask(counts, tables.p_yr_xs, len(x_seq),
+                                        epsilon))
     if hits.size != 1:
         return None
     return int(members[hits[0]])
@@ -560,16 +564,12 @@ def one_round_exact_leakage(tables: _OneRoundTables, channel: StateChannel,
     n = cfg.n
     m = np.einsum("s,sx,xsre->re", channel.state_pmf, policy.x_given_s,
                   channel.kernel)
-    rows = (tables.num_bins + 1) * tables.num_subbins
-    table = np.zeros((rows, channel.ye_size ** n))
-    for idx in range(tables.all_yr.shape[0]):
-        row = int(tables.bin_of[idx]) * tables.num_subbins + int(tables.sub_of[idx])
-        table[row] += _product_law(m[tables.all_yr[idx]])
-    # Rows are (bin, sub) pairs; leakage couples the key (sub) against the
-    # pair (bin, ye^n), so fold the bin coordinate into the observation axis.
-    folded = table.reshape(tables.num_bins + 1, tables.num_subbins, -1)
-    key_vs_view = np.moveaxis(folded, 1, 0).reshape(tables.num_subbins, -1)
-    return _leakage_bits(key_vs_view, n)
+    # Rows (sub, bin): the key indexes blocks of rows, the view is (bin, ye^n).
+    views = tables.num_bins + 1
+    table = np.zeros((tables.num_subbins * views, channel.ye_size ** n))
+    _add_kron_rows(table, tables.sub_of * views + tables.bin_of,
+                   np.ones((len(tables.all_yr), 1)), m[:, None, :], tables.all_yr)
+    return _leakage_bits(table.reshape(tables.num_subbins, -1), n)
 
 
 def run_one_round_discussion(channel: StateChannel, policy: InputPolicy,
@@ -585,7 +585,7 @@ def run_one_round_discussion(channel: StateChannel, policy: InputPolicy,
     """
     tables = _one_round_tables(channel, policy, cfg)
     n = cfg.n
-    state_cdf = np.cumsum(channel.state_pmf)
+    state_cdf = np.cumsum(channel.state_pmf)[None, :].repeat(n, axis=0)
     x_cdf = np.cumsum(policy.x_given_s, axis=1)
     powers = channel.yr_size ** np.arange(n - 1, -1, -1)
     disagreements = 0
@@ -595,7 +595,7 @@ def run_one_round_discussion(channel: StateChannel, policy: InputPolicy,
     key_counts = np.zeros(tables.num_subbins)
     for t in range(cfg.trials):
         rng = _rng_stream(cfg.seed, 1, t)
-        s_seq = _sample_rows(state_cdf[None, :].repeat(n, axis=0), rng)
+        s_seq = _sample_rows(state_cdf, rng)
         x_seq = _sample_rows(x_cdf[s_seq], rng)
         yr_seq, _ = transmit(channel, x_seq, s_seq, rng)
         yr_index = int((yr_seq * powers).sum())

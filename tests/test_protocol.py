@@ -1,18 +1,24 @@
 """Codebook construction, typicality coding, and exact leakage accounting."""
 
 import math
+from itertools import product
 
 import numpy as np
 import pytest
 
+import statekey.sim as sim_module
 from statekey import (AuxiliaryEncoderPolicy, BinningCodebook, BudgetError,
-                      CodebookRates, SimConfig, StateChannel,
+                      CodebookRates, InputPolicy, SimConfig, StateChannel,
                       build_codebook, decode, encode, exact_leakage,
                       run_no_discussion, run_one_round_discussion)
-from statekey.sim import _rng_stream, is_jointly_typical, transmit
-from conftest import (copy_encoder_policy, degraded_binary_wiretap,
+from statekey.channel import mi_bits
+from statekey.sim import (_no_disc_tables, _one_round_tables, _rng_stream,
+                          is_jointly_typical, one_round_exact_leakage,
+                          transmit)
+from conftest import (bsc_matrix, copy_encoder_policy, degraded_binary_wiretap,
                       erasure_eavesdropper_channel, factorized_binary,
-                      identity_channel, uniform_input_policy)
+                      identity_channel, random_aux_policy, random_channel,
+                      uniform_input_policy)
 
 COPY_POLICY = copy_encoder_policy()
 
@@ -25,6 +31,95 @@ BENCH6 = SimConfig(n=6, epsilon=0.25, rate_margin=0.2, trials=200, seed=42)
 def two_state_copy_policy():
     """u = s deterministically, x uniform (binary state)."""
     return AuxiliaryEncoderPolicy(2, np.eye(2), np.full((2, 2, 2), 0.5))
+
+
+def xor_policy():
+    """Uniform binary u independent of s, sent as x = u xor s."""
+    x_given_us = np.zeros((2, 2, 2))
+    for u in range(2):
+        for s in range(2):
+            x_given_us[u, s, u ^ s] = 1.0
+    return AuxiliaryEncoderPolicy(2, np.full((2, 2), 0.5), x_given_us)
+
+
+def kron_law(rows):
+    """Flat law of independent symbols by explicit Kronecker products."""
+    vec = np.ones(1)
+    for row in rows:
+        vec = np.kron(vec, row)
+    return vec
+
+
+def reference_exact_leakage(codebook, channel, policy, cfg):
+    """I(K; Ye^n) / n by enumerating every (state sequence, codeword) pair."""
+    n = codebook.n
+    p_us = (channel.state_pmf[:, None] * policy.u_given_s).T
+    p_ye_us = np.einsum("usx,xse->use", policy.x_given_us,
+                        channel.eavesdropper_kernel())
+    table = np.zeros((codebook.num_bins, channel.ye_size ** n))
+    for s_tuple in product(range(channel.s_size), repeat=n):
+        s_seq = np.array(s_tuple)
+        mask = np.array([is_jointly_typical(u, s_seq, p_us, cfg.epsilon)
+                         for u in codebook.sequences])
+        weights = mask / mask.sum() if mask.any() \
+            else np.full(codebook.count, 1.0 / codebook.count)
+        for c in np.flatnonzero(weights):
+            table[codebook.bin_of[c]] += np.prod(channel.state_pmf[s_seq]) \
+                * weights[c] * kron_law(p_ye_us[codebook.sequences[c], s_seq])
+    return float(mi_bits(table / table.sum())) / n
+
+
+def reference_one_round_leakage(tables, channel, policy, n):
+    """I(K; Ye^n, public bin) / n by one Kronecker product per yr^n."""
+    m = np.einsum("s,sx,xsre->re", channel.state_pmf, policy.x_given_s,
+                  channel.kernel)
+    table = np.zeros((tables.num_bins + 1, tables.num_subbins,
+                      channel.ye_size ** n))
+    for yr_seq, b, sub in zip(tables.all_yr, tables.bin_of, tables.sub_of):
+        table[b, sub] += kron_law(m[yr_seq])
+    key_vs_view = np.moveaxis(table, 1, 0).reshape(tables.num_subbins, -1)
+    return float(mi_bits(key_vs_view / key_vs_view.sum())) / n
+
+
+def random_leakage_case(seed, s_size, ye_size, n, singleton):
+    """A random channel, policy and codebook of 3-6 binary codewords."""
+    rng = np.random.default_rng(seed)
+    channel = random_channel(rng, 2, s_size, 2, ye_size)
+    policy = random_aux_policy(rng, channel, u_size=2)
+    count = int(rng.integers(3, 7))
+    bins = count if singleton else 2
+    cb = BinningCodebook(sequences=rng.integers(0, 2, size=(count, n)),
+                         bin_of=rng.permutation(np.arange(count) % bins),
+                         num_bins=bins, rates=CodebookRates(1.0, 0.5, 0.5))
+    # Wide enough that most state sequences have typical codewords, narrow
+    # enough that some fall back to the whole codebook.
+    cfg = SimConfig(n=n, epsilon=float(rng.uniform(0.25, 0.6)),
+                    rate_margin=0.1, trials=1, seed=seed)
+    return cb, channel, policy, cfg
+
+
+def random_one_round_case(seed, ye_size, n):
+    """yr = BSC(flip <= 0.1)(x xor s) and a random eavesdropper row per (x, s),
+    so the key exponent is positive and there is more than one sub-bin."""
+    rng = np.random.default_rng(seed)
+    receiver = bsc_matrix(rng.uniform(0.0, 0.1))
+    eve = rng.dirichlet(np.ones(ye_size), size=(2, 2))
+    kernel = np.zeros((2, 2, 2, ye_size))
+    for x in range(2):
+        for s in range(2):
+            kernel[x, s] = np.outer(receiver[x ^ s], eve[x, s])
+    channel = StateChannel.from_arrays(rng.dirichlet(np.ones(2)), kernel)
+    policy = InputPolicy(rng.dirichlet(np.ones(2), size=2))
+    cfg = SimConfig(n=n, epsilon=0.3, rate_margin=0.05, trials=1, seed=seed)
+    tables = _one_round_tables(channel, policy, cfg)
+    assert tables.num_subbins > 1
+    return tables, channel, policy, cfg
+
+
+# (|S|, |Ye|, n): every size from 1 to 3 and every block length from 2 to 5.
+LEAKAGE_SIZES = [(1, 1, 2), (1, 3, 5), (2, 2, 4), (2, 3, 3), (3, 1, 5),
+                 (3, 2, 2), (3, 3, 4), (2, 1, 3)]
+ONE_ROUND_SIZES = [(1, 2), (2, 5), (3, 3), (2, 4)]
 
 
 class TestSimConfig:
@@ -76,6 +171,17 @@ class TestBuildCodebook:
         assert cb.rates.key_rate == 0.0
         report = run_no_discussion(channel, COPY_POLICY, cfg)
         assert report.leakage_bits_per_symbol == pytest.approx(0.0, abs=1e-12)
+
+    def test_codebook_validation(self):
+        rates = CodebookRates(0.5, 0.25, 0.25)
+        seqs = np.zeros((2, 4), dtype=int)
+        for bins, num_bins in (([0, 0], 0), ([0, 1], 2.5), ([0, 0], True),
+                               ([0, 2], 2), ([0, 0], 2)):
+            with pytest.raises(ValueError):
+                BinningCodebook(sequences=seqs, bin_of=np.array(bins),
+                                num_bins=num_bins, rates=rates)
+        BinningCodebook(sequences=seqs, bin_of=np.array([1, 0]),
+                        num_bins=np.int64(2), rates=rates)
 
     def test_oversized_codebook_rejected(self):
         cfg = SimConfig(n=24, epsilon=0.2, rate_margin=0.01, trials=1, seed=0)
@@ -136,7 +242,7 @@ class TestEncode:
         # zero-cell rule binds and exactly u = s survives.
         for _ in range(20):
             s_seq = rng.integers(0, 2, size=n)
-            enc = encode(cb, channel, policy, s_seq, 0.6, rng)
+            enc = encode(cb, _no_disc_tables(channel, policy, n), s_seq, 0.6, rng)
             assert enc is not None
             assert np.array_equal(enc.u_seq, s_seq)
 
@@ -147,7 +253,7 @@ class TestEncode:
                                                  math.log2(3) / 6, 0.0))
         rng = _rng_stream(1, 1)
         # All-zero codewords are never typical for a uniform u-marginal.
-        assert encode(cb, degraded_channel, COPY_POLICY,
+        assert encode(cb, _no_disc_tables(degraded_channel, COPY_POLICY, 6),
                       np.zeros(6, dtype=int), 0.25, rng) is None
 
     def test_selection_uniform_over_candidates(self, degraded_channel):
@@ -155,8 +261,9 @@ class TestEncode:
         rng = _rng_stream(2, 2)
         picks = np.zeros(cb.count)
         s_seq = np.zeros(6, dtype=int)
+        tables = _no_disc_tables(degraded_channel, COPY_POLICY, 6)
         for _ in range(4000):
-            enc = encode(cb, degraded_channel, COPY_POLICY, s_seq, 0.25, rng)
+            enc = encode(cb, tables, s_seq, 0.25, rng)
             picks[enc.index] += 1
         eligible = picks > 0
         assert eligible.sum() == 4
@@ -170,11 +277,12 @@ class TestDecode:
         cb = build_codebook(channel, COPY_POLICY, cfg)
         assert np.unique(cb.sequences, axis=0).shape[0] == cb.count
         rng = _rng_stream(3, 3)
+        tables = _no_disc_tables(channel, COPY_POLICY, 6)
         for _ in range(20):
             s_seq = np.zeros(6, dtype=int)
-            enc = encode(cb, channel, COPY_POLICY, s_seq, 0.5, rng)
+            enc = encode(cb, tables, s_seq, 0.5, rng)
             yr_seq, _ = transmit(channel, enc.x_seq, s_seq, rng)
-            dec = decode(cb, channel, COPY_POLICY, yr_seq)
+            dec = decode(cb, tables, yr_seq)
             assert dec is not None
             assert dec.index == enc.index
             assert dec.key == cb.bin_of[enc.index]
@@ -186,10 +294,9 @@ class TestDecode:
                              num_bins=2,
                              rates=CodebookRates(0.25 * math.log2(3), 0.25,
                                                  0.25 * math.log2(3) - 0.25))
-        assert decode(cb, channel, COPY_POLICY,
-                      np.array([0, 1, 0, 1])) is None
-        assert decode(cb, channel, COPY_POLICY,
-                      np.array([1, 0, 1, 0])) is not None
+        tables = _no_disc_tables(channel, COPY_POLICY, 4)
+        assert decode(cb, tables, np.array([0, 1, 0, 1])) is None
+        assert decode(cb, tables, np.array([1, 0, 1, 0])) is not None
 
     def test_key_is_the_bin_with_the_largest_likelihood_sum(self):
         # yr = BSC(0.3)(u).  For yr = 0000 the lone codeword 0000 scores
@@ -201,7 +308,8 @@ class TestDecode:
         cb = BinningCodebook(sequences=seqs, bin_of=np.array([0, 1, 1, 1]),
                              num_bins=2,
                              rates=CodebookRates(0.5, 0.25, 0.25))
-        dec = decode(cb, channel, COPY_POLICY, np.zeros(4, dtype=int))
+        dec = decode(cb, _no_disc_tables(channel, COPY_POLICY, 4),
+                     np.zeros(4, dtype=int))
         assert dec is not None
         assert dec.key == 1
         assert dec.index in (1, 2, 3)
@@ -212,7 +320,8 @@ class TestDecode:
         seqs = np.array([[0, 0, 0, 0], [1, 1, 1, 1]])
         cb = BinningCodebook(sequences=seqs, bin_of=np.array([0, 1]),
                              num_bins=2, rates=CodebookRates(0.25, 0.25, 0.0))
-        assert decode(cb, channel, COPY_POLICY, np.array([0, 1, 0, 1])) is None
+        assert decode(cb, _no_disc_tables(channel, COPY_POLICY, 4),
+                      np.array([0, 1, 0, 1])) is None
 
 
 class TestExactLeakage:
@@ -260,6 +369,29 @@ class TestExactLeakage:
             leak = exact_leakage(cb, degraded_channel, COPY_POLICY, cfg)
             assert -1e-9 <= leak <= cb.rates.key_rate + 1e-9
 
+    @pytest.mark.parametrize("singleton", [True, False])
+    @pytest.mark.parametrize("sizes", LEAKAGE_SIZES)
+    def test_mode_products_match_kronecker_enumeration(self, sizes, singleton):
+        seed = LEAKAGE_SIZES.index(sizes)
+        cb, channel, policy, cfg = random_leakage_case(seed, *sizes, singleton)
+        assert exact_leakage(cb, channel, policy, cfg) == pytest.approx(
+            reference_exact_leakage(cb, channel, policy, cfg), abs=1e-12)
+
+    @pytest.mark.parametrize("sizes", ONE_ROUND_SIZES)
+    def test_one_round_mode_products_match_kronecker_enumeration(self, sizes):
+        tables, channel, policy, cfg = random_one_round_case(0, *sizes)
+        assert one_round_exact_leakage(tables, channel, policy, cfg) == \
+            pytest.approx(reference_one_round_leakage(tables, channel, policy,
+                                                      cfg.n), abs=1e-12)
+
+    def test_chunking_leaves_the_value_unchanged(self, monkeypatch):
+        # A budget of a few bytes puts every row in a chunk of its own.
+        case = random_leakage_case(3, 3, 3, 4, False)
+        one_round = random_one_round_case(0, 3, 5)
+        whole = exact_leakage(*case), one_round_exact_leakage(*one_round)
+        monkeypatch.setattr(sim_module, "_KRON_CHUNK_BYTES", 4)
+        assert (exact_leakage(*case), one_round_exact_leakage(*one_round)) == whole
+
     def test_enumeration_agrees_with_monte_carlo_estimate(self, degraded_channel,
                                                           monkeypatch):
         # Dual route: the exact enumeration must agree with the plug-in
@@ -271,7 +403,6 @@ class TestExactLeakage:
         policy = COPY_POLICY
         cb = build_codebook(degraded_channel, policy, cfg)
         exact = exact_leakage(cb, degraded_channel, policy, cfg) * cfg.n
-        import statekey.sim as sim_module
         monkeypatch.setattr(sim_module, "MAX_ENUM_ATOMS", 0)
         report = run_no_discussion(degraded_channel, policy, cfg)
         assert report.leakage_method == "estimate"
@@ -315,6 +446,27 @@ class TestRunNoDiscussion:
             values.append(run_no_discussion(degraded_channel, COPY_POLICY,
                                             cfg).disagreement_prob)
         assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
+
+    def test_draws_pinned(self):
+        # Frozen from the implementation that rebuilt its tables per call,
+        # at settings where the encode fallback fires: any change to the
+        # order of the per-trial draws moves these counts.
+        cfg = SimConfig(n=6, epsilon=0.15, rate_margin=0.2, trials=400, seed=42)
+        report = run_no_discussion(factorized_binary(), xor_policy(), cfg)
+        assert report.encode_failure_rate == 0.465
+        assert report.disagreement_prob == 0.1375
+        assert report.achieved_key_rate == 0.15812219450886827
+
+    def test_single_letter_tables_built_once_per_run(self, monkeypatch):
+        # The decoder's law p(u, yr) is one of the single-letter tables;
+        # building it once per trial would count 50 here.
+        calls = []
+        joint_u_yr = sim_module._joint_u_yr
+        monkeypatch.setattr(sim_module, "_joint_u_yr",
+                            lambda *args: calls.append(args) or joint_u_yr(*args))
+        cfg = SimConfig(n=6, epsilon=0.15, rate_margin=0.2, trials=50, seed=42)
+        run_no_discussion(factorized_binary(), xor_policy(), cfg)
+        assert len(calls) == 1
 
     def test_estimate_path_flags_method(self):
         channel = factorized_binary(0.1, 0.25)
@@ -365,6 +517,18 @@ class TestOneRoundDiscussion:
         # Reconstruction correctness whenever the typicality lookup is unique.
         assert report.diagnostics["unique_and_correct"] == \
             report.diagnostics["unique_lookups"]
+
+    def test_draws_pinned(self):
+        # Frozen from the implementation that filled the bins in a loop.
+        channel = factorized_binary()
+        cfg = SimConfig(n=6, epsilon=0.3, rate_margin=0.2, trials=400, seed=42)
+        report = run_one_round_discussion(channel, uniform_input_policy(channel),
+                                          cfg)
+        assert report.encode_failure_rate == 0.735
+        assert report.disagreement_prob == 0.76
+        assert report.achieved_key_rate == 0.24716854198008087
+        assert report.diagnostics["unique_lookups"] == 106
+        assert report.diagnostics["unique_and_correct"] == 96
 
     def test_determinism(self):
         channel = factorized_binary(0.0, 0.3)
