@@ -10,6 +10,8 @@ All information quantities are in bits (base-2 logarithms).  The kernel
 ``mi_bits`` and the triple (I(U;Yr), I(U;Ye), I(U;S)) of auxiliary policies
 (``aux_mi_triple``, and ``policy_mi_triple`` for one) are the package's only
 implementations of mutual information; every other MI is computed by them.
+``aux_mi_gradient`` takes the partials of the triple from the same joint
+tables and log ratios.
 """
 
 from __future__ import annotations
@@ -266,16 +268,22 @@ def _check_groups(joint: JointPmf, *groups: Sequence[str]) -> None:
         seen |= gset
 
 
-def mi_bits(joint: np.ndarray) -> np.ndarray:
-    """I(A;B) in bits from joint pmfs over the last two axes.
-
-    Leading axes index a batch; a 2-D joint gives a scalar.
-    """
+def _log_ratio(joint: np.ndarray) -> np.ndarray:
+    """log2 p(a,b) / (p(a) p(b)) over the last two axes, 0 where p(a,b) = 0."""
     pa = joint.sum(axis=-1, keepdims=True)
     pb = joint.sum(axis=-2, keepdims=True)
     mask = joint > 0
     terms = np.log2(joint, out=np.zeros(joint.shape), where=mask)
     terms -= np.log2(pa * pb, out=np.zeros(joint.shape), where=mask)
+    return terms
+
+
+def mi_bits(joint: np.ndarray) -> np.ndarray:
+    """I(A;B) in bits from joint pmfs over the last two axes.
+
+    Leading axes index a batch; a 2-D joint gives a scalar.
+    """
+    terms = _log_ratio(joint)
     terms *= joint
     return np.maximum(0.0, terms.reshape(*terms.shape[:-2], -1).sum(axis=-1))
 
@@ -306,6 +314,12 @@ def conditional_mutual_information(joint: JointPmf, group_a: Sequence[str],
     return float(p_c[seen] @ mi_bits(table[seen] / p_c[seen, None, None]))
 
 
+def _aux_joints(state_pmf, kernel, u_rows, x_rows):
+    """p(u,s) (batch, u, s) and p(u,k) (batch, u, yr + ye) of a policy batch."""
+    p_us = np.swapaxes(state_pmf[:, None] * u_rows, 1, 2)
+    return p_us, np.einsum("bus,busx,xsk->buk", p_us, x_rows, kernel)
+
+
 def aux_mi_triple(state_pmf: np.ndarray, kernel: np.ndarray, yr_size: int,
                   u_rows: np.ndarray, x_rows: np.ndarray):
     """(I(U;Yr), I(U;Ye), I(U;S)) for a batch of policies, by direct summation.
@@ -314,10 +328,34 @@ def aux_mi_triple(state_pmf: np.ndarray, kernel: np.ndarray, yr_size: int,
     it has a single row; ``x_rows`` (batch, u, s, x) holds p(x|u,s).
     ``kernel`` is the channel's ``stacked_kernel()``.
     """
-    p_us = np.swapaxes(state_pmf[:, None] * u_rows, 1, 2)
-    p_uy = np.einsum("bus,busx,xsk->buk", p_us, x_rows, kernel)
-    return (mi_bits(p_uy[:, :, :yr_size]), mi_bits(p_uy[:, :, yr_size:]),
+    p_us, p_uk = _aux_joints(state_pmf, kernel, u_rows, x_rows)
+    return (mi_bits(p_uk[:, :, :yr_size]), mi_bits(p_uk[:, :, yr_size:]),
             mi_bits(p_us))
+
+
+def aux_mi_gradient(state_pmf: np.ndarray, kernel: np.ndarray, yr_size: int,
+                    u_rows: np.ndarray, x_rows: np.ndarray, weights: np.ndarray):
+    """Partials of w_a I(U;Yr) + w_b I(U;Ye) + w_c I(U;S) in u_rows and x_rows.
+
+    Arguments as in ``aux_mi_triple``; ``weights`` (batch, 3) holds
+    (w_a, w_b, w_c).  With G(u,k) = w log2 p(u,k) / (p(u) p(k)) for each
+    output k of weight w, the partial in p(x|u,s) is
+    p(s) p(u|s) sum_k K(k|x,s) G(u,k) and the one in p(u|s) is
+    p(s) [sum_x p(x|u,s) sum_k K(k|x,s) G(u,k) + w_c log2 p(u|s) / p(u)],
+    summed over s for a shared row.  Each is exact up to a constant per row;
+    cells of zero probability add 0.
+    """
+    p_us, p_uk = _aux_joints(state_pmf, kernel, u_rows, x_rows)
+    g = np.concatenate([weights[:, :1, None] * _log_ratio(p_uk[:, :, :yr_size]),
+                        weights[:, 1:2, None] * _log_ratio(p_uk[:, :, yr_size:])],
+                       axis=2)
+    d = np.einsum("xsk,buk->busx", kernel, g)
+    grad_u = state_pmf * (np.einsum("busx,busx->bus", x_rows, d)
+                          + weights[:, 2:, None] * _log_ratio(p_us))
+    grad_u = np.swapaxes(grad_u, 1, 2)
+    if u_rows.shape[1] == 1:
+        grad_u = grad_u.sum(axis=1, keepdims=True)
+    return grad_u, p_us[:, :, :, None] * d
 
 
 def policy_mi_triple(channel: StateChannel, policy: AuxiliaryEncoderPolicy

@@ -3,9 +3,10 @@
 Four bound evaluators plus a secret-message comparison bound.  The
 no-discussion lower bound and the secret-message bound search over auxiliary
 encoder policies (p(u|s), p(x|u,s)) with a seeded multi-start grid plus
-projected coordinate ascent.  The search scores policies in batches: all
-seeds of a pass at once, then every restart in lockstep, with one batch for
-the finite-difference probes of a row and one per trial step.  The upper
+projected-gradient ascent on closed-form partials of the MI triple.  The
+search scores policies in batches: all seeds of a pass at once, then per
+iteration one gradient batch and one batch of step candidates that moves
+every row of every restart together.  The upper
 bounds maximize over direct input policies p(x|s) with a
 multiplicative-update ascent (the objective is concave in p(x|s)), and the
 discussion lower bound runs the same ascent on its closed-form scores.  The
@@ -13,8 +14,8 @@ no-discussion upper bound also minimizes over output couplings with fixed
 marginals, where the objective is convex: it alternates the ascent with a
 Sinkhorn I-projection of the coupling until the pair stops improving.
 
-Optima are "best found": the searches are deterministic for a fixed seed but
-carry no global-optimality certificate.
+Optima are "best found" and deterministic for a fixed seed; the upper bounds
+report the Frank-Wolfe gap of their inner maximum as certificate_gap_bits.
 """
 
 from __future__ import annotations
@@ -22,11 +23,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
 from .channel import (AuxiliaryEncoderPolicy, InputPolicy, StateChannel,
-                      aux_mi_triple, check_integer, mi_bits, policy_mi_triple)
+                      aux_mi_gradient, aux_mi_triple, check_integer, mi_bits,
+                      policy_mi_triple)
 from .sim import BudgetError, _rng_stream
 
 LN2 = math.log(2.0)
@@ -44,9 +47,15 @@ _COUPLING_ROUNDS = 200
 _SINKHORN_ITERATIONS = 1000
 _SINKHORN_TOL = 1e-13
 
-# Largest batch of float64 policies the auxiliary-policy search may build;
-# a search that would need more raises BudgetError before it starts.
+# Largest batch of float64 policies the auxiliary-policy search may build,
+# and the most policy entries it may plan to score; a search that would need
+# more raises BudgetError before it starts.  A default search on an 8x8x2x2
+# channel plans 7.4e7 entries, scores 4e7 and takes 1.7 s on 2 CPUs.
 _AUX_BATCH_BYTES = 64 * 2**20
+_AUX_WORK_ENTRIES = 2**28
+# Step-size multiples scored per search iteration; iterations per local step.
+_STEP_MULTIPLIERS = np.array([4.0, 1.0, 0.25, 0.0625])
+_ITERATIONS_PER_STEP = 4
 # Structured seeds per pass: at most 64 input maps plus five fixed policies.
 _STRUCTURED_SEEDS_MAX = 69
 
@@ -60,7 +69,9 @@ class OptimizerConfig:
 
     ``domain`` selects the auxiliary-policy search space: ``general_u``
     optimizes p(u|s) jointly with p(x|u,s); ``restricted_u`` ties the
-    u-distribution across states (u independent of s).
+    u-distribution across states (u independent of s).  ``local_steps``
+    caps the projected-gradient iterations of each restart at
+    4 * ``local_steps`` per pass.
     """
 
     u_size_max: int | None = None
@@ -152,23 +163,26 @@ def _project_simplex(v: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _check_aux_budget(channel: StateChannel, cfg: OptimizerConfig,
-                      u_size: int) -> None:
-    """Refuse a search whose largest policy batch would exceed the budget.
+                      u_size: int, passes: int) -> None:
+    """Refuse a search whose largest batch or whose planned work is too big.
 
-    The batches are the seeds of a pass (the structured ones plus
-    3 * restarts grid points) and the finite-difference probes of one row for
-    every restart (restarts * |U| policies for a u row, restarts * |X| for an
-    x row).  A policy holds p(u|s) and p(x|u,s) in float64.
+    A batch holds the seeds of a pass or the step candidates of every
+    restart; a policy has |U||S|(|X| + 1) float64 entries.  The planned work
+    counts the entries of the seeds and, for the whole iteration cap, of the
+    candidates, over all passes.
     """
-    policies = max(_STRUCTURED_SEEDS_MAX + 3 * cfg.restarts,
-                   cfg.restarts * max(u_size, channel.x_size))
-    need = 8 * policies * u_size * channel.s_size * (channel.x_size + 1)
-    if need > _AUX_BATCH_BYTES:
+    entries = u_size * channel.s_size * (channel.x_size + 1)
+    seeds = _STRUCTURED_SEEDS_MAX + 3 * cfg.restarts
+    candidates = cfg.restarts * len(_STEP_MULTIPLIERS)
+    need = 8 * max(seeds, candidates) * entries
+    work = passes * (seeds + _ITERATIONS_PER_STEP * cfg.local_steps
+                     * candidates) * entries
+    if need > _AUX_BATCH_BYTES or work > _AUX_WORK_ENTRIES:
         raise BudgetError(
-            f"the auxiliary-policy search needs a batch of {need / 2**20:.0f} MiB "
-            f"(|U|={u_size}, |S|={channel.s_size}, |X|={channel.x_size}, "
-            f"restarts={cfg.restarts}), over the {_AUX_BATCH_BYTES // 2**20} MiB "
-            "limit; lower u_size_max or restarts")
+            f"the auxiliary-policy search needs a {need / 2**20:.0f} MiB batch "
+            f"and plans {work:.3g} policy entries at |U|={u_size}, over the "
+            f"limits of {_AUX_BATCH_BYTES // 2**20} MiB and "
+            f"{_AUX_WORK_ENTRIES:.3g}; lower u_size_max, restarts or local_steps")
 
 
 class _Incumbents:
@@ -202,213 +216,157 @@ class _Incumbents:
 def _structured_aux_seeds(channel, u_size, restricted, rng):
     s_size, x_size = channel.s_size, channel.x_size
     u_rows_n = 1 if restricted else s_size
-    u_seeds, x_seeds = [], []
-
-    def make(u_rows, x_rows):
-        u_seeds.append(u_rows)
-        x_seeds.append(x_rows)
-
     const_u = np.zeros((u_rows_n, u_size))
     const_u[:, 0] = 1.0
-    uni_x = np.full((u_size, s_size, x_size), 1.0 / x_size)
-    make(const_u, uni_x)
-
     uni_u = np.full((u_rows_n, u_size), 1.0 / u_size)
-    make(uni_u, uni_x)
+    uni_x = np.full((u_size, s_size, x_size), 1.0 / x_size)
+    seeds = [(const_u, uni_x), (uni_u, uni_x)]
 
     # Deterministic input maps x = f(u) under a uniform u; for binary inputs
     # this includes the classic "send the codeword symbol" encoders.
-    n_maps = x_size ** min(u_size, 8)
-    if n_maps <= 64:
-        maps = [np.array(m) for m in itertools.product(range(x_size), repeat=u_size)]
+    if x_size ** min(u_size, 8) <= 64:
+        maps = [list(m) for m in itertools.product(range(x_size), repeat=u_size)]
     else:
         maps = [rng.integers(0, x_size, size=u_size) for _ in range(16)]
         maps.append(np.arange(u_size) % x_size)
-    for m in maps:
-        det_x = np.zeros((u_size, s_size, x_size))
-        for u in range(u_size):
-            det_x[u, :, m[u]] = 1.0
-        make(uni_u, det_x)
+    eye_x = np.eye(x_size)
+    seeds += [(uni_u, np.repeat(eye_x[m][:, None], s_size, axis=1)) for m in maps]
 
     # State-shifted deterministic map x = (u + s) mod |X|.
-    det_x = np.zeros((u_size, s_size, x_size))
-    for u in range(u_size):
-        for s in range(s_size):
-            det_x[u, s, (u + s) % x_size] = 1.0
-    make(uni_u, det_x)
-
+    det_x = eye_x[(np.arange(u_size)[:, None] + np.arange(s_size)) % x_size]
+    seeds.append((uni_u, det_x))
     if not restricted and s_size > 1:
         # u tracks the state: p(u|s) = delta(u = s mod |U|).
-        copy_u = np.zeros((s_size, u_size))
-        for s in range(s_size):
-            copy_u[s, s % u_size] = 1.0
-        make(copy_u, uni_x)
-        make(copy_u, det_x)
-    return np.array(u_seeds), np.array(x_seeds)
-
-
-def _random_grid_row(dim, resolution, rng):
-    # Uniform lattice point on the simplex: composition of `resolution` units.
-    cuts = rng.integers(0, dim, size=resolution)
-    row = np.bincount(cuts, minlength=dim).astype(float) / resolution
-    return row
+        copy_u = np.eye(u_size)[np.arange(s_size) % u_size]
+        seeds += [(copy_u, uni_x), (copy_u, det_x)]
+    return np.array([u for u, _ in seeds]), np.array([x for _, x in seeds])
 
 
 def _grid_aux_seeds(channel, u_size, restricted, resolution, count, rng):
-    s_size, x_size = channel.s_size, channel.x_size
-    u_rows_n = 1 if restricted else s_size
+    """``count`` policies with rows drawn from the 1/resolution simplex lattice."""
+    def row(dim):
+        return np.bincount(rng.integers(0, dim, size=resolution), minlength=dim) / resolution
+
     u_seeds, x_seeds = [], []
     for _ in range(count):
-        u_seeds.append([_random_grid_row(u_size, resolution, rng)
-                        for _ in range(u_rows_n)])
-        x_seeds.append([[_random_grid_row(x_size, resolution, rng)
-                         for _ in range(s_size)]
+        u_seeds.append([row(u_size) for _ in range(1 if restricted else channel.s_size)])
+        x_seeds.append([[row(channel.x_size) for _ in range(channel.s_size)]
                         for _ in range(u_size)])
     return np.array(u_seeds), np.array(x_seeds)
 
 
-def _with_row(points, kind, index, live, new_rows, copies):
-    """Policies of the restarts ``live``, each repeated ``copies`` times, with
-    row ``index`` of ``points[kind]`` replaced by ``new_rows``."""
-    trial = [np.repeat(a[live], copies, axis=0) for a in points]
-    trial[kind][(slice(None),) + index] = new_rows
-    return trial
+def _refine_aux(u_rows, x_rows, evaluate, gradient, best, cfg):
+    """Projected-gradient ascent on the search score, every restart at once.
 
-
-def _refine_aux(u_rows, x_rows, evaluate, best, cfg):
-    """Cyclic row-wise projected coordinate ascent, every restart in lockstep.
-
-    ``u_rows`` (restarts, 1 or s, u) and ``x_rows`` (restarts, u, s, x) hold
-    the starting points and are refined in place.  All restarts visit the
-    same rows in the same order: the u rows, then the x rows (u, s).  For one
-    row, the finite-difference probes of every active restart (one per
-    coordinate, bumped by h = 1e-6 and renormalized) are scored as one batch.
-    Then the steps t = step, step/4 and step/16 are tried, each as one batch
-    of the restarts that have not yet accepted a step for this row.
-
-    Per restart the rules are those of a one-at-a-time ascent: a step is
-    taken when it beats the restart's score by more than 1e-13, a sweep
-    without one quarters its step size, and the restart leaves the batch when
-    the step size falls below 1e-5 or after ``cfg.local_steps`` sweeps.
-    ``evaluate`` offers every scored point to ``best``, one group per restart.
-    Returns the number of sweeps, summed over restarts.
+    ``u_rows`` (restarts, 1 or s, u) and ``x_rows`` (restarts, u, s, x) are
+    refined in place.  Each iteration takes one ``gradient`` batch and one
+    ``evaluate`` batch, which offers its points to ``best``, one group per
+    restart: every live restart's points projected onto the simplex after
+    steps of eta * _STEP_MULTIPLIERS, all rows moved together.  The best
+    candidate is taken when it beats the restart's score by more than 1e-13,
+    and eta becomes its step; otherwise eta (0.25 at first) is divided by
+    64.  A restart leaves when eta < 1e-9 or after _ITERATIONS_PER_STEP *
+    ``cfg.local_steps`` iterations.  Returns the iterations of all restarts.
     """
-    n = len(u_rows)
-    h = 1e-6
-    points = (u_rows, x_rows)
-    current = evaluate(u_rows, x_rows, best, np.arange(n))
-    step = np.full(n, 0.25)
-    sweeps = np.zeros(n, dtype=int)
-    active = np.ones(n, dtype=bool)
-    rows = ([(0, (i,)) for i in range(u_rows.shape[1])]
-            + [(1, (u, s)) for u in range(x_rows.shape[1])
-               for s in range(x_rows.shape[2])])
-    for _ in range(cfg.local_steps):
-        improved = np.zeros(n, dtype=bool)
-        for kind, index in rows:
-            live = np.flatnonzero(active)
-            row = points[kind][(live,) + index]
-            d = row.shape[1]
-            probes = np.repeat(row[:, None, :], d, axis=1)
-            probes[:, np.arange(d), np.arange(d)] += h
-            probes /= probes.sum(axis=2, keepdims=True)
-            score = evaluate(
-                *_with_row(points, kind, index, live, probes.reshape(-1, d), d),
-                best, live)
-            grad = (score.reshape(-1, d) - current[live, None]) / h
-            moving = np.any(grad != 0, axis=1)
-            live, row, grad = live[moving], row[moving], grad[moving]
-            for div in (1.0, 4.0, 16.0):
-                if not live.size:
-                    break
-                cand = _project_simplex(row + (step[live] / div)[:, None] * grad)
-                score = evaluate(*_with_row(points, kind, index, live, cand, 1),
-                                 best, live)
-                up = score > current[live] + 1e-13
-                points[kind][(live[up],) + index] = cand[up]
-                current[live[up]] = score[up]
-                improved[live[up]] = True
-                live, row, grad = live[~up], row[~up], grad[~up]
-        sweeps[active] += 1
-        stalled = active & ~improved
-        step[stalled] /= 4.0
-        active &= ~(stalled & (step < 1e-5))
-        if not active.any():
+    n, k = len(u_rows), len(_STEP_MULTIPLIERS)
+    current, weights = evaluate(u_rows, x_rows, best, np.arange(n))
+    eta = np.full(n, 0.25)
+    iterations = np.zeros(n, dtype=int)
+    live = np.arange(n)
+    for _ in range(_ITERATIONS_PER_STEP * cfg.local_steps):
+        steps = eta[live, None] * _STEP_MULTIPLIERS                 # (live, k)
+        cand = []
+        for rows, grad in zip((u_rows, x_rows), gradient(
+                u_rows[live], x_rows[live], weights[live])):
+            moved = rows[live, None] + grad[:, None] * steps.reshape(
+                steps.shape + (1,) * (rows.ndim - 1))
+            cand.append(_project_simplex(moved.reshape(-1, rows.shape[-1]))
+                        .reshape((-1,) + rows.shape[1:]))
+        score, cand_weights = evaluate(*cand, best, live)
+        score = score.reshape(-1, k)
+        pick = np.argmax(score, axis=1)
+        up = np.flatnonzero(score[np.arange(len(live)), pick] > current[live] + 1e-13)
+        take, won = up * k + pick[up], live[up]
+        u_rows[won], x_rows[won] = cand[0][take], cand[1][take]
+        current[won], weights[won] = score[up, pick[up]], cand_weights[take]
+        eta[live] /= 64.0
+        eta[won] = steps[up, pick[up]]
+        iterations[live] += 1
+        live = live[eta[live] >= 1e-9]
+        if not live.size:
             break
-    return int(sweeps.sum())
+    return int(iterations.sum())
 
 
-def _search_aux_pass(channel, cfg, evaluate, restricted, state, stream_key):
-    """One seeded multi-start pass over a policy parameterization.
+def _search_score(triple, key_rate):
+    """(value, feasible, score, weights) of a batch from its MI triple.
 
-    All seeds are scored as one batch, and the ``restarts`` best are refined
-    together by ``_refine_aux``.  Feasible points reach ``state["best"]``
-    (shared across passes) in the order a one-at-a-time search meets them:
-    the seeds, then each restart's points, restart by restart.
+    The key rate I(U;Yr) - I(U;Ye) is feasible when the covering slack
+    I(U;Yr) - I(U;S) is at least -_STEP_TOLERANCE, and its score adds
+    _PENALTY_WEIGHT * min(0, slack), so refinement can cross back into the
+    feasible region.  The secret-message rate I(U;Yr) - max(I(U;S), I(U;Ye))
+    is its own score.  ``weights`` (batch, 3) holds the partials of the
+    score in the triple, as ``aux_mi_gradient`` takes them.
+    """
+    i_uyr, i_uye, i_us = triple
+    if key_rate:
+        value, slack = i_uyr - i_uye, i_uyr - i_us
+        penalty = _PENALTY_WEIGHT * (slack < 0.0)
+        return (value, slack >= -_STEP_TOLERANCE,
+                value + _PENALTY_WEIGHT * np.minimum(0.0, slack),
+                np.column_stack([1.0 + penalty, np.full_like(value, -1.0), -penalty]))
+    value = i_uyr - np.maximum(i_us, i_uye)
+    return (value, np.ones(len(value), dtype=bool), value,
+            np.column_stack([np.ones_like(value), -1.0 * (i_uye >= i_us),
+                             -1.0 * (i_us > i_uye)]))
+
+
+def _search_aux(channel, cfg, key_rate):
+    """(policy, diagnostics) of the best key or secret-message rate found.
+
+    Each pass scores its seeds (``_search_score``) as one batch and refines
+    the ``restarts`` best together (``_refine_aux``).  ``general_u`` also
+    runs the restricted (u independent of s) pass, where the covering
+    constraint is vacuous.  Feasible points reach the incumbent as the
+    seeds, then each restart's best, so among equal values the earliest
+    stays; the constant-u policy (value 0) is the fallback.  An over-budget
+    search raises ``BudgetError`` first.
     """
     u_size = cfg.resolve_u_size(channel)
-    rng = _rng_stream(cfg.seed, stream_key)
-    u_seeds, x_seeds = _structured_aux_seeds(channel, u_size, restricted, rng)
-    u_grid, x_grid = _grid_aux_seeds(channel, u_size, restricted,
-                                     cfg.grid_resolution, 3 * cfg.restarts, rng)
-    u_rows = np.concatenate([u_seeds, u_grid])
-    x_rows = np.concatenate([x_seeds, x_grid])
-    overall = np.zeros(1, dtype=int)
-    score = evaluate(u_rows, x_rows, state["best"], overall)
-    state["best_grid"] = max(state["best_grid"], float(score[len(u_seeds):].max()))
-    top = np.argsort(-score, kind="stable")[:cfg.restarts]
-    restarts = _Incumbents(len(top), channel, u_size)
-    state["iterations"] += _refine_aux(u_rows[top], x_rows[top], evaluate,
-                                       restarts, cfg)
-    state["best"].offer(overall, restarts.value[None],
-                        np.isfinite(restarts.value)[None],
-                        restarts.u_given_s, restarts.x_given_us)
-
-
-def _search_aux(channel, cfg, objective):
-    """Shared multi-start driver for objectives over auxiliary policies.
-
-    ``objective(i_uyr, i_uye, i_us) -> (value, slack_or_None)`` maps arrays
-    of information values to arrays.  Policies are scored in batches: each
-    pass scores its seeds as one batch, then refines its best seeds in
-    lockstep (see ``_refine_aux``).  Infeasible points (slack below
-    -_STEP_TOLERANCE) never become the incumbent; the constant-u policy
-    (value 0) is always a feasible fallback.  The ``general_u`` domain also
-    runs the restricted (u independent of s) parameterization, a subset of
-    the general one where the covering constraint is vacuous, so
-    structurally feasible optima are never missed.  A search whose largest
-    batch would exceed ``_AUX_BATCH_BYTES`` raises ``BudgetError`` first.
-    """
-    u_size = cfg.resolve_u_size(channel)
-    _check_aux_budget(channel, cfg, u_size)
+    passes = 2 if cfg.domain == "general_u" and channel.s_size > 1 else 1
+    _check_aux_budget(channel, cfg, u_size, passes)
     kernel = channel.stacked_kernel()
-    state = {"best": _Incumbents(1, channel, u_size), "evals": 0,
-             "iterations": 0, "best_grid": -np.inf}
+    gradient = partial(aux_mi_gradient, channel.state_pmf, kernel, channel.yr_size)
 
     def evaluate(u_rows, x_rows, best, groups):
-        """Search scores of a batch; its feasible points go to ``best``.
-
-        The batch splits into len(groups) equal consecutive groups.  The
-        score penalizes infeasibility, so refinement can cross back into the
-        feasible region.
-        """
-        value, slack = objective(*aux_mi_triple(
-            channel.state_pmf, kernel, channel.yr_size, u_rows, x_rows))
-        state["evals"] += len(value)
-        if slack is None:
-            feasible, score = np.ones(len(value), dtype=bool), value
-        else:
-            feasible = slack >= -_STEP_TOLERANCE
-            score = value + _PENALTY_WEIGHT * np.minimum(0.0, slack)
+        """Search scores and score weights of a batch; its feasible points go
+        to ``best`` in len(groups) equal consecutive groups."""
+        nonlocal evals
+        value, feasible, score, weights = _search_score(aux_mi_triple(
+            channel.state_pmf, kernel, channel.yr_size, u_rows, x_rows), key_rate)
+        evals += len(value)
         best.offer(groups, value.reshape(len(groups), -1),
                    feasible.reshape(len(groups), -1), u_rows, x_rows)
-        return score
+        return score, weights
 
-    _search_aux_pass(channel, cfg, evaluate, True, state, 11)
-    if cfg.domain == "general_u" and channel.s_size > 1:
-        _search_aux_pass(channel, cfg, evaluate, False, state, 12)
+    best, overall = _Incumbents(1, channel, u_size), np.zeros(1, dtype=int)
+    evals, iterations, best_grid = 0, 0, -np.inf
+    for restricted, stream_key in ((True, 11), (False, 12))[:passes]:
+        rng = _rng_stream(cfg.seed, stream_key)
+        u_seeds, x_seeds = _structured_aux_seeds(channel, u_size, restricted, rng)
+        u_grid, x_grid = _grid_aux_seeds(channel, u_size, restricted,
+                                         cfg.grid_resolution, 3 * cfg.restarts, rng)
+        u_rows = np.concatenate([u_seeds, u_grid])
+        x_rows = np.concatenate([x_seeds, x_grid])
+        score, _ = evaluate(u_rows, x_rows, best, overall)
+        best_grid = max(best_grid, float(score[len(u_seeds):].max()))
+        top = np.argsort(-score, kind="stable")[:cfg.restarts]
+        restarts = _Incumbents(len(top), channel, u_size)
+        iterations += _refine_aux(u_rows[top], x_rows[top], evaluate, gradient,
+                                  restarts, cfg)
+        best.offer(overall, restarts.value[None], np.isfinite(restarts.value)[None],
+                   restarts.u_given_s, restarts.x_given_us)
 
-    best = state["best"]
     u_given_s, x_given_us = best.u_given_s[0], best.x_given_us[0]
     # The constant-u policy is feasible with value 0, so a result always exists.
     if not best.value[0] >= 0.0:
@@ -416,16 +374,13 @@ def _search_aux(channel, cfg, objective):
         u_given_s[:, 0] = 1.0
         x_given_us = np.full((u_size, channel.s_size, channel.x_size),
                              1.0 / channel.x_size)
-    policy = AuxiliaryEncoderPolicy(u_size, u_given_s, x_given_us)
-    # Recompute the reported numbers from the stored policy alone.
-    value, slack = objective(*policy_mi_triple(channel, policy))
     diagnostics = {
-        "iterations": float(state["iterations"]),
+        "iterations": float(iterations),
         "restarts": float(cfg.restarts),
-        "best_grid_value": float(state["best_grid"]),
-        "objective_evaluations": float(state["evals"]),
+        "best_grid_value": best_grid,
+        "objective_evaluations": float(evals),
     }
-    return max(0.0, float(value)), policy, slack, diagnostics
+    return AuxiliaryEncoderPolicy(u_size, u_given_s, x_given_us), diagnostics
 
 
 def lower_bound_no_discussion(channel: StateChannel,
@@ -437,11 +392,10 @@ def lower_bound_no_discussion(channel: StateChannel,
     more than ``_STEP_TOLERANCE`` (1e-9 bits) are discarded, so the reported
     value is always achievable.
     """
-    def objective(i_uyr, i_uye, i_us):
-        return i_uyr - i_uye, i_uyr - i_us
-
-    value, policy, slack, diag = _search_aux(channel, cfg, objective)
-    return BoundResult(value_bits=value, argmax_policy=policy,
+    policy, diag = _search_aux(channel, cfg, True)
+    # The reported numbers are recomputed from the stored policy alone.
+    value, slack = aux_policy_rate(channel, policy)
+    return BoundResult(value_bits=max(0.0, value), argmax_policy=policy,
                        constraint_slack_bits=slack, diagnostics=diag)
 
 
@@ -453,11 +407,10 @@ def secret_message_lower_bound(channel: StateChannel,
     the state sequence while a message cannot, so this bound is never larger
     on the constrained region.
     """
-    def objective(i_uyr, i_uye, i_us):
-        return i_uyr - np.maximum(i_us, i_uye), None
-
-    value, policy, _, diag = _search_aux(channel, cfg, objective)
-    return BoundResult(value_bits=value, argmax_policy=policy, diagnostics=diag)
+    policy, diag = _search_aux(channel, cfg, False)
+    i_uyr, i_uye, i_us = policy_mi_triple(channel, policy)
+    return BoundResult(value_bits=max(0.0, i_uyr - max(i_us, i_uye)),
+                       argmax_policy=policy, diagnostics=diag)
 
 
 def aux_policy_rate(channel: StateChannel,
@@ -488,6 +441,18 @@ def _cmi_value_grad(p_xs: np.ndarray, state_pmf: np.ndarray,
     d = np.einsum("xsre,xsre->xs", q, np.where(q > 0, ratio, 0.0))
     value = float(np.einsum("s,sx,xs->", state_pmf, p_xs, d))
     return max(0.0, value), d.T
+
+
+def _certificate_gap(p_xs: np.ndarray, state_pmf: np.ndarray,
+                     q: np.ndarray) -> float:
+    """Frank-Wolfe gap sum_s p(s) (max_x d - sum_x p(x|s) d) at ``p_xs``.
+
+    d from ``_cmi_value_grad`` is the partial derivative of I(X,S;Yr|Ye) in
+    p(x|s) over p(s), up to a constant per state; by concavity the value at
+    ``p_xs`` plus the gap bounds the maximum over p(x|s).
+    """
+    _, d = _cmi_value_grad(p_xs, state_pmf, q)
+    return max(0.0, float(state_pmf @ (d.max(axis=1) - (p_xs * d).sum(axis=1))))
 
 
 def _mult_ascend(value_grad, p0, max_iter=4000, tol=1e-13):
@@ -579,12 +544,12 @@ def upper_bound_discussion(channel: StateChannel,
     """
     rng = _rng_stream(cfg.seed, 23)
 
-    def vg(p):
-        return _cmi_value_grad(p, channel.state_pmf, channel.kernel)
-
-    p, v = _maximize_input(channel, vg, cfg, rng)
+    p, v = _maximize_input(channel, partial(
+        _cmi_value_grad, state_pmf=channel.state_pmf, q=channel.kernel), cfg, rng)
+    gap = _certificate_gap(p, channel.state_pmf, channel.kernel)
     return BoundResult(value_bits=v, argmax_policy=InputPolicy(p),
-                       diagnostics={"restarts": float(cfg.restarts)})
+                       diagnostics={"restarts": float(cfg.restarts),
+                                    "certificate_gap_bits": gap})
 
 
 def lower_bound_discussion(channel: StateChannel, cfg: OptimizerConfig,
@@ -608,18 +573,13 @@ def lower_bound_discussion(channel: StateChannel, cfg: OptimizerConfig,
         else lower_bound_no_discussion(channel, cfg)
     # On a tie branch 1 wins.  Both values come from different summation
     # routes, so equal rates in exact arithmetic may differ in the last bits.
+    diag = dict(base.diagnostics)
     if branch1 >= base.value_bits - 1e-12:
-        diag = dict(base.diagnostics)
-        diag["discussion_branch"] = 1.0
-        diag["no_discussion_value"] = base.value_bits
+        diag.update(discussion_branch=1.0, no_discussion_value=base.value_bits)
         return BoundResult(value_bits=max(0.0, branch1),
                            argmax_policy=InputPolicy(p), diagnostics=diag)
-    diag = dict(base.diagnostics)
-    diag["discussion_branch"] = 0.0
-    diag["discussion_value"] = branch1
-    return BoundResult(value_bits=base.value_bits, argmax_policy=base.argmax_policy,
-                       constraint_slack_bits=base.constraint_slack_bits,
-                       diagnostics=diag)
+    diag.update(discussion_branch=0.0, discussion_value=branch1)
+    return replace(base, diagnostics=diag)
 
 
 # ---------------------------------------------------------------------------
@@ -714,7 +674,9 @@ def upper_bound_no_discussion(channel: StateChannel,
     return BoundResult(
         value_bits=best_v, argmax_policy=InputPolicy(best_p),
         diagnostics={"inner_solves": float(solves),
-                     "free_dimensions": float((ny - 1) * (ne - 1) * x_size * s_size)},
+                     "free_dimensions": float((ny - 1) * (ne - 1) * x_size * s_size),
+                     "certificate_gap_bits": _certificate_gap(
+                         best_p, channel.state_pmf, best_q)},
         coupling=CouplingFamily(channel, best_q))
 
 

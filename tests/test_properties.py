@@ -1,4 +1,5 @@
-"""Property tests of the MI triple (I(U;Yr), I(U;Ye), I(U;S)) on one policy.
+"""Property tests of the MI triple (I(U;Yr), I(U;Ye), I(U;S)) on one policy,
+and of the closed-form partials of the auxiliary-policy search score.
 
 Hypothesis draws small alphabets and a numpy seed for the channel and the
 policy; ``derandomize=True`` makes every run draw the same examples.
@@ -6,10 +7,11 @@ policy; ``derandomize=True`` makes every run draw the same examples.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from statekey import AuxiliaryEncoderPolicy, StateChannel, entropy_bits, induce_joint
-from statekey.channel import policy_mi_triple
+from statekey.channel import aux_mi_gradient, aux_mi_triple, policy_mi_triple
+from statekey.dmc import _search_score
 from conftest import random_aux_policy, random_channel
 
 PROPERTY = settings(derandomize=True, max_examples=100, deadline=None)
@@ -91,3 +93,58 @@ def test_triple_ignores_unused_and_unreachable_symbols(sizes, seed, deterministi
         wider = StateChannel.from_arrays(channel.state_pmf,
                                          np.pad(channel.kernel, pad))
         assert policy_mi_triple(wider, policy) == pytest.approx(before, abs=1e-12)
+
+
+# With |U| = 1 every information value is 0, on the kinks of the score.
+GRADIENT_SIZES = st.tuples(st.integers(2, 3), *[st.integers(1, 3)] * 4)
+
+
+@PROPERTY
+@given(GRADIENT_SIZES, st.integers(0, 2**32 - 1), st.booleans(), st.booleans())
+def test_score_gradient_matches_central_differences(sizes, seed, restricted,
+                                                    key_rate):
+    """The closed-form partials of the search score, projected onto each
+    policy row's tangent space, match central differences along the
+    directions e_j - 1/d, which keep the row on the simplex.  Key-rate
+    examples with a negative covering slack (most of the general-pass ones)
+    have the penalty on, the others off."""
+    u_size, x_size, s_size, yr_size, ye_size = sizes
+    rng = np.random.default_rng(seed)
+    channel = random_channel(rng, x_size, s_size, yr_size, ye_size)
+    policy = random_aux_policy(rng, channel, u_size)
+    # Rows kept off the boundary, where the partials of I blow up.
+    u_rows = 0.9 * policy.u_given_s[:1 if restricted else s_size] + 0.1 / u_size
+    x_rows = 0.9 * policy.x_given_us + 0.1 / x_size
+    kernel = channel.stacked_kernel()
+
+    def scores(u_batch, x_batch):
+        triple = aux_mi_triple(channel.state_pmf, kernel, yr_size,
+                               u_batch, x_batch)
+        return triple, _search_score(triple, key_rate)
+
+    (i_uyr, i_uye, i_us), (_, _, _, weights) = scores(u_rows[None], x_rows[None])
+    # The score has kinks where the slack or I(U;Ye) - I(U;S) changes sign.
+    if key_rate:
+        assume(abs(i_uyr[0] - i_us[0]) > 1e-4)
+    else:
+        assume(abs(i_uye[0] - i_us[0]) > 1e-4)
+    grads = aux_mi_gradient(channel.state_pmf, kernel, yr_size,
+                            u_rows[None], x_rows[None], weights)
+    h = 1e-6
+    for kind, (rows, grad) in enumerate(zip((u_rows, x_rows), grads)):
+        width = rows.shape[-1]
+        tangent = np.eye(width) - 1.0 / width
+        points = []
+        for index in np.ndindex(rows.shape[:-1]):
+            for sign in (1.0, -1.0):
+                bumped = np.repeat(rows[None], width, axis=0)
+                bumped[(slice(None),) + index] += sign * h * tangent
+                points.append(bumped)
+        bumped = np.concatenate(points)
+        batch = [np.repeat(u_rows[None], len(bumped), axis=0),
+                 np.repeat(x_rows[None], len(bumped), axis=0)]
+        batch[kind] = bumped
+        score = scores(*batch)[1][2].reshape(-1, 2, width)
+        numeric = (score[:, 0] - score[:, 1]) / (2 * h)
+        exact = grad[0].reshape(-1, width) @ tangent
+        np.testing.assert_allclose(exact, numeric, rtol=0, atol=1e-6)
