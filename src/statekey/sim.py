@@ -27,14 +27,26 @@ it: about count · n · max(|S|, |Ye|)^n multiply-adds, in chunks of codewords.
 
 Every operation is a pure function of (inputs, seed): replays are
 bit-identical, and each trial derives its own random stream from
-(seed, trial index).
+(seed, trial index).  A trial's stream only draws; it makes the same draws,
+in the same order, whatever the chunking:
+
+* no-discussion: ``random(n)`` for s^n, then ``integers(k)`` for the pick
+  among the k typical codewords (``integers(count)`` on the fallback), then
+  ``random(n)`` for x^n and ``random(n)`` for the channel;
+* one-round: ``random(3n)``, read as the uniforms of s^n, x^n and the
+  channel in that order.
+
+The trial loops run on chunks of trials: ``encode``, ``transmit``,
+``decode`` and the typicality kernel take a leading trial axis, and each
+chunk is sized so that its largest temporary stays near
+``_TRIAL_CHUNK_BYTES``.  Run memory therefore does not grow with the number
+of trials; only counters are kept across chunks.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import product
 
 import numpy as np
 
@@ -46,6 +58,9 @@ from .channel import (AuxiliaryEncoderPolicy, InputPolicy, StateChannel,
 MAX_CODEBOOK = 2 ** 20
 MAX_ENUM_ATOMS = 10 ** 8
 _KRON_CHUNK_BYTES = 8 * 2 ** 20
+# Several temporaries of a chunk's size are alive at once, so a budget much
+# above this raises resident memory without making the trial loops faster.
+_TRIAL_CHUNK_BYTES = 256 * 2 ** 10
 _TINY = np.finfo(float).tiny
 
 
@@ -130,16 +145,22 @@ class BinningCodebook:
 
 @dataclass(frozen=True)
 class EncodeResult:
-    index: int
-    u_seq: np.ndarray
-    x_seq: np.ndarray
+    """Per trial: the chosen codeword, the sampled input sequence, and
+    whether any codeword was typical (False: the pick is the uniform
+    fallback over the whole codebook)."""
+
+    index: np.ndarray       # (trials,)
+    x_seq: np.ndarray       # (trials, n)
+    typical: np.ndarray     # (trials,) bool
 
 
 @dataclass(frozen=True)
 class DecodeResult:
-    index: int
-    u_seq: np.ndarray
-    key: int
+    """Per trial: the decoded key and the most likely codeword in its bin;
+    both are -1 where decoding failed."""
+
+    index: np.ndarray       # (trials,)
+    key: np.ndarray         # (trials,)
 
 
 @dataclass(frozen=True)
@@ -164,26 +185,44 @@ def _rng_stream(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
 
 
+def _chunk_rows(row_bytes: int) -> int:
+    """Rows (trials or state sequences) per chunk: at least one, and few
+    enough that a temporary of ``row_bytes`` per row fits the budget."""
+    return max(1, _TRIAL_CHUNK_BYTES // max(1, row_bytes))
+
+
+def _sequences(alphabet: int, n: int, lo: int, hi: int) -> np.ndarray:
+    """Sequences lo, ..., hi - 1 of alphabet^n in lexicographic order (the
+    order of ``itertools.product``), shape (hi - lo, n)."""
+    powers = alphabet ** np.arange(n - 1, -1, -1)
+    return np.arange(lo, hi)[:, None] // powers % alphabet
+
+
 def _joint_counts_rows(rows: np.ndarray, fixed: np.ndarray, a_size: int,
                        b_size: int) -> np.ndarray:
-    """Per-row joint (a, b) cell counts of (rows[i, :], fixed)."""
-    m, _ = rows.shape
-    flat = rows * b_size + fixed[None, :]
-    offsets = (np.arange(m) * (a_size * b_size))[:, None]
-    counts = np.bincount((flat + offsets).ravel(),
-                         minlength=m * a_size * b_size)
-    return counts.reshape(m, a_size * b_size)
+    """Joint (a, b) cell counts of each rows[i] against each fixed[t].
+
+    ``rows`` is (m, n) and ``fixed`` is (trials, n); the result has shape
+    (trials, m, a_size * b_size).
+    """
+    cells = a_size * b_size
+    flat = rows[None, :, :] * b_size + fixed[:, None, :]
+    trials, m, _ = flat.shape
+    flat += (np.arange(trials * m) * cells).reshape(trials, m, 1)
+    counts = np.bincount(flat.ravel(), minlength=trials * m * cells)
+    return counts.reshape(trials, m, cells)
 
 
 def _typical_mask(counts: np.ndarray, pmf: np.ndarray, n: int,
                   eps: float) -> np.ndarray:
-    """Strong-typicality test per row of cell counts against a flattened pmf."""
+    """Strong-typicality test of cell counts (last axis) against a
+    flattened pmf; the leading axes are kept."""
     flat = pmf.ravel()
     emp = counts / n
-    ok = np.abs(emp - flat[None, :]).max(axis=1) <= eps + 1e-12
+    ok = np.abs(emp - flat).max(axis=-1) <= eps + 1e-12
     zero_cells = flat <= 0
     if zero_cells.any():
-        ok &= (counts[:, zero_cells] == 0).all(axis=1)
+        ok &= (counts[..., zero_cells] == 0).all(axis=-1)
     return ok
 
 
@@ -191,8 +230,8 @@ def is_jointly_typical(a_seq, b_seq, pmf: np.ndarray, eps: float) -> bool:
     """Strong joint typicality of one sequence pair against pmf[a, b]."""
     a_seq = np.asarray(a_seq, dtype=np.int64)
     b_seq = np.asarray(b_seq, dtype=np.int64)
-    counts = _joint_counts_rows(a_seq[None, :], b_seq, pmf.shape[0], pmf.shape[1])
-    return bool(_typical_mask(counts, pmf, len(a_seq), eps)[0])
+    counts = _joint_counts_rows(a_seq[None, :], b_seq[None, :], *pmf.shape)
+    return bool(_typical_mask(counts, pmf, len(a_seq), eps)[0, 0])
 
 
 def _joint_u_s(channel: StateChannel, policy: AuxiliaryEncoderPolicy) -> np.ndarray:
@@ -206,10 +245,16 @@ def _joint_u_yr(channel: StateChannel, policy: AuxiliaryEncoderPolicy) -> np.nda
                      policy.x_given_us, channel.receiver_kernel())
 
 
-def _sample_rows(cdf_rows: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """One categorical draw per row of cumulative pmfs."""
-    u = rng.random(cdf_rows.shape[0])
-    return (cdf_rows < u[:, None]).sum(axis=1)
+def _sample_rows(cdf: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """One categorical draw per uniform; cdf[..., :] is the cumulative pmf
+    it reads, broadcast against ``uniforms``."""
+    return (cdf < uniforms[..., None]).sum(axis=-1)
+
+
+def _kernel_cdf(channel: StateChannel) -> np.ndarray:
+    """cdf of the kernel over (yr, ye) pairs, shape (x, s, yr * ye)."""
+    return np.cumsum(channel.kernel.reshape(channel.x_size, channel.s_size, -1),
+                     axis=2)
 
 
 def build_codebook(channel: StateChannel, policy: AuxiliaryEncoderPolicy,
@@ -253,81 +298,92 @@ class _NoDiscTables:
     p_us: np.ndarray            # p(u, s), the encoder's typicality pmf
     x_cdf: np.ndarray           # cdf of p(x | u, s) over x, shape (u, s, x)
     log_yr_given_u: np.ndarray  # log p(yr | u), -inf where p(u, yr) = 0
-    state_cdf: np.ndarray       # state cdf, one row per symbol, shape (n, s)
+    state_cdf: np.ndarray       # cdf of p(s), shape (s,)
+    kernel_cdf: np.ndarray      # see _kernel_cdf
 
 
-def _no_disc_tables(channel: StateChannel, policy: AuxiliaryEncoderPolicy,
-                    n: int) -> _NoDiscTables:
+def _no_disc_tables(channel: StateChannel,
+                    policy: AuxiliaryEncoderPolicy) -> _NoDiscTables:
     joint = _joint_u_yr(channel, policy)
     p_u = np.maximum(joint.sum(axis=1, keepdims=True), _TINY)
     with np.errstate(divide="ignore"):
         log_yr_given_u = np.log(joint / p_u)
     return _NoDiscTables(_joint_u_s(channel, policy),
                          np.cumsum(policy.x_given_us, axis=2), log_yr_given_u,
-                         np.cumsum(channel.state_pmf)[None, :].repeat(n, axis=0))
+                         np.cumsum(channel.state_pmf), _kernel_cdf(channel))
 
 
-def encode(codebook: BinningCodebook, tables: _NoDiscTables, s_seq,
-           epsilon: float, rng: np.random.Generator) -> EncodeResult | None:
-    """Pick a codeword jointly typical with s_seq, then sample x per symbol.
+def encode(codebook: BinningCodebook, tables: _NoDiscTables, s_seqs,
+           epsilon: float, rngs: list[np.random.Generator]) -> EncodeResult:
+    """Per trial, pick a codeword jointly typical with s^n, then sample x^n.
 
-    The codeword is drawn uniformly from the typical candidates.  Returns
-    None when no codeword qualifies (an encode failure, counted by callers
-    rather than raised).
+    ``s_seqs`` is (trials, n) with one generator per trial.  The codeword
+    is drawn uniformly from the typical candidates; where none qualifies
+    (an encode failure, reported in ``typical`` and not raised) it is drawn
+    uniformly from the whole codebook.  Each generator draws its pick, then
+    the n uniforms of x^n.
     """
-    s_seq = np.asarray(s_seq, dtype=np.int64)
-    if s_seq.shape != (codebook.n,):
-        raise ValueError(f"s_seq must have length {codebook.n}")
-    counts = _joint_counts_rows(codebook.sequences, s_seq, *tables.p_us.shape)
+    s_seqs = np.asarray(s_seqs, dtype=np.int64)
+    if s_seqs.shape != (len(rngs), codebook.n):
+        raise ValueError(f"s_seqs must have shape ({len(rngs)}, {codebook.n})")
+    counts = _joint_counts_rows(codebook.sequences, s_seqs, *tables.p_us.shape)
     mask = _typical_mask(counts, tables.p_us, codebook.n, epsilon)
-    candidates = np.flatnonzero(mask)
-    if candidates.size == 0:
-        return None
-    index = int(candidates[rng.integers(candidates.size)])
-    u_seq = codebook.sequences[index]
-    return EncodeResult(index=index, u_seq=u_seq,
-                        x_seq=_sample_rows(tables.x_cdf[u_seq, s_seq], rng))
+    sizes = mask.sum(axis=1)
+    picks = np.empty(len(rngs), dtype=np.int64)
+    uniforms = np.empty(s_seqs.shape)
+    for t, rng in enumerate(rngs):
+        picks[t] = rng.integers(int(sizes[t]) or codebook.count)
+        uniforms[t] = rng.random(codebook.n)
+    typical = sizes > 0
+    # The pick-th typical codeword is where the running count passes pick.
+    nth = (mask.cumsum(axis=1) > picks[:, None]).argmax(axis=1)
+    index = np.where(typical, nth, picks)
+    x_seqs = _sample_rows(tables.x_cdf[codebook.sequences[index], s_seqs],
+                          uniforms)
+    return EncodeResult(index=index, x_seq=x_seqs, typical=typical)
 
 
 def decode(codebook: BinningCodebook, tables: _NoDiscTables,
-           yr_seq) -> DecodeResult | None:
-    """Maximum-likelihood key: the bin whose codewords best explain yr_seq.
+           yr_seqs) -> DecodeResult:
+    """Maximum-likelihood key per trial: the bin whose codewords best
+    explain the row of ``yr_seqs`` (shape (trials, n)).
 
     Each codeword u^n scores prod_i p(yr_i | u_i) under the single-letter law
-    p(u, yr); the scores are summed per bin and the bin with the largest sum
-    is the key.  ``index`` is the most likely codeword inside that bin.  A
-    tie for the top bin sum, or zero likelihood for every codeword, is a
-    decode failure (None).
+    p(u, yr); the scores are summed per bin, in codeword order, and the bin
+    with the largest sum is the key.  ``index`` is the most likely codeword
+    inside that bin.  A tie for the top bin sum, or zero likelihood for
+    every codeword, is a decode failure (key and index -1).
     """
-    yr_seq = np.asarray(yr_seq, dtype=np.int64)
-    if yr_seq.shape != (codebook.n,):
-        raise ValueError(f"yr_seq must have length {codebook.n}")
-    log_lik = tables.log_yr_given_u[codebook.sequences, yr_seq].sum(axis=1)
-    top = int(log_lik.argmax())
-    if log_lik[top] == -np.inf:
-        return None
-    scores = np.exp(log_lik - log_lik[top])
-    bin_sums = np.bincount(codebook.bin_of, weights=scores,
-                           minlength=codebook.num_bins)
-    key = int(bin_sums.argmax())
+    yr_seqs = np.asarray(yr_seqs, dtype=np.int64)
+    if yr_seqs.ndim != 2 or yr_seqs.shape[1] != codebook.n:
+        raise ValueError(f"yr_seqs must have shape (trials, {codebook.n})")
+    trials = len(yr_seqs)
+    log_lik = tables.log_yr_given_u[codebook.sequences[None, :, :],
+                                    yr_seqs[:, None, :]].sum(axis=2)
+    top = log_lik.max(axis=1)
+    live = top > -np.inf
+    scores = np.exp(log_lik - np.where(live, top, 0.0)[:, None])
+    bins = codebook.num_bins
+    offsets = (np.arange(trials) * bins)[:, None]
+    bin_sums = np.bincount((codebook.bin_of + offsets).ravel(),
+                           weights=scores.ravel(),
+                           minlength=trials * bins).reshape(trials, bins)
+    key = bin_sums.argmax(axis=1)
     # Sums that are equal in exact arithmetic may differ in the last bits
     # after rounding; a bin that close to the top is a tie, not a loss.
-    if np.count_nonzero(bin_sums >= bin_sums[key] * (1.0 - 1e-12)) > 1:
-        return None
-    if codebook.bin_of[top] != key:
-        in_bin = np.where(codebook.bin_of == key, log_lik, -np.inf)
-        top = int(in_bin.argmax())
-    return DecodeResult(index=top, u_seq=codebook.sequences[top], key=key)
+    best = bin_sums[np.arange(trials), key][:, None]
+    ok = live & (np.count_nonzero(bin_sums >= best * (1.0 - 1e-12), axis=1) == 1)
+    in_bin = np.where(codebook.bin_of == key[:, None], log_lik, -np.inf)
+    return DecodeResult(index=np.where(ok, in_bin.argmax(axis=1), -1),
+                        key=np.where(ok, key, -1))
 
 
-def transmit(channel: StateChannel, x_seq, s_seq,
-             rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Sample (yr, ye) per symbol from the memoryless kernel."""
-    x_seq = np.asarray(x_seq, dtype=np.int64)
-    s_seq = np.asarray(s_seq, dtype=np.int64)
-    flat = channel.kernel.reshape(channel.x_size, channel.s_size, -1)
-    cdf = np.cumsum(flat, axis=2)
-    pair = _sample_rows(cdf[x_seq, s_seq], rng)
+def transmit(channel: StateChannel, kernel_cdf: np.ndarray, x_seqs, s_seqs,
+             uniforms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sample (yr, ye) per symbol from the memoryless kernel, one uniform
+    per symbol; ``kernel_cdf`` is ``_kernel_cdf(channel)``.  Any leading
+    (trial) axes are kept."""
+    pair = _sample_rows(kernel_cdf[x_seqs, s_seqs], uniforms)
     return pair // channel.ye_size, pair % channel.ye_size
 
 
@@ -389,18 +445,34 @@ def exact_leakage(codebook: BinningCodebook, channel: StateChannel,
     p_us = _joint_u_s(channel, policy)
     p_ye_us = np.einsum("usx,xse->use", policy.x_given_us,   # x summed out
                         channel.eavesdropper_kernel())
-    weights = np.zeros((codebook.count, channel.s_size ** n))
+    states = channel.s_size ** n
+    weights = np.empty((codebook.count, states))
     log_ps = np.log(np.maximum(channel.state_pmf, 1e-300))
-    for j, s_tuple in enumerate(product(range(channel.s_size), repeat=n)):
-        s_seq = np.asarray(s_tuple, dtype=np.int64)
-        prob_s = float(np.exp(log_ps[s_seq].sum()))
-        counts = _joint_counts_rows(codebook.sequences, s_seq, *p_us.shape)
+    step = _chunk_rows(8 * codebook.count * max(n, p_us.size))
+    for lo in range(0, states, step):
+        s_seqs = _sequences(channel.s_size, n, lo, min(lo + step, states))
+        prob_s = np.exp(log_ps[s_seqs].sum(axis=1))
+        counts = _joint_counts_rows(codebook.sequences, s_seqs, *p_us.shape)
         mask = _typical_mask(counts, p_us, n, cfg.epsilon)
-        k = int(mask.sum())
-        weights[:, j] = prob_s * (mask / k if k else 1.0 / codebook.count)
+        k = mask.sum(axis=1, keepdims=True)
+        share = np.where(k > 0, mask / np.maximum(k, 1), 1.0 / codebook.count)
+        weights[:, lo:lo + len(s_seqs)] = (prob_s[:, None] * share).T
     table = np.zeros((codebook.num_bins, channel.ye_size ** n))
     _add_kron_rows(table, codebook.bin_of, weights, p_ye_us, codebook.sequences)
     return _leakage_bits(table, n)
+
+
+def _count_pairs(pairs: dict, keys: np.ndarray, ye_seqs: np.ndarray) -> None:
+    """Add a chunk's (key, ye^n) pairs to the counter ``pairs``.
+
+    New pairs enter in the order of their first trial, so the counter (and
+    the summation order of ``_plugin_mi_bits``) does not depend on chunking.
+    """
+    rows, first, freq = np.unique(np.column_stack([keys, ye_seqs]), axis=0,
+                                  return_index=True, return_counts=True)
+    for i in np.argsort(first):
+        pair = (int(rows[i, 0]), tuple(rows[i, 1:].tolist()))
+        pairs[pair] = pairs.get(pair, 0) + int(freq[i])
 
 
 def _plugin_mi_bits(pairs: dict, trials: int) -> float:
@@ -426,37 +498,40 @@ def run_no_discussion(channel: StateChannel, policy: AuxiliaryEncoderPolicy,
                       cfg: SimConfig) -> SimReport:
     """Monte Carlo episodes of {draw state, encode, transmit, decode}.
 
+    Trials run in chunks: the chunk's streams draw s^n, one batched
+    typicality test covers every (codeword, s^n) pair of the chunk, each
+    stream then draws its pick and the uniforms of x^n and of the channel,
+    and ``encode``, ``transmit`` and ``decode`` run on the whole chunk.
     Disagreement counts decode failures (tied bins, or no codeword with
     nonzero likelihood) as well as key mismatches.  Exact leakage is
     attached when the enumeration budget permits, otherwise a plug-in
     estimate is flagged.
     """
     codebook = build_codebook(channel, policy, cfg, _rng_stream(cfg.seed, 0))
-    tables = _no_disc_tables(channel, policy, cfg.n)
+    tables = _no_disc_tables(channel, policy)
+    n = cfg.n
     disagreements = 0
     encode_failures = 0
-    key_counts = np.zeros(codebook.num_bins)
+    key_counts = np.zeros(codebook.num_bins, dtype=np.int64)
     exact_ok = _leakage_budget(channel, codebook) <= MAX_ENUM_ATOMS
     pair_counts: dict = {}
-    for t in range(cfg.trials):
-        rng = _rng_stream(cfg.seed, 1, t)
-        s_seq = _sample_rows(tables.state_cdf, rng)
-        enc = encode(codebook, tables, s_seq, cfg.epsilon, rng)
-        if enc is None:
-            encode_failures += 1
-            index = int(rng.integers(codebook.count))
-            u_seq = codebook.sequences[index]
-            enc = EncodeResult(index=index, u_seq=u_seq, x_seq=_sample_rows(
-                tables.x_cdf[u_seq, s_seq], rng))
-        yr_seq, ye_seq = transmit(channel, enc.x_seq, s_seq, rng)
-        key = int(codebook.bin_of[enc.index])
-        key_counts[key] += 1
-        dec = decode(codebook, tables, yr_seq)
-        if dec is None or dec.key != key:
-            disagreements += 1
+    step = _chunk_rows(8 * max(codebook.count * max(n, tables.p_us.size),
+                               n * tables.kernel_cdf.shape[2]))
+    for lo in range(0, cfg.trials, step):
+        rngs = [_rng_stream(cfg.seed, 1, t)
+                for t in range(lo, min(lo + step, cfg.trials))]
+        s_seqs = _sample_rows(tables.state_cdf,
+                              np.array([rng.random(n) for rng in rngs]))
+        enc = encode(codebook, tables, s_seqs, cfg.epsilon, rngs)
+        yr_seqs, ye_seqs = transmit(channel, tables.kernel_cdf, enc.x_seq, s_seqs,
+                                    np.array([rng.random(n) for rng in rngs]))
+        keys = codebook.bin_of[enc.index]
+        key_counts += np.bincount(keys, minlength=codebook.num_bins)
+        encode_failures += int(np.count_nonzero(~enc.typical))
+        dec = decode(codebook, tables, yr_seqs)
+        disagreements += int(np.count_nonzero(dec.key != keys))
         if not exact_ok:
-            pair = (key, tuple(int(v) for v in ye_seq))
-            pair_counts[pair] = pair_counts.get(pair, 0) + 1
+            _count_pairs(pair_counts, keys, ye_seqs)
     if exact_ok:
         leakage = exact_leakage(codebook, channel, policy, cfg)
         method = "exact"
@@ -488,7 +563,7 @@ def _enumerate_sequences(alphabet: int, n: int) -> np.ndarray:
         raise BudgetError(
             f"enumerating {alphabet}^{n} output sequences exceeds the "
             f"{MAX_CODEBOOK} limit; reduce n")
-    return np.indices((alphabet,) * n).reshape(n, -1).T.astype(np.int64)
+    return _sequences(alphabet, n, 0, alphabet ** n)
 
 
 @dataclass(frozen=True)
@@ -501,6 +576,7 @@ class _OneRoundTables:
     num_bins: int
     num_subbins: int
     p_yr_xs: np.ndarray         # p(yr, (x, s)) single-letter
+    kernel_cdf: np.ndarray      # see _kernel_cdf
     key_rate_target: float
 
 
@@ -534,23 +610,25 @@ def _one_round_tables(channel: StateChannel, policy: InputPolicy,
                         channel.receiver_kernel()).reshape(channel.yr_size, -1)
     return _OneRoundTables(all_yr=all_yr, bin_of=bin_of, sub_of=sub_of,
                            num_bins=num_bins, num_subbins=num_subbins,
-                           p_yr_xs=p_yr_xs, key_rate_target=max(0.0, key_exponent))
+                           p_yr_xs=p_yr_xs, kernel_cdf=_kernel_cdf(channel),
+                           key_rate_target=max(0.0, key_exponent))
 
 
-def _reconstruct(tables: _OneRoundTables, channel: StateChannel,
-                 x_seq: np.ndarray, s_seq: np.ndarray, published_bin: int,
-                 epsilon: float) -> int | None:
-    """Unique member of the published bin jointly typical with (x, s)."""
-    members = np.flatnonzero(tables.bin_of == published_bin)
-    if members.size == 0:
-        return None
-    counts = _joint_counts_rows(tables.all_yr[members],
-                                x_seq * channel.s_size + s_seq, *tables.p_yr_xs.shape)
-    hits = np.flatnonzero(_typical_mask(counts, tables.p_yr_xs, len(x_seq),
-                                        epsilon))
-    if hits.size != 1:
-        return None
-    return int(members[hits[0]])
+def _reconstruct(tables: _OneRoundTables, xs_seqs: np.ndarray,
+                 published: np.ndarray, epsilon: float) -> np.ndarray:
+    """Per trial, the unique member of its published bin jointly typical
+    with its (x, s) pairs, coded x * |S| + s in ``xs_seqs`` (trials, n);
+    -1 where no member or several are.  Trials are grouped by bin."""
+    found = np.full(len(published), -1, dtype=np.int64)
+    for b in np.unique(published):
+        trials = np.flatnonzero(published == b)
+        members = np.flatnonzero(tables.bin_of == b)
+        counts = _joint_counts_rows(tables.all_yr[members], xs_seqs[trials],
+                                    *tables.p_yr_xs.shape)
+        hits = _typical_mask(counts, tables.p_yr_xs, xs_seqs.shape[1], epsilon)
+        unique = hits.sum(axis=1) == 1
+        found[trials[unique]] = members[hits[unique].argmax(axis=1)]
+    return found
 
 
 def one_round_exact_leakage(tables: _OneRoundTables, channel: StateChannel,
@@ -581,38 +659,41 @@ def run_one_round_discussion(channel: StateChannel, policy: InputPolicy,
     keeps its sub-bin index as the key; the sender reconstructs yr^n from
     (x^n, s^n, bin) by unique joint typicality and declares the reconstructed
     sub-bin.  Reconstruction failures count as disagreements and are reported
-    through ``encode_failure_rate``.
+    through ``encode_failure_rate``.  Trials run in chunks: each stream draws
+    its 3n uniforms, and the rest runs on the chunk, the reconstruction once
+    per published bin.
     """
     tables = _one_round_tables(channel, policy, cfg)
     n = cfg.n
-    state_cdf = np.cumsum(channel.state_pmf)[None, :].repeat(n, axis=0)
+    state_cdf = np.cumsum(channel.state_pmf)
     x_cdf = np.cumsum(policy.x_given_s, axis=1)
     powers = channel.yr_size ** np.arange(n - 1, -1, -1)
     disagreements = 0
     recon_failures = 0
-    unique_lookups = 0
     unique_correct = 0
-    key_counts = np.zeros(tables.num_subbins)
-    for t in range(cfg.trials):
-        rng = _rng_stream(cfg.seed, 1, t)
-        s_seq = _sample_rows(state_cdf, rng)
-        x_seq = _sample_rows(x_cdf[s_seq], rng)
-        yr_seq, _ = transmit(channel, x_seq, s_seq, rng)
-        yr_index = int((yr_seq * powers).sum())
-        published = int(tables.bin_of[yr_index])
-        receiver_key = int(tables.sub_of[yr_index])
-        key_counts[receiver_key] += 1
-        recon = _reconstruct(tables, channel, x_seq, s_seq, published,
-                             cfg.epsilon)
-        if recon is None:
-            recon_failures += 1
-            disagreements += 1
-            continue
-        unique_lookups += 1
-        if recon == yr_index:
-            unique_correct += 1
-        if int(tables.sub_of[recon]) != receiver_key:
-            disagreements += 1
+    key_counts = np.zeros(tables.num_subbins, dtype=np.int64)
+    largest_bin = int(np.bincount(tables.bin_of).max())
+    step = _chunk_rows(8 * max(largest_bin * max(n, tables.p_yr_xs.size),
+                               n * tables.kernel_cdf.shape[2]))
+    for lo in range(0, cfg.trials, step):
+        uniforms = np.array([_rng_stream(cfg.seed, 1, t).random(3 * n)
+                             for t in range(lo, min(lo + step, cfg.trials))])
+        s_seqs = _sample_rows(state_cdf, uniforms[:, :n])
+        x_seqs = _sample_rows(x_cdf[s_seqs], uniforms[:, n:2 * n])
+        yr_seqs, _ = transmit(channel, tables.kernel_cdf, x_seqs, s_seqs,
+                              uniforms[:, 2 * n:])
+        yr_index = yr_seqs @ powers
+        receiver_keys = tables.sub_of[yr_index]
+        key_counts += np.bincount(receiver_keys, minlength=tables.num_subbins)
+        recon = _reconstruct(tables, x_seqs * channel.s_size + s_seqs,
+                             tables.bin_of[yr_index], cfg.epsilon)
+        found = recon >= 0
+        recon_failures += int(np.count_nonzero(~found))
+        unique_correct += int(np.count_nonzero(recon == yr_index))
+        disagreements += int(np.count_nonzero(
+            tables.sub_of[recon[found]] != receiver_keys[found]))
+    disagreements += recon_failures
+    unique_lookups = cfg.trials - recon_failures
     leakage = one_round_exact_leakage(tables, channel, policy, cfg)
     achieved = _entropy(key_counts / cfg.trials) / n
     return SimReport(

@@ -1,6 +1,8 @@
 """Codebook construction, typicality coding, and exact leakage accounting."""
 
+import dataclasses
 import math
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -12,7 +14,8 @@ from statekey import (AuxiliaryEncoderPolicy, BinningCodebook, BudgetError,
                       build_codebook, decode, encode, exact_leakage,
                       run_no_discussion, run_one_round_discussion)
 from statekey.channel import mi_bits
-from statekey.sim import (_no_disc_tables, _one_round_tables, _rng_stream,
+from statekey.sim import (SimReport, _entropy, _no_disc_tables,
+                          _one_round_tables, _plugin_mi_bits, _rng_stream,
                           is_jointly_typical, one_round_exact_leakage,
                           transmit)
 from conftest import (bsc_matrix, copy_encoder_policy, degraded_binary_wiretap,
@@ -31,6 +34,14 @@ BENCH6 = SimConfig(n=6, epsilon=0.25, rate_margin=0.2, trials=200, seed=42)
 def two_state_copy_policy():
     """u = s deterministically, x uniform (binary state)."""
     return AuxiliaryEncoderPolicy(2, np.eye(2), np.full((2, 2, 2), 0.5))
+
+
+def state_echo_channel():
+    """yr = s whatever x is, and a constant ye."""
+    kernel = np.zeros((2, 2, 2, 2))
+    for s in range(2):
+        kernel[:, s, s, 0] = 1.0
+    return StateChannel.from_arrays([0.5, 0.5], kernel)
 
 
 def xor_policy():
@@ -79,6 +90,146 @@ def reference_one_round_leakage(tables, channel, policy, n):
         table[b, sub] += kron_law(m[yr_seq])
     key_vs_view = np.moveaxis(table, 1, 0).reshape(tables.num_subbins, -1)
     return float(mi_bits(key_vs_view / key_vs_view.sum())) / n
+
+
+def typical_rows(rows, fixed, pmf, eps):
+    """Strong typicality of each row of ``rows`` against one sequence, by
+    explicit one-hot cell counts."""
+    a_size, b_size = pmf.shape
+    counts = ((rows[:, :, None, None] == np.arange(a_size)[:, None])
+              & (fixed[:, None] == np.arange(b_size))[None, :, None]).sum(axis=1)
+    emp = counts / rows.shape[1]
+    return ((np.abs(emp - pmf) <= eps + 1e-12).all(axis=(1, 2))
+            & (counts[:, pmf <= 0] == 0).all(axis=1))
+
+
+def draw(cdf_rows, rng):
+    """One categorical draw per row of cumulative pmfs."""
+    return (cdf_rows < rng.random(len(cdf_rows))[:, None]).sum(axis=1)
+
+
+def reference_run_no_discussion(channel, policy, cfg, events):
+    """run_no_discussion one trial at a time; adds the branches taken to
+    ``events``."""
+    cb = build_codebook(channel, policy, cfg)
+    n = cfg.n
+    p_us = (channel.state_pmf[:, None] * policy.u_given_s).T
+    joint = np.einsum("us,usx,xsr->ur", p_us, policy.x_given_us,
+                      channel.receiver_kernel())
+    with np.errstate(divide="ignore"):
+        log_yr_given_u = np.log(joint / np.maximum(
+            joint.sum(axis=1, keepdims=True), np.finfo(float).tiny))
+    state_cdf = np.tile(np.cumsum(channel.state_pmf), (n, 1))
+    x_cdf = np.cumsum(policy.x_given_us, axis=2)
+    kernel_cdf = np.cumsum(channel.kernel.reshape(
+        channel.x_size, channel.s_size, -1), axis=2)
+    exact_ok = channel.s_size ** n * cb.count * channel.ye_size ** n \
+        <= sim_module.MAX_ENUM_ATOMS
+    key_counts = np.zeros(cb.num_bins)
+    disagreements = failures = 0
+    pairs = {}
+    for t in range(cfg.trials):
+        rng = _rng_stream(cfg.seed, 1, t)
+        s_seq = draw(state_cdf, rng)
+        candidates = np.flatnonzero(typical_rows(cb.sequences, s_seq, p_us,
+                                                 cfg.epsilon))
+        if candidates.size:
+            index = candidates[rng.integers(candidates.size)]
+        else:
+            events.add("encode fallback")
+            failures += 1
+            index = rng.integers(cb.count)
+        x_seq = draw(x_cdf[cb.sequences[index], s_seq], rng)
+        yr_seq, ye_seq = np.divmod(draw(kernel_cdf[x_seq, s_seq], rng),
+                                   channel.ye_size)
+        key = int(cb.bin_of[index])
+        key_counts[key] += 1
+        # Bin-wise maximum likelihood, bins summed in codeword order.
+        log_lik = log_yr_given_u[cb.sequences, yr_seq].sum(axis=1)
+        top = log_lik.max()
+        sums = np.zeros(cb.num_bins)
+        if top == -np.inf:
+            events.add("zero likelihood")
+        else:
+            for c in range(cb.count):
+                sums[cb.bin_of[c]] += np.exp(log_lik[c] - top)
+        best = sums.argmax()
+        tie = np.count_nonzero(sums >= sums[best] * (1.0 - 1e-12)) > 1
+        if tie and top > -np.inf:
+            events.add("decode tie")
+        if top == -np.inf or tie or best != key:
+            disagreements += 1
+        if not exact_ok:
+            events.add("estimate")
+            pair = (key, tuple(int(v) for v in ye_seq))
+            pairs[pair] = pairs.get(pair, 0) + 1
+    if exact_ok:
+        leakage, method = exact_leakage(cb, channel, policy, cfg), "exact"
+    else:
+        leakage, method = _plugin_mi_bits(pairs, cfg.trials) / n, "estimate"
+    return SimReport(
+        disagreement_prob=disagreements / cfg.trials,
+        leakage_bits_per_symbol=leakage,
+        achieved_key_rate=_entropy(key_counts / cfg.trials) / n,
+        encode_failure_rate=failures / cfg.trials, leakage_method=method,
+        diagnostics={"num_sequences": float(cb.count),
+                     "num_bins": float(cb.num_bins),
+                     "total_rate": cb.rates.total_rate,
+                     "key_rate": cb.rates.key_rate,
+                     "trials": float(cfg.trials)})
+
+
+def reference_run_one_round(channel, policy, cfg, events):
+    """run_one_round_discussion one trial at a time, with three separate
+    n-uniform draws per trial; adds the branches taken to ``events``."""
+    tables = _one_round_tables(channel, policy, cfg)
+    n = cfg.n
+    sizes = np.bincount(tables.bin_of, minlength=tables.num_bins + 1)
+    if (sizes[:tables.num_bins] == 0).any():
+        events.add("empty public bin")
+    state_cdf = np.tile(np.cumsum(channel.state_pmf), (n, 1))
+    x_cdf = np.cumsum(policy.x_given_s, axis=1)
+    kernel_cdf = np.cumsum(channel.kernel.reshape(
+        channel.x_size, channel.s_size, -1), axis=2)
+    powers = channel.yr_size ** np.arange(n - 1, -1, -1)
+    key_counts = np.zeros(tables.num_subbins)
+    disagreements = failures = correct = 0
+    for t in range(cfg.trials):
+        rng = _rng_stream(cfg.seed, 1, t)
+        s_seq = draw(state_cdf, rng)
+        x_seq = draw(x_cdf[s_seq], rng)
+        yr_seq = draw(kernel_cdf[x_seq, s_seq], rng) // channel.ye_size
+        yr_index = int((yr_seq * powers).sum())
+        published = tables.bin_of[yr_index]
+        if published == tables.num_bins:
+            events.add("overflow bin")
+        key = tables.sub_of[yr_index]
+        key_counts[key] += 1
+        members = np.flatnonzero(tables.bin_of == published)
+        hits = members[typical_rows(tables.all_yr[members],
+                                    x_seq * channel.s_size + s_seq,
+                                    tables.p_yr_xs, cfg.epsilon)]
+        if hits.size != 1:
+            failures += 1
+            disagreements += 1
+            continue
+        correct += int(hits[0] == yr_index)
+        disagreements += int(tables.sub_of[hits[0]] != key)
+    return SimReport(
+        disagreement_prob=disagreements / cfg.trials,
+        leakage_bits_per_symbol=one_round_exact_leakage(tables, channel,
+                                                        policy, cfg),
+        achieved_key_rate=_entropy(key_counts / cfg.trials) / n,
+        encode_failure_rate=failures / cfg.trials, leakage_method="exact",
+        diagnostics={
+            "reconstruction_failure_rate": failures / cfg.trials,
+            "reconstruction_success_rate": 1.0 - failures / cfg.trials,
+            "unique_lookups": float(cfg.trials - failures),
+            "unique_and_correct": float(correct),
+            "num_public_bins": float(tables.num_bins),
+            "num_subbins": float(tables.num_subbins),
+            "key_rate_target": tables.key_rate_target,
+            "trials": float(cfg.trials)})
 
 
 def random_leakage_case(seed, s_size, ye_size, n, singleton):
@@ -223,13 +374,7 @@ class TestTypicality:
 class TestEncode:
     def test_copy_encoder_tracks_state(self):
         # u = s policy with every state sequence present as a codeword.
-        kernel = np.zeros((2, 2, 2, 2))
-        kernel[:, :, :, 0] = 0.5
-        for x in range(2):
-            for s in range(2):
-                kernel[x, s, :, 0] = np.array([1.0, 0.0]) if s == 0 \
-                    else np.array([0.0, 1.0])
-        channel = StateChannel.from_arrays([0.5, 0.5], kernel)
+        channel = state_echo_channel()
         policy = two_state_copy_policy()
         n = 4
         seqs = np.array([[(code >> i) & 1 for i in range(n)]
@@ -240,11 +385,10 @@ class TestEncode:
         rng = _rng_stream(5, 9)
         # Epsilon beyond 0.5 makes the cell band vacuous, so only the
         # zero-cell rule binds and exactly u = s survives.
-        for _ in range(20):
-            s_seq = rng.integers(0, 2, size=n)
-            enc = encode(cb, _no_disc_tables(channel, policy, n), s_seq, 0.6, rng)
-            assert enc is not None
-            assert np.array_equal(enc.u_seq, s_seq)
+        s_seqs = rng.integers(0, 2, size=(20, n))
+        enc = encode(cb, _no_disc_tables(channel, policy), s_seqs, 0.6, [rng] * 20)
+        assert enc.typical.all()
+        assert np.array_equal(cb.sequences[enc.index], s_seqs)
 
     def test_empty_typical_set_returns_failure(self, degraded_channel):
         cb = BinningCodebook(sequences=np.zeros((3, 6), dtype=int),
@@ -253,18 +397,17 @@ class TestEncode:
                                                  math.log2(3) / 6, 0.0))
         rng = _rng_stream(1, 1)
         # All-zero codewords are never typical for a uniform u-marginal.
-        assert encode(cb, _no_disc_tables(degraded_channel, COPY_POLICY, 6),
-                      np.zeros(6, dtype=int), 0.25, rng) is None
+        enc = encode(cb, _no_disc_tables(degraded_channel, COPY_POLICY),
+                     np.zeros((1, 6), dtype=int), 0.25, [rng])
+        assert not enc.typical[0]
 
     def test_selection_uniform_over_candidates(self, degraded_channel):
         cb = build_codebook(degraded_channel, COPY_POLICY, BENCH6)
         rng = _rng_stream(2, 2)
-        picks = np.zeros(cb.count)
-        s_seq = np.zeros(6, dtype=int)
-        tables = _no_disc_tables(degraded_channel, COPY_POLICY, 6)
-        for _ in range(4000):
-            enc = encode(cb, tables, s_seq, 0.25, rng)
-            picks[enc.index] += 1
+        tables = _no_disc_tables(degraded_channel, COPY_POLICY)
+        enc = encode(cb, tables, np.zeros((4000, 6), dtype=int), 0.25, [rng] * 4000)
+        assert enc.typical.all()
+        picks = np.bincount(enc.index, minlength=cb.count)
         eligible = picks > 0
         assert eligible.sum() == 4
         assert picks[eligible].min() > 4000 / 4 * 0.8
@@ -277,15 +420,15 @@ class TestDecode:
         cb = build_codebook(channel, COPY_POLICY, cfg)
         assert np.unique(cb.sequences, axis=0).shape[0] == cb.count
         rng = _rng_stream(3, 3)
-        tables = _no_disc_tables(channel, COPY_POLICY, 6)
-        for _ in range(20):
-            s_seq = np.zeros(6, dtype=int)
-            enc = encode(cb, tables, s_seq, 0.5, rng)
-            yr_seq, _ = transmit(channel, enc.x_seq, s_seq, rng)
-            dec = decode(cb, tables, yr_seq)
-            assert dec is not None
-            assert dec.index == enc.index
-            assert dec.key == cb.bin_of[enc.index]
+        tables = _no_disc_tables(channel, COPY_POLICY)
+        s_seqs = np.zeros((20, 6), dtype=int)
+        enc = encode(cb, tables, s_seqs, 0.5, [rng] * 20)
+        yr_seqs, _ = transmit(channel, tables.kernel_cdf, enc.x_seq, s_seqs,
+                              rng.random((20, 6)))
+        dec = decode(cb, tables, yr_seqs)
+        assert (dec.key >= 0).all()
+        assert np.array_equal(dec.index, enc.index)
+        assert np.array_equal(dec.key, cb.bin_of[enc.index])
 
     def test_ambiguity_is_failure(self):
         channel = identity_channel()
@@ -294,9 +437,10 @@ class TestDecode:
                              num_bins=2,
                              rates=CodebookRates(0.25 * math.log2(3), 0.25,
                                                  0.25 * math.log2(3) - 0.25))
-        tables = _no_disc_tables(channel, COPY_POLICY, 4)
-        assert decode(cb, tables, np.array([0, 1, 0, 1])) is None
-        assert decode(cb, tables, np.array([1, 0, 1, 0])) is not None
+        tables = _no_disc_tables(channel, COPY_POLICY)
+        dec = decode(cb, tables, np.array([[0, 1, 0, 1], [1, 0, 1, 0]]))
+        assert dec.key[0] == dec.index[0] == -1
+        assert dec.key[1] == 0 and dec.index[1] == 2
 
     def test_key_is_the_bin_with_the_largest_likelihood_sum(self):
         # yr = BSC(0.3)(u).  For yr = 0000 the lone codeword 0000 scores
@@ -308,20 +452,19 @@ class TestDecode:
         cb = BinningCodebook(sequences=seqs, bin_of=np.array([0, 1, 1, 1]),
                              num_bins=2,
                              rates=CodebookRates(0.5, 0.25, 0.25))
-        dec = decode(cb, _no_disc_tables(channel, COPY_POLICY, 4),
-                     np.zeros(4, dtype=int))
-        assert dec is not None
-        assert dec.key == 1
-        assert dec.index in (1, 2, 3)
-        assert np.array_equal(dec.u_seq, seqs[dec.index])
+        dec = decode(cb, _no_disc_tables(channel, COPY_POLICY),
+                     np.zeros((1, 4), dtype=int))
+        assert dec.key[0] == 1
+        assert dec.index[0] in (1, 2, 3)
 
     def test_zero_likelihood_everywhere_is_failure(self):
         channel = identity_channel()
         seqs = np.array([[0, 0, 0, 0], [1, 1, 1, 1]])
         cb = BinningCodebook(sequences=seqs, bin_of=np.array([0, 1]),
                              num_bins=2, rates=CodebookRates(0.25, 0.25, 0.0))
-        assert decode(cb, _no_disc_tables(channel, COPY_POLICY, 4),
-                      np.array([0, 1, 0, 1])) is None
+        dec = decode(cb, _no_disc_tables(channel, COPY_POLICY),
+                     np.array([[0, 1, 0, 1]]))
+        assert dec.key[0] == dec.index[0] == -1
 
 
 class TestExactLeakage:
@@ -351,6 +494,14 @@ class TestExactLeakage:
         assert unbinned == pytest.approx(0.10197708716288477, abs=1e-9)
         assert binned < unbinned
         assert binned <= 0.15
+
+    def test_benchmark_value_is_pinned(self):
+        # The no-discussion benchmark configuration; frozen from the
+        # implementation that tested one state sequence at a time.
+        cfg = SimConfig(n=10, epsilon=0.15, rate_margin=0.2, trials=1, seed=42)
+        channel, policy = factorized_binary(), xor_policy()
+        cb = build_codebook(channel, policy, cfg)
+        assert exact_leakage(cb, channel, policy, cfg) == 0.05153055257201311
 
     def test_budget_guard(self):
         # |S| = |Ye| = 2 at n = 24 puts the enumeration far beyond the cap.
@@ -385,11 +536,13 @@ class TestExactLeakage:
                                                       cfg.n), abs=1e-12)
 
     def test_chunking_leaves_the_value_unchanged(self, monkeypatch):
-        # A budget of a few bytes puts every row in a chunk of its own.
+        # Budgets of a few bytes put every codeword row, and every state
+        # sequence of the typicality pass, in a chunk of its own.
         case = random_leakage_case(3, 3, 3, 4, False)
         one_round = random_one_round_case(0, 3, 5)
         whole = exact_leakage(*case), one_round_exact_leakage(*one_round)
         monkeypatch.setattr(sim_module, "_KRON_CHUNK_BYTES", 4)
+        monkeypatch.setattr(sim_module, "_TRIAL_CHUNK_BYTES", 4)
         assert (exact_leakage(*case), one_round_exact_leakage(*one_round)) == whole
 
     def test_enumeration_agrees_with_monte_carlo_estimate(self, degraded_channel,
@@ -474,6 +627,89 @@ class TestRunNoDiscussion:
         report = run_no_discussion(channel, copy_encoder_policy(s_size=2), cfg)
         assert report.leakage_method == "estimate"
         assert report.leakage_bits_per_symbol >= -1e-9
+
+
+def no_disc_grid():
+    """(channel, policy, config) cases for the no-discussion equivalence."""
+    rng = np.random.default_rng(5)
+    channel = random_channel(rng, 2, 3, 2, 2)
+    return [
+        # The encode fallback fires on 47 % of trials.
+        (factorized_binary(), xor_policy(),
+         SimConfig(n=6, epsilon=0.15, rate_margin=0.2, trials=300, seed=42)),
+        # A noiseless receiver: duplicate codewords in two bins tie, and a
+        # yr^n that is no codeword has zero likelihood everywhere; 256
+        # codewords put exact leakage over budget, so the plug-in estimate runs.
+        (factorized_binary(0.0, 0.3), xor_policy(),
+         SimConfig(n=10, epsilon=0.2, rate_margin=0.2, trials=200, seed=1)),
+        (degraded_binary_wiretap(), COPY_POLICY, BENCH6),
+        # u = s and yr = s: only the codeword s^n is typical, so a state
+        # sequence outside the codebook falls back to a codeword whose
+        # likelihood, and every other one's, is zero.
+        (state_echo_channel(), two_state_copy_policy(),
+         SimConfig(n=6, epsilon=0.3, rate_margin=0.4, trials=200, seed=4)),
+        (channel, random_aux_policy(rng, channel, u_size=2),
+         SimConfig(n=5, epsilon=0.3, rate_margin=0.02, trials=200, seed=3)),
+    ]
+
+
+def one_round_grid():
+    """(channel, policy, config) cases for the one-round equivalence."""
+    tables, channel, policy, cfg = random_one_round_case(1, 3, 4)
+    return [
+        # Most outputs are atypical and published as the overflow bin.
+        (factorized_binary(), uniform_input_policy(factorized_binary()),
+         SimConfig(n=6, epsilon=0.3, rate_margin=0.2, trials=300, seed=42)),
+        (factorized_binary(0.0, 0.3),
+         uniform_input_policy(factorized_binary(0.0, 0.3)),
+         SimConfig(n=8, epsilon=0.4, rate_margin=0.2, trials=300, seed=42)),
+        # No output sequence is typical: bin 0 stays empty.
+        (factorized_binary(), uniform_input_policy(factorized_binary()),
+         SimConfig(n=7, epsilon=0.01, rate_margin=0.2, trials=100, seed=3)),
+        (channel, policy, dataclasses.replace(cfg, trials=300)),
+    ]
+
+
+class TestBatchedTrialLoops:
+    @pytest.mark.parametrize("chunk_bytes", [None, 1],
+                             ids=["default-chunks", "one-trial-per-chunk"])
+    def test_reports_equal_the_one_trial_at_a_time_loops(self, chunk_bytes,
+                                                         monkeypatch):
+        if chunk_bytes is not None:
+            monkeypatch.setattr(sim_module, "_TRIAL_CHUNK_BYTES", chunk_bytes)
+        events = set()
+        for channel, policy, cfg in no_disc_grid():
+            assert run_no_discussion(channel, policy, cfg) == \
+                reference_run_no_discussion(channel, policy, cfg, events), cfg
+        for channel, policy, cfg in one_round_grid():
+            assert run_one_round_discussion(channel, policy, cfg) == \
+                reference_run_one_round(channel, policy, cfg, events), cfg
+        assert events == {"encode fallback", "decode tie", "zero likelihood",
+                          "estimate", "empty public bin", "overflow bin"}
+
+    @pytest.mark.parametrize("mode", ["no-disc", "one-round"])
+    def test_run_memory_does_not_grow_with_trials(self, mode):
+        # The benchmark configurations; the traced peak covers the codebook,
+        # the chunked trial loop and the exact leakage.
+        if mode == "no-disc":
+            channel, policy, run = factorized_binary(), xor_policy(), \
+                run_no_discussion
+            fields = dict(n=10, epsilon=0.15)
+        else:
+            channel = factorized_binary(0.0, 0.3)
+            policy, run = uniform_input_policy(channel), run_one_round_discussion
+            fields = dict(n=8, epsilon=0.4)
+        peaks = []
+        for trials in (1000, 20_000):
+            cfg = SimConfig(rate_margin=0.2, trials=trials, seed=42, **fields)
+            tracemalloc.start()
+            try:
+                run(channel, policy, cfg)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) < 4 * 2 ** 20
+        assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0]
 
 
 class TestOneRoundDiscussion:
