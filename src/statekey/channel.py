@@ -25,6 +25,8 @@ VARIABLES = ("U", "X", "S", "Yr", "Ye")
 
 # Construction-time mass tolerance; identity checks elsewhere use 1e-9.
 MASS_TOL = 1e-12
+# Smallest normal float64; a product of probabilities below it has lost bits.
+_NORMAL_MIN = np.finfo(float).tiny
 
 
 def _frozen_array(values, shape=None) -> np.ndarray:
@@ -134,12 +136,6 @@ class JointPmf:
         _check_pmf("joint pmf", probs)
         object.__setattr__(self, "axis_labels", labels)
         object.__setattr__(self, "probs", probs)
-
-    def axis_of(self, label: str) -> int:
-        try:
-            return self.axis_labels.index(label)
-        except ValueError:
-            raise ValueError(f"label {label!r} not among axes {self.axis_labels}") from None
 
 
 @dataclass(frozen=True)
@@ -269,12 +265,21 @@ def _check_groups(joint: JointPmf, *groups: Sequence[str]) -> None:
 
 
 def _log_ratio(joint: np.ndarray) -> np.ndarray:
-    """log2 p(a,b) / (p(a) p(b)) over the last two axes, 0 where p(a,b) = 0."""
+    """log2 p(a,b) / (p(a) p(b)) over the last two axes, 0 where p(a,b) = 0.
+
+    Where p(a) p(b) underflows below the smallest normal float (a cell of
+    subnormal mass), its logarithm is taken as log2 p(a) + log2 p(b).
+    """
     pa = joint.sum(axis=-1, keepdims=True)
     pb = joint.sum(axis=-2, keepdims=True)
     mask = joint > 0
+    product = pa * pb
+    split = mask & (product < _NORMAL_MIN)
     terms = np.log2(joint, out=np.zeros(joint.shape), where=mask)
-    terms -= np.log2(pa * pb, out=np.zeros(joint.shape), where=mask)
+    terms -= np.log2(product, out=np.zeros(joint.shape), where=mask & ~split)
+    if split.any():
+        terms[split] -= (np.log2(np.broadcast_to(pa, joint.shape)[split])
+                         + np.log2(np.broadcast_to(pb, joint.shape)[split]))
     return terms
 
 

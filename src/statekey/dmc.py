@@ -3,19 +3,16 @@
 Four bound evaluators plus a secret-message comparison bound.  The
 no-discussion lower bound and the secret-message bound search over auxiliary
 encoder policies (p(u|s), p(x|u,s)) with a seeded multi-start grid plus
-projected-gradient ascent on closed-form partials of the MI triple.  The
-search scores policies in batches: all seeds of a pass at once, then per
-iteration one gradient batch and one batch of step candidates that moves
-every row of every restart together.  The upper
-bounds maximize over direct input policies p(x|s) with a
-multiplicative-update ascent (the objective is concave in p(x|s)), and the
-discussion lower bound runs the same ascent on its closed-form scores.  The
-no-discussion upper bound also minimizes over output couplings with fixed
-marginals, where the objective is convex: it alternates the ascent with a
-Sinkhorn I-projection of the coupling until the pair stops improving.
-
-Optima are "best found" and deterministic for a fixed seed; the upper bounds
-report the Frank-Wolfe gap of their inner maximum as certificate_gap_bits.
+projected-gradient ascent on closed-form partials of the MI triple, scoring
+policies in batches; their optima are "best found" and deterministic for a
+fixed seed.  The upper bounds and the discussion lower bound maximize
+concave objectives over direct input policies p(x|s), each by one
+multiplicative-update ascent from the uniform policy.  The no-discussion
+upper bound also minimizes over output couplings with fixed marginals, where
+the objective is convex: it alternates the ascent with a Sinkhorn
+I-projection of the coupling until the pair stops improving.  The upper
+bounds report the Frank-Wolfe gap of their inner maximum as
+certificate_gap_bits; value plus gap is a proven bound.
 """
 
 from __future__ import annotations
@@ -41,6 +38,10 @@ _PENALTY_WEIGHT = 8.0
 
 COUPLING_TOL = 1e-10
 
+# Multiplicative-update ascent: iteration cap and the least accepted gain.
+_ASCENT_MAX_ITER = 4000
+_ASCENT_TOL = 1e-13
+
 # Alternating best-response rounds per start of the coupling upper bound.
 _COUPLING_ROUNDS = 200
 # Sinkhorn scaling: sweeps per coupling step and the marginal tolerance.
@@ -62,10 +63,11 @@ _STRUCTURED_SEEDS_MAX = 69
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Search-budget knobs shared by the bound evaluators.
+    """Search budget of the auxiliary-policy searches.
 
-    Every evaluator takes one, so all have the same call shape; the coupling
-    upper bound has no search budget and reads none of the fields.
+    Every evaluator takes one, so all have the same call shape, but only
+    ``lower_bound_no_discussion`` and ``secret_message_lower_bound`` read it;
+    the concave input-policy maximizations have no search budget.
 
     ``domain`` selects the auxiliary-policy search space: ``general_u``
     optimizes p(u|s) jointly with p(x|u,s); ``restricted_u`` ties the
@@ -124,9 +126,6 @@ class CouplingFamily:
                 f"(tolerance {COUPLING_TOL})")
         q.setflags(write=False)
         object.__setattr__(self, "q", q)
-
-    def as_channel(self) -> StateChannel:
-        return StateChannel.from_arrays(self.channel.state_pmf, self.q)
 
 
 @dataclass(frozen=True)
@@ -430,6 +429,8 @@ def _cmi_value_grad(p_xs: np.ndarray, state_pmf: np.ndarray,
 
     Returns (value_bits, d) where d[s, x] is the divergence score whose
     multiplicative update p(x|s) ~ p(x|s) * 2^d is the classic ascent step.
+    The value H(Yr|Ye) - H(Yr|X,S,Ye) is concave in p(x|s).  Inputs of zero
+    probability keep their partials, which the certificate needs.
     """
     mu = state_pmf[None, :, None, None] * p_xs.T[:, :, None, None] * q
     m = mu.sum(axis=(0, 1))                      # (yr, ye)
@@ -455,7 +456,7 @@ def _certificate_gap(p_xs: np.ndarray, state_pmf: np.ndarray,
     return max(0.0, float(state_pmf @ (d.max(axis=1) - (p_xs * d).sum(axis=1))))
 
 
-def _mult_ascend(value_grad, p0, max_iter=4000, tol=1e-13):
+def _mult_ascend(value_grad, p0):
     """Multiplicative-update ascent on row-stochastic p(x|s), with backtracking.
 
     The start is mixed with the uniform row so every coordinate keeps support
@@ -469,7 +470,7 @@ def _mult_ascend(value_grad, p0, max_iter=4000, tol=1e-13):
     value, grad = value_grad(p)
     eta = 1.0
     stall = 0
-    for _ in range(max_iter):
+    for _ in range(_ASCENT_MAX_ITER):
         moved = False
         while eta >= 1e-12:
             logp = np.log(np.maximum(p, 1e-300)) + eta * grad * LN2
@@ -477,7 +478,7 @@ def _mult_ascend(value_grad, p0, max_iter=4000, tol=1e-13):
             cand = np.exp(logp)
             cand /= cand.sum(axis=1, keepdims=True)
             cand_value, cand_grad = value_grad(cand)
-            if cand_value > value + tol:
+            if cand_value > value + _ASCENT_TOL:
                 gain = cand_value - value
                 p, value, grad = cand, cand_value, cand_grad
                 eta = min(eta * 1.5, 64.0)
@@ -496,7 +497,10 @@ def _disc_value_grad(p_xs: np.ndarray, state_pmf: np.ndarray,
                      kernel: np.ndarray) -> tuple[float, np.ndarray]:
     """I(X,S;Yr) - I(Yr;Ye) and its per-(x,s) ascent scores.
 
-    With w(x,s) = p(s) p(x|s), the partial derivative in w(x,s) is, up to a
+    The objective is H(Yr|Ye) - H(Yr|X,S), since H(Yr) cancels.  With
+    w(x,s) = p(s) p(x|s), H(Yr|Ye) is concave in the output law P(yr,ye),
+    which is linear in w, and H(Yr|X,S) is linear in w, so the objective is
+    concave in p(x|s).  The partial derivative in w(x,s) is, up to a
     constant, d[s, x] = D(p(yr|x,s) || P_Yr)
     - sum_{yr,ye} W(yr,ye|x,s) log2(P(yr,ye) / (P(yr) P(ye))).
     As in ``_cmi_value_grad``, the factor p(s) and per-row constants are
@@ -517,21 +521,9 @@ def _disc_value_grad(p_xs: np.ndarray, state_pmf: np.ndarray,
     return float(value), d.T
 
 
-def _input_policy_seeds(channel, cfg, rng):
-    s_size, x_size = channel.s_size, channel.x_size
-    seeds = [np.full((s_size, x_size), 1.0 / x_size)]
-    for _ in range(max(1, cfg.restarts - 1)):
-        seeds.append(rng.dirichlet(np.ones(x_size), size=s_size))
-    return seeds
-
-
-def _maximize_input(channel, value_grad, cfg, rng):
-    best_p, best_v = None, -np.inf
-    for seed in _input_policy_seeds(channel, cfg, rng):
-        p, v = _mult_ascend(value_grad, seed)
-        if v > best_v:
-            best_p, best_v = p, v
-    return best_p, best_v
+def _uniform_input(channel: StateChannel) -> np.ndarray:
+    """The uniform p(x|s), shape (s, x): the start of every input ascent."""
+    return np.full((channel.s_size, channel.x_size), 1.0 / channel.x_size)
 
 
 def upper_bound_discussion(channel: StateChannel,
@@ -540,16 +532,15 @@ def upper_bound_discussion(channel: StateChannel,
 
     No coupling minimization: with a discussion channel available the key
     capacity depends on the joint output law, not only its marginals.  The
-    objective is concave in p(x|s), so the ascent is globally convergent.
+    objective is concave in p(x|s), so one ascent from the uniform policy
+    solves it; ``certificate_gap_bits`` bounds how far short it stopped.
+    ``cfg`` is not read.
     """
-    rng = _rng_stream(cfg.seed, 23)
-
-    p, v = _maximize_input(channel, partial(
-        _cmi_value_grad, state_pmf=channel.state_pmf, q=channel.kernel), cfg, rng)
+    p, v = _mult_ascend(partial(_cmi_value_grad, state_pmf=channel.state_pmf,
+                                q=channel.kernel), _uniform_input(channel))
     gap = _certificate_gap(p, channel.state_pmf, channel.kernel)
     return BoundResult(value_bits=v, argmax_policy=InputPolicy(p),
-                       diagnostics={"restarts": float(cfg.restarts),
-                                    "certificate_gap_bits": gap})
+                       diagnostics={"certificate_gap_bits": gap})
 
 
 def lower_bound_discussion(channel: StateChannel, cfg: OptimizerConfig,
@@ -560,15 +551,15 @@ def lower_bound_discussion(channel: StateChannel, cfg: OptimizerConfig,
     Returns max(max_{p(x|s)} [I(X,S;Yr) - I(Ye;Yr)], no-discussion bound);
     diagnostics record which branch won (``discussion_branch`` is 1.0 when
     the one-round discussion expression attained the max, within 1e-12).
-    The first branch is a multiplicative ascent on the closed-form scores of
-    ``_disc_value_grad``.  ``no_discussion`` takes the result of
+    The first branch is concave in p(x|s) (see ``_disc_value_grad``) and is
+    solved by one multiplicative ascent from the uniform policy, which reads
+    nothing of ``cfg``.  ``no_discussion`` takes the result of
     ``lower_bound_no_discussion`` for the same channel and config when the
     caller already has it; otherwise that search runs here.
     """
-    rng = _rng_stream(cfg.seed, 24)
-    p, branch1 = _maximize_input(
-        channel, lambda p: _disc_value_grad(p, channel.state_pmf, channel.kernel),
-        cfg, rng)
+    p, branch1 = _mult_ascend(
+        partial(_disc_value_grad, state_pmf=channel.state_pmf,
+                kernel=channel.kernel), _uniform_input(channel))
     base = no_discussion if no_discussion is not None \
         else lower_bound_no_discussion(channel, cfg)
     # On a tie branch 1 wins.  Both values come from different summation
@@ -652,7 +643,7 @@ def upper_bound_no_discussion(channel: StateChannel,
     q_diag = np.stack([_maximal_cell(a, b) for a, b in zip(r, c)])
     q_prod = r[:, :, None] * c[:, None, :]
 
-    p = np.full((s_size, x_size), 1.0 / x_size)
+    p = _uniform_input(channel)
     best_v, best_q, best_p = np.inf, None, None
     solves = 0
     for cells in (q_diag, q_prod):

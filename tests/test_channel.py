@@ -9,6 +9,7 @@ from statekey import (AuxiliaryEncoderPolicy, InputPolicy, JointPmf,
                       StateChannel, augment_receiver,
                       conditional_mutual_information, induce_joint,
                       marginalize, mutual_information)
+from statekey.channel import mi_bits
 from conftest import (bsc_matrix, factorized_binary, random_aux_policy,
                       random_channel)
 
@@ -180,6 +181,11 @@ class TestMutualInformation:
         joint = JointPmf(("X", "Yr"), np.full((2, 2), 0.25))
         with pytest.raises(ValueError):
             mutual_information(joint, ["X"], ["X"])
+
+    def test_subnormal_cell_gives_a_finite_value(self):
+        # p(a) p(b) = 0.5 * 5e-324 underflows to 0 in float64.
+        value = mi_bits(np.array([[5e-324, 0.5], [0.0, 0.5]]))
+        assert np.isfinite(value) and 0.0 <= value <= 1e-300
 
     def test_symmetry(self):
         rng = np.random.default_rng(3)

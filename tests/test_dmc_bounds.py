@@ -13,7 +13,7 @@ from statekey import (AuxiliaryEncoderPolicy, BudgetError, CouplingFamily,
                       lower_bound_discussion, lower_bound_no_discussion,
                       mutual_information, secret_message_lower_bound,
                       upper_bound_discussion, upper_bound_no_discussion)
-from statekey.dmc import _cmi_value_grad, _mult_ascend
+from statekey.dmc import _certificate_gap, _cmi_value_grad, _mult_ascend
 from conftest import (bsc_matrix, constant_channel, degraded_binary_wiretap,
                       factorized_binary, identical_outputs_channel,
                       random_channel)
@@ -270,6 +270,24 @@ class TestCertificateGap:
                 value, _ = _cmi_value_grad(vertex, channel.state_pmf, q)
                 assert res.value_bits + gap >= value - 1e-13, (bound, xs)
 
+    def test_gap_at_every_vertex_bounds_every_vertex(self):
+        # At a deterministic p(x|s) every other input has probability 0, and
+        # the gap needs the partials of those inputs too: value + gap at any
+        # vertex bounds the value at every vertex.
+        for k in range(20):
+            channel = random_channel(np.random.default_rng(k), 2, 3, 2, 2)
+            product = np.einsum("xsr,xse->xsre", channel.receiver_kernel(),
+                                channel.eavesdropper_kernel())
+            vertices = [np.eye(channel.x_size)[list(xs)] for xs in
+                        itertools.product(range(channel.x_size),
+                                          repeat=channel.s_size)]
+            for q in (channel.kernel, product):
+                values = [_cmi_value_grad(v, channel.state_pmf, q)[0]
+                          for v in vertices]
+                for vertex, value in zip(vertices, values):
+                    gap = _certificate_gap(vertex, channel.state_pmf, q)
+                    assert value + gap >= max(values) - 1e-12, (k, vertex)
+
     def test_capacity_result_carries_the_gap(self):
         channel = factorized_binary(0.1, 0.25)
         cap = discussion_capacity_if_markov(channel, CFG)
@@ -295,6 +313,14 @@ class TestLowerBoundDiscussion:
         res = lower_bound_discussion(channel, CFG_SMALL)
         assert res.value_bits == pytest.approx(1 - h2(0.1), abs=1e-6)
         assert res.diagnostics["discussion_branch"] == 1.0
+
+    def test_subnormal_input_probability_gives_a_finite_bound(self):
+        # Branch 1's ascent drives p(x=1|s=1) down to 5e-324 on this channel,
+        # where p(a) p(b) underflows inside the MI kernel.
+        channel = random_channel(np.random.default_rng(1034), 2, 2, 2, 2)
+        low = lower_bound_discussion(channel, CFG)
+        assert math.isfinite(low.value_bits)
+        assert low.value_bits <= upper_bound_discussion(channel, CFG).value_bits
 
     def test_dominates_no_discussion_bound(self):
         rng = np.random.default_rng(57)
