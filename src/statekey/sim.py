@@ -26,9 +26,9 @@ applies each codeword's Kronecker product one mode at a time, never forming
 it: about count · n · max(|S|, |Ye|)^n multiply-adds, in chunks of codewords.
 
 Every operation is a pure function of (inputs, seed): replays are
-bit-identical, and each trial derives its own random stream from
-(seed, trial index).  A trial's stream only draws; it makes the same draws,
-in the same order, whatever the chunking:
+bit-identical, and trial t owns the random stream ``_rng_stream(seed, 1, t)``.
+A trial's stream only draws; it makes the same draws, in the same order,
+whatever the chunking:
 
 * no-discussion: ``random(n)`` for s^n, then ``integers(k)`` for the pick
   among the k typical codewords (``integers(count)`` on the fallback), then
@@ -36,15 +36,23 @@ in the same order, whatever the chunking:
 * one-round: ``random(3n)``, read as the uniforms of s^n, x^n and the
   channel in that order.
 
+No generator is built per trial.  ``TrialStreams`` reads the streams of a
+chunk of trials in lockstep from ``_trial_draws``, which computes their raw
+words bit for bit with integer arithmetic on arrays over the chunk; only a
+pick that Lemire's rejection rule refuses sends its trial back to
+``_rng_stream``.
+
 The trial loops run on chunks of trials: ``encode``, ``transmit``,
 ``decode`` and the typicality kernel take a leading trial axis, and each
-chunk is sized so that its largest temporary stays near
-``_TRIAL_CHUNK_BYTES``.  Run memory therefore does not grow with the number
+chunk is sized so that its largest temporary, the chunk's draws included,
+stays near ``_TRIAL_CHUNK_BYTES``.  Run memory therefore does not grow with the number
 of trials; only counters are kept across chunks.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -185,6 +193,187 @@ def _rng_stream(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
 
 
+# ---------------------------------------------------------------------------
+# the streams _rng_stream(seed, *key, t) of many trials at once
+# ---------------------------------------------------------------------------
+#
+# numpy's SeedSequence hashes its entropy words into a pool of four uint32
+# words and hashes the pool into the seed of PCG64, a 128-bit LCG whose
+# outputs are the XSL-RR permutation of its states (O'Neill, "PCG",
+# HMC-CS-2014-0905).  Only the trial index differs between the streams of a
+# run, so the pool is mixed once per (seed, key) and every trial's seed and
+# outputs are integer arithmetic on arrays over trials.
+
+_M32 = 0xFFFFFFFF
+_SS_INIT_A, _SS_MULT_A = 0x43B0D7E5, 0x931E8875
+_SS_INIT_B, _SS_MULT_B = 0x8B51F9DD, 0x58F38DED
+_SS_MIX_L, _SS_MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _words32(value: int) -> list[int]:
+    """SeedSequence's little-endian uint32 words of a nonnegative int."""
+    words = [value & _M32]
+    while value >> 32:
+        value >>= 32
+        words.append(value & _M32)
+    return words
+
+
+def _hash_constants(const: int, mult: int):
+    """The (constant, next constant) pairs of SeedSequence's hash, in order."""
+    while True:
+        nxt = const * mult & _M32
+        yield const, nxt
+        const = nxt
+
+
+def _hashmix(value, consts):
+    """SeedSequence's hashmix of uint32 words (ints or arrays)."""
+    const, mult = consts
+    value = (value ^ const) * mult & _M32
+    return value ^ value >> 16
+
+
+def _mix(x, y):
+    value = (_SS_MIX_L * x - _SS_MIX_R * y) & _M32
+    return value ^ value >> 16
+
+
+@functools.lru_cache(maxsize=16)
+def _seed_pool(seed: int, key: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """The pool of SeedSequence(seed, spawn_key=(*key, t)) before any word
+    of t is mixed in, and the hash constants, shape (2, 2, 4), with which
+    t's low and high words are mixed into it."""
+    words = _words32(seed)
+    # With a spawn key, SeedSequence pads the seed's words to the pool size.
+    entropy = words + [0] * (4 - len(words)) + [w for k in key for w in _words32(k)]
+    consts = _hash_constants(_SS_INIT_A, _SS_MULT_A)
+    pool = [_hashmix(w, next(consts)) for w in entropy[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], next(consts)))
+    for w in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = _mix(pool[dst], _hashmix(w, next(consts)))
+    t_consts = np.array([[next(consts) for _ in range(4)] for _ in range(2)],
+                        dtype=np.uint32).transpose(0, 2, 1)
+    pool = np.array(pool, dtype=np.uint32)
+    pool.setflags(write=False)
+    t_consts.setflags(write=False)
+    return pool, t_consts
+
+
+_STATE_CONSTS = np.array(list(itertools.islice(
+    _hash_constants(_SS_INIT_B, _SS_MULT_B), 8)), dtype=np.uint32).T
+
+
+@functools.lru_cache(maxsize=16)
+def _pcg_jumps(k: int) -> tuple[np.ndarray, ...]:
+    """(hi, lo) words of P_j and Q_j, j < k, such that the state behind
+    PCG64's j-th output is P_j * initstate + Q_j * inc (mod 2^128).
+
+    Seeding leaves the state A (initstate + inc) + inc, and each output
+    first steps it to A state + inc.
+    """
+    mod = 2 ** 128
+    p, q = _PCG_MULT, _PCG_MULT + 1
+    jumps = []
+    for _ in range(k):
+        p, q = p * _PCG_MULT % mod, (q * _PCG_MULT + 1) % mod
+        jumps.append((p >> 64, p & 2 ** 64 - 1, q >> 64, q & 2 ** 64 - 1))
+    out = np.array(jumps, dtype=np.uint64).T.copy()
+    out.setflags(write=False)
+    return tuple(out)
+
+
+def _mul128(a_hi, a_lo, b_hi, b_lo):
+    """(a * b) mod 2^128 on (hi, lo) uint64 words, broadcast."""
+    a1, a0 = a_lo >> 32, a_lo & _M32
+    b1, b0 = b_lo >> 32, b_lo & _M32
+    cross1, cross2 = a1 * b0, a0 * b1
+    carry = ((a0 * b0 >> 32) + (cross1 & _M32) + (cross2 & _M32)) >> 32
+    hi = a1 * b1 + (cross1 >> 32) + (cross2 >> 32) + carry \
+        + a_lo * b_hi + a_hi * b_lo
+    return hi, a_lo * b_lo
+
+
+def _trial_draws(seed: int, key: tuple, trials, k: int) -> np.ndarray:
+    """The first k raw 64-bit outputs of ``_rng_stream(seed, *key, t)`` for
+    each t in ``trials``, shape (len(trials), k), bit for bit."""
+    trials = np.asarray(trials, dtype=np.int64)
+    pool, t_consts = _seed_pool(seed, key)
+    pool = _mix(pool, _hashmix((trials & _M32).astype(np.uint32)[:, None],
+                               t_consts[0]))
+    high = trials >> 32            # a second word only where t >= 2^32
+    if high.any():
+        pool = np.where((high > 0)[:, None],
+                        _mix(pool, _hashmix(high.astype(np.uint32)[:, None],
+                                            t_consts[1])), pool)
+    state = _hashmix(pool[:, [0, 1, 2, 3, 0, 1, 2, 3]], _STATE_CONSTS)
+    seeds = state[:, 0::2].astype(np.uint64) | state[:, 1::2].astype(np.uint64) << 32
+    init_hi, init_lo, seq_hi, seq_lo = (seeds[:, i:i + 1] for i in range(4))
+    inc_hi, inc_lo = seq_hi << 1 | seq_lo >> 63, seq_lo << 1 | 1
+    p_hi, p_lo, q_hi, q_lo = _pcg_jumps(k)
+    hi, lo = _mul128(init_hi, init_lo, p_hi, p_lo)
+    inc_part_hi, inc_part_lo = _mul128(inc_hi, inc_lo, q_hi, q_lo)
+    lo += inc_part_lo
+    hi += inc_part_hi + (lo < inc_part_lo)
+    # XSL-RR: the xor of the halves, rotated right by the top six bits.
+    rot = hi >> 58
+    hi ^= lo
+    return hi >> rot | hi << ((64 - rot) & 63)
+
+
+class TrialStreams:
+    """The streams ``_rng_stream(seed, *key, t)`` of a chunk of trials, read
+    in lockstep, one row per trial.
+
+    ``random`` and ``integers`` make the draws of the Generator methods of
+    the same names, from ``width`` raw words per row drawn up front by
+    ``_trial_draws``.  A uniform is (w >> 11) 2^-53 of the next word w.
+    ``integers(k)`` is Lemire's bounded integer (ACM TOMACS 2019) on the low
+    32 bits of the next word, and draws nothing for k = 1.  The rare row whose
+    word Lemire's threshold rejects is redrawn by ``_rng_stream`` itself,
+    which then also supplies the row's later words.
+    """
+
+    def __init__(self, seed: int, key: tuple, trials, width: int):
+        self.seed, self.key = seed, key
+        self.trials = np.asarray(trials, dtype=np.int64)
+        self.words = _trial_draws(seed, key, self.trials, width)
+        self.pos = np.zeros(len(self.trials), dtype=np.int64)
+
+    def __len__(self) -> int:
+        return len(self.trials)
+
+    def random(self, n: int) -> np.ndarray:
+        """n uniforms in [0, 1) per row, shape (rows, n)."""
+        words = np.take_along_axis(self.words, self.pos[:, None] + np.arange(n),
+                                   axis=1)
+        self.pos += n
+        return (words >> 11) * 2.0 ** -53
+
+    def integers(self, bounds) -> np.ndarray:
+        """One integer in [0, bounds[r]) per row r."""
+        bounds = np.asarray(bounds, dtype=np.int64)
+        k = bounds.astype(np.uint64)
+        scaled = (self.words[np.arange(len(self)), self.pos] & _M32) * k
+        picks = (scaled >> 32).astype(np.int64)
+        # Past 2^32 the Generator draws 64-bit words; no simulator bound does.
+        redraw = (k > 2 ** 32) | ((scaled & _M32) < 2 ** 32 % k)
+        for r in np.flatnonzero(redraw):
+            rng = _rng_stream(self.seed, *self.key, int(self.trials[r]))
+            start = int(self.pos[r])
+            rng.bit_generator.random_raw(start)
+            picks[r] = rng.integers(bounds[r])
+            self.words[r, start + 1:] = rng.bit_generator.random_raw(
+                self.words.shape[1] - start - 1)
+        self.pos += bounds > 1
+        return picks
+
+
 def _chunk_rows(row_bytes: int) -> int:
     """Rows (trials or state sequences) per chunk: at least one, and few
     enough that a temporary of ``row_bytes`` per row fits the budget."""
@@ -314,26 +503,23 @@ def _no_disc_tables(channel: StateChannel,
 
 
 def encode(codebook: BinningCodebook, tables: _NoDiscTables, s_seqs,
-           epsilon: float, rngs: list[np.random.Generator]) -> EncodeResult:
+           epsilon: float, streams: TrialStreams) -> EncodeResult:
     """Per trial, pick a codeword jointly typical with s^n, then sample x^n.
 
-    ``s_seqs`` is (trials, n) with one generator per trial.  The codeword
-    is drawn uniformly from the typical candidates; where none qualifies
-    (an encode failure, reported in ``typical`` and not raised) it is drawn
-    uniformly from the whole codebook.  Each generator draws its pick, then
-    the n uniforms of x^n.
+    ``s_seqs`` is (trials, n), and row t of ``streams`` is trial t's stream.
+    The codeword is drawn uniformly from the typical candidates; where none
+    qualifies (an encode failure, reported in ``typical`` and not raised) it
+    is drawn uniformly from the whole codebook.  Each stream draws its pick,
+    then the n uniforms of x^n.
     """
     s_seqs = np.asarray(s_seqs, dtype=np.int64)
-    if s_seqs.shape != (len(rngs), codebook.n):
-        raise ValueError(f"s_seqs must have shape ({len(rngs)}, {codebook.n})")
+    if s_seqs.shape != (len(streams), codebook.n):
+        raise ValueError(f"s_seqs must have shape ({len(streams)}, {codebook.n})")
     counts = _joint_counts_rows(codebook.sequences, s_seqs, *tables.p_us.shape)
     mask = _typical_mask(counts, tables.p_us, codebook.n, epsilon)
     sizes = mask.sum(axis=1)
-    picks = np.empty(len(rngs), dtype=np.int64)
-    uniforms = np.empty(s_seqs.shape)
-    for t, rng in enumerate(rngs):
-        picks[t] = rng.integers(int(sizes[t]) or codebook.count)
-        uniforms[t] = rng.random(codebook.n)
+    picks = streams.integers(np.where(sizes > 0, sizes, codebook.count))
+    uniforms = streams.random(codebook.n)
     typical = sizes > 0
     # The pick-th typical codeword is where the running count passes pick.
     nth = (mask.cumsum(axis=1) > picks[:, None]).argmax(axis=1)
@@ -498,10 +684,11 @@ def run_no_discussion(channel: StateChannel, policy: AuxiliaryEncoderPolicy,
                       cfg: SimConfig) -> SimReport:
     """Monte Carlo episodes of {draw state, encode, transmit, decode}.
 
-    Trials run in chunks: the chunk's streams draw s^n, one batched
-    typicality test covers every (codeword, s^n) pair of the chunk, each
-    stream then draws its pick and the uniforms of x^n and of the channel,
-    and ``encode``, ``transmit`` and ``decode`` run on the whole chunk.
+    Trials run in chunks, each read through one ``TrialStreams``: the
+    chunk's streams draw s^n, one batched typicality test covers every
+    (codeword, s^n) pair of the chunk, each stream then draws its pick and
+    the uniforms of x^n and of the channel, and ``encode``, ``transmit`` and
+    ``decode`` run on the whole chunk.
     Disagreement counts decode failures (tied bins, or no codeword with
     nonzero likelihood) as well as key mismatches.  Exact leakage is
     attached when the enumeration budget permits, otherwise a plug-in
@@ -515,16 +702,16 @@ def run_no_discussion(channel: StateChannel, policy: AuxiliaryEncoderPolicy,
     key_counts = np.zeros(codebook.num_bins, dtype=np.int64)
     exact_ok = _leakage_budget(channel, codebook) <= MAX_ENUM_ATOMS
     pair_counts: dict = {}
+    width = 3 * n + 1               # s^n, the pick, x^n and the channel
     step = _chunk_rows(8 * max(codebook.count * max(n, tables.p_us.size),
-                               n * tables.kernel_cdf.shape[2]))
+                               n * tables.kernel_cdf.shape[2], width))
     for lo in range(0, cfg.trials, step):
-        rngs = [_rng_stream(cfg.seed, 1, t)
-                for t in range(lo, min(lo + step, cfg.trials))]
-        s_seqs = _sample_rows(tables.state_cdf,
-                              np.array([rng.random(n) for rng in rngs]))
-        enc = encode(codebook, tables, s_seqs, cfg.epsilon, rngs)
+        streams = TrialStreams(cfg.seed, (1,),
+                               np.arange(lo, min(lo + step, cfg.trials)), width)
+        s_seqs = _sample_rows(tables.state_cdf, streams.random(n))
+        enc = encode(codebook, tables, s_seqs, cfg.epsilon, streams)
         yr_seqs, ye_seqs = transmit(channel, tables.kernel_cdf, enc.x_seq, s_seqs,
-                                    np.array([rng.random(n) for rng in rngs]))
+                                    streams.random(n))
         keys = codebook.bin_of[enc.index]
         key_counts += np.bincount(keys, minlength=codebook.num_bins)
         encode_failures += int(np.count_nonzero(~enc.typical))
@@ -659,9 +846,9 @@ def run_one_round_discussion(channel: StateChannel, policy: InputPolicy,
     keeps its sub-bin index as the key; the sender reconstructs yr^n from
     (x^n, s^n, bin) by unique joint typicality and declares the reconstructed
     sub-bin.  Reconstruction failures count as disagreements and are reported
-    through ``encode_failure_rate``.  Trials run in chunks: each stream draws
-    its 3n uniforms, and the rest runs on the chunk, the reconstruction once
-    per published bin.
+    through ``encode_failure_rate``.  Trials run in chunks: one
+    ``TrialStreams`` draws the 3n uniforms of every trial of the chunk, and
+    the rest runs on the chunk, the reconstruction once per published bin.
     """
     tables = _one_round_tables(channel, policy, cfg)
     n = cfg.n
@@ -674,10 +861,11 @@ def run_one_round_discussion(channel: StateChannel, policy: InputPolicy,
     key_counts = np.zeros(tables.num_subbins, dtype=np.int64)
     largest_bin = int(np.bincount(tables.bin_of).max())
     step = _chunk_rows(8 * max(largest_bin * max(n, tables.p_yr_xs.size),
-                               n * tables.kernel_cdf.shape[2]))
+                               n * tables.kernel_cdf.shape[2], 3 * n))
     for lo in range(0, cfg.trials, step):
-        uniforms = np.array([_rng_stream(cfg.seed, 1, t).random(3 * n)
-                             for t in range(lo, min(lo + step, cfg.trials))])
+        uniforms = TrialStreams(cfg.seed, (1,),
+                                np.arange(lo, min(lo + step, cfg.trials)),
+                                3 * n).random(3 * n)
         s_seqs = _sample_rows(state_cdf, uniforms[:, :n])
         x_seqs = _sample_rows(x_cdf[s_seqs], uniforms[:, n:2 * n])
         yr_seqs, _ = transmit(channel, tables.kernel_cdf, x_seqs, s_seqs,

@@ -14,10 +14,10 @@ from statekey import (AuxiliaryEncoderPolicy, BinningCodebook, BudgetError,
                       build_codebook, decode, encode, exact_leakage,
                       run_no_discussion, run_one_round_discussion)
 from statekey.channel import mi_bits
-from statekey.sim import (SimReport, _entropy, _no_disc_tables,
+from statekey.sim import (SimReport, TrialStreams, _entropy, _no_disc_tables,
                           _one_round_tables, _plugin_mi_bits, _rng_stream,
-                          is_jointly_typical, one_round_exact_leakage,
-                          transmit)
+                          _trial_draws, is_jointly_typical,
+                          one_round_exact_leakage, transmit)
 from conftest import (bsc_matrix, copy_encoder_policy, degraded_binary_wiretap,
                       erasure_eavesdropper_channel, factorized_binary,
                       identity_channel, random_aux_policy, random_channel,
@@ -386,7 +386,8 @@ class TestEncode:
         # Epsilon beyond 0.5 makes the cell band vacuous, so only the
         # zero-cell rule binds and exactly u = s survives.
         s_seqs = rng.integers(0, 2, size=(20, n))
-        enc = encode(cb, _no_disc_tables(channel, policy), s_seqs, 0.6, [rng] * 20)
+        enc = encode(cb, _no_disc_tables(channel, policy), s_seqs, 0.6,
+                     TrialStreams(5, (9,), range(20), n + 1))
         assert enc.typical.all()
         assert np.array_equal(cb.sequences[enc.index], s_seqs)
 
@@ -395,17 +396,17 @@ class TestEncode:
                              bin_of=np.arange(3), num_bins=3,
                              rates=CodebookRates(math.log2(3) / 6,
                                                  math.log2(3) / 6, 0.0))
-        rng = _rng_stream(1, 1)
         # All-zero codewords are never typical for a uniform u-marginal.
         enc = encode(cb, _no_disc_tables(degraded_channel, COPY_POLICY),
-                     np.zeros((1, 6), dtype=int), 0.25, [rng])
+                     np.zeros((1, 6), dtype=int), 0.25,
+                     TrialStreams(1, (1,), [0], 7))
         assert not enc.typical[0]
 
     def test_selection_uniform_over_candidates(self, degraded_channel):
         cb = build_codebook(degraded_channel, COPY_POLICY, BENCH6)
-        rng = _rng_stream(2, 2)
         tables = _no_disc_tables(degraded_channel, COPY_POLICY)
-        enc = encode(cb, tables, np.zeros((4000, 6), dtype=int), 0.25, [rng] * 4000)
+        enc = encode(cb, tables, np.zeros((4000, 6), dtype=int), 0.25,
+                     TrialStreams(2, (2,), range(4000), 7))
         assert enc.typical.all()
         picks = np.bincount(enc.index, minlength=cb.count)
         eligible = picks > 0
@@ -422,7 +423,7 @@ class TestDecode:
         rng = _rng_stream(3, 3)
         tables = _no_disc_tables(channel, COPY_POLICY)
         s_seqs = np.zeros((20, 6), dtype=int)
-        enc = encode(cb, tables, s_seqs, 0.5, [rng] * 20)
+        enc = encode(cb, tables, s_seqs, 0.5, TrialStreams(3, (3,), range(20), 7))
         yr_seqs, _ = transmit(channel, tables.kernel_cdf, enc.x_seq, s_seqs,
                               rng.random((20, 6)))
         dec = decode(cb, tables, yr_seqs)
@@ -710,6 +711,55 @@ class TestBatchedTrialLoops:
                 tracemalloc.stop()
         assert max(peaks) < 4 * 2 ** 20
         assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0]
+
+
+# Seeds of one to three 32-bit words, and trial windows on both sides of
+# t = 2^32, where the trial index gains a second word.
+STREAM_SEEDS = [0, 1, 42, 2 ** 32 - 1, 2 ** 32 + 5, 2 ** 70 + 3]
+STREAM_WINDOWS = [(0, 700), (2 ** 32 - 3, 2 ** 32 + 3)]
+
+
+class TestTrialStreams:
+    @pytest.mark.parametrize("seed", STREAM_SEEDS)
+    @pytest.mark.parametrize("lo, hi", STREAM_WINDOWS)
+    def test_draws_equal_each_trials_generator(self, seed, lo, hi):
+        trials = np.arange(lo, hi)
+        expected = [_rng_stream(seed, 1, int(t)).bit_generator.random_raw(31)
+                    for t in trials]
+        assert np.array_equal(_trial_draws(seed, (1,), trials, 31), expected)
+
+    @pytest.mark.parametrize("seed", STREAM_SEEDS)
+    @pytest.mark.parametrize("lo, hi", STREAM_WINDOWS)
+    def test_integers_then_random_equal_the_generator(self, seed, lo, hi):
+        # k = 1 draws no word; 3 * 2^30 rejects about a quarter of its
+        # picks, which the trial's own generator then redraws.
+        trials = np.arange(lo, hi)
+        for k in (1, 2, 95, 2 ** 20 + 1, 3 * 2 ** 30):
+            streams = TrialStreams(seed, (1,), trials, 9)
+            picks = streams.integers(np.full(len(trials), k))
+            uniforms = streams.random(8)
+            for t, pick, row in zip(trials, picks, uniforms):
+                rng = _rng_stream(seed, 1, int(t))
+                assert pick == rng.integers(k), (k, t)
+                assert np.array_equal(row, rng.random(8)), (k, t)
+
+    @pytest.mark.parametrize("mode", ["no-disc", "one-round"])
+    def test_benchmark_runs_build_no_trial_generator(self, mode, monkeypatch):
+        # A trial's generator is only rebuilt for a pick that Lemire's rule
+        # rejects, with odds below codebook size / 2^32 per trial: none here.
+        calls = []
+        rng_stream = sim_module._rng_stream
+        monkeypatch.setattr(sim_module, "_rng_stream",
+                            lambda *key: calls.append(key) or rng_stream(*key))
+        if mode == "no-disc":
+            run_no_discussion(factorized_binary(), xor_policy(), SimConfig(
+                n=10, epsilon=0.15, rate_margin=0.2, trials=10_000, seed=42))
+        else:
+            channel = factorized_binary(0.0, 0.3)
+            run_one_round_discussion(channel, uniform_input_policy(channel),
+                                     SimConfig(n=8, epsilon=0.4, rate_margin=0.2,
+                                               trials=10_000, seed=42))
+        assert calls == [(42, 0)]
 
 
 class TestOneRoundDiscussion:
