@@ -15,13 +15,14 @@ Two modes are implemented at tiny block lengths:
 
 Typicality is the strong (empirical-count) kind: every cell of the joint
 empirical distribution must lie within ``epsilon`` of the model pmf, and
-cells with zero model probability must be unoccupied.  The encoder and the
-one-round reconstruction use it; reconstruction ambiguity counts as an
-error.  The no-discussion decoder is bin-wise maximum likelihood under the
-single-letter law p(yr | u): it reads no ``epsilon``, and a tie between bins
-counts as an error.  When the encoder finds no typical codeword it falls
-back to a uniformly random codeword (counted in ``encode_failure_rate``);
-the exact-leakage enumeration applies the same fallback law.  Exact leakage
+cells with zero model probability must be unoccupied.  ``_typical_pairs``
+tests it in batches for the encoder, the exact leakage, and the one-round
+bins and reconstruction, where ambiguity is an error.  The no-discussion
+decoder is bin-wise maximum likelihood under the single-letter law
+p(yr | u): it reads no ``epsilon``, and a tie between bins counts as an
+error.  When the encoder finds no typical codeword it falls back to a
+uniformly random codeword (counted in ``encode_failure_rate``); the
+exact-leakage enumeration applies the same fallback law.  Exact leakage
 applies each codeword's Kronecker product one mode at a time, never forming
 it: about count · n · max(|S|, |Ye|)^n multiply-adds, in chunks of codewords.
 
@@ -43,10 +44,12 @@ pick that Lemire's rejection rule refuses sends its trial back to
 ``_rng_stream``.
 
 The trial loops run on chunks of trials: ``encode``, ``transmit``,
-``decode`` and the typicality kernel take a leading trial axis, and each
-chunk is sized so that its largest temporary, the chunk's draws included,
-stays near ``_TRIAL_CHUNK_BYTES``.  Run memory therefore does not grow with the number
-of trials; only counters are kept across chunks.
+``decode`` and the typicality kernel take a leading trial axis.  A chunk's
+largest temporary stays near ``_TRIAL_CHUNK_BYTES``: the decoder's n floats
+per codeword, the channel's cdf rows, or the raw words and uniforms; the
+typicality kernel holds only 11 bytes per (trial, candidate) pair.  One-round
+reconstruction splits each public bin's trials to the same budget.  Run
+memory therefore does not grow with the number of trials.
 """
 
 from __future__ import annotations
@@ -387,40 +390,39 @@ def _sequences(alphabet: int, n: int, lo: int, hi: int) -> np.ndarray:
     return np.arange(lo, hi)[:, None] // powers % alphabet
 
 
-def _joint_counts_rows(rows: np.ndarray, fixed: np.ndarray, a_size: int,
-                       b_size: int) -> np.ndarray:
-    """Joint (a, b) cell counts of each rows[i] against each fixed[t].
-
-    ``rows`` is (m, n) and ``fixed`` is (trials, n); the result has shape
-    (trials, m, a_size * b_size).
-    """
-    cells = a_size * b_size
-    flat = rows[None, :, :] * b_size + fixed[:, None, :]
-    trials, m, _ = flat.shape
-    flat += (np.arange(trials * m) * cells).reshape(trials, m, 1)
-    counts = np.bincount(flat.ravel(), minlength=trials * m * cells)
-    return counts.reshape(trials, m, cells)
-
-
-def _typical_mask(counts: np.ndarray, pmf: np.ndarray, n: int,
-                  eps: float) -> np.ndarray:
-    """Strong-typicality test of cell counts (last axis) against a
-    flattened pmf; the leading axes are kept."""
+def _typical_pairs(rows: np.ndarray, fixed: np.ndarray, pmf: np.ndarray,
+                   eps: float) -> np.ndarray:
+    """(trials, m) strong typicality of each rows[i] (m, n) against each
+    fixed[t] (trials, n) under pmf[a, b]: a cell's count c passes if
+    |c / n - pmf| <= eps + 1e-12, and only c = 0 if pmf is 0.  Each cell thus
+    admits an interval [lo, hi] (empty if lo > hi), held against its counts,
+    which 0/1 float matrix products give exactly: 11 bytes per pair."""
+    n = rows.shape[1]
     flat = pmf.ravel()
-    emp = counts / n
-    ok = np.abs(emp - flat).max(axis=-1) <= eps + 1e-12
-    zero_cells = flat <= 0
-    if zero_cells.any():
-        ok &= (counts[..., zero_cells] == 0).all(axis=-1)
+    c = np.arange(n + 1)[:, None]
+    admitted = (np.abs(c / n - flat) <= eps + 1e-12) & ((flat > 0) | (c == 0))
+    lo = np.where(admitted.any(axis=0), admitted.argmax(axis=0), n + 1)
+    hi = n - admitted[::-1].argmax(axis=0)
+    # c / n - p is nondecreasing in c, so no admitted set has a gap.
+    assert (admitted.sum(axis=0) == np.maximum(hi - lo + 1, 0)).all()
+    ok = np.ones((len(fixed), len(rows)), dtype=bool)
+    for cell in np.flatnonzero((lo > 0) | (hi < n)):   # others admit any count
+        a, b = divmod(int(cell), pmf.shape[1])
+        counts = (fixed == b).astype(float) @ (rows == a).T.astype(float)
+        ok &= (counts >= lo[cell]) & (counts <= hi[cell])
     return ok
 
 
 def is_jointly_typical(a_seq, b_seq, pmf: np.ndarray, eps: float) -> bool:
-    """Strong joint typicality of one sequence pair against pmf[a, b]."""
-    a_seq = np.asarray(a_seq, dtype=np.int64)
-    b_seq = np.asarray(b_seq, dtype=np.int64)
-    counts = _joint_counts_rows(a_seq[None, :], b_seq[None, :], *pmf.shape)
-    return bool(_typical_mask(counts, pmf, len(a_seq), eps)[0, 0])
+    """Strong joint typicality against pmf[a, b] of two nonempty 1-D sequences
+    of equal length, with integer symbols inside pmf.shape (else ValueError)."""
+    seqs = np.asarray(a_seq), np.asarray(b_seq)
+    if seqs[0].ndim != 1 or seqs[0].shape != seqs[1].shape or not seqs[0].size:
+        raise ValueError("sequences must be nonempty, 1-D and of equal length")
+    for seq, size in zip(seqs, np.shape(pmf)):
+        if seq.dtype.kind not in "iu" or seq.min() < 0 or seq.max() >= size:
+            raise ValueError(f"symbols must be integers in [0, {size})")
+    return bool(_typical_pairs(seqs[0][None], seqs[1][None], pmf, eps)[0, 0])
 
 
 def _joint_u_s(channel: StateChannel, policy: AuxiliaryEncoderPolicy) -> np.ndarray:
@@ -515,8 +517,7 @@ def encode(codebook: BinningCodebook, tables: _NoDiscTables, s_seqs,
     s_seqs = np.asarray(s_seqs, dtype=np.int64)
     if s_seqs.shape != (len(streams), codebook.n):
         raise ValueError(f"s_seqs must have shape ({len(streams)}, {codebook.n})")
-    counts = _joint_counts_rows(codebook.sequences, s_seqs, *tables.p_us.shape)
-    mask = _typical_mask(counts, tables.p_us, codebook.n, epsilon)
+    mask = _typical_pairs(codebook.sequences, s_seqs, tables.p_us, epsilon)
     sizes = mask.sum(axis=1)
     picks = streams.integers(np.where(sizes > 0, sizes, codebook.count))
     uniforms = streams.random(codebook.n)
@@ -634,12 +635,11 @@ def exact_leakage(codebook: BinningCodebook, channel: StateChannel,
     states = channel.s_size ** n
     weights = np.empty((codebook.count, states))
     log_ps = np.log(np.maximum(channel.state_pmf, 1e-300))
-    step = _chunk_rows(8 * codebook.count * max(n, p_us.size))
+    step = _chunk_rows(8 * max(codebook.count, n))   # a float share per pair
     for lo in range(0, states, step):
         s_seqs = _sequences(channel.s_size, n, lo, min(lo + step, states))
         prob_s = np.exp(log_ps[s_seqs].sum(axis=1))
-        counts = _joint_counts_rows(codebook.sequences, s_seqs, *p_us.shape)
-        mask = _typical_mask(counts, p_us, n, cfg.epsilon)
+        mask = _typical_pairs(codebook.sequences, s_seqs, p_us, cfg.epsilon)
         k = mask.sum(axis=1, keepdims=True)
         share = np.where(k > 0, mask / np.maximum(k, 1), 1.0 / codebook.count)
         weights[:, lo:lo + len(s_seqs)] = (prob_s[:, None] * share).T
@@ -703,8 +703,8 @@ def run_no_discussion(channel: StateChannel, policy: AuxiliaryEncoderPolicy,
     exact_ok = _leakage_budget(channel, codebook) <= MAX_ENUM_ATOMS
     pair_counts: dict = {}
     width = 3 * n + 1               # s^n, the pick, x^n and the channel
-    step = _chunk_rows(8 * max(codebook.count * max(n, tables.p_us.size),
-                               n * tables.kernel_cdf.shape[2], width))
+    step = _chunk_rows(8 * max(codebook.count * n, n * tables.kernel_cdf.shape[2],
+                               width + n))
     for lo in range(0, cfg.trials, step):
         streams = TrialStreams(cfg.seed, (1,),
                                np.arange(lo, min(lo + step, cfg.trials)), width)
@@ -783,9 +783,8 @@ def _one_round_tables(channel: StateChannel, policy: InputPolicy,
         if key_exponent > 0 else 1
     all_yr = _enumerate_sequences(channel.yr_size, cfg.n)
     p_yr = joint.probs.sum(axis=(0, 1, 3))
-    counts = np.stack([(all_yr == v).sum(axis=1) for v in range(channel.yr_size)],
-                      axis=1)
-    typ_idx = np.flatnonzero(_typical_mask(counts, p_yr, n, cfg.epsilon))
+    typ_idx = np.flatnonzero(_typical_pairs(
+        all_yr, np.zeros((1, n), dtype=np.int64), p_yr[:, None], cfg.epsilon)[0])
     num_bins = min(num_bins, max(1, typ_idx.size))
     ranked = typ_idx[_rng_stream(cfg.seed, 0).permutation(typ_idx.size)]
     bin_of = np.full(all_yr.shape[0], num_bins, dtype=np.int64)   # overflow bin
@@ -805,16 +804,17 @@ def _reconstruct(tables: _OneRoundTables, xs_seqs: np.ndarray,
                  published: np.ndarray, epsilon: float) -> np.ndarray:
     """Per trial, the unique member of its published bin jointly typical
     with its (x, s) pairs, coded x * |S| + s in ``xs_seqs`` (trials, n);
-    -1 where no member or several are.  Trials are grouped by bin."""
+    -1 where no member or several are.  Trials go by bin, in budget pieces."""
     found = np.full(len(published), -1, dtype=np.int64)
     for b in np.unique(published):
-        trials = np.flatnonzero(published == b)
         members = np.flatnonzero(tables.bin_of == b)
-        counts = _joint_counts_rows(tables.all_yr[members], xs_seqs[trials],
-                                    *tables.p_yr_xs.shape)
-        hits = _typical_mask(counts, tables.p_yr_xs, xs_seqs.shape[1], epsilon)
-        unique = hits.sum(axis=1) == 1
-        found[trials[unique]] = members[hits[unique].argmax(axis=1)]
+        in_bin = np.flatnonzero(published == b)
+        step = _chunk_rows(11 * len(members))   # see _typical_pairs
+        for trials in np.split(in_bin, np.arange(step, len(in_bin), step)):
+            hits = _typical_pairs(tables.all_yr[members], xs_seqs[trials],
+                                  tables.p_yr_xs, epsilon)
+            unique = hits.sum(axis=1) == 1
+            found[trials[unique]] = members[hits[unique].argmax(axis=1)]
     return found
 
 
@@ -859,9 +859,8 @@ def run_one_round_discussion(channel: StateChannel, policy: InputPolicy,
     recon_failures = 0
     unique_correct = 0
     key_counts = np.zeros(tables.num_subbins, dtype=np.int64)
-    largest_bin = int(np.bincount(tables.bin_of).max())
-    step = _chunk_rows(8 * max(largest_bin * max(n, tables.p_yr_xs.size),
-                               n * tables.kernel_cdf.shape[2], 3 * n))
+    # 3n raw words and 3n uniforms per trial; _reconstruct splits its own.
+    step = _chunk_rows(8 * n * max(tables.kernel_cdf.shape[2], 6))
     for lo in range(0, cfg.trials, step):
         uniforms = TrialStreams(cfg.seed, (1,),
                                 np.arange(lo, min(lo + step, cfg.trials)),

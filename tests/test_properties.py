@@ -1,7 +1,7 @@
 """Property tests of the MI triple (I(U;Yr), I(U;Ye), I(U;S)) on one policy,
-of the closed-form partials of the auxiliary-policy search score, and of the
+of the closed-form partials of the auxiliary-policy search score, of the
 concavity in p(x|s) that lets each input-policy maximum be solved from one
-start.
+start, and of the simulator's batched strong-typicality kernel.
 
 Hypothesis draws small alphabets and a numpy seed for the channel and the
 policy; ``derandomize=True`` makes every run draw the same examples.
@@ -18,6 +18,7 @@ from statekey import (AuxiliaryEncoderPolicy, BoundResult, OptimizerConfig,
                       lower_bound_discussion)
 from statekey.channel import aux_mi_gradient, aux_mi_triple, policy_mi_triple
 from statekey.dmc import _cmi_value_grad, _disc_value_grad, _search_score
+from statekey.sim import _typical_pairs
 from conftest import random_aux_policy, random_channel
 
 PROPERTY = settings(derandomize=True, max_examples=100, deadline=None)
@@ -197,3 +198,51 @@ def test_discussion_branch_one_beats_every_vertex(sizes, seed):
     value = input_objectives(channel)[1]
     for xs in itertools.product(range(channel.x_size), repeat=channel.s_size):
         assert branch1 >= value(np.eye(channel.x_size)[list(xs)]) - 1e-12
+
+
+def typical_by_definition(rows, fixed, pmf, eps):
+    """Strong typicality of every (fixed[t], rows[i]) pair, one pair at a
+    time: each cell's count c must satisfy |c / n - pmf| <= eps (+1e-12),
+    and a cell of zero probability must be empty."""
+    n = rows.shape[1]
+    out = np.zeros((len(fixed), len(rows)), dtype=bool)
+    for t, b_seq in enumerate(fixed):
+        for i, a_seq in enumerate(rows):
+            counts = np.zeros(pmf.shape)
+            np.add.at(counts, (a_seq, b_seq), 1)
+            out[t, i] = bool((np.abs(counts / n - pmf) <= eps + 1e-12).all()
+                             and not counts[pmf <= 0].any())
+    return out
+
+
+@PROPERTY
+@given(st.integers(1, 3), st.integers(1, 4), st.integers(1, 12),
+       st.integers(0, 2**32 - 1), st.sampled_from(["boundary", "none", "any"]))
+def test_typical_pairs_match_the_count_definition(a_size, b_size, n, seed,
+                                                  eps_kind):
+    """``_typical_pairs`` against the per-pair definition, on pmfs with zero
+    cells.  ``boundary`` puts eps on |c / n - p| of one cell, up to
+    rounding, where a count one off the admitted interval decides; ``none``
+    leaves a positive cell no admitted count unless p is on the 1/n grid."""
+    rng = np.random.default_rng(seed)
+    pmf = rng.dirichlet(np.ones(a_size * b_size))
+    pmf[rng.random(pmf.size) < 0.3] = 0.0
+    if not pmf.any():
+        pmf[rng.integers(pmf.size)] = 1.0
+    if rng.random() < 0.5:      # a pmf on the count grid, whose bands touch
+        pmf = rng.multinomial(n, pmf / pmf.sum()) / n
+    pmf = (pmf / pmf.sum()).reshape(a_size, b_size)
+    # The first pair is drawn from pmf itself, so some pairs are typical.
+    pair = rng.choice(pmf.size, size=n, p=pmf.ravel())
+    rows = np.vstack([pair // b_size,
+                      rng.integers(0, a_size, size=(int(rng.integers(0, 6)), n))])
+    fixed = np.vstack([pair % b_size,
+                       rng.integers(0, b_size, size=(int(rng.integers(0, 6)), n))])
+    if eps_kind == "boundary":    # rounded unlike |c / n - p|: the slack decides
+        eps = abs(rng.integers(0, n + 1) - n * rng.choice(pmf.ravel())) / n
+    elif eps_kind == "none":
+        eps = 1e-13
+    else:
+        eps = rng.uniform(0.0, 0.6)
+    assert np.array_equal(_typical_pairs(rows, fixed, pmf, eps),
+                          typical_by_definition(rows, fixed, pmf, eps))

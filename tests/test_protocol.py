@@ -370,6 +370,26 @@ class TestTypicality:
         assert is_jointly_typical([0, 1, 0, 1], [0, 1, 0, 1], pmf, 0.3)
         assert not is_jointly_typical([0, 1, 0, 1], [0, 1, 0, 0], pmf, 0.3)
 
+    def test_unequal_lengths_are_rejected(self):
+        # A length-1 sequence used to broadcast against the other one.
+        pmf = np.full((2, 2), 0.25)
+        with pytest.raises(ValueError, match="equal length"):
+            is_jointly_typical([0, 1, 0, 1], [0], pmf, 0.3)
+
+    def test_sequences_that_are_not_one_dimensional_are_rejected(self):
+        pmf = np.full((2, 2), 0.25)
+        with pytest.raises(ValueError, match="1-D"):
+            is_jointly_typical([[0, 1], [0, 1]], [[0, 1], [1, 0]], pmf, 0.3)
+
+    def test_symbols_outside_the_alphabet_are_rejected(self):
+        # In a batch, symbol 2 of a binary alphabet would count in the cell
+        # of a neighbouring pair.
+        pmf = np.full((2, 2), 0.25)
+        for a_seq, b_seq in (([0, 2, 0, 1], [0, 1, 0, 1]),
+                             ([0, 1, 0, 1], [0, 1, -1, 1])):
+            with pytest.raises(ValueError, match=r"in \[0, 2\)"):
+                is_jointly_typical(a_seq, b_seq, pmf, 0.3)
+
 
 class TestEncode:
     def test_copy_encoder_tracks_state(self):
@@ -700,6 +720,10 @@ class TestBatchedTrialLoops:
             channel = factorized_binary(0.0, 0.3)
             policy, run = uniform_input_policy(channel), run_one_round_discussion
             fields = dict(n=8, epsilon=0.4)
+        # The first run in a process peaks at about twice a later one, so a
+        # warm-up run comes first and both traced runs are warm.
+        run(channel, policy, SimConfig(rate_margin=0.2, trials=1000, seed=42,
+                                       **fields))
         peaks = []
         for trials in (1000, 20_000):
             cfg = SimConfig(rate_margin=0.2, trials=trials, seed=42, **fields)
