@@ -371,7 +371,6 @@ class TestTypicality:
         assert not is_jointly_typical([0, 1, 0, 1], [0, 1, 0, 0], pmf, 0.3)
 
     def test_unequal_lengths_are_rejected(self):
-        # A length-1 sequence used to broadcast against the other one.
         pmf = np.full((2, 2), 0.25)
         with pytest.raises(ValueError, match="equal length"):
             is_jointly_typical([0, 1, 0, 1], [0], pmf, 0.3)
@@ -382,8 +381,6 @@ class TestTypicality:
             is_jointly_typical([[0, 1], [0, 1]], [[0, 1], [1, 0]], pmf, 0.3)
 
     def test_symbols_outside_the_alphabet_are_rejected(self):
-        # In a batch, symbol 2 of a binary alphabet would count in the cell
-        # of a neighbouring pair.
         pmf = np.full((2, 2), 0.25)
         for a_seq, b_seq in (([0, 2, 0, 1], [0, 1, 0, 1]),
                              ([0, 1, 0, 1], [0, 1, -1, 1])):
