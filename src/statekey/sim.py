@@ -25,6 +25,10 @@ uniformly random codeword (counted in ``encode_failure_rate``); the
 exact-leakage enumeration applies the same fallback law.  Exact leakage
 applies each codeword's Kronecker product one mode at a time, never forming
 it: about count · n · max(|S|, |Ye|)^n multiply-adds, in chunks of codewords.
+Leakage is always exact, in both modes.  A run whose leakage would take more
+than ``MAX_LEAKAGE_MULADDS`` multiply-adds, or hold more than
+``MAX_LEAKAGE_BYTES`` of weights and key × view table, raises
+``BudgetError`` before its first trial.
 
 Every operation is a pure function of (inputs, seed): replays are
 bit-identical, and trial t owns the random stream ``_rng_stream(seed, 1, t)``.
@@ -67,7 +71,10 @@ from .channel import (AuxiliaryEncoderPolicy, InputPolicy, StateChannel,
                       policy_mi_triple)
 
 MAX_CODEBOOK = 2 ** 20
-MAX_ENUM_ATOMS = 10 ** 8
+# The exact-leakage budget, shared by both modes.  The sim-nodisc
+# configuration at n = 18 needs 3.0e8 multiply-adds and 138 MiB.
+MAX_LEAKAGE_MULADDS = 2 ** 30
+MAX_LEAKAGE_BYTES = 192 * 2 ** 20
 _KRON_CHUNK_BYTES = 8 * 2 ** 20
 # Several temporaries of a chunk's size are alive at once, so a budget much
 # above this raises resident memory without making the trial loops faster.
@@ -178,8 +185,9 @@ class DecodeResult:
 class SimReport:
     """Aggregate outcome of a simulation run.
 
-    ``leakage_method`` is "exact" when leakage came from full enumeration and
-    "estimate" for the plug-in Monte Carlo estimator.  In one-round mode
+    ``leakage_method`` is always "exact": leakage is the exact mutual
+    information of the run's codebook or bins, never an estimate (a run over
+    the leakage budget raises ``BudgetError`` instead).  In one-round mode
     ``encode_failure_rate`` carries the sender-reconstruction failure rate
     (also present in diagnostics under an explicit name).
     """
@@ -574,17 +582,15 @@ def transmit(channel: StateChannel, kernel_cdf: np.ndarray, x_seqs, s_seqs,
     return pair // channel.ye_size, pair % channel.ye_size
 
 
-def _leakage_budget(channel: StateChannel, codebook: BinningCodebook) -> int:
-    return (channel.s_size ** codebook.n) * codebook.count \
-        * (channel.ye_size ** codebook.n)
-
-
-def _check_atoms(atoms: int, remedy: str) -> None:
-    """Refuse an exact-leakage enumeration of more than MAX_ENUM_ATOMS atoms."""
-    if atoms > MAX_ENUM_ATOMS:
+def _check_leakage_cost(rows: int, n: int, a: int, c: int, floats: int) -> None:
+    """Refuse an exact leakage over budget: ``_add_kron_rows`` over ``rows``
+    rows of n (a, c) factors takes about rows · n · max(a, c)^n multiply-adds,
+    and ``floats`` counts the weights and the key × view table it holds."""
+    muladds, held = rows * n * max(a, c) ** n, 8 * floats
+    if muladds > MAX_LEAKAGE_MULADDS or held > MAX_LEAKAGE_BYTES:
         raise BudgetError(
-            f"exact leakage enumeration needs {atoms} atoms "
-            f"(limit {MAX_ENUM_ATOMS}); {remedy}")
+            f"exact leakage needs {muladds} multiply-adds and {held} bytes "
+            f"(limits {MAX_LEAKAGE_MULADDS} and {MAX_LEAKAGE_BYTES}); reduce n")
 
 
 def _add_kron_rows(table: np.ndarray, rows: np.ndarray, v: np.ndarray,
@@ -622,16 +628,21 @@ def exact_leakage(codebook: BinningCodebook, channel: StateChannel,
     c adds v_c (M_c1 ⊗ ... ⊗ M_cn) to its bin, with v_c[s^n] = p(s^n) w(s^n, c)
     and M_ci[s, ye] = p(ye | u_ci, s), applied mode by mode in about
     count · n · max(|S|, |Ye|)^n multiply-adds, plus count · |S|^n floats
-    for v.  This is the module's ground-truth secrecy oracle.
+    for v.  This is the module's ground-truth secrecy oracle.  A constant
+    view (one ye symbol whatever x and s are) leaks nothing and costs
+    nothing; any other raises ``BudgetError`` over the leakage budget,
+    before any work.
     """
-    _check_atoms(_leakage_budget(channel, codebook),
-                 "reduce n or the codebook size")
-    if channel.ye_size == 1:   # a constant view; v alone could take 0.8 GB
+    p_ye_xs = channel.eavesdropper_kernel()
+    if np.count_nonzero(p_ye_xs.any(axis=(0, 1))) == 1:
         return 0.0
     n = codebook.n
+    _check_leakage_cost(codebook.count, n, channel.s_size, channel.ye_size,
+                        codebook.count * channel.s_size ** n
+                        + codebook.num_bins * channel.ye_size ** n)
     p_us = _joint_u_s(channel, policy)
     p_ye_us = np.einsum("usx,xse->use", policy.x_given_us,   # x summed out
-                        channel.eavesdropper_kernel())
+                        p_ye_xs)
     states = channel.s_size ** n
     weights = np.empty((codebook.count, states))
     log_ps = np.log(np.maximum(channel.state_pmf, 1e-300))
@@ -648,38 +659,6 @@ def exact_leakage(codebook: BinningCodebook, channel: StateChannel,
     return _leakage_bits(table, n)
 
 
-def _count_pairs(pairs: dict, keys: np.ndarray, ye_seqs: np.ndarray) -> None:
-    """Add a chunk's (key, ye^n) pairs to the counter ``pairs``.
-
-    New pairs enter in the order of their first trial, so the counter (and
-    the summation order of ``_plugin_mi_bits``) does not depend on chunking.
-    """
-    rows, first, freq = np.unique(np.column_stack([keys, ye_seqs]), axis=0,
-                                  return_index=True, return_counts=True)
-    for i in np.argsort(first):
-        pair = (int(rows[i, 0]), tuple(rows[i, 1:].tolist()))
-        pairs[pair] = pairs.get(pair, 0) + int(freq[i])
-
-
-def _plugin_mi_bits(pairs: dict, trials: int) -> float:
-    """Plug-in MI estimate in bits from (key, observation) pair counts.
-
-    Runs only when exact leakage is over budget, where a dense
-    (bins x |Ye|^n) table for ``mi_bits`` could not hold the counts.
-    """
-    keys = {}
-    obs = {}
-    for (k, y), c in pairs.items():
-        keys[k] = keys.get(k, 0) + c
-        obs[y] = obs.get(y, 0) + c
-    total = float(trials)
-    mi = 0.0
-    for (k, y), c in pairs.items():
-        p = c / total
-        mi += p * math.log2(p / ((keys[k] / total) * (obs[y] / total)))
-    return max(0.0, mi)
-
-
 def run_no_discussion(channel: StateChannel, policy: AuxiliaryEncoderPolicy,
                       cfg: SimConfig) -> SimReport:
     """Monte Carlo episodes of {draw state, encode, transmit, decode}.
@@ -691,17 +670,16 @@ def run_no_discussion(channel: StateChannel, policy: AuxiliaryEncoderPolicy,
     ``decode`` run on the whole chunk.
     Disagreement counts decode failures (tied bins, or no codeword with
     nonzero likelihood) as well as key mismatches.  Exact leakage is
-    attached when the enumeration budget permits, otherwise a plug-in
-    estimate is flagged.
+    computed right after the codebook, so a run over the leakage budget
+    raises ``BudgetError`` before its first trial.
     """
     codebook = build_codebook(channel, policy, cfg, _rng_stream(cfg.seed, 0))
+    leakage = exact_leakage(codebook, channel, policy, cfg)
     tables = _no_disc_tables(channel, policy)
     n = cfg.n
     disagreements = 0
     encode_failures = 0
     key_counts = np.zeros(codebook.num_bins, dtype=np.int64)
-    exact_ok = _leakage_budget(channel, codebook) <= MAX_ENUM_ATOMS
-    pair_counts: dict = {}
     width = 3 * n + 1               # s^n, the pick, x^n and the channel
     step = _chunk_rows(8 * max(codebook.count * n, n * tables.kernel_cdf.shape[2],
                                width + n))
@@ -710,28 +688,20 @@ def run_no_discussion(channel: StateChannel, policy: AuxiliaryEncoderPolicy,
                                np.arange(lo, min(lo + step, cfg.trials)), width)
         s_seqs = _sample_rows(tables.state_cdf, streams.random(n))
         enc = encode(codebook, tables, s_seqs, cfg.epsilon, streams)
-        yr_seqs, ye_seqs = transmit(channel, tables.kernel_cdf, enc.x_seq, s_seqs,
-                                    streams.random(n))
+        yr_seqs, _ = transmit(channel, tables.kernel_cdf, enc.x_seq, s_seqs,
+                              streams.random(n))
         keys = codebook.bin_of[enc.index]
         key_counts += np.bincount(keys, minlength=codebook.num_bins)
         encode_failures += int(np.count_nonzero(~enc.typical))
         dec = decode(codebook, tables, yr_seqs)
         disagreements += int(np.count_nonzero(dec.key != keys))
-        if not exact_ok:
-            _count_pairs(pair_counts, keys, ye_seqs)
-    if exact_ok:
-        leakage = exact_leakage(codebook, channel, policy, cfg)
-        method = "exact"
-    else:
-        leakage = _plugin_mi_bits(pair_counts, cfg.trials) / cfg.n
-        method = "estimate"
     achieved = _entropy(key_counts / cfg.trials) / cfg.n
     return SimReport(
         disagreement_prob=disagreements / cfg.trials,
         leakage_bits_per_symbol=leakage,
         achieved_key_rate=achieved,
         encode_failure_rate=encode_failures / cfg.trials,
-        leakage_method=method,
+        leakage_method="exact",
         diagnostics={
             "num_sequences": float(codebook.count),
             "num_bins": float(codebook.num_bins),
@@ -769,8 +739,6 @@ class _OneRoundTables:
 
 def _one_round_tables(channel: StateChannel, policy: InputPolicy,
                       cfg: SimConfig) -> _OneRoundTables:
-    # Fail before any enumeration: a one-round run always attaches exact leakage.
-    _check_atoms((channel.yr_size ** cfg.n) * (channel.ye_size ** cfg.n), "reduce n")
     joint = induce_input_joint(channel, policy)
     h_yr_given_xs = (entropy_bits(joint, ["X", "S", "Yr"])
                      - entropy_bits(joint, ["X", "S"]))
@@ -781,6 +749,11 @@ def _one_round_tables(channel: StateChannel, policy: InputPolicy,
     key_exponent = i_xs - i_e - cfg.rate_margin
     num_subbins = max(1, math.ceil(2.0 ** (n * key_exponent))) \
         if key_exponent > 0 else 1
+    # Fail before any enumeration, on at most this many bins: the rows of
+    # one_round_exact_leakage are the |Yr|^n sequences, with one weight each.
+    outputs = channel.yr_size ** n
+    _check_leakage_cost(outputs, n, 1, channel.ye_size, outputs + num_subbins
+                        * (min(num_bins, outputs) + 1) * channel.ye_size ** n)
     all_yr = _enumerate_sequences(channel.yr_size, cfg.n)
     p_yr = joint.probs.sum(axis=(0, 1, 3))
     typ_idx = np.flatnonzero(_typical_pairs(
@@ -823,8 +796,8 @@ def one_round_exact_leakage(tables: _OneRoundTables, channel: StateChannel,
     """Exact I(K; Ye^n, public bin) / n for the one-round scheme.
 
     Uses the factorization of (Yr^n, Ye^n) into an i.i.d. per-symbol joint
-    (x and s are marginalized per symbol), so the enumeration cost is
-    |Yr|^n * |Ye|^n atoms, which ``_one_round_tables`` has checked.
+    (x and s are marginalized per symbol), so the mode products run over the
+    |Yr|^n output sequences, a cost ``_one_round_tables`` has checked.
     """
     n = cfg.n
     m = np.einsum("s,sx,xsre->re", channel.state_pmf, policy.x_given_s,

@@ -94,6 +94,14 @@ class TestExitCodes:
         assert rc == 3
         assert "budget" in capsys.readouterr().err.lower()
 
+    def test_leakage_budget_exit_code(self, degraded_file, capsys):
+        # A codebook well under its cap whose exact leakage at n = 24 needs
+        # far more multiply-adds than the leakage budget allows.
+        rc = main(["simulate", degraded_file, "--n", "24", "--trials", "1"])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "budget" in err.lower() and "multiply-adds" in err
+
     def test_search_budget_exit_code(self, tmp_path, capsys):
         path = tmp_path / "large.json"
         save_channel(random_channel(np.random.default_rng(0), 16, 16, 2, 2),

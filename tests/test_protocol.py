@@ -15,7 +15,7 @@ from statekey import (AuxiliaryEncoderPolicy, BinningCodebook, BudgetError,
                       run_no_discussion, run_one_round_discussion)
 from statekey.channel import mi_bits
 from statekey.sim import (SimReport, TrialStreams, _entropy, _no_disc_tables,
-                          _one_round_tables, _plugin_mi_bits, _rng_stream,
+                          _one_round_tables, _rng_stream, _sample_rows,
                           _trial_draws, is_jointly_typical,
                           one_round_exact_leakage, transmit)
 from conftest import (bsc_matrix, copy_encoder_policy, degraded_binary_wiretap,
@@ -123,11 +123,8 @@ def reference_run_no_discussion(channel, policy, cfg, events):
     x_cdf = np.cumsum(policy.x_given_us, axis=2)
     kernel_cdf = np.cumsum(channel.kernel.reshape(
         channel.x_size, channel.s_size, -1), axis=2)
-    exact_ok = channel.s_size ** n * cb.count * channel.ye_size ** n \
-        <= sim_module.MAX_ENUM_ATOMS
     key_counts = np.zeros(cb.num_bins)
     disagreements = failures = 0
-    pairs = {}
     for t in range(cfg.trials):
         rng = _rng_stream(cfg.seed, 1, t)
         s_seq = draw(state_cdf, rng)
@@ -140,8 +137,7 @@ def reference_run_no_discussion(channel, policy, cfg, events):
             failures += 1
             index = rng.integers(cb.count)
         x_seq = draw(x_cdf[cb.sequences[index], s_seq], rng)
-        yr_seq, ye_seq = np.divmod(draw(kernel_cdf[x_seq, s_seq], rng),
-                                   channel.ye_size)
+        yr_seq = draw(kernel_cdf[x_seq, s_seq], rng) // channel.ye_size
         key = int(cb.bin_of[index])
         key_counts[key] += 1
         # Bin-wise maximum likelihood, bins summed in codeword order.
@@ -159,19 +155,11 @@ def reference_run_no_discussion(channel, policy, cfg, events):
             events.add("decode tie")
         if top == -np.inf or tie or best != key:
             disagreements += 1
-        if not exact_ok:
-            events.add("estimate")
-            pair = (key, tuple(int(v) for v in ye_seq))
-            pairs[pair] = pairs.get(pair, 0) + 1
-    if exact_ok:
-        leakage, method = exact_leakage(cb, channel, policy, cfg), "exact"
-    else:
-        leakage, method = _plugin_mi_bits(pairs, cfg.trials) / n, "estimate"
     return SimReport(
         disagreement_prob=disagreements / cfg.trials,
-        leakage_bits_per_symbol=leakage,
+        leakage_bits_per_symbol=exact_leakage(cb, channel, policy, cfg),
         achieved_key_rate=_entropy(key_counts / cfg.trials) / n,
-        encode_failure_rate=failures / cfg.trials, leakage_method=method,
+        encode_failure_rate=failures / cfg.trials, leakage_method="exact",
         diagnostics={"num_sequences": float(cb.count),
                      "num_bins": float(cb.num_bins),
                      "total_rate": cb.rates.total_rate,
@@ -527,7 +515,7 @@ class TestExactLeakage:
         policy = copy_encoder_policy(s_size=2)
         big = SimConfig(n=24, epsilon=0.25, rate_margin=0.9, trials=1, seed=0)
         cb = build_codebook(channel, policy, big)
-        with pytest.raises(BudgetError, match="atoms"):
+        with pytest.raises(BudgetError, match="multiply-adds"):
             exact_leakage(cb, channel, policy, big)
 
     def test_leakage_never_exceeds_key_entropy(self, degraded_channel):
@@ -563,21 +551,28 @@ class TestExactLeakage:
         monkeypatch.setattr(sim_module, "_TRIAL_CHUNK_BYTES", 4)
         assert (exact_leakage(*case), one_round_exact_leakage(*one_round)) == whole
 
-    def test_enumeration_agrees_with_monte_carlo_estimate(self, degraded_channel,
-                                                          monkeypatch):
+    def test_enumeration_agrees_with_monte_carlo_estimate(self, degraded_channel):
         # Dual route: the exact enumeration must agree with the plug-in
-        # estimate from simulated (key, eavesdropper-sequence) pairs, up to
-        # Monte Carlo noise and the known upward plug-in bias of roughly
+        # estimate from (key, eavesdropper-sequence) pairs that the
+        # simulator's own streams, encoder and channel sample, up to Monte
+        # Carlo noise and the known upward plug-in bias of roughly
         # (|K|-1)(|Ye|^n - 1) / (2 N ln 2) bits.
         cfg = SimConfig(n=6, epsilon=0.25, rate_margin=0.2, trials=20_000,
                         seed=42)
-        policy = COPY_POLICY
-        cb = build_codebook(degraded_channel, policy, cfg)
-        exact = exact_leakage(cb, degraded_channel, policy, cfg) * cfg.n
-        monkeypatch.setattr(sim_module, "MAX_ENUM_ATOMS", 0)
-        report = run_no_discussion(degraded_channel, policy, cfg)
-        assert report.leakage_method == "estimate"
-        estimate = report.leakage_bits_per_symbol * cfg.n
+        channel, policy = degraded_channel, COPY_POLICY
+        cb = build_codebook(channel, policy, cfg)
+        exact = exact_leakage(cb, channel, policy, cfg) * cfg.n
+        tables = _no_disc_tables(channel, policy)
+        streams = TrialStreams(cfg.seed, (1,), np.arange(cfg.trials),
+                               3 * cfg.n + 1)
+        s_seqs = _sample_rows(tables.state_cdf, streams.random(cfg.n))
+        enc = encode(cb, tables, s_seqs, cfg.epsilon, streams)
+        _, ye_seqs = transmit(channel, tables.kernel_cdf, enc.x_seq, s_seqs,
+                              streams.random(cfg.n))
+        pairs = np.zeros((cb.num_bins, channel.ye_size ** cfg.n))
+        np.add.at(pairs, (cb.bin_of[enc.index],
+                          ye_seqs @ channel.ye_size ** np.arange(cfg.n)), 1)
+        estimate = float(mi_bits(pairs / cfg.trials))
         bias = (cb.num_bins - 1) * (2 ** cfg.n - 1) / (2 * cfg.trials * math.log(2))
         assert abs(estimate - exact - bias) <= 0.03
 
@@ -639,12 +634,35 @@ class TestRunNoDiscussion:
         run_no_discussion(factorized_binary(), xor_policy(), cfg)
         assert len(calls) == 1
 
-    def test_estimate_path_flags_method(self):
-        channel = factorized_binary(0.1, 0.25)
-        cfg = SimConfig(n=16, epsilon=0.5, rate_margin=0.6, trials=300, seed=4)
-        report = run_no_discussion(channel, copy_encoder_policy(s_size=2), cfg)
-        assert report.leakage_method == "estimate"
-        assert report.leakage_bits_per_symbol >= -1e-9
+    def test_leakage_is_exact_at_block_length_twelve(self):
+        # The no-discussion benchmark configuration at n = 12.  The value
+        # agrees with reference_exact_leakage's explicit Kronecker
+        # enumeration, which takes about 17 s and so is not run here.
+        cfg = SimConfig(n=12, epsilon=0.15, rate_margin=0.2, trials=100,
+                        seed=42)
+        report = run_no_discussion(factorized_binary(), xor_policy(), cfg)
+        assert report.leakage_method == "exact"
+        assert report.leakage_bits_per_symbol == pytest.approx(
+            0.06882454762541708, abs=1e-12)
+
+    def test_constant_view_leaks_nothing_at_any_size(self):
+        # Eve sees a constant, so I(K; Ye^n) = 0 without any enumeration,
+        # however large |S|^n times the codebook grows.
+        cfg = SimConfig(n=16, epsilon=0.3, rate_margin=0.4, trials=200, seed=4)
+        report = run_no_discussion(state_echo_channel(),
+                                   two_state_copy_policy(), cfg)
+        assert report.leakage_bits_per_symbol == 0.0
+        assert report.leakage_method == "exact"
+
+    def test_over_budget_run_fails_before_its_trials(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(sim_module, "MAX_LEAKAGE_MULADDS", 0)
+        monkeypatch.setattr(sim_module, "encode",
+                            lambda *args: calls.append(args))
+        cfg = SimConfig(n=6, epsilon=0.15, rate_margin=0.2, trials=50, seed=42)
+        with pytest.raises(BudgetError, match="multiply-adds"):
+            run_no_discussion(factorized_binary(), xor_policy(), cfg)
+        assert calls == []
 
 
 def no_disc_grid():
@@ -656,8 +674,8 @@ def no_disc_grid():
         (factorized_binary(), xor_policy(),
          SimConfig(n=6, epsilon=0.15, rate_margin=0.2, trials=300, seed=42)),
         # A noiseless receiver: duplicate codewords in two bins tie, and a
-        # yr^n that is no codeword has zero likelihood everywhere; 256
-        # codewords put exact leakage over budget, so the plug-in estimate runs.
+        # yr^n that is no codeword has zero likelihood everywhere; the
+        # leakage of its 256 codewords at n = 10 is exact, like every other.
         (factorized_binary(0.0, 0.3), xor_policy(),
          SimConfig(n=10, epsilon=0.2, rate_margin=0.2, trials=200, seed=1)),
         (degraded_binary_wiretap(), COPY_POLICY, BENCH6),
@@ -703,7 +721,7 @@ class TestBatchedTrialLoops:
             assert run_one_round_discussion(channel, policy, cfg) == \
                 reference_run_one_round(channel, policy, cfg, events), cfg
         assert events == {"encode fallback", "decode tie", "zero likelihood",
-                          "estimate", "empty public bin", "overflow bin"}
+                          "empty public bin", "overflow bin"}
 
     @pytest.mark.parametrize("mode", ["no-disc", "one-round"])
     def test_run_memory_does_not_grow_with_trials(self, mode):
