@@ -18,9 +18,9 @@ from .channel import (AuxiliaryEncoderPolicy, InputPolicy, JointPmf,
                       mutual_information)
 from .dmc import (BoundResult, CouplingFamily, OptimizerConfig,
                   aux_policy_rate, discussion_capacity_if_markov,
-                  lower_bound_discussion, lower_bound_no_discussion,
-                  secret_message_lower_bound, upper_bound_discussion,
-                  upper_bound_no_discussion)
+                  evaluate_bounds, lower_bound_discussion,
+                  lower_bound_no_discussion, secret_message_lower_bound,
+                  upper_bound_discussion, upper_bound_no_discussion)
 from .gaussian import (AuxRateResult, GapReport, GaussianAuxParams,
                        GaussianParams, capacity_discussion, gap_analysis,
                        lb_no_discussion, rate_aux_surface, rho_star,

@@ -9,7 +9,9 @@ a pure function of immutable inputs.
 All information quantities are in bits (base-2 logarithms).  The kernel
 ``mi_bits`` and the triple (I(U;Yr), I(U;Ye), I(U;S)) of auxiliary policies
 (``aux_mi_triple``, and ``policy_mi_triple`` for one) are the package's only
-implementations of mutual information; every other MI is computed by them.
+implementations of mutual information; every other MI is computed by them,
+except the concave input-policy objectives of ``dmc``, which one kernel
+evaluates as entropy differences together with their partials.
 ``aux_mi_gradient`` takes the partials of the triple from the same joint
 tables and log ratios.
 """
@@ -276,7 +278,11 @@ def _log_ratio(joint: np.ndarray) -> np.ndarray:
     product = pa * pb
     split = mask & (product < _NORMAL_MIN)
     terms = np.log2(joint, out=np.zeros(joint.shape), where=mask)
-    terms -= np.log2(product, out=np.zeros(joint.shape), where=mask & ~split)
+    # In place: besides ``joint`` only ``terms`` and ``product`` are float
+    # arrays of its size, which bounds the exact-leakage memory.
+    mask &= ~split
+    np.subtract(terms, np.log2(product, out=product, where=mask), out=terms,
+                where=mask)
     if split.any():
         terms[split] -= (np.log2(np.broadcast_to(pa, joint.shape)[split])
                          + np.log2(np.broadcast_to(pb, joint.shape)[split]))

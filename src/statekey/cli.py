@@ -146,41 +146,27 @@ def cmd_bounds_dmc(args) -> int:
         u_size_max=args.u_size, restarts=args.restarts,
         grid_resolution=args.grid, seed=args.seed,
         domain={"restricted": "restricted_u", "general": "general_u"}[args.domain])
-    out = sys.stdout
     print(f"channel: {args.channel} "
           f"(|X|={channel.x_size} |S|={channel.s_size} "
-          f"|Yr|={channel.yr_size} |Ye|={channel.ye_size})", file=out)
+          f"|Yr|={channel.yr_size} |Ye|={channel.ye_size})")
 
-    results = {}
-    lb = dmc.lower_bound_no_discussion(channel, cfg)
-    results["lower_bound_no_discussion"] = lb
-    msg = dmc.secret_message_lower_bound(channel, cfg)
-    results["secret_message_lower_bound"] = msg
-    ub = dmc.upper_bound_no_discussion(channel, cfg)
-    results["upper_bound_no_discussion"] = ub
-    lbd = dmc.lower_bound_discussion(channel, cfg, no_discussion=lb)
-    results["lower_bound_discussion"] = lbd
-    ubd = dmc.upper_bound_discussion(channel, cfg)
-    results["upper_bound_discussion"] = ubd
-    cap = dmc.discussion_capacity_if_markov(channel, cfg, upper=ubd)
-
+    results = dmc.evaluate_bounds(channel, cfg)
+    cap = results.pop("discussion_capacity")
     for name, res in results.items():
-        print(f"{name}_bits = {_fmt(res.value_bits)}", file=out)
+        print(f"{name}_bits = {_fmt(res.value_bits)}")
         if res.constraint_slack_bits is not None:
-            print(f"  constraint_slack_bits = {_fmt(res.constraint_slack_bits)}",
-                  file=out)
+            print(f"  constraint_slack_bits = {_fmt(res.constraint_slack_bits)}")
         for key in sorted(res.diagnostics):
-            print(f"  {key} = {_fmt(res.diagnostics[key])}", file=out)
+            print(f"  {key} = {_fmt(res.diagnostics[key])}")
         for key, value in _policy_payload(res.argmax_policy).items():
-            print(f"  argmax {key} = {json.dumps(value)}", file=out)
+            print(f"  argmax {key} = {json.dumps(value)}")
     if cap is None:
         print("discussion_capacity: not applicable "
-              "(kernel does not factorize into independent output noises)",
-              file=out)
+              "(kernel does not factorize into independent output noises)")
     else:
         print(f"discussion_capacity_bits = {_fmt(cap.value_bits)} "
               "[capacity: receiver and eavesdropper noises are independent "
-              "given input and state]", file=out)
+              "given input and state]")
 
     if args.out:
         payload = {"channel": args.channel}

@@ -1,18 +1,20 @@
 """Numerical secret-key bounds for finite state-controlled wiretap channels.
 
-Four bound evaluators plus a secret-message comparison bound.  The
-no-discussion lower bound and the secret-message bound search over auxiliary
-encoder policies (p(u|s), p(x|u,s)) with a seeded multi-start grid plus
-projected-gradient ascent on closed-form partials of the MI triple, scoring
-policies in batches; their optima are "best found" and deterministic for a
-fixed seed.  The upper bounds and the discussion lower bound maximize
-concave objectives over direct input policies p(x|s), each by one
-multiplicative-update ascent from the uniform policy.  The no-discussion
-upper bound also minimizes over output couplings with fixed marginals, where
-the objective is convex: it alternates the ascent with a Sinkhorn
-I-projection of the coupling until the pair stops improving.  The upper
-bounds report the Frank-Wolfe gap of their inner maximum as
-certificate_gap_bits; value plus gap is a proven bound.
+Four bound evaluators plus a secret-message comparison bound;
+``evaluate_bounds`` runs them all once.  The no-discussion lower bound and
+the secret-message bound search over auxiliary encoder policies (p(u|s),
+p(x|u,s)) with a seeded multi-start grid plus projected-gradient ascent on
+closed-form partials of the MI triple, scoring policies in batches; their
+optima are "best found" and deterministic for a fixed seed.  The upper
+bounds and the discussion lower bound maximize concave objectives over
+input policies p(x|s), each H(Yr|Ye) minus a term linear in p(s) p(x|s)
+under an output law: one kernel, ``_input_value_grad``, evaluates all
+three, and each is solved by one multiplicative-update ascent from the
+uniform policy.  The no-discussion upper bound also minimizes over output
+couplings with fixed marginals, where the objective is convex: it
+alternates the ascent with a Sinkhorn I-projection of the coupling until
+the pair stops improving.  The upper bounds report the Frank-Wolfe gap of
+their inner maximum as certificate_gap_bits; value plus gap is a proven bound.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from functools import partial
 import numpy as np
 
 from .channel import (AuxiliaryEncoderPolicy, InputPolicy, StateChannel,
-                      aux_mi_gradient, aux_mi_triple, check_integer, mi_bits,
+                      aux_mi_gradient, aux_mi_triple, check_integer,
                       policy_mi_triple)
 from .sim import BudgetError, _rng_stream
 
@@ -423,36 +425,45 @@ def aux_policy_rate(channel: StateChannel,
 # input-policy ascent (upper bounds and the discussion lower bound)
 # ---------------------------------------------------------------------------
 
-def _cmi_value_grad(p_xs: np.ndarray, state_pmf: np.ndarray,
-                    q: np.ndarray) -> tuple[float, np.ndarray]:
-    """I(X,S;Yr|Ye) and its per-(x,s) ascent scores under output law ``q``.
+def _cell_entropy(q: np.ndarray, given_ye: bool) -> np.ndarray:
+    """H(Yr|X=x,S=s,Ye) if ``given_ye``, else H(Yr|X=x,S=s), per (x, s) cell
+    of the output law ``q`` (x, s, yr, ye); shape (x, s)."""
+    def plogp(a):
+        a = a.reshape(*a.shape[:2], -1)
+        return np.einsum("xsk,xsk->xs", a,
+                         np.log2(a, out=np.zeros_like(a), where=a > 0))
+    return plogp(q.sum(axis=2)) - plogp(q) if given_ye else -plogp(q.sum(axis=3))
 
-    Returns (value_bits, d) where d[s, x] is the divergence score whose
-    multiplicative update p(x|s) ~ p(x|s) * 2^d is the classic ascent step.
-    The value H(Yr|Ye) - H(Yr|X,S,Ye) is concave in p(x|s).  Inputs of zero
-    probability keep their partials, which the certificate needs.
+
+def _input_value_grad(p_xs: np.ndarray, state_pmf: np.ndarray, q: np.ndarray,
+                      h_cell: np.ndarray) -> tuple[float, np.ndarray]:
+    """H(Yr|Ye) - sum_{x,s} w(x,s) h_cell[x,s] under output law ``q``, and
+    its partials d[s, x] in w(x,s) = p(s) p(x|s).
+
+    H(Yr|Ye) is concave in the output law, which is linear in w, so the
+    value is concave in p(x|s).  With ``_cell_entropy(q, True)`` it is
+    I(X,S;Yr|Ye); with ``_cell_entropy(q, False)``, I(X,S;Yr) - I(Yr;Ye).
+    d = -h_cell - sum_{yr,ye} q log2 P(yr|ye) is the exact partial, also at
+    inputs of zero probability, which the certificate needs; the
+    multiplicative update p(x|s) ~ p(x|s) 2^d is the ascent step.
     """
-    mu = state_pmf[None, :, None, None] * p_xs.T[:, :, None, None] * q
-    m = mu.sum(axis=(0, 1))                      # (yr, ye)
-    me = m.sum(axis=0)                           # (ye,)
-    cond = np.divide(m, me[None, :], out=np.zeros_like(m), where=me[None, :] > 0)
-    q_e = q.sum(axis=2)                          # (x, s, ye)
-    denom = q_e[:, :, None, :] * cond[None, None, :, :]
-    ratio = np.log2(np.maximum(q, 1e-300)) - np.log2(np.maximum(denom, 1e-300))
-    d = np.einsum("xsre,xsre->xs", q, np.where(q > 0, ratio, 0.0))
-    value = float(np.einsum("s,sx,xs->", state_pmf, p_xs, d))
-    return max(0.0, value), d.T
+    w = state_pmf[:, None] * p_xs                         # (s, x)
+    m = np.einsum("sx,xsre->re", w, q)
+    log_cond = np.log2(np.maximum(m, 1e-300)) \
+        - np.log2(np.maximum(m.sum(axis=0), 1e-300))
+    d = (-h_cell - np.einsum("xsre,re->xs", q, log_cond)).T
+    return float(np.einsum("sx,sx->", w, d)), d
 
 
 def _certificate_gap(p_xs: np.ndarray, state_pmf: np.ndarray,
                      q: np.ndarray) -> float:
     """Frank-Wolfe gap sum_s p(s) (max_x d - sum_x p(x|s) d) at ``p_xs``.
 
-    d from ``_cmi_value_grad`` is the partial derivative of I(X,S;Yr|Ye) in
-    p(x|s) over p(s), up to a constant per state; by concavity the value at
-    ``p_xs`` plus the gap bounds the maximum over p(x|s).
+    d from ``_input_value_grad`` is the partial derivative of I(X,S;Yr|Ye)
+    under ``q`` in w(x,s) = p(s) p(x|s); by concavity the value at ``p_xs``
+    plus the gap bounds the maximum over p(x|s).
     """
-    _, d = _cmi_value_grad(p_xs, state_pmf, q)
+    _, d = _input_value_grad(p_xs, state_pmf, q, _cell_entropy(q, True))
     return max(0.0, float(state_pmf @ (d.max(axis=1) - (p_xs * d).sum(axis=1))))
 
 
@@ -493,32 +504,12 @@ def _mult_ascend(value_grad, p0):
     return p, value
 
 
-def _disc_value_grad(p_xs: np.ndarray, state_pmf: np.ndarray,
-                     kernel: np.ndarray) -> tuple[float, np.ndarray]:
-    """I(X,S;Yr) - I(Yr;Ye) and its per-(x,s) ascent scores.
-
-    The objective is H(Yr|Ye) - H(Yr|X,S), since H(Yr) cancels.  With
-    w(x,s) = p(s) p(x|s), H(Yr|Ye) is concave in the output law P(yr,ye),
-    which is linear in w, and H(Yr|X,S) is linear in w, so the objective is
-    concave in p(x|s).  The partial derivative in w(x,s) is, up to a
-    constant, d[s, x] = D(p(yr|x,s) || P_Yr)
-    - sum_{yr,ye} W(yr,ye|x,s) log2(P(yr,ye) / (P(yr) P(ye))).
-    As in ``_cmi_value_grad``, the factor p(s) and per-row constants are
-    dropped: the multiplicative update renormalizes each row.
-    """
-    mu = np.einsum("s,sx,xsre->xsre", state_pmf, p_xs, kernel)
-    yr_ye = mu.sum(axis=(0, 1))
-    value = mi_bits(mu.sum(axis=3).reshape(-1, kernel.shape[2])) - mi_bits(yr_ye)
-    p_yr = yr_ye.sum(axis=1)
-    p_ye = yr_ye.sum(axis=0)
-    pr = kernel.sum(axis=3)
-    log_r = np.log2(np.maximum(pr, 1e-300)) - np.log2(np.maximum(p_yr, 1e-300))
-    divergence = np.where(pr > 0, pr * log_r, 0.0).sum(axis=2)
-    log_dep = np.log2(np.maximum(yr_ye, 1e-300)) \
-        - np.log2(np.maximum(np.outer(p_yr, p_ye), 1e-300))
-    d = divergence - np.einsum("xsre,re->xs", kernel,
-                               np.where(yr_ye > 0, log_dep, 0.0))
-    return float(value), d.T
+def _ascend_input(state_pmf: np.ndarray, q: np.ndarray, given_ye: bool,
+                  p0: np.ndarray) -> tuple[np.ndarray, float]:
+    """``_mult_ascend`` on ``_input_value_grad`` under output law ``q`` from
+    ``p0``, with h_cell = ``_cell_entropy(q, given_ye)`` computed once."""
+    return _mult_ascend(partial(_input_value_grad, state_pmf=state_pmf, q=q,
+                                h_cell=_cell_entropy(q, given_ye)), p0)
 
 
 def _uniform_input(channel: StateChannel) -> np.ndarray:
@@ -536,10 +527,10 @@ def upper_bound_discussion(channel: StateChannel,
     solves it; ``certificate_gap_bits`` bounds how far short it stopped.
     ``cfg`` is not read.
     """
-    p, v = _mult_ascend(partial(_cmi_value_grad, state_pmf=channel.state_pmf,
-                                q=channel.kernel), _uniform_input(channel))
+    p, v = _ascend_input(channel.state_pmf, channel.kernel, True,
+                         _uniform_input(channel))
     gap = _certificate_gap(p, channel.state_pmf, channel.kernel)
-    return BoundResult(value_bits=v, argmax_policy=InputPolicy(p),
+    return BoundResult(value_bits=max(0.0, v), argmax_policy=InputPolicy(p),
                        diagnostics={"certificate_gap_bits": gap})
 
 
@@ -551,15 +542,14 @@ def lower_bound_discussion(channel: StateChannel, cfg: OptimizerConfig,
     Returns max(max_{p(x|s)} [I(X,S;Yr) - I(Ye;Yr)], no-discussion bound);
     diagnostics record which branch won (``discussion_branch`` is 1.0 when
     the one-round discussion expression attained the max, within 1e-12).
-    The first branch is concave in p(x|s) (see ``_disc_value_grad``) and is
+    The first branch is concave in p(x|s) (see ``_input_value_grad``) and is
     solved by one multiplicative ascent from the uniform policy, which reads
     nothing of ``cfg``.  ``no_discussion`` takes the result of
     ``lower_bound_no_discussion`` for the same channel and config when the
     caller already has it; otherwise that search runs here.
     """
-    p, branch1 = _mult_ascend(
-        partial(_disc_value_grad, state_pmf=channel.state_pmf,
-                kernel=channel.kernel), _uniform_input(channel))
+    p, branch1 = _ascend_input(channel.state_pmf, channel.kernel, False,
+                               _uniform_input(channel))
     base = no_discussion if no_discussion is not None \
         else lower_bound_no_discussion(channel, cfg)
     # On a tie branch 1 wins.  Both values come from different summation
@@ -650,8 +640,8 @@ def upper_bound_no_discussion(channel: StateChannel,
         last = np.inf
         for _ in range(_COUPLING_ROUNDS):
             q = cells.reshape(channel.kernel.shape)
-            p, v = _mult_ascend(
-                lambda p: _cmi_value_grad(p, channel.state_pmf, q), p)
+            p, v = _ascend_input(channel.state_pmf, q, True, p)
+            v = max(0.0, v)
             solves += 1
             if v < best_v:
                 best_v, best_q, best_p = v, q, p
@@ -702,3 +692,19 @@ def discussion_capacity_if_markov(channel: StateChannel, cfg: OptimizerConfig,
     diag = dict(result.diagnostics)
     diag.update(is_capacity=1.0, factorization_residual=residual)
     return replace(result, diagnostics=diag)
+
+
+def evaluate_bounds(channel: StateChannel, cfg: OptimizerConfig) -> dict:
+    """Every bound of ``channel``, each computed once, under the keys of the
+    ``bounds-dmc --out`` report in print order; ``discussion_capacity`` is
+    None when the kernel does not factorize."""
+    lb = lower_bound_no_discussion(channel, cfg)
+    msg = secret_message_lower_bound(channel, cfg)
+    ub = upper_bound_no_discussion(channel, cfg)
+    lbd = lower_bound_discussion(channel, cfg, no_discussion=lb)
+    ubd = upper_bound_discussion(channel, cfg)
+    return {"lower_bound_no_discussion": lb, "secret_message_lower_bound": msg,
+            "upper_bound_no_discussion": ub, "lower_bound_discussion": lbd,
+            "upper_bound_discussion": ubd,
+            "discussion_capacity": discussion_capacity_if_markov(channel, cfg,
+                                                                 upper=ubd)}

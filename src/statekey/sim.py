@@ -304,10 +304,18 @@ def _mul128(a_hi, a_lo, b_hi, b_lo):
     a1, a0 = a_lo >> 32, a_lo & _M32
     b1, b0 = b_lo >> 32, b_lo & _M32
     cross1, cross2 = a1 * b0, a0 * b1
-    carry = ((a0 * b0 >> 32) + (cross1 & _M32) + (cross2 & _M32)) >> 32
-    hi = a1 * b1 + (cross1 >> 32) + (cross2 >> 32) + carry \
-        + a_lo * b_hi + a_hi * b_lo
-    return hi, a_lo * b_lo
+    carry = a0 * b0
+    carry >>= 32
+    hi = a1 * b1
+    for cross in (cross1, cross2):
+        carry += cross & _M32
+        cross >>= 32
+        hi += cross
+    carry >>= 32
+    hi += carry
+    hi += np.multiply(a_lo, b_hi, out=carry)
+    hi += np.multiply(a_hi, b_lo, out=carry)
+    return hi, np.multiply(a_lo, b_lo, out=carry)
 
 
 def _trial_draws(seed: int, key: tuple, trials, k: int) -> np.ndarray:
@@ -330,11 +338,15 @@ def _trial_draws(seed: int, key: tuple, trials, k: int) -> np.ndarray:
     hi, lo = _mul128(init_hi, init_lo, p_hi, p_lo)
     inc_part_hi, inc_part_lo = _mul128(inc_hi, inc_lo, q_hi, q_lo)
     lo += inc_part_lo
-    hi += inc_part_hi + (lo < inc_part_lo)
+    hi += inc_part_hi
+    hi += lo < inc_part_lo
     # XSL-RR: the xor of the halves, rotated right by the top six bits.
     rot = hi >> 58
     hi ^= lo
-    return hi >> rot | hi << ((64 - rot) & 63)
+    np.left_shift(hi, (64 - rot) & 63, out=lo)
+    hi >>= rot
+    hi |= lo
+    return hi
 
 
 class TrialStreams:
@@ -457,17 +469,15 @@ def _kernel_cdf(channel: StateChannel) -> np.ndarray:
 
 
 def build_codebook(channel: StateChannel, policy: AuxiliaryEncoderPolicy,
-                   cfg: SimConfig,
-                   rng: np.random.Generator | None = None) -> BinningCodebook:
+                   cfg: SimConfig) -> BinningCodebook:
     """Draw the i.i.d. u-sequence codebook and randomly partition it into bins.
 
     The sequence count is ceil(2^(n (I(U;Yr) - margin))) and the bin count
     ceil(2^(n (I(U;Yr) - I(U;Ye) - margin))), so each bin holds about
     2^(n I(U;Ye)) sequences.  A nonpositive key exponent collapses to a single
     bin (key rate 0); the simulator still runs and reports zero leakage then.
+    The sequences and the partition are drawn from ``_rng_stream(cfg.seed, 0)``.
     """
-    if rng is None:
-        rng = _rng_stream(cfg.seed, 0)
     i_uyr, i_uye, _ = policy_mi_triple(channel, policy)
     n = cfg.n
     count = math.ceil(2.0 ** (n * (i_uyr - cfg.rate_margin)))
@@ -480,6 +490,7 @@ def build_codebook(channel: StateChannel, policy: AuxiliaryEncoderPolicy,
     bins = min(bins, count)
     p_u = np.einsum("s,su->u", channel.state_pmf, policy.u_given_s)
     p_u = p_u / p_u.sum()
+    rng = _rng_stream(cfg.seed, 0)
     sequences = rng.choice(policy.u_size, size=(count, n), p=p_u)
     bin_of = np.empty(count, dtype=np.int64)
     bin_of[rng.permutation(count)] = np.arange(count) % bins
@@ -613,9 +624,13 @@ def _add_kron_rows(table: np.ndarray, rows: np.ndarray, v: np.ndarray,
 
 
 def _leakage_bits(table: np.ndarray, n: int) -> float:
-    """I(key; view) / n in bits from an unnormalized (key, view) table."""
+    """I(key; view) / n in bits from an unnormalized (key, view) table,
+    which it normalizes in place."""
     total = table.sum()
-    return float(mi_bits(table / total)) / n if total > 0 else 0.0
+    if not total > 0:
+        return 0.0
+    table /= total
+    return float(mi_bits(table)) / n
 
 
 def exact_leakage(codebook: BinningCodebook, channel: StateChannel,
@@ -673,7 +688,7 @@ def run_no_discussion(channel: StateChannel, policy: AuxiliaryEncoderPolicy,
     computed right after the codebook, so a run over the leakage budget
     raises ``BudgetError`` before its first trial.
     """
-    codebook = build_codebook(channel, policy, cfg, _rng_stream(cfg.seed, 0))
+    codebook = build_codebook(channel, policy, cfg)
     leakage = exact_leakage(codebook, channel, policy, cfg)
     tables = _no_disc_tables(channel, policy)
     n = cfg.n

@@ -164,6 +164,52 @@ class TestBoundsCommand:
         assert calls == {"lower_bound_no_discussion": 1,
                          "upper_bound_discussion": 1}
 
+    @pytest.mark.parametrize("build, has_capacity",
+                             [(factorized_binary, True),
+                              (degraded_binary_wiretap, False)])
+    def test_engine_equals_the_evaluators_and_the_report(self, build,
+                                                         has_capacity,
+                                                         tmp_path, capsys):
+        channel = build()
+        cfg = dmc.OptimizerConfig(restarts=3, seed=0)
+        bounds = dmc.evaluate_bounds(channel, cfg)
+        assert list(bounds) == [
+            "lower_bound_no_discussion", "secret_message_lower_bound",
+            "upper_bound_no_discussion", "lower_bound_discussion",
+            "upper_bound_discussion", "discussion_capacity"]
+        lb = dmc.lower_bound_no_discussion(channel, cfg)
+        alone = {
+            "lower_bound_no_discussion": lb,
+            "secret_message_lower_bound":
+                dmc.secret_message_lower_bound(channel, cfg),
+            "upper_bound_no_discussion":
+                dmc.upper_bound_no_discussion(channel, cfg),
+            "lower_bound_discussion": dmc.lower_bound_discussion(channel, cfg),
+            "upper_bound_discussion": dmc.upper_bound_discussion(channel, cfg),
+        }
+        path, out = tmp_path / "channel.json", tmp_path / "report.json"
+        save_channel(channel, str(path))
+        assert main(["bounds-dmc", str(path), "--restarts", "3", "--seed", "0",
+                     "--out", str(out)]) == 0
+        capsys.readouterr()
+        report = json.loads(out.read_text())
+        for name, res in alone.items():
+            assert bounds[name].value_bits == res.value_bits, name
+            assert bounds[name].constraint_slack_bits \
+                == res.constraint_slack_bits, name
+            assert bounds[name].diagnostics == res.diagnostics, name
+            assert report[name]["value_bits"] == res.value_bits, name
+            assert report[name]["diagnostics"] == res.diagnostics, name
+        cap = dmc.discussion_capacity_if_markov(channel, cfg)
+        assert (cap is not None) == has_capacity
+        if has_capacity:
+            assert bounds["discussion_capacity"].value_bits == cap.value_bits
+            assert report["discussion_capacity"] == {
+                "value_bits": cap.value_bits, "is_capacity": True}
+        else:
+            assert bounds["discussion_capacity"] is None
+            assert report["discussion_capacity"] is None
+
     def test_non_factorized_kernel_not_applicable(self, degraded_file, capsys):
         rc = main(["bounds-dmc", degraded_file, "--restarts", "3",
                    "--seed", "0"])

@@ -13,7 +13,8 @@ from statekey import (AuxiliaryEncoderPolicy, BudgetError, CouplingFamily,
                       lower_bound_discussion, lower_bound_no_discussion,
                       mutual_information, secret_message_lower_bound,
                       upper_bound_discussion, upper_bound_no_discussion)
-from statekey.dmc import _certificate_gap, _cmi_value_grad, _mult_ascend
+from statekey.dmc import (_cell_entropy, _certificate_gap, _input_value_grad,
+                          _mult_ascend)
 from conftest import (bsc_matrix, constant_channel, degraded_binary_wiretap,
                       factorized_binary, identical_outputs_channel,
                       random_channel)
@@ -238,7 +239,8 @@ class TestUpperBoundNoDiscussion:
         channel = random_channel(np.random.default_rng(k), 2, 3, 2, 2)
         q = upper_bound_no_discussion(channel, CFG).coupling.q
         p, _ = _mult_ascend(
-            lambda p: _cmi_value_grad(p, channel.state_pmf, q),
+            lambda p: _input_value_grad(p, channel.state_pmf, q,
+                                        _cell_entropy(q, True)),
             np.full((channel.s_size, channel.x_size), 1.0 / channel.x_size))
         w = channel.state_pmf[None, :] * p.T
         m = np.einsum("xs,xsre->re", w, q)
@@ -267,7 +269,8 @@ class TestCertificateGap:
             for xs in itertools.product(range(channel.x_size),
                                         repeat=channel.s_size):
                 vertex = np.eye(channel.x_size)[list(xs)]
-                value, _ = _cmi_value_grad(vertex, channel.state_pmf, q)
+                value, _ = _input_value_grad(vertex, channel.state_pmf, q,
+                                             _cell_entropy(q, True))
                 assert res.value_bits + gap >= value - 1e-13, (bound, xs)
 
     def test_gap_at_every_vertex_bounds_every_vertex(self):
@@ -282,7 +285,8 @@ class TestCertificateGap:
                         itertools.product(range(channel.x_size),
                                           repeat=channel.s_size)]
             for q in (channel.kernel, product):
-                values = [_cmi_value_grad(v, channel.state_pmf, q)[0]
+                values = [_input_value_grad(v, channel.state_pmf, q,
+                                            _cell_entropy(q, True))[0]
                           for v in vertices]
                 for vertex, value in zip(vertices, values):
                     gap = _certificate_gap(vertex, channel.state_pmf, q)

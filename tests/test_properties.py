@@ -1,7 +1,8 @@
 """Property tests of the MI triple (I(U;Yr), I(U;Ye), I(U;S)) on one policy,
 of the closed-form partials of the auxiliary-policy search score, of the
 concavity in p(x|s) that lets each input-policy maximum be solved from one
-start, and of the simulator's batched strong-typicality kernel.
+start, of the partials of the input-policy kernel, and of the simulator's
+batched strong-typicality kernel.
 
 Hypothesis draws small alphabets and a numpy seed for the channel and the
 policy; ``derandomize=True`` makes every run draw the same examples.
@@ -16,8 +17,9 @@ from hypothesis import assume, given, settings, strategies as st
 from statekey import (AuxiliaryEncoderPolicy, BoundResult, OptimizerConfig,
                       StateChannel, entropy_bits, induce_joint,
                       lower_bound_discussion)
-from statekey.channel import aux_mi_gradient, aux_mi_triple, policy_mi_triple
-from statekey.dmc import _cmi_value_grad, _disc_value_grad, _search_score
+from statekey.channel import (aux_mi_gradient, aux_mi_triple, mi_bits,
+                              policy_mi_triple)
+from statekey.dmc import _cell_entropy, _input_value_grad, _search_score
 from statekey.sim import _typical_pairs
 from conftest import random_aux_policy, random_channel
 
@@ -162,8 +164,11 @@ INPUT_SIZES = st.tuples(*[st.integers(1, 3)] * 4)      # |X|, |S|, |Yr|, |Ye|
 
 def input_objectives(channel):
     """The value of I(X,S;Yr|Ye) and of I(X,S;Yr) - I(Yr;Ye) at p(x|s)."""
-    return (lambda p: _cmi_value_grad(p, channel.state_pmf, channel.kernel)[0],
-            lambda p: _disc_value_grad(p, channel.state_pmf, channel.kernel)[0])
+    def objective(given_ye):
+        h_cell = _cell_entropy(channel.kernel, given_ye)
+        return lambda p: _input_value_grad(p, channel.state_pmf,
+                                           channel.kernel, h_cell)[0]
+    return objective(True), objective(False)
 
 
 @PROPERTY
@@ -198,6 +203,42 @@ def test_discussion_branch_one_beats_every_vertex(sizes, seed):
     value = input_objectives(channel)[1]
     for xs in itertools.product(range(channel.x_size), repeat=channel.s_size):
         assert branch1 >= value(np.eye(channel.x_size)[list(xs)]) - 1e-12
+
+
+@PROPERTY
+@given(INPUT_SIZES, st.integers(0, 2**32 - 1), st.booleans())
+def test_input_kernel_value_and_partials(sizes, seed, given_ye):
+    """``_input_value_grad`` is I(X,S;Yr|Ye) (``given_ye``) or
+    I(X,S;Yr) - I(Yr;Ye) by the MI kernel, and its d matches central
+    differences in each w(x,s) = p(s) p(x|s).  The value is a function of w
+    alone, so with p(s) = 1 the rows of p_xs are w, moved one entry at a
+    time."""
+    rng = np.random.default_rng(seed)
+    channel = random_channel(rng, *sizes)
+    q = channel.kernel
+    h_cell = _cell_entropy(q, given_ye)
+    # w kept off the boundary, where the partials blow up.
+    w = 0.1 + rng.random((channel.s_size, channel.x_size))
+    value, _ = _input_value_grad(w / w.sum(axis=1, keepdims=True),
+                                 w.sum(axis=1) / w.sum(), q, h_cell)
+    joint = (w.T / w.sum())[:, :, None, None] * q
+    cells = channel.x_size * channel.s_size
+    if given_ye:
+        expected = mi_bits(joint.reshape(cells, -1)) \
+            - mi_bits(joint.sum(axis=2).reshape(cells, -1))
+    else:
+        expected = mi_bits(joint.sum(axis=3).reshape(cells, -1)) \
+            - mi_bits(joint.sum(axis=(0, 1)))
+    assert value == pytest.approx(expected, abs=1e-12)
+    ones = np.ones(channel.s_size)
+    _, d = _input_value_grad(w, ones, q, h_cell)
+    h = 1e-6
+    for index in np.ndindex(w.shape):
+        step = np.zeros_like(w)
+        step[index] = h
+        numeric = (_input_value_grad(w + step, ones, q, h_cell)[0]
+                   - _input_value_grad(w - step, ones, q, h_cell)[0]) / (2 * h)
+        assert d[index] == pytest.approx(numeric, abs=1e-6), index
 
 
 def typical_by_definition(rows, fixed, pmf, eps):

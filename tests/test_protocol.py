@@ -551,6 +551,25 @@ class TestExactLeakage:
         monkeypatch.setattr(sim_module, "_TRIAL_CHUNK_BYTES", 4)
         assert (exact_leakage(*case), one_round_exact_leakage(*one_round)) == whole
 
+    @pytest.mark.parametrize("n", [10, 11])
+    def test_one_round_leakage_peaks_near_its_table(self, n):
+        # The leakage budget counts the key x view table once, so the MI of
+        # the table must not hold many more arrays of its size: at most four
+        # in all, on the sim-oneround configuration.
+        channel = factorized_binary(0.0, 0.3)
+        policy = uniform_input_policy(channel)
+        cfg = SimConfig(n=n, epsilon=0.4, rate_margin=0.2, trials=1, seed=42)
+        tables = _one_round_tables(channel, policy, cfg)
+        table_bytes = 8 * tables.num_subbins * (tables.num_bins + 1) \
+            * channel.ye_size ** n
+        tracemalloc.start()
+        try:
+            one_round_exact_leakage(tables, channel, policy, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * table_bytes
+
     def test_enumeration_agrees_with_monte_carlo_estimate(self, degraded_channel):
         # Dual route: the exact enumeration must agree with the plug-in
         # estimate from (key, eavesdropper-sequence) pairs that the
