@@ -20,6 +20,8 @@ from . import dmc, gaussian, sim
 from .channel import AuxiliaryEncoderPolicy, InputPolicy, StateChannel
 
 SCHEMA_VERSION = 1
+# Sweep points of the gaussian command; the figure panels use 81.
+MAX_POINTS = 100_000
 
 
 class CliInputError(ValueError):
@@ -187,8 +189,8 @@ def cmd_bounds_dmc(args) -> int:
 
 def _gaussian_rows(axis: str, start_db: float, stop_db: float, points: int,
                    fixed: dict) -> tuple[list, bool]:
-    if points < 2:
-        raise CliInputError("points must be >= 2")
+    if not 2 <= points <= MAX_POINTS:
+        raise CliInputError(f"points must lie in [2, {MAX_POINTS}]")
     if not start_db < stop_db:
         raise CliInputError("start-db must be strictly below stop-db")
     rows = []
@@ -369,9 +371,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -613,16 +613,18 @@ def upper_bound_no_discussion(channel: StateChannel,
 
     For a fixed input law the objective is I(X,S;Yr,Ye) - I(X,S;Ye): the
     second term depends only on the fixed marginals and the first is convex
-    in the coupling, while the objective is concave in p(x|s).  The saddle
-    point is approached by alternating best responses: a multiplicative-update
-    ascent in p(x|s) (warm-started, one ``inner_solves`` each) and a
-    Csiszar-Tusnady I-projection step in the coupling (Sinkhorn scaling of all
-    (x, s) cells at once).  Two starts run, the diagonal-first coupling and
-    the independent product coupling; a start stops when its value reaches 0,
-    stops decreasing, or after ``_COUPLING_ROUNDS`` rounds.  Every coupling
-    visited is valid, so the lowest value seen is a true upper bound up to
-    inner-ascent tolerance.  ``cfg`` is not read: the solver is deterministic
-    and has no search budget.
+    in the coupling, while the objective is concave in p(x|s).  The
+    diagonal-first coupling is solved once, as a candidate that is exact
+    (value 0) when the outputs can be coupled to agree.  Unless it is, the
+    saddle point is approached from the independent product coupling by
+    alternating best responses: a multiplicative-update ascent in p(x|s)
+    (warm-started from the candidate's maximizer, one ``inner_solves`` each)
+    and a Csiszar-Tusnady I-projection step in the coupling (Sinkhorn scaling
+    of all (x, s) cells at once), until the value reaches 0, stops
+    decreasing, or after ``_COUPLING_ROUNDS`` rounds.  Every coupling visited
+    is valid, so the lowest value seen is a true upper bound up to
+    inner-ascent tolerance; its certificate gap is reported.  ``cfg`` is not
+    read: the solver is deterministic and has no search budget.
     """
     pr = channel.receiver_kernel()
     pe = channel.eavesdropper_kernel()
@@ -630,28 +632,24 @@ def upper_bound_no_discussion(channel: StateChannel,
     ny, ne = channel.yr_size, channel.ye_size
     r = pr.reshape(-1, ny)
     c = pe.reshape(-1, ne)
-    q_diag = np.stack([_maximal_cell(a, b) for a, b in zip(r, c)])
-    q_prod = r[:, :, None] * c[:, None, :]
-
-    p = _uniform_input(channel)
-    best_v, best_q, best_p = np.inf, None, None
-    solves = 0
-    for cells in (q_diag, q_prod):
-        last = np.inf
-        for _ in range(_COUPLING_ROUNDS):
-            q = cells.reshape(channel.kernel.shape)
-            p, v = _ascend_input(channel.state_pmf, q, True, p)
-            v = max(0.0, v)
-            solves += 1
-            if v < best_v:
-                best_v, best_q, best_p = v, q, p
-            if v <= 0.0 or v > last - 1e-12:
-                break
-            last = v
-            weights = (channel.state_pmf[None, :] * p.T).ravel()
-            cells = _project_couplings(cells, weights, r, c)
-        if best_v <= 0.0:
+    best_q = np.stack([_maximal_cell(a, b) for a, b in zip(r, c)]).reshape(
+        channel.kernel.shape)
+    p, v = _ascend_input(channel.state_pmf, best_q, True, _uniform_input(channel))
+    best_v, best_p = max(0.0, v), p
+    solves, last = 1, np.inf
+    cells = r[:, :, None] * c[:, None, :]
+    while best_v > 0.0 and solves <= _COUPLING_ROUNDS:
+        q = cells.reshape(channel.kernel.shape)
+        p, v = _ascend_input(channel.state_pmf, q, True, p)
+        v = max(0.0, v)
+        solves += 1
+        if v < best_v:
+            best_v, best_q, best_p = v, q, p
+        if v > last - 1e-12:
             break
+        last = v
+        weights = (channel.state_pmf[None, :] * p.T).ravel()
+        cells = _project_couplings(cells, weights, r, c)
     return BoundResult(
         value_bits=best_v, argmax_policy=InputPolicy(best_p),
         diagnostics={"inner_solves": float(solves),

@@ -211,24 +211,17 @@ def _rng_stream(seed: int, *key: int) -> np.random.Generator:
 # numpy's SeedSequence hashes its entropy words into a pool of four uint32
 # words and hashes the pool into the seed of PCG64, a 128-bit LCG whose
 # outputs are the XSL-RR permutation of its states (O'Neill, "PCG",
-# HMC-CS-2014-0905).  Only the trial index differs between the streams of a
-# run, so the pool is mixed once per (seed, key) and every trial's seed and
-# outputs are integer arithmetic on arrays over trials.
+# HMC-CS-2014-0905).  Only the trial index, the last word or two of the
+# entropy, differs between the streams of a run.  So numpy supplies the pool
+# of SeedSequence(seed, spawn_key=key) once per (seed, key), and mixing in
+# each trial's index, the seed of PCG64 and its outputs are integer
+# arithmetic on arrays over trials.
 
 _M32 = 0xFFFFFFFF
 _SS_INIT_A, _SS_MULT_A = 0x43B0D7E5, 0x931E8875
 _SS_INIT_B, _SS_MULT_B = 0x8B51F9DD, 0x58F38DED
 _SS_MIX_L, _SS_MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-
-
-def _words32(value: int) -> list[int]:
-    """SeedSequence's little-endian uint32 words of a nonnegative int."""
-    words = [value & _M32]
-    while value >> 32:
-        value >>= 32
-        words.append(value & _M32)
-    return words
 
 
 def _hash_constants(const: int, mult: int):
@@ -256,21 +249,14 @@ def _seed_pool(seed: int, key: tuple) -> tuple[np.ndarray, np.ndarray]:
     """The pool of SeedSequence(seed, spawn_key=(*key, t)) before any word
     of t is mixed in, and the hash constants, shape (2, 2, 4), with which
     t's low and high words are mixed into it."""
-    words = _words32(seed)
-    # With a spawn key, SeedSequence pads the seed's words to the pool size.
-    entropy = words + [0] * (4 - len(words)) + [w for k in key for w in _words32(k)]
-    consts = _hash_constants(_SS_INIT_A, _SS_MULT_A)
-    pool = [_hashmix(w, next(consts)) for w in entropy[:4]]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hashmix(pool[src], next(consts)))
-    for w in entropy[4:]:
-        for dst in range(4):
-            pool[dst] = _mix(pool[dst], _hashmix(w, next(consts)))
+    pool = np.random.SeedSequence(seed, spawn_key=key).pool.astype(np.uint32)
+    # The pool took 16 hash constants, and 4 more per entropy word past four,
+    # where the seed's uint32 words are padded to four.
+    words = [max(1, -(-int(v).bit_length() // 32)) for v in (seed, *key)]
+    consts = itertools.islice(_hash_constants(_SS_INIT_A, _SS_MULT_A),
+                              4 * (max(4, words[0]) + sum(words[1:])), None)
     t_consts = np.array([[next(consts) for _ in range(4)] for _ in range(2)],
                         dtype=np.uint32).transpose(0, 2, 1)
-    pool = np.array(pool, dtype=np.uint32)
     pool.setflags(write=False)
     t_consts.setflags(write=False)
     return pool, t_consts

@@ -115,6 +115,16 @@ class TestExitCodes:
                    "--q-db", "10", "--delta-db", "10"])
         assert rc == 2
 
+    @pytest.mark.parametrize("points", [10 ** 15, 100_001])
+    def test_oversized_sweep_is_input_error(self, points, capsys):
+        rc = main(["gaussian", "--axis", "snr", "--start-db", "0",
+                   "--stop-db", "1", "--points", str(points),
+                   "--q-db", "0", "--delta-db", "0"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: points must lie in [2, 100000]"]
+
 
 class TestBoundsCommand:
     def test_constant_channel_all_bounds_zero(self, tmp_path, capsys):

@@ -8,7 +8,7 @@ import pytest
 
 from statekey import (AuxiliaryEncoderPolicy, BudgetError, CouplingFamily,
                       OptimizerConfig, StateChannel, augment_receiver,
-                      aux_policy_rate,
+                      aux_policy_rate, dmc,
                       discussion_capacity_if_markov, induce_joint,
                       lower_bound_discussion, lower_bound_no_discussion,
                       mutual_information, secret_message_lower_bound,
@@ -222,6 +222,33 @@ class TestUpperBoundNoDiscussion:
         b = upper_bound_no_discussion(degraded_channel, CFG_SMALL)
         assert a.value_bits == b.value_bits
         assert np.array_equal(a.coupling.q, b.coupling.q)
+
+    @pytest.mark.parametrize("k", range(6))
+    def test_projections_keep_the_product_support(self, k, monkeypatch):
+        # A Csiszar-Tusnady step from a coupling with zeros where the product
+        # r (x) c has mass is the slow Sinkhorn case; only the alternation
+        # from the product coupling projects.
+        channel = random_channel(np.random.default_rng(k), 2, 3, 3, 2)
+        project = dmc._project_couplings
+        supports = []
+
+        def spy(cells, weights, r, c):
+            supports.append(np.array_equal(cells > 0,
+                                           r[:, :, None] * c[:, None, :] > 0))
+            return project(cells, weights, r, c)
+
+        monkeypatch.setattr(dmc, "_project_couplings", spy)
+        upper_bound_no_discussion(channel, CFG_SMALL)
+        assert supports and all(supports)
+
+    @pytest.mark.parametrize("channel, value", [
+        (factorized_binary(), 0.3422825308701658),
+        (random_channel(np.random.default_rng(3), 2, 2, 3, 2),
+         0.18095151684706043),
+    ])
+    def test_benchmark_channel_values(self, channel, value):
+        res = upper_bound_no_discussion(channel, CFG_SMALL)
+        assert res.value_bits == pytest.approx(value, abs=1e-12)
 
     def test_nan_coupling_rejected(self, degraded_channel):
         q = np.array(degraded_channel.kernel)

@@ -771,9 +771,10 @@ class TestBatchedTrialLoops:
         assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0]
 
 
-# Seeds of one to three 32-bit words, and trial windows on both sides of
-# t = 2^32, where the trial index gains a second word.
-STREAM_SEEDS = [0, 1, 42, 2 ** 32 - 1, 2 ** 32 + 5, 2 ** 70 + 3]
+# Seeds of one to three 32-bit words and one of five, more than
+# SeedSequence's pool of four, and trial windows on both sides of t = 2^32,
+# where the trial index gains a second word.
+STREAM_SEEDS = [0, 1, 42, 2 ** 32 - 1, 2 ** 32 + 5, 2 ** 70 + 3, 2 ** 130 + 7]
 STREAM_WINDOWS = [(0, 700), (2 ** 32 - 3, 2 ** 32 + 3)]
 
 
