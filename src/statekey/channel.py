@@ -3,8 +3,8 @@
 The variables of the model are U (auxiliary codebook symbol), X (channel
 input), S (transmitter-known state), Yr (receiver output) and Ye
 (eavesdropper output).  All probability objects are dense numpy tensors,
-validated at construction and stored read-only, so every operation here is
-a pure function of immutable inputs.
+validated at construction and stored as read-only C-ordered copies, so
+every operation here is a pure function of immutable inputs.
 
 All information quantities are in bits (base-2 logarithms).  The kernel
 ``mi_bits`` and the triple (I(U;Yr), I(U;Ye), I(U;S)) of auxiliary policies
@@ -32,7 +32,9 @@ _NORMAL_MIN = np.finfo(float).tiny
 
 
 def _frozen_array(values, shape=None) -> np.ndarray:
-    arr = np.array(values, dtype=float, copy=True)
+    """A read-only C-ordered float64 copy of ``values``: equal values in any
+    memory layout are then stored, and summed over, alike."""
+    arr = np.array(values, dtype=float, copy=True, order="C")
     if shape is not None and arr.shape != tuple(shape):
         raise ValueError(f"expected shape {tuple(shape)}, got {arr.shape}")
     arr.setflags(write=False)
@@ -244,7 +246,8 @@ def marginalize(joint: JointPmf, keep: Sequence[str]) -> JointPmf:
 
 def _entropy(probs: np.ndarray) -> float:
     p = probs[probs > 0]
-    return float(-(p * np.log2(p)).sum())
+    # 0.0 - x rather than -x, so a point mass gives 0.0, not -0.0.
+    return 0.0 - float((p * np.log2(p)).sum())
 
 
 def entropy_bits(joint: JointPmf, group: Sequence[str]) -> float:

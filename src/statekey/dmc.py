@@ -112,7 +112,7 @@ class CouplingFamily:
     q: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        q = np.array(self.q, dtype=float, copy=True)
+        q = np.array(self.q, dtype=float, copy=True, order="C")
         if q.shape != self.channel.kernel.shape:
             raise ValueError("coupling tensor must match the channel kernel shape")
         if not np.all(np.isfinite(q)):
@@ -186,34 +186,6 @@ def _check_aux_budget(channel: StateChannel, cfg: OptimizerConfig,
             f"{_AUX_WORK_ENTRIES:.3g}; lower u_size_max, restarts or local_steps")
 
 
-class _Incumbents:
-    """Best feasible policy of each group of search points.
-
-    Points are offered in evaluation order, and a group's policy is replaced
-    only by a strictly higher value, so among equal values the first stays.
-    """
-
-    def __init__(self, groups: int, channel: StateChannel, u_size: int):
-        s_size, x_size = channel.s_size, channel.x_size
-        self.value = np.full(groups, -np.inf)
-        self.u_given_s = np.zeros((groups, s_size, u_size))
-        self.x_given_us = np.zeros((groups, u_size, s_size, x_size))
-
-    def offer(self, groups, value, feasible, u_rows, x_rows) -> None:
-        """Row i of the (len(groups), m) arrays ``value`` and ``feasible``
-        belongs to group groups[i]; its policies are rows i*m to i*m + m - 1
-        of ``u_rows`` and ``x_rows``."""
-        masked = np.where(feasible, value, -np.inf)
-        first = np.argmax(masked, axis=1)
-        top = masked[np.arange(len(first)), first]
-        win = np.flatnonzero(top > self.value[groups])
-        if win.size:
-            pick = win * masked.shape[1] + first[win]
-            self.value[groups[win]] = top[win]
-            self.u_given_s[groups[win]] = u_rows[pick]
-            self.x_given_us[groups[win]] = x_rows[pick]
-
-
 def _structured_aux_seeds(channel, u_size, restricted, rng):
     s_size, x_size = channel.s_size, channel.x_size
     u_rows_n = 1 if restricted else s_size
@@ -256,21 +228,21 @@ def _grid_aux_seeds(channel, u_size, restricted, resolution, count, rng):
     return np.array(u_seeds), np.array(x_seeds)
 
 
-def _refine_aux(u_rows, x_rows, evaluate, gradient, best, cfg):
+def _refine_aux(u_rows, x_rows, evaluate, gradient, cfg):
     """Projected-gradient ascent on the search score, every restart at once.
 
     ``u_rows`` (restarts, 1 or s, u) and ``x_rows`` (restarts, u, s, x) are
     refined in place.  Each iteration takes one ``gradient`` batch and one
-    ``evaluate`` batch, which offers its points to ``best``, one group per
-    restart: every live restart's points projected onto the simplex after
-    steps of eta * _STEP_MULTIPLIERS, all rows moved together.  The best
-    candidate is taken when it beats the restart's score by more than 1e-13,
-    and eta becomes its step; otherwise eta (0.25 at first) is divided by
-    64.  A restart leaves when eta < 1e-9 or after _ITERATIONS_PER_STEP *
-    ``cfg.local_steps`` iterations.  Returns the iterations of all restarts.
+    ``evaluate`` batch: every live restart's points projected onto the
+    simplex after steps of eta * _STEP_MULTIPLIERS, all rows moved together.
+    The best candidate is taken when it beats the restart's score by more
+    than 1e-13, and eta becomes its step; otherwise eta (0.25 at first) is
+    divided by 64.  A restart leaves when eta < 1e-9 or after
+    _ITERATIONS_PER_STEP * ``cfg.local_steps`` iterations.  Returns the
+    iterations of all restarts.
     """
     n, k = len(u_rows), len(_STEP_MULTIPLIERS)
-    current, weights = evaluate(u_rows, x_rows, best, np.arange(n))
+    current, weights = evaluate(u_rows, x_rows)
     eta = np.full(n, 0.25)
     iterations = np.zeros(n, dtype=int)
     live = np.arange(n)
@@ -283,7 +255,7 @@ def _refine_aux(u_rows, x_rows, evaluate, gradient, best, cfg):
                 steps.shape + (1,) * (rows.ndim - 1))
             cand.append(_project_simplex(moved.reshape(-1, rows.shape[-1]))
                         .reshape((-1,) + rows.shape[1:]))
-        score, cand_weights = evaluate(*cand, best, live)
+        score, cand_weights = evaluate(*cand)
         score = score.reshape(-1, k)
         pick = np.argmax(score, axis=1)
         up = np.flatnonzero(score[np.arange(len(live)), pick] > current[live] + 1e-13)
@@ -328,10 +300,10 @@ def _search_aux(channel, cfg, key_rate):
     Each pass scores its seeds (``_search_score``) as one batch and refines
     the ``restarts`` best together (``_refine_aux``).  ``general_u`` also
     runs the restricted (u independent of s) pass, where the covering
-    constraint is vacuous.  Feasible points reach the incumbent as the
-    seeds, then each restart's best, so among equal values the earliest
-    stays; the constant-u policy (value 0) is the fallback.  An over-budget
-    search raises ``BudgetError`` first.
+    constraint is vacuous.  Every evaluated batch may replace the one
+    incumbent, only by a strictly higher feasible value, so among equal
+    values the first evaluated stays; the constant-u policy (value 0) is the
+    fallback.  An over-budget search raises ``BudgetError`` first.
     """
     u_size = cfg.resolve_u_size(channel)
     passes = 2 if cfg.domain == "general_u" and channel.s_size > 1 else 1
@@ -339,19 +311,20 @@ def _search_aux(channel, cfg, key_rate):
     kernel = channel.stacked_kernel()
     gradient = partial(aux_mi_gradient, channel.state_pmf, kernel, channel.yr_size)
 
-    def evaluate(u_rows, x_rows, best, groups):
-        """Search scores and score weights of a batch; its feasible points go
-        to ``best`` in len(groups) equal consecutive groups."""
-        nonlocal evals
+    def evaluate(u_rows, x_rows):
+        """Search scores and score weights of a batch; a copy of its first
+        feasible point of the highest value replaces a lower incumbent."""
+        nonlocal evals, best
         value, feasible, score, weights = _search_score(aux_mi_triple(
             channel.state_pmf, kernel, channel.yr_size, u_rows, x_rows), key_rate)
         evals += len(value)
-        best.offer(groups, value.reshape(len(groups), -1),
-                   feasible.reshape(len(groups), -1), u_rows, x_rows)
+        masked = np.where(feasible, value, -np.inf)
+        i = int(np.argmax(masked))
+        if masked[i] > best[0]:
+            best = (masked[i], u_rows[i].copy(), x_rows[i].copy())
         return score, weights
 
-    best, overall = _Incumbents(1, channel, u_size), np.zeros(1, dtype=int)
-    evals, iterations, best_grid = 0, 0, -np.inf
+    best, evals, iterations, best_grid = (-np.inf, None, None), 0, 0, -np.inf
     for restricted, stream_key in ((True, 11), (False, 12))[:passes]:
         rng = _rng_stream(cfg.seed, stream_key)
         u_seeds, x_seeds = _structured_aux_seeds(channel, u_size, restricted, rng)
@@ -359,22 +332,20 @@ def _search_aux(channel, cfg, key_rate):
                                          cfg.grid_resolution, 3 * cfg.restarts, rng)
         u_rows = np.concatenate([u_seeds, u_grid])
         x_rows = np.concatenate([x_seeds, x_grid])
-        score, _ = evaluate(u_rows, x_rows, best, overall)
+        score, _ = evaluate(u_rows, x_rows)
         best_grid = max(best_grid, float(score[len(u_seeds):].max()))
         top = np.argsort(-score, kind="stable")[:cfg.restarts]
-        restarts = _Incumbents(len(top), channel, u_size)
-        iterations += _refine_aux(u_rows[top], x_rows[top], evaluate, gradient,
-                                  restarts, cfg)
-        best.offer(overall, restarts.value[None], np.isfinite(restarts.value)[None],
-                   restarts.u_given_s, restarts.x_given_us)
+        iterations += _refine_aux(u_rows[top], x_rows[top], evaluate, gradient, cfg)
 
-    u_given_s, x_given_us = best.u_given_s[0], best.x_given_us[0]
+    value, u_given_s, x_given_us = best
     # The constant-u policy is feasible with value 0, so a result always exists.
-    if not best.value[0] >= 0.0:
+    if not value >= 0.0:
         u_given_s = np.zeros((channel.s_size, u_size))
         u_given_s[:, 0] = 1.0
         x_given_us = np.full((u_size, channel.s_size, channel.x_size),
                              1.0 / channel.x_size)
+    # A restricted-pass point has one u-row, shared by every state.
+    u_given_s = np.broadcast_to(u_given_s, (channel.s_size, u_size))
     diagnostics = {
         "iterations": float(iterations),
         "restarts": float(cfg.restarts),

@@ -611,9 +611,9 @@ def _add_kron_rows(table: np.ndarray, rows: np.ndarray, v: np.ndarray,
 
 def _leakage_bits(table: np.ndarray, n: int) -> float:
     """I(key; view) / n in bits from an unnormalized (key, view) table,
-    which it normalizes in place."""
+    which it normalizes in place.  A one-valued key leaks exactly 0."""
     total = table.sum()
-    if not total > 0:
+    if len(table) == 1 or not total > 0:
         return 0.0
     table /= total
     return float(mi_bits(table)) / n

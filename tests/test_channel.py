@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from statekey import (AuxiliaryEncoderPolicy, InputPolicy, JointPmf,
-                      StateChannel, augment_receiver,
-                      conditional_mutual_information, induce_joint,
-                      marginalize, mutual_information)
-from statekey.channel import mi_bits
+                      OptimizerConfig, StateChannel, augment_receiver,
+                      conditional_mutual_information, entropy_bits,
+                      induce_joint, marginalize, mutual_information,
+                      upper_bound_discussion)
+from statekey.channel import mi_bits, policy_mi_triple
 from conftest import (bsc_matrix, factorized_binary, random_aux_policy,
                       random_channel)
 
@@ -305,3 +306,35 @@ class TestAugmentReceiver:
         rng = np.random.default_rng(37)
         with pytest.raises(ValueError):
             augment_receiver(random_channel(rng), "partial")
+
+
+class TestMemoryLayout:
+    @pytest.mark.parametrize("k", range(8))
+    def test_fortran_ordered_inputs_give_identical_bits(self, k):
+        # Sums over a Fortran-ordered kernel may run in another order; the
+        # stored copies are C-ordered, so equal values give equal bits.
+        rng = np.random.default_rng(k)
+        channel = random_channel(rng)
+        policy = random_aux_policy(rng, channel)
+        f_channel = StateChannel.from_arrays(np.asfortranarray(channel.state_pmf),
+                                             np.asfortranarray(channel.kernel))
+        f_policy = AuxiliaryEncoderPolicy(policy.u_size,
+                                          np.asfortranarray(policy.u_given_s),
+                                          np.asfortranarray(policy.x_given_us))
+        f_input = InputPolicy(np.asfortranarray(np.full((2, 3), 1.0 / 3.0)))
+        for arr in (f_channel.state_pmf, f_channel.kernel, f_policy.u_given_s,
+                    f_policy.x_given_us, f_input.x_given_s):
+            assert arr.flags.c_contiguous
+        assert policy_mi_triple(f_channel, f_policy) == \
+            policy_mi_triple(channel, policy)
+        cfg = OptimizerConfig()
+        assert upper_bound_discussion(f_channel, cfg).value_bits == \
+            upper_bound_discussion(channel, cfg).value_bits
+
+
+class TestEntropySign:
+    def test_point_mass_has_positive_zero_entropy(self):
+        joint = JointPmf(("S", "X"), np.array([[1.0, 0.0], [0.0, 0.0]]))
+        for group in (["S"], ["S", "X"]):
+            h = entropy_bits(joint, group)
+            assert h == 0.0 and math.copysign(1.0, h) == 1.0

@@ -366,6 +366,19 @@ class TestSimulateCommand:
         out = capsys.readouterr().out
         assert "policy_key_rate_bits = 0.252932501298" in out
 
+    def test_single_key_run_prints_zero_rate(self, tmp_path, capsys):
+        path = tmp_path / "nokey.json"
+        save_channel(degraded_binary_wiretap(0.1, 0.1000001), str(path))
+        csv_path = tmp_path / "report.csv"
+        rc = main(["simulate", str(path), "--n", "6", "--epsilon", "0.25",
+                   "--margin", "0.2", "--trials", "50", "--seed", "3",
+                   "--out", str(csv_path)])
+        assert rc == 0
+        assert "achieved_key_rate = 0\n" in capsys.readouterr().out
+        header, row = csv_path.read_text().splitlines()
+        report = dict(zip(header.split(","), row.split(",")))
+        assert report["achieved_key_rate"] == "0"
+
     def test_one_round_mode_runs(self, tmp_path, capsys):
         path = tmp_path / "fact.json"
         save_channel(factorized_binary(0.0, 0.3), str(path))

@@ -139,6 +139,41 @@ class TestSearchTrajectory:
         assert res.value_bits >= fd_value - 1e-12
 
 
+class TestSearchIncumbent:
+    @pytest.mark.parametrize("make_channel", [
+        factorized_binary, lambda: random_channel(np.random.default_rng(4))],
+        ids=["factorized", "random2222"])
+    @pytest.mark.parametrize("domain", ["general_u", "restricted_u"])
+    @pytest.mark.parametrize("bound, key_rate", [
+        (lower_bound_no_discussion, True), (secret_message_lower_bound, False)],
+        ids=["key", "message"])
+    def test_result_is_first_evaluated_point_of_highest_value(
+            self, make_channel, domain, bound, key_rate, monkeypatch):
+        triple = dmc.aux_mi_triple
+        batches = []
+
+        def spy(state_pmf, kernel, yr_size, u_rows, x_rows):
+            out = triple(state_pmf, kernel, yr_size, u_rows, x_rows)
+            # Copies: the refinement moves its restarts' rows in place.
+            batches.append((u_rows.copy(), x_rows.copy(), out))
+            return out
+
+        monkeypatch.setattr(dmc, "aux_mi_triple", spy)
+        cfg = OptimizerConfig(restarts=3, local_steps=10, grid_resolution=3,
+                              u_size_max=3, domain=domain)
+        policy = bound(make_channel(), cfg).argmax_policy
+        best = -np.inf
+        for u_rows, x_rows, out in batches:
+            value, feasible, _, _ = dmc._search_score(out, key_rate)
+            for i in np.flatnonzero(feasible):
+                if value[i] > best:
+                    best, u_row, x_row = value[i], u_rows[i], x_rows[i]
+        assert best >= 0.0
+        assert np.array_equal(policy.u_given_s,
+                              np.broadcast_to(u_row, policy.u_given_s.shape))
+        assert np.array_equal(policy.x_given_us, x_row)
+
+
 class TestSearchBudget:
     def test_default_alphabet_on_large_channel_is_refused(self):
         # |X| = |S| = 16 gives |U| = 258: one u-row probe batch would hold

@@ -725,6 +725,27 @@ def one_round_grid():
     ]
 
 
+class TestSingleKey:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_no_discussion_reports_exact_zeros(self, seed):
+        # One bin: the key has one value, so its rate is +0.0 (the entropy
+        # of a point mass) and it leaks exactly 0, not rounding noise.
+        channel = degraded_binary_wiretap(0.1, 0.1000001)
+        cfg = SimConfig(n=6, epsilon=0.25, rate_margin=0.2, trials=50, seed=seed)
+        report = run_no_discussion(channel, COPY_POLICY, cfg)
+        assert report.leakage_bits_per_symbol == 0.0
+        assert report.achieved_key_rate == 0.0
+        assert math.copysign(1.0, report.achieved_key_rate) == 1.0
+
+    def test_one_round_key_rate_is_positive_zero(self):
+        channel = degraded_binary_wiretap(0.1, 0.1000001)
+        cfg = SimConfig(n=6, epsilon=0.25, rate_margin=0.2, trials=50, seed=3)
+        report = run_one_round_discussion(channel, uniform_input_policy(channel),
+                                          cfg)
+        assert report.diagnostics["num_subbins"] == 1
+        assert math.copysign(1.0, report.achieved_key_rate) == 1.0
+
+
 class TestBatchedTrialLoops:
     @pytest.mark.parametrize("chunk_bytes", [None, 1],
                              ids=["default-chunks", "one-trial-per-chunk"])
