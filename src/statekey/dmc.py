@@ -10,7 +10,9 @@ bounds and the discussion lower bound maximize concave objectives over
 input policies p(x|s), each H(Yr|Ye) minus a term linear in p(s) p(x|s)
 under an output law: one kernel, ``_input_value_grad``, evaluates all
 three, and each is solved by one multiplicative-update ascent from the
-uniform policy.  The no-discussion upper bound also minimizes over output
+uniform policy.  The ascent stops when its Frank-Wolfe gap proves that no
+step can gain _ASCENT_TOL, or when it stalls at a maximum on the simplex
+boundary.  The no-discussion upper bound also minimizes over output
 couplings with fixed marginals, where the objective is convex: it
 alternates the ascent with a Sinkhorn I-projection of the coupling until
 the pair stops improving.  The upper bounds report the Frank-Wolfe gap of
@@ -426,61 +428,57 @@ def _input_value_grad(p_xs: np.ndarray, state_pmf: np.ndarray, q: np.ndarray,
     return float(np.einsum("sx,sx->", w, d)), d
 
 
-def _certificate_gap(p_xs: np.ndarray, state_pmf: np.ndarray,
-                     q: np.ndarray) -> float:
-    """Frank-Wolfe gap sum_s p(s) (max_x d - sum_x p(x|s) d) at ``p_xs``.
-
-    d from ``_input_value_grad`` is the partial derivative of I(X,S;Yr|Ye)
-    under ``q`` in w(x,s) = p(s) p(x|s); by concavity the value at ``p_xs``
-    plus the gap bounds the maximum over p(x|s).
-    """
-    _, d = _input_value_grad(p_xs, state_pmf, q, _cell_entropy(q, True))
+def _fw_gap(p_xs: np.ndarray, state_pmf: np.ndarray, d: np.ndarray) -> float:
+    """Frank-Wolfe gap sum_s p(s) (max_x d - sum_x p(x|s) d) at ``p_xs``, with
+    d from ``_input_value_grad``: the objective is concave, so its value at
+    ``p_xs`` plus the gap bounds its maximum over p(x|s)."""
     return max(0.0, float(state_pmf @ (d.max(axis=1) - (p_xs * d).sum(axis=1))))
 
 
-def _mult_ascend(value_grad, p0):
-    """Multiplicative-update ascent on row-stochastic p(x|s), with backtracking.
+def _certificate_gap(p_xs: np.ndarray, state_pmf: np.ndarray,
+                     q: np.ndarray) -> float:
+    """``_fw_gap`` of I(X,S;Yr|Ye) under ``q`` at ``p_xs``."""
+    _, d = _input_value_grad(p_xs, state_pmf, q, _cell_entropy(q, True))
+    return _fw_gap(p_xs, state_pmf, d)
 
-    The start is mixed with the uniform row so every coordinate keeps support
-    (multiplicative updates preserve zeros and would otherwise pin boundary
-    starts).  The objective is concave for every use here, so a full-support
-    start converges to the global maximum.
+
+def _ascend_input(state_pmf: np.ndarray, q: np.ndarray, given_ye: bool,
+                  p0: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """(p, value, gap): multiplicative-update ascent with backtracking on
+    ``_input_value_grad`` under output law ``q``, h_cell computed once, from
+    ``p0`` mixed with the uniform row (multiplicative updates keep zeros and
+    would pin boundary starts).  The objective is concave, so a full-support
+    start converges to the global maximum.  A step must gain > _ASCENT_TOL.
+    The ascent stops once the Frank-Wolfe gap at p (``_fw_gap``, returned)
+    is at most _ASCENT_TOL / 2, which proves that no step can gain
+    _ASCENT_TOL; or, stalled at a maximum on the simplex boundary where the
+    gap shrinks slowly, when no step down to eta = 1e-12 gains, after five
+    steps in a row gain less than 1e-12, or after _ASCENT_MAX_ITER steps.
     """
-    width = p0.shape[1]
-    p = (1.0 - 1e-3) * p0 + 1e-3 / width
+    h_cell = _cell_entropy(q, given_ye)
+    p = (1.0 - 1e-3) * p0 + 1e-3 / p0.shape[1]
     p /= p.sum(axis=1, keepdims=True)
-    value, grad = value_grad(p)
-    eta = 1.0
-    stall = 0
-    for _ in range(_ASCENT_MAX_ITER):
-        moved = False
+    value, grad = _input_value_grad(p, state_pmf, q, h_cell)
+    eta, stall = 1.0, 0
+    for step in itertools.count():
+        gap = _fw_gap(p, state_pmf, grad)
+        if gap <= _ASCENT_TOL / 2 or stall >= 5 or step == _ASCENT_MAX_ITER:
+            return p, value, gap
         while eta >= 1e-12:
             logp = np.log(np.maximum(p, 1e-300)) + eta * grad * LN2
             logp -= logp.max(axis=1, keepdims=True)
             cand = np.exp(logp)
             cand /= cand.sum(axis=1, keepdims=True)
-            cand_value, cand_grad = value_grad(cand)
+            cand_value, cand_grad = _input_value_grad(cand, state_pmf, q, h_cell)
             if cand_value > value + _ASCENT_TOL:
                 gain = cand_value - value
                 p, value, grad = cand, cand_value, cand_grad
                 eta = min(eta * 1.5, 64.0)
-                moved = True
                 break
             eta *= 0.5
-        if not moved:
-            break
+        else:
+            return p, value, gap
         stall = stall + 1 if gain < 1e-12 else 0
-        if stall >= 5:
-            break
-    return p, value
-
-
-def _ascend_input(state_pmf: np.ndarray, q: np.ndarray, given_ye: bool,
-                  p0: np.ndarray) -> tuple[np.ndarray, float]:
-    """``_mult_ascend`` on ``_input_value_grad`` under output law ``q`` from
-    ``p0``, with h_cell = ``_cell_entropy(q, given_ye)`` computed once."""
-    return _mult_ascend(partial(_input_value_grad, state_pmf=state_pmf, q=q,
-                                h_cell=_cell_entropy(q, given_ye)), p0)
 
 
 def _uniform_input(channel: StateChannel) -> np.ndarray:
@@ -498,9 +496,8 @@ def upper_bound_discussion(channel: StateChannel,
     solves it; ``certificate_gap_bits`` bounds how far short it stopped.
     ``cfg`` is not read.
     """
-    p, v = _ascend_input(channel.state_pmf, channel.kernel, True,
-                         _uniform_input(channel))
-    gap = _certificate_gap(p, channel.state_pmf, channel.kernel)
+    p, v, gap = _ascend_input(channel.state_pmf, channel.kernel, True,
+                              _uniform_input(channel))
     return BoundResult(value_bits=max(0.0, v), argmax_policy=InputPolicy(p),
                        diagnostics={"certificate_gap_bits": gap})
 
@@ -519,8 +516,8 @@ def lower_bound_discussion(channel: StateChannel, cfg: OptimizerConfig,
     ``lower_bound_no_discussion`` for the same channel and config when the
     caller already has it; otherwise that search runs here.
     """
-    p, branch1 = _ascend_input(channel.state_pmf, channel.kernel, False,
-                               _uniform_input(channel))
+    p, branch1, _ = _ascend_input(channel.state_pmf, channel.kernel, False,
+                                  _uniform_input(channel))
     base = no_discussion if no_discussion is not None \
         else lower_bound_no_discussion(channel, cfg)
     # On a tie branch 1 wins.  Both values come from different summation
@@ -566,12 +563,13 @@ def _project_couplings(cells: np.ndarray, weights: np.ndarray,
     """
     m = np.einsum("k,kre->re", weights, cells)
     q = np.where(weights[:, None, None] > 0, np.where(cells > 0, m, 0.0), cells)
+    rows = q.sum(axis=2)
     for _ in range(_SINKHORN_ITERATIONS):
-        rows = q.sum(axis=2)
         q *= np.divide(r, rows, out=np.zeros_like(r), where=rows > 0)[:, :, None]
         cols = q.sum(axis=1)
         q *= np.divide(c, cols, out=np.zeros_like(c), where=cols > 0)[:, None, :]
-        row_err = np.abs(q.sum(axis=2) - r).max(axis=1)
+        rows = q.sum(axis=2)
+        row_err = np.abs(rows - r).max(axis=1)
         if row_err.max() <= _SINKHORN_TOL:
             break
     met = (row_err <= _SINKHORN_TOL) & (weights > 0)
@@ -605,17 +603,18 @@ def upper_bound_no_discussion(channel: StateChannel,
     c = pe.reshape(-1, ne)
     best_q = np.stack([_maximal_cell(a, b) for a, b in zip(r, c)]).reshape(
         channel.kernel.shape)
-    p, v = _ascend_input(channel.state_pmf, best_q, True, _uniform_input(channel))
-    best_v, best_p = max(0.0, v), p
+    p, v, gap = _ascend_input(channel.state_pmf, best_q, True,
+                              _uniform_input(channel))
+    best_v, best_p, best_gap = max(0.0, v), p, gap
     solves, last = 1, np.inf
     cells = r[:, :, None] * c[:, None, :]
     while best_v > 0.0 and solves <= _COUPLING_ROUNDS:
         q = cells.reshape(channel.kernel.shape)
-        p, v = _ascend_input(channel.state_pmf, q, True, p)
+        p, v, gap = _ascend_input(channel.state_pmf, q, True, p)
         v = max(0.0, v)
         solves += 1
         if v < best_v:
-            best_v, best_q, best_p = v, q, p
+            best_v, best_q, best_p, best_gap = v, q, p, gap
         if v > last - 1e-12:
             break
         last = v
@@ -625,8 +624,7 @@ def upper_bound_no_discussion(channel: StateChannel,
         value_bits=best_v, argmax_policy=InputPolicy(best_p),
         diagnostics={"inner_solves": float(solves),
                      "free_dimensions": float((ny - 1) * (ne - 1) * x_size * s_size),
-                     "certificate_gap_bits": _certificate_gap(
-                         best_p, channel.state_pmf, best_q)},
+                     "certificate_gap_bits": best_gap},
         coupling=CouplingFamily(channel, best_q))
 
 

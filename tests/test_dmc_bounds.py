@@ -13,8 +13,8 @@ from statekey import (AuxiliaryEncoderPolicy, BudgetError, CouplingFamily,
                       lower_bound_discussion, lower_bound_no_discussion,
                       mutual_information, secret_message_lower_bound,
                       upper_bound_discussion, upper_bound_no_discussion)
-from statekey.dmc import (_cell_entropy, _certificate_gap, _input_value_grad,
-                          _mult_ascend)
+from statekey.dmc import (LN2, _ASCENT_MAX_ITER, _ASCENT_TOL, _ascend_input,
+                          _cell_entropy, _certificate_gap, _input_value_grad)
 from conftest import (bsc_matrix, constant_channel, degraded_binary_wiretap,
                       factorized_binary, identical_outputs_channel,
                       random_channel)
@@ -285,6 +285,25 @@ class TestUpperBoundNoDiscussion:
         res = upper_bound_no_discussion(channel, CFG_SMALL)
         assert res.value_bits == pytest.approx(value, abs=1e-12)
 
+    @pytest.mark.parametrize("channel, per_solve, total", [
+        (factorized_binary(), 2, np.inf),
+        (random_channel(np.random.default_rng(3), 2, 2, 3, 2), np.inf, 1000),
+    ])
+    def test_input_evaluations(self, channel, per_solve, total, monkeypatch):
+        # An ascent that stops on its Frank-Wolfe gap skips the 40-odd
+        # evaluations of a backtracking ladder that can accept nothing: each
+        # inner solve on the factorized channel then needs at most two.
+        calls = []
+
+        def spy(*args):
+            calls.append(None)
+            return _input_value_grad(*args)
+
+        monkeypatch.setattr(dmc, "_input_value_grad", spy)
+        res = upper_bound_no_discussion(channel, CFG_SMALL)
+        assert 0 < len(calls) <= min(total,
+                                     per_solve * res.diagnostics["inner_solves"])
+
     def test_nan_coupling_rejected(self, degraded_channel):
         q = np.array(degraded_channel.kernel)
         q[0, 0, 0, 0] = np.nan
@@ -300,9 +319,8 @@ class TestUpperBoundNoDiscussion:
         # no feasible direction descends.
         channel = random_channel(np.random.default_rng(k), 2, 3, 2, 2)
         q = upper_bound_no_discussion(channel, CFG).coupling.q
-        p, _ = _mult_ascend(
-            lambda p: _input_value_grad(p, channel.state_pmf, q,
-                                        _cell_entropy(q, True)),
+        p, _, _ = _ascend_input(
+            channel.state_pmf, q, True,
             np.full((channel.s_size, channel.x_size), 1.0 / channel.x_size))
         w = channel.state_pmf[None, :] * p.T
         m = np.einsum("xs,xsre->re", w, q)
@@ -360,6 +378,91 @@ class TestCertificateGap:
         up = upper_bound_discussion(channel, CFG)
         assert cap.diagnostics["certificate_gap_bits"] \
             == up.diagnostics["certificate_gap_bits"]
+
+
+def sparse_channel(rng, x_size, s_size, yr_size, ye_size):
+    """A random channel with about half its kernel entries zero."""
+    kernel = rng.dirichlet(np.ones(yr_size * ye_size), size=(x_size, s_size))
+    kernel *= rng.random(kernel.shape) < 0.5
+    for x, s in np.ndindex(x_size, s_size):
+        if not kernel[x, s].any():
+            kernel[x, s, rng.integers(yr_size * ye_size)] = 1.0
+    kernel /= kernel.sum(axis=2, keepdims=True)
+    return StateChannel.from_arrays(
+        rng.dirichlet(np.ones(s_size)),
+        kernel.reshape(x_size, s_size, yr_size, ye_size))
+
+
+def ladder_candidate(p, d, eta):
+    """The input ascent's step of size ``eta`` from ``p`` along partials ``d``."""
+    logp = np.log(np.maximum(p, 1e-300)) + eta * d * LN2
+    cand = np.exp(logp - logp.max(axis=1, keepdims=True))
+    return cand / cand.sum(axis=1, keepdims=True)
+
+
+def ladder_ascent(state_pmf, q, given_ye, p0):
+    """Reference input ascent without the gap stop: (p, value) once no step
+    down to eta = 1e-12 gains _ASCENT_TOL, after five steps in a row gained
+    less than 1e-12, or after _ASCENT_MAX_ITER steps."""
+    h_cell = _cell_entropy(q, given_ye)
+    p = (1.0 - 1e-3) * p0 + 1e-3 / p0.shape[1]
+    p /= p.sum(axis=1, keepdims=True)
+    value, grad = _input_value_grad(p, state_pmf, q, h_cell)
+    eta, stall = 1.0, 0
+    for _ in range(_ASCENT_MAX_ITER):
+        while eta >= 1e-12:
+            cand = ladder_candidate(p, grad, eta)
+            cand_value, cand_grad = _input_value_grad(cand, state_pmf, q, h_cell)
+            if cand_value > value + _ASCENT_TOL:
+                gain = cand_value - value
+                p, value, grad = cand, cand_value, cand_grad
+                eta = min(eta * 1.5, 64.0)
+                break
+            eta *= 0.5
+        else:
+            break
+        stall = stall + 1 if gain < 1e-12 else 0
+        if stall >= 5:
+            break
+    return p, value
+
+
+class TestInputAscent:
+    def test_gap_stop_keeps_the_ladder_result(self):
+        # By concavity value + gap bounds every point, in particular every
+        # step of the backtracking ladder (eta = 64 * 2^-k down to 1e-12) at
+        # the returned point, up to 1e-15 of rounding.  So an ascent stopped
+        # on gap <= _ASCENT_TOL / 2 gives up no step it would accept, and it
+        # returns the bits of the ascent without that stop.  Sparse kernels
+        # put maxima on the simplex boundary, where the ascent stalls with a
+        # larger gap instead.
+        stopped = stalled = 0
+        for k in range(40):
+            rng = np.random.default_rng(k)
+            sizes = rng.integers(1, 4, size=4)
+            channel = (sparse_channel if k % 2 else random_channel)(rng, *sizes)
+            product = np.einsum("xsr,xse->xsre", channel.receiver_kernel(),
+                                channel.eavesdropper_kernel())
+            p0 = np.full((channel.s_size, channel.x_size), 1.0 / channel.x_size)
+            for q, given_ye in ((channel.kernel, True), (channel.kernel, False),
+                                (product, True)):
+                p, value, gap = _ascend_input(channel.state_pmf, q, given_ye, p0)
+                ref_p, ref_value = ladder_ascent(channel.state_pmf, q, given_ye, p0)
+                assert np.array_equal(p, ref_p) and value == ref_value, k
+                h_cell = _cell_entropy(q, given_ye)
+                _, d = _input_value_grad(p, channel.state_pmf, q, h_cell)
+                if given_ye:
+                    assert gap == _certificate_gap(p, channel.state_pmf, q)
+                best = max(_input_value_grad(ladder_candidate(p, d, eta),
+                                             channel.state_pmf, q, h_cell)[0]
+                           for eta in 64.0 * 0.5 ** np.arange(46))
+                assert best <= value + gap + 1e-15, (k, given_ye)
+                if gap <= _ASCENT_TOL / 2:
+                    stopped += 1
+                    assert best <= value + _ASCENT_TOL, (k, given_ye)
+                else:
+                    stalled += 1
+        assert stopped and stalled
 
 
 class TestLowerBoundDiscussion:
