@@ -5,7 +5,10 @@ Four bound evaluators plus a secret-message comparison bound;
 the secret-message bound search over auxiliary encoder policies (p(u|s),
 p(x|u,s)) with a seeded multi-start grid plus projected-gradient ascent on
 closed-form partials of the MI triple, scoring policies in batches; their
-optima are "best found" and deterministic for a fixed seed.  The upper
+optima are "best found" and deterministic for a fixed seed.  One search
+serves both: each pass scores one seed batch under every objective and
+refines every objective's restarts in one batch, with one incumbent per
+objective, and gives each the result of a search for it alone.  The upper
 bounds and the discussion lower bound maximize concave objectives over
 input policies p(x|s), each H(Yr|Ye) minus a term linear in p(s) p(x|s)
 under an output law: one kernel, ``_input_value_grad``, evaluates all
@@ -53,9 +56,10 @@ _SINKHORN_ITERATIONS = 1000
 _SINKHORN_TOL = 1e-13
 
 # Largest batch of float64 policies the auxiliary-policy search may build,
-# and the most policy entries it may plan to score; a search that would need
-# more raises BudgetError before it starts.  A default search on an 8x8x2x2
-# channel plans 7.4e7 entries, scores 4e7 and takes 1.7 s on 2 CPUs.
+# and the most policy entries it may plan to score for one objective; a
+# search that would need more raises BudgetError before it starts.  A
+# default search on an 8x8x2x2 channel plans 7.4e7 entries per objective,
+# scores 4e7 and takes 1.7-3.5 s per objective on 2 CPUs.
 _AUX_BATCH_BYTES = 64 * 2**20
 _AUX_WORK_ENTRIES = 2**28
 # Step-size multiples scored per search iteration; iterations per local step.
@@ -166,26 +170,28 @@ def _project_simplex(v: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _check_aux_budget(channel: StateChannel, cfg: OptimizerConfig,
-                      u_size: int, passes: int) -> None:
+                      u_size: int, passes: int, objectives: int) -> None:
     """Refuse a search whose largest batch or whose planned work is too big.
 
-    A batch holds the seeds of a pass or the step candidates of every
-    restart; a policy has |U||S|(|X| + 1) float64 entries.  The planned work
-    counts the entries of the seeds and, for the whole iteration cap, of the
+    A batch holds the seeds of a pass, scored once for every objective, or
+    the step candidates of every objective's restarts; a policy has
+    |U||S|(|X| + 1) float64 entries.  The planned work of each objective
+    counts the entries of the seeds and, for the whole iteration cap, of its
     candidates, over all passes.
     """
     entries = u_size * channel.s_size * (channel.x_size + 1)
     seeds = _STRUCTURED_SEEDS_MAX + 3 * cfg.restarts
     candidates = cfg.restarts * len(_STEP_MULTIPLIERS)
-    need = 8 * max(seeds, candidates) * entries
+    need = 8 * max(seeds, objectives * candidates) * entries
     work = passes * (seeds + _ITERATIONS_PER_STEP * cfg.local_steps
                      * candidates) * entries
     if need > _AUX_BATCH_BYTES or work > _AUX_WORK_ENTRIES:
         raise BudgetError(
             f"the auxiliary-policy search needs a {need / 2**20:.0f} MiB batch "
-            f"and plans {work:.3g} policy entries at |U|={u_size}, over the "
-            f"limits of {_AUX_BATCH_BYTES // 2**20} MiB and "
-            f"{_AUX_WORK_ENTRIES:.3g}; lower u_size_max, restarts or local_steps")
+            f"and plans {work:.3g} policy entries per objective at "
+            f"|U|={u_size}, over the limits of {_AUX_BATCH_BYTES // 2**20} MiB "
+            f"and {_AUX_WORK_ENTRIES:.3g}; lower u_size_max, restarts or "
+            f"local_steps")
 
 
 def _structured_aux_seeds(channel, u_size, restricted, rng):
@@ -237,14 +243,17 @@ def _refine_aux(u_rows, x_rows, evaluate, gradient, cfg):
     refined in place.  Each iteration takes one ``gradient`` batch and one
     ``evaluate`` batch: every live restart's points projected onto the
     simplex after steps of eta * _STEP_MULTIPLIERS, all rows moved together.
-    The best candidate is taken when it beats the restart's score by more
-    than 1e-13, and eta becomes its step; otherwise eta (0.25 at first) is
+    ``evaluate(u_rows, x_rows, restart)`` scores a batch whose row i comes
+    from restart ``restart[i]``, so restarts of different objectives share
+    a batch, each under its own score and gradient weights.  The best
+    candidate is taken when it beats the restart's score by more than
+    1e-13, and eta becomes its step; otherwise eta (0.25 at first) is
     divided by 64.  A restart leaves when eta < 1e-9 or after
     _ITERATIONS_PER_STEP * ``cfg.local_steps`` iterations.  Returns the
-    iterations of all restarts.
+    iterations of each restart.
     """
     n, k = len(u_rows), len(_STEP_MULTIPLIERS)
-    current, weights = evaluate(u_rows, x_rows)
+    current, weights = evaluate(u_rows, x_rows, np.arange(n))
     eta = np.full(n, 0.25)
     iterations = np.zeros(n, dtype=int)
     live = np.arange(n)
@@ -257,7 +266,7 @@ def _refine_aux(u_rows, x_rows, evaluate, gradient, cfg):
                 steps.shape + (1,) * (rows.ndim - 1))
             cand.append(_project_simplex(moved.reshape(-1, rows.shape[-1]))
                         .reshape((-1,) + rows.shape[1:]))
-        score, cand_weights = evaluate(*cand)
+        score, cand_weights = evaluate(*cand, np.repeat(live, k))
         score = score.reshape(-1, k)
         pick = np.argmax(score, axis=1)
         up = np.flatnonzero(score[np.arange(len(live)), pick] > current[live] + 1e-13)
@@ -270,7 +279,7 @@ def _refine_aux(u_rows, x_rows, evaluate, gradient, cfg):
         live = live[eta[live] >= 1e-9]
         if not live.size:
             break
-    return int(iterations.sum())
+    return iterations
 
 
 def _search_score(triple, key_rate):
@@ -296,37 +305,53 @@ def _search_score(triple, key_rate):
                              -1.0 * (i_us > i_uye)]))
 
 
-def _search_aux(channel, cfg, key_rate):
-    """(policy, diagnostics) of the best key or secret-message rate found.
+def _search_aux(channel, cfg, objectives):
+    """One (policy, diagnostics) per objective: the best rate found for each.
 
-    Each pass scores its seeds (``_search_score``) as one batch and refines
-    the ``restarts`` best together (``_refine_aux``).  ``general_u`` also
-    runs the restricted (u independent of s) pass, where the covering
-    constraint is vacuous.  Every evaluated batch may replace the one
-    incumbent, only by a strictly higher feasible value, so among equal
-    values the first evaluated stays; the constant-u policy (value 0) is the
-    fallback.  An over-budget search raises ``BudgetError`` first.
+    ``objectives`` holds ``key_rate`` flags of ``_search_score``: True for
+    the key rate, False for the secret-message rate.  Each pass draws its
+    seeds once, computes their MI triple once and scores it under every
+    objective; the ``restarts`` best seeds of each objective are refined
+    together in one ``_refine_aux`` batch, its rows ordered by objective,
+    each restart under its own objective's score.  ``general_u`` also runs
+    the restricted (u independent of s) pass, where the covering constraint
+    is vacuous.  Each objective keeps one incumbent, which sees only that
+    objective's rows and is replaced only by a strictly higher feasible
+    value, so among equal values the first evaluated stays; the constant-u
+    policy (value 0) is the fallback.  Every objective's result equals that
+    of a search for it alone.  An over-budget search raises ``BudgetError``
+    first.
     """
-    u_size = cfg.resolve_u_size(channel)
+    u_size, n_obj = cfg.resolve_u_size(channel), len(objectives)
     passes = 2 if cfg.domain == "general_u" and channel.s_size > 1 else 1
-    _check_aux_budget(channel, cfg, u_size, passes)
+    _check_aux_budget(channel, cfg, u_size, passes, n_obj)
     kernel = channel.stacked_kernel()
+    triple_of = partial(aux_mi_triple, channel.state_pmf, kernel, channel.yr_size)
     gradient = partial(aux_mi_gradient, channel.state_pmf, kernel, channel.yr_size)
 
-    def evaluate(u_rows, x_rows):
-        """Search scores and score weights of a batch; a copy of its first
-        feasible point of the highest value replaces a lower incumbent."""
-        nonlocal evals, best
-        value, feasible, score, weights = _search_score(aux_mi_triple(
-            channel.state_pmf, kernel, channel.yr_size, u_rows, x_rows), key_rate)
-        evals += len(value)
+    def score_for(j, triple, u_rows, x_rows):
+        """Search scores and score weights of a batch under objective j; a
+        copy of its first feasible point of the highest value replaces a
+        lower incumbent of j."""
+        value, feasible, score, weights = _search_score(triple, objectives[j])
+        evals[j] += len(value)
         masked = np.where(feasible, value, -np.inf)
         i = int(np.argmax(masked))
-        if masked[i] > best[0]:
-            best = (masked[i], u_rows[i].copy(), x_rows[i].copy())
+        if masked[i] > best[j][0]:
+            best[j] = (masked[i], u_rows[i].copy(), x_rows[i].copy())
         return score, weights
 
-    best, evals, iterations, best_grid = (-np.inf, None, None), 0, 0, -np.inf
+    def evaluate(u_rows, x_rows, restart):
+        """``score_for`` each objective's rows, which are contiguous."""
+        triple = triple_of(u_rows, x_rows)
+        ends = np.searchsorted(owner[restart], np.arange(n_obj + 1))
+        out = [score_for(j, tuple(t[lo:hi] for t in triple), u_rows[lo:hi],
+                     x_rows[lo:hi])
+               for j, (lo, hi) in enumerate(zip(ends, ends[1:])) if hi > lo]
+        return tuple(np.concatenate(parts) for parts in zip(*out))
+
+    best = [(-np.inf, None, None)] * n_obj
+    evals, iterations, best_grid = [0] * n_obj, [0] * n_obj, [-np.inf] * n_obj
     for restricted, stream_key in ((True, 11), (False, 12))[:passes]:
         rng = _rng_stream(cfg.seed, stream_key)
         u_seeds, x_seeds = _structured_aux_seeds(channel, u_size, restricted, rng)
@@ -334,27 +359,54 @@ def _search_aux(channel, cfg, key_rate):
                                          cfg.grid_resolution, 3 * cfg.restarts, rng)
         u_rows = np.concatenate([u_seeds, u_grid])
         x_rows = np.concatenate([x_seeds, x_grid])
-        score, _ = evaluate(u_rows, x_rows)
-        best_grid = max(best_grid, float(score[len(u_seeds):].max()))
-        top = np.argsort(-score, kind="stable")[:cfg.restarts]
-        iterations += _refine_aux(u_rows[top], x_rows[top], evaluate, gradient, cfg)
+        triple = triple_of(u_rows, x_rows)
+        top = []
+        for j in range(n_obj):
+            seed_score, _ = score_for(j, triple, u_rows, x_rows)
+            best_grid[j] = max(best_grid[j], float(seed_score[len(u_seeds):].max()))
+            top.append(np.argsort(-seed_score, kind="stable")[:cfg.restarts])
+        # Restart r refines seed top[r] under objective owner[r].
+        owner = np.repeat(np.arange(n_obj), cfg.restarts)
+        top = np.concatenate(top)
+        restart_iterations = _refine_aux(u_rows[top], x_rows[top], evaluate,
+                                         gradient, cfg)
+        for j in range(n_obj):
+            iterations[j] += int(restart_iterations[owner == j].sum())
 
-    value, u_given_s, x_given_us = best
-    # The constant-u policy is feasible with value 0, so a result always exists.
-    if not value >= 0.0:
-        u_given_s = np.zeros((channel.s_size, u_size))
-        u_given_s[:, 0] = 1.0
-        x_given_us = np.full((u_size, channel.s_size, channel.x_size),
-                             1.0 / channel.x_size)
-    # A restricted-pass point has one u-row, shared by every state.
-    u_given_s = np.broadcast_to(u_given_s, (channel.s_size, u_size))
-    diagnostics = {
-        "iterations": float(iterations),
-        "restarts": float(cfg.restarts),
-        "best_grid_value": best_grid,
-        "objective_evaluations": float(evals),
-    }
-    return AuxiliaryEncoderPolicy(u_size, u_given_s, x_given_us), diagnostics
+    results = []
+    for (value, u_given_s, x_given_us), j_evals, j_iterations, j_grid in zip(
+            best, evals, iterations, best_grid):
+        # The constant-u policy is feasible with value 0, so a result always
+        # exists.
+        if not value >= 0.0:
+            u_given_s = np.zeros((channel.s_size, u_size))
+            u_given_s[:, 0] = 1.0
+            x_given_us = np.full((u_size, channel.s_size, channel.x_size),
+                                 1.0 / channel.x_size)
+        # A restricted-pass point has one u-row, shared by every state.
+        u_given_s = np.broadcast_to(u_given_s, (channel.s_size, u_size))
+        diagnostics = {
+            "iterations": float(j_iterations),
+            "restarts": float(cfg.restarts),
+            "best_grid_value": j_grid,
+            "objective_evaluations": float(j_evals),
+        }
+        results.append((AuxiliaryEncoderPolicy(u_size, u_given_s, x_given_us),
+                        diagnostics))
+    return results
+
+
+def _key_rate_result(channel, policy, diagnostics) -> BoundResult:
+    # The reported numbers are recomputed from the stored policy alone.
+    value, slack = aux_policy_rate(channel, policy)
+    return BoundResult(value_bits=max(0.0, value), argmax_policy=policy,
+                       constraint_slack_bits=slack, diagnostics=diagnostics)
+
+
+def _message_result(channel, policy, diagnostics) -> BoundResult:
+    i_uyr, i_uye, i_us = policy_mi_triple(channel, policy)
+    return BoundResult(value_bits=max(0.0, i_uyr - max(i_us, i_uye)),
+                       argmax_policy=policy, diagnostics=diagnostics)
 
 
 def lower_bound_no_discussion(channel: StateChannel,
@@ -366,11 +418,8 @@ def lower_bound_no_discussion(channel: StateChannel,
     more than ``_STEP_TOLERANCE`` (1e-9 bits) are discarded, so the reported
     value is always achievable.
     """
-    policy, diag = _search_aux(channel, cfg, True)
-    # The reported numbers are recomputed from the stored policy alone.
-    value, slack = aux_policy_rate(channel, policy)
-    return BoundResult(value_bits=max(0.0, value), argmax_policy=policy,
-                       constraint_slack_bits=slack, diagnostics=diag)
+    (found,) = _search_aux(channel, cfg, (True,))
+    return _key_rate_result(channel, *found)
 
 
 def secret_message_lower_bound(channel: StateChannel,
@@ -381,10 +430,8 @@ def secret_message_lower_bound(channel: StateChannel,
     the state sequence while a message cannot, so this bound is never larger
     on the constrained region.
     """
-    policy, diag = _search_aux(channel, cfg, False)
-    i_uyr, i_uye, i_us = policy_mi_triple(channel, policy)
-    return BoundResult(value_bits=max(0.0, i_uyr - max(i_us, i_uye)),
-                       argmax_policy=policy, diagnostics=diag)
+    (found,) = _search_aux(channel, cfg, (False,))
+    return _message_result(channel, *found)
 
 
 def aux_policy_rate(channel: StateChannel,
@@ -665,8 +712,9 @@ def evaluate_bounds(channel: StateChannel, cfg: OptimizerConfig) -> dict:
     """Every bound of ``channel``, each computed once, under the keys of the
     ``bounds-dmc --out`` report in print order; ``discussion_capacity`` is
     None when the kernel does not factorize."""
-    lb = lower_bound_no_discussion(channel, cfg)
-    msg = secret_message_lower_bound(channel, cfg)
+    key, message = _search_aux(channel, cfg, (True, False))
+    lb = _key_rate_result(channel, *key)
+    msg = _message_result(channel, *message)
     ub = upper_bound_no_discussion(channel, cfg)
     lbd = lower_bound_discussion(channel, cfg, no_discussion=lb)
     ubd = upper_bound_discussion(channel, cfg)

@@ -159,20 +159,22 @@ class TestBoundsCommand:
         assert "capacity" in out
 
     def test_each_search_runs_once(self, tmp_path, monkeypatch, capsys):
-        # The discussion lower bound and the capacity flag reuse the results
+        # One auxiliary-policy search serves both lower-bound objectives, and
+        # the discussion lower bound and the capacity flag reuse the results
         # the command already has instead of searching again.
-        calls = {"lower_bound_no_discussion": 0, "upper_bound_discussion": 0}
+        calls = {"_search_aux": [], "upper_bound_discussion": []}
         for name in calls:
             def counted(*args, _fn=getattr(dmc, name), _name=name, **kwargs):
-                calls[_name] += 1
+                calls[_name].append(args)
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(dmc, name, counted)
         path = tmp_path / "fact.json"
         save_channel(factorized_binary(), str(path))
         assert main(["bounds-dmc", str(path), "--restarts", "3"]) == 0
         assert "discussion_capacity_bits" in capsys.readouterr().out
-        assert calls == {"lower_bound_no_discussion": 1,
-                         "upper_bound_discussion": 1}
+        assert len(calls["_search_aux"]) == 1
+        assert calls["_search_aux"][0][2] == (True, False)
+        assert len(calls["upper_bound_discussion"]) == 1
 
     @pytest.mark.parametrize("build, has_capacity",
                              [(factorized_binary, True),

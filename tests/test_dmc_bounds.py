@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -174,12 +175,50 @@ class TestSearchIncumbent:
         assert np.array_equal(policy.x_given_us, x_row)
 
 
+JOINT_CASES = [pytest.param(case.values[0], case.values[1], id=case.id)
+               for case in TRAJECTORY_CASES] + [
+    pytest.param(lambda: random_channel(np.random.default_rng(4)), CFG_SMALL,
+                 id="random2222-small"),
+    pytest.param(lambda: random_channel(np.random.default_rng(4)),
+                 replace(CFG_SMALL, domain="restricted_u"),
+                 id="random2222-small-restricted"),
+]
+
+
+class TestJointSearch:
+    @pytest.mark.parametrize("make_channel, cfg", JOINT_CASES)
+    @pytest.mark.parametrize("objectives", [(True, False), (False, True)],
+                             ids=["key-first", "message-first"])
+    def test_each_objective_equals_its_search_alone(self, make_channel, cfg,
+                                                    objectives):
+        # One seed batch and one refinement batch serve both objectives;
+        # each objective's incumbent sees only its own rows, so the joint
+        # search reproduces every bit of the two separate searches.
+        channel = make_channel()
+        build = {True: dmc._key_rate_result, False: dmc._message_result}
+        alone = {True: lower_bound_no_discussion,
+                 False: secret_message_lower_bound}
+        joint = dmc._search_aux(channel, cfg, objectives)
+        assert len(joint) == len(objectives)
+        for key_rate, (policy, diagnostics) in zip(objectives, joint):
+            together = build[key_rate](channel, policy, diagnostics)
+            single = alone[key_rate](channel, cfg)
+            assert np.array_equal(together.argmax_policy.u_given_s,
+                                  single.argmax_policy.u_given_s)
+            assert np.array_equal(together.argmax_policy.x_given_us,
+                                  single.argmax_policy.x_given_us)
+            assert together.value_bits == single.value_bits
+            assert together.constraint_slack_bits == single.constraint_slack_bits
+            assert together.diagnostics == single.diagnostics
+
+
 class TestSearchBudget:
     def test_default_alphabet_on_large_channel_is_refused(self):
         # |X| = |S| = 16 gives |U| = 258: one u-row probe batch would hold
         # 8 * 258 policies of 258 * 16 * 17 entries, about 1.1 GB.
         channel = random_channel(np.random.default_rng(0), 16, 16, 2, 2)
-        for bound in (lower_bound_no_discussion, secret_message_lower_bound):
+        for bound in (lower_bound_no_discussion, secret_message_lower_bound,
+                      dmc.evaluate_bounds):
             with pytest.raises(BudgetError, match="u_size_max"):
                 bound(channel, OptimizerConfig())
 
@@ -190,6 +229,26 @@ class TestSearchBudget:
         res = lower_bound_no_discussion(channel, OptimizerConfig())
         assert res.value_bits >= 0.0
         assert res.constraint_slack_bits >= -1e-9
+
+    @pytest.mark.parametrize("size", [8, 10])
+    def test_default_joint_search_fits(self, size):
+        # 10x10x2x2 plans 1.7e8 entries per objective, 3.5e8 for both: the
+        # work limit holds per objective, so the joint search that
+        # evaluate_bounds runs accepts every channel a single search does.
+        channel = random_channel(np.random.default_rng(0), size, size, 2, 2)
+        cfg = OptimizerConfig()
+        dmc._check_aux_budget(channel, cfg, cfg.resolve_u_size(channel), 2, 2)
+
+    def test_batch_bytes_count_every_objective_candidates(self):
+        # |U| = 18 on a 4x4 channel: 360 entries per policy.  4,000 restarts
+        # make 16,000 step candidates per objective: 44 MiB for one and
+        # 88 MiB for two objectives, over the 64 MiB batch limit.
+        channel = random_channel(np.random.default_rng(0), 4, 4, 2, 2)
+        cfg = OptimizerConfig(restarts=4000, local_steps=1,
+                              domain="restricted_u")
+        dmc._check_aux_budget(channel, cfg, 18, 1, 1)
+        with pytest.raises(BudgetError, match="88 MiB"):
+            dmc._check_aux_budget(channel, cfg, 18, 1, 2)
 
     def test_capped_alphabet_fits(self):
         channel = random_channel(np.random.default_rng(0), 16, 16, 2, 2)
