@@ -8,12 +8,11 @@ every operation here is a pure function of immutable inputs.
 
 All information quantities are in bits (base-2 logarithms).  The kernel
 ``mi_bits`` and the triple (I(U;Yr), I(U;Ye), I(U;S)) of auxiliary policies
-(``aux_mi_triple``, and ``policy_mi_triple`` for one) are the package's only
-implementations of mutual information; every other MI is computed by them,
-except the concave input-policy objectives of ``dmc``, which one kernel
-evaluates as entropy differences together with their partials.
-``aux_mi_gradient`` takes the partials of the triple from the same joint
-tables and log ratios.
+(``aux_mi_terms``) are the package's only implementations of mutual
+information; every other MI is computed by them, except the concave
+input-policy objectives of ``dmc``, which one kernel evaluates as entropy
+differences together with their partials.  ``aux_mi_partials`` takes the
+partials of the triple from the terms ``aux_mi_terms`` returns with it.
 """
 
 from __future__ import annotations
@@ -292,12 +291,13 @@ def _log_ratio(joint: np.ndarray) -> np.ndarray:
     return terms
 
 
-def mi_bits(joint: np.ndarray) -> np.ndarray:
+def mi_bits(joint: np.ndarray, ratio: np.ndarray | None = None) -> np.ndarray:
     """I(A;B) in bits from joint pmfs over the last two axes.
 
-    Leading axes index a batch; a 2-D joint gives a scalar.
+    Leading axes index a batch; a 2-D joint gives a scalar.  ``ratio``, the
+    ``_log_ratio`` of ``joint``, is computed here unless the caller has it.
     """
-    terms = _log_ratio(joint)
+    terms = _log_ratio(joint) if ratio is None else ratio.copy()
     terms *= joint
     return np.maximum(0.0, terms.reshape(*terms.shape[:-2], -1).sum(axis=-1))
 
@@ -334,42 +334,61 @@ def _aux_joints(state_pmf, kernel, u_rows, x_rows):
     return p_us, np.einsum("bus,busx,xsk->buk", p_us, x_rows, kernel)
 
 
-def aux_mi_triple(state_pmf: np.ndarray, kernel: np.ndarray, yr_size: int,
-                  u_rows: np.ndarray, x_rows: np.ndarray):
-    """(I(U;Yr), I(U;Ye), I(U;S)) for a batch of policies, by direct summation.
+def aux_mi_terms(state_pmf: np.ndarray, kernel: np.ndarray, yr_size: int,
+                 u_rows: np.ndarray, x_rows: np.ndarray):
+    """(I(U;Yr), I(U;Ye), I(U;S)) of a batch of policies, by direct
+    summation, and the terms ``aux_mi_partials`` takes: p(u,s) (batch, u, s)
+    and the ``_log_ratio`` arrays of p(u,yr), p(u,ye) and p(u,s).
 
     ``u_rows`` (batch, 1 or s, u) holds p(u|s), one row for every state when
     it has a single row; ``x_rows`` (batch, u, s, x) holds p(x|u,s).
     ``kernel`` is the channel's ``stacked_kernel()``.
     """
     p_us, p_uk = _aux_joints(state_pmf, kernel, u_rows, x_rows)
-    return (mi_bits(p_uk[:, :, :yr_size]), mi_bits(p_uk[:, :, yr_size:]),
-            mi_bits(p_us))
+    joints = (p_uk[:, :, :yr_size], p_uk[:, :, yr_size:], p_us)
+    ratios = tuple(_log_ratio(joint) for joint in joints)
+    return tuple(map(mi_bits, joints, ratios)), (p_us,) + ratios
+
+
+def aux_mi_partials(state_pmf: np.ndarray, kernel: np.ndarray,
+                    x_rows: np.ndarray, weights: np.ndarray, terms, tied):
+    """Partials of w_a I(U;Yr) + w_b I(U;Ye) + w_c I(U;S) in p(u|s) and p(x|u,s).
+
+    ``terms`` comes from ``aux_mi_terms`` on the same batch; ``weights``
+    (batch, 3) holds (w_a, w_b, w_c).  With G(u,k) = w log2 p(u,k) /
+    (p(u) p(k)) for each output k of weight w, the partial in p(x|u,s) is
+    p(s) p(u|s) sum_k K(k|x,s) G(u,k) and the one in p(u|s) is
+    p(s) [sum_x p(x|u,s) sum_k K(k|x,s) G(u,k) + w_c log2 p(u|s) / p(u)],
+    summed over s, in every state's row, where ``tied`` (batch,) marks a
+    p(u|s) that all states share.  Each is exact up to a constant per row;
+    cells of zero probability add 0.
+    """
+    p_us, ratio_yr, ratio_ye, ratio_us = terms
+    g = np.concatenate([weights[:, :1, None] * ratio_yr,
+                        weights[:, 1:2, None] * ratio_ye], axis=2)
+    d = np.einsum("xsk,buk->busx", kernel, g)
+    grad_u = state_pmf * (np.einsum("busx,busx->bus", x_rows, d)
+                          + weights[:, 2:, None] * ratio_us)
+    grad_u = np.swapaxes(grad_u, 1, 2)
+    grad_u = np.where(tied[:, None, None], grad_u.sum(axis=1, keepdims=True),
+                      grad_u)
+    return grad_u, p_us[:, :, :, None] * d
+
+
+def aux_mi_triple(state_pmf: np.ndarray, kernel: np.ndarray, yr_size: int,
+                  u_rows: np.ndarray, x_rows: np.ndarray):
+    """(I(U;Yr), I(U;Ye), I(U;S)) of a batch of policies (see ``aux_mi_terms``)."""
+    return aux_mi_terms(state_pmf, kernel, yr_size, u_rows, x_rows)[0]
 
 
 def aux_mi_gradient(state_pmf: np.ndarray, kernel: np.ndarray, yr_size: int,
                     u_rows: np.ndarray, x_rows: np.ndarray, weights: np.ndarray):
-    """Partials of w_a I(U;Yr) + w_b I(U;Ye) + w_c I(U;S) in u_rows and x_rows.
-
-    Arguments as in ``aux_mi_triple``; ``weights`` (batch, 3) holds
-    (w_a, w_b, w_c).  With G(u,k) = w log2 p(u,k) / (p(u) p(k)) for each
-    output k of weight w, the partial in p(x|u,s) is
-    p(s) p(u|s) sum_k K(k|x,s) G(u,k) and the one in p(u|s) is
-    p(s) [sum_x p(x|u,s) sum_k K(k|x,s) G(u,k) + w_c log2 p(u|s) / p(u)],
-    summed over s for a shared row.  Each is exact up to a constant per row;
-    cells of zero probability add 0.
-    """
-    p_us, p_uk = _aux_joints(state_pmf, kernel, u_rows, x_rows)
-    g = np.concatenate([weights[:, :1, None] * _log_ratio(p_uk[:, :, :yr_size]),
-                        weights[:, 1:2, None] * _log_ratio(p_uk[:, :, yr_size:])],
-                       axis=2)
-    d = np.einsum("xsk,buk->busx", kernel, g)
-    grad_u = state_pmf * (np.einsum("busx,busx->bus", x_rows, d)
-                          + weights[:, 2:, None] * _log_ratio(p_us))
-    grad_u = np.swapaxes(grad_u, 1, 2)
-    if u_rows.shape[1] == 1:
-        grad_u = grad_u.sum(axis=1, keepdims=True)
-    return grad_u, p_us[:, :, :, None] * d
+    """``aux_mi_partials`` of a batch, arguments as in ``aux_mi_terms``; a
+    single u-row, shared by every state, gets one partial row."""
+    terms = aux_mi_terms(state_pmf, kernel, yr_size, u_rows, x_rows)[1]
+    tied = np.full(len(x_rows), u_rows.shape[1] == 1)
+    grad_u, grad_x = aux_mi_partials(state_pmf, kernel, x_rows, weights, terms, tied)
+    return grad_u[:, :u_rows.shape[1]], grad_x
 
 
 def policy_mi_triple(channel: StateChannel, policy: AuxiliaryEncoderPolicy

@@ -6,20 +6,20 @@ the secret-message bound search over auxiliary encoder policies (p(u|s),
 p(x|u,s)) with a seeded multi-start grid plus projected-gradient ascent on
 closed-form partials of the MI triple, scoring policies in batches; their
 optima are "best found" and deterministic for a fixed seed.  One search
-serves both: each pass scores one seed batch under every objective and
-refines every objective's restarts in one batch, with one incumbent per
-objective, and gives each the result of a search for it alone.  The upper
-bounds and the discussion lower bound maximize concave objectives over
-input policies p(x|s), each H(Yr|Ye) minus a term linear in p(s) p(x|s)
-under an output law: one kernel, ``_input_value_grad``, evaluates all
-three, and each is solved by one multiplicative-update ascent from the
-uniform policy.  The ascent stops when its Frank-Wolfe gap proves that no
-step can gain _ASCENT_TOL, or when it stalls at a maximum on the simplex
-boundary.  The no-discussion upper bound also minimizes over output
-couplings with fixed marginals, where the objective is convex: it
-alternates the ascent with a Sinkhorn I-projection of the coupling until
-the pair stops improving.  The upper bounds report the Frank-Wolfe gap of
-their inner maximum as certificate_gap_bits; value plus gap is a proven bound.
+serves both: one refinement batch holds both passes' and objectives'
+restarts, each gradient comes from the batch that scored its point, and
+each objective gets the result of a search for it alone.  The upper bounds
+and the discussion lower bound maximize concave objectives over input
+policies p(x|s), each H(Yr|Ye) minus a term linear in p(s) p(x|s) under an
+output law: one kernel, ``_input_value_grad``, evaluates all three, and
+each is solved by one multiplicative-update ascent from the uniform policy.
+The ascent stops when its Frank-Wolfe gap proves that no step can gain
+_ASCENT_TOL, or when it stalls at a maximum on the simplex boundary.  The
+no-discussion upper bound also minimizes over output couplings with fixed
+marginals, where the objective is convex: it alternates the ascent with a
+Sinkhorn I-projection of the coupling until the pair stops improving.  The
+upper bounds report the Frank-Wolfe gap of their inner maximum as
+certificate_gap_bits; value plus gap is a proven bound.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from functools import partial
 import numpy as np
 
 from .channel import (AuxiliaryEncoderPolicy, InputPolicy, StateChannel,
-                      aux_mi_gradient, aux_mi_triple, check_integer,
+                      aux_mi_partials, aux_mi_terms, check_integer,
                       policy_mi_triple)
 from .sim import BudgetError, _rng_stream
 
@@ -51,6 +51,9 @@ _ASCENT_TOL = 1e-13
 
 # Alternating best-response rounds per start of the coupling upper bound.
 _COUPLING_ROUNDS = 200
+# Most bytes of the five kernel-sized arrays the coupling upper bound holds at
+# once (kernel, best coupling, cells, their projection and its result).
+_COUPLING_BYTES = 192 * 2**20
 # Sinkhorn scaling: sweeps per coupling step and the marginal tolerance.
 _SINKHORN_ITERATIONS = 1000
 _SINKHORN_TOL = 1e-13
@@ -174,15 +177,15 @@ def _check_aux_budget(channel: StateChannel, cfg: OptimizerConfig,
     """Refuse a search whose largest batch or whose planned work is too big.
 
     A batch holds the seeds of a pass, scored once for every objective, or
-    the step candidates of every objective's restarts; a policy has
-    |U||S|(|X| + 1) float64 entries.  The planned work of each objective
+    the step candidates of every pass's and objective's restarts; a policy
+    has |U||S|(|X| + 1) float64 entries.  The planned work of each objective
     counts the entries of the seeds and, for the whole iteration cap, of its
     candidates, over all passes.
     """
     entries = u_size * channel.s_size * (channel.x_size + 1)
     seeds = _STRUCTURED_SEEDS_MAX + 3 * cfg.restarts
     candidates = cfg.restarts * len(_STEP_MULTIPLIERS)
-    need = 8 * max(seeds, objectives * candidates) * entries
+    need = 8 * max(seeds, passes * objectives * candidates) * entries
     work = passes * (seeds + _ITERATIONS_PER_STEP * cfg.local_steps
                      * candidates) * entries
     if need > _AUX_BATCH_BYTES or work > _AUX_WORK_ENTRIES:
@@ -224,55 +227,58 @@ def _structured_aux_seeds(channel, u_size, restricted, rng):
 
 
 def _grid_aux_seeds(channel, u_size, restricted, resolution, count, rng):
-    """``count`` policies with rows drawn from the 1/resolution simplex lattice."""
-    def row(dim):
-        return np.bincount(rng.integers(0, dim, size=resolution), minlength=dim) / resolution
+    """``count`` policies with rows drawn from the 1/resolution simplex
+    lattice, by one ``rng.integers`` call that takes the draws of one call
+    per row, in its order: per policy the u-rows, then the x-rows ([u][s])."""
+    dims = (u_size, channel.x_size)
+    sizes = ((1 if restricted else channel.s_size) * resolution,
+             u_size * channel.s_size * resolution)
+    draws = rng.integers(0, np.tile(np.repeat(dims, sizes), count))
+    parts = np.split(draws.reshape(count, -1), sizes[:1], axis=1)
+    u_rows, x_rows = ((part.reshape(count, -1, resolution, 1) == np.arange(dim))
+                      .sum(axis=2) / resolution for part, dim in zip(parts, dims))
+    return u_rows, x_rows.reshape(count, u_size, channel.s_size, channel.x_size)
 
-    u_seeds, x_seeds = [], []
-    for _ in range(count):
-        u_seeds.append([row(u_size) for _ in range(1 if restricted else channel.s_size)])
-        x_seeds.append([[row(channel.x_size) for _ in range(channel.s_size)]
-                        for _ in range(u_size)])
-    return np.array(u_seeds), np.array(x_seeds)
 
-
-def _refine_aux(u_rows, x_rows, evaluate, gradient, cfg):
+def _refine_aux(u_rows, x_rows, tied, evaluate, gradient, cfg):
     """Projected-gradient ascent on the search score, every restart at once.
 
-    ``u_rows`` (restarts, 1 or s, u) and ``x_rows`` (restarts, u, s, x) are
-    refined in place.  Each iteration takes one ``gradient`` batch and one
-    ``evaluate`` batch: every live restart's points projected onto the
-    simplex after steps of eta * _STEP_MULTIPLIERS, all rows moved together.
-    ``evaluate(u_rows, x_rows, restart)`` scores a batch whose row i comes
-    from restart ``restart[i]``, so restarts of different objectives share
-    a batch, each under its own score and gradient weights.  The best
-    candidate is taken when it beats the restart's score by more than
-    1e-13, and eta becomes its step; otherwise eta (0.25 at first) is
-    divided by 64.  A restart leaves when eta < 1e-9 or after
-    _ITERATIONS_PER_STEP * ``cfg.local_steps`` iterations.  Returns the
-    iterations of each restart.
+    ``u_rows`` (restarts, s, u) and ``x_rows`` (restarts, u, s, x) are
+    refined in place; a ``tied`` restart's u-rows are equal and stay equal.
+    Each iteration scores one ``evaluate(u_rows, x_rows, restart)`` batch,
+    row i from restart ``restart[i]``: every live restart's points projected
+    onto the simplex after steps of eta * _STEP_MULTIPLIERS along its
+    gradient.  The best candidate is taken when it beats the restart's score
+    by more than 1e-13; eta becomes its step, and ``gradient`` takes the
+    next gradient from the weights and terms ``evaluate`` returned; else
+    eta (0.25 at first) is divided by 64.  A restart leaves when eta < 1e-9
+    or after _ITERATIONS_PER_STEP * ``cfg.local_steps`` iterations.  Returns
+    the iterations of each restart.
     """
     n, k = len(u_rows), len(_STEP_MULTIPLIERS)
-    current, weights = evaluate(u_rows, x_rows, np.arange(n))
+    current, weights, terms = evaluate(u_rows, x_rows, np.arange(n))
+    grads = gradient(x_rows, weights, terms, tied)
     eta = np.full(n, 0.25)
     iterations = np.zeros(n, dtype=int)
     live = np.arange(n)
     for _ in range(_ITERATIONS_PER_STEP * cfg.local_steps):
         steps = eta[live, None] * _STEP_MULTIPLIERS                 # (live, k)
         cand = []
-        for rows, grad in zip((u_rows, x_rows), gradient(
-                u_rows[live], x_rows[live], weights[live])):
-            moved = rows[live, None] + grad[:, None] * steps.reshape(
+        for rows, grad in zip((u_rows, x_rows), grads):
+            moved = rows[live, None] + grad[live, None] * steps.reshape(
                 steps.shape + (1,) * (rows.ndim - 1))
             cand.append(_project_simplex(moved.reshape(-1, rows.shape[-1]))
                         .reshape((-1,) + rows.shape[1:]))
-        score, cand_weights = evaluate(*cand, np.repeat(live, k))
+        score, weights, terms = evaluate(*cand, np.repeat(live, k))
         score = score.reshape(-1, k)
         pick = np.argmax(score, axis=1)
         up = np.flatnonzero(score[np.arange(len(live)), pick] > current[live] + 1e-13)
         take, won = up * k + pick[up], live[up]
         u_rows[won], x_rows[won] = cand[0][take], cand[1][take]
-        current[won], weights[won] = score[up, pick[up]], cand_weights[take]
+        current[won] = score[up, pick[up]]
+        for grad, new in zip(grads, gradient(
+                x_rows[won], weights[take], [t[take] for t in terms], tied[won])):
+            grad[won] = new
         eta[live] /= 64.0
         eta[won] = steps[up, pick[up]]
         iterations[live] += 1
@@ -290,7 +296,7 @@ def _search_score(triple, key_rate):
     _PENALTY_WEIGHT * min(0, slack), so refinement can cross back into the
     feasible region.  The secret-message rate I(U;Yr) - max(I(U;S), I(U;Ye))
     is its own score.  ``weights`` (batch, 3) holds the partials of the
-    score in the triple, as ``aux_mi_gradient`` takes them.
+    score in the triple, as ``aux_mi_partials`` takes them.
     """
     i_uyr, i_uye, i_us = triple
     if key_rate:
@@ -309,87 +315,88 @@ def _search_aux(channel, cfg, objectives):
     """One (policy, diagnostics) per objective: the best rate found for each.
 
     ``objectives`` holds ``key_rate`` flags of ``_search_score``: True for
-    the key rate, False for the secret-message rate.  Each pass draws its
-    seeds once, computes their MI triple once and scores it under every
-    objective; the ``restarts`` best seeds of each objective are refined
-    together in one ``_refine_aux`` batch, its rows ordered by objective,
-    each restart under its own objective's score.  ``general_u`` also runs
-    the restricted (u independent of s) pass, where the covering constraint
-    is vacuous.  Each objective keeps one incumbent, which sees only that
-    objective's rows and is replaced only by a strictly higher feasible
-    value, so among equal values the first evaluated stays; the constant-u
-    policy (value 0) is the fallback.  Every objective's result equals that
-    of a search for it alone.  An over-budget search raises ``BudgetError``
-    first.
+    the key rate, False for the secret-message rate.  ``general_u`` also
+    runs the restricted (u independent of s) pass, where the covering
+    constraint is vacuous; its points hold one equal u-row per state.  Each
+    pass scores its seeds under every objective; the ``restarts`` best of
+    each (pass, objective) are refined in one ``_refine_aux`` batch, ordered
+    by (pass, objective).  Each (pass, objective) keeps one incumbent, which
+    sees only its own rows and is replaced only by a strictly higher
+    feasible value; an objective keeps its restricted incumbent unless the
+    general one is higher.  So among equal values the first evaluated
+    stays, and every objective's result equals that of a search for it
+    alone.  An over-budget search raises ``BudgetError`` first.
     """
     u_size, n_obj = cfg.resolve_u_size(channel), len(objectives)
     passes = 2 if cfg.domain == "general_u" and channel.s_size > 1 else 1
     _check_aux_budget(channel, cfg, u_size, passes, n_obj)
     kernel = channel.stacked_kernel()
-    triple_of = partial(aux_mi_triple, channel.state_pmf, kernel, channel.yr_size)
-    gradient = partial(aux_mi_gradient, channel.state_pmf, kernel, channel.yr_size)
+    terms_of = partial(aux_mi_terms, channel.state_pmf, kernel, channel.yr_size)
+    gradient = partial(aux_mi_partials, channel.state_pmf, kernel)
 
-    def score_for(j, triple, u_rows, x_rows):
-        """Search scores and score weights of a batch under objective j; a
-        copy of its first feasible point of the highest value replaces a
-        lower incumbent of j."""
-        value, feasible, score, weights = _search_score(triple, objectives[j])
-        evals[j] += len(value)
+    def offer(g, value, feasible, u_rows, x_rows):
+        """A copy of the first feasible best point replaces a lower incumbent g."""
+        evals[g % n_obj] += len(value)
         masked = np.where(feasible, value, -np.inf)
         i = int(np.argmax(masked))
-        if masked[i] > best[j][0]:
-            best[j] = (masked[i], u_rows[i].copy(), x_rows[i].copy())
-        return score, weights
+        if masked[i] > best[g][0]:
+            best[g] = (masked[i], u_rows[i].copy(), x_rows[i].copy())
 
     def evaluate(u_rows, x_rows, restart):
-        """``score_for`` each objective's rows, which are contiguous."""
-        triple = triple_of(u_rows, x_rows)
-        ends = np.searchsorted(owner[restart], np.arange(n_obj + 1))
-        out = [score_for(j, tuple(t[lo:hi] for t in triple), u_rows[lo:hi],
-                     x_rows[lo:hi])
-               for j, (lo, hi) in enumerate(zip(ends, ends[1:])) if hi > lo]
-        return tuple(np.concatenate(parts) for parts in zip(*out))
+        """Scores, weights and terms of a batch, each row under its objective."""
+        triple, terms = terms_of(u_rows, x_rows)
+        row_group = group[restart]
+        value, feasible, score, weights = (
+            np.stack(out)[row_group % n_obj, np.arange(len(restart))]
+            for out in zip(*(_search_score(triple, key) for key in objectives)))
+        ends = np.searchsorted(row_group, np.arange(passes * n_obj + 1))
+        for g, (lo, hi) in enumerate(zip(ends, ends[1:])):
+            if hi > lo:
+                offer(g, value[lo:hi], feasible[lo:hi], u_rows[lo:hi],
+                      x_rows[lo:hi])
+        return score, weights, terms
 
-    best = [(-np.inf, None, None)] * n_obj
-    evals, iterations, best_grid = [0] * n_obj, [0] * n_obj, [-np.inf] * n_obj
-    for restricted, stream_key in ((True, 11), (False, 12))[:passes]:
+    best = [(-np.inf, None, None)] * (passes * n_obj)
+    evals, best_grid = [0] * n_obj, [-np.inf] * n_obj
+    starts_u, starts_x = [], []
+    for p, (restricted, stream_key) in enumerate(((True, 11), (False, 12))[:passes]):
         rng = _rng_stream(cfg.seed, stream_key)
         u_seeds, x_seeds = _structured_aux_seeds(channel, u_size, restricted, rng)
         u_grid, x_grid = _grid_aux_seeds(channel, u_size, restricted,
                                          cfg.grid_resolution, 3 * cfg.restarts, rng)
-        u_rows = np.concatenate([u_seeds, u_grid])
         x_rows = np.concatenate([x_seeds, x_grid])
-        triple = triple_of(u_rows, x_rows)
-        top = []
-        for j in range(n_obj):
-            seed_score, _ = score_for(j, triple, u_rows, x_rows)
+        u_rows = np.broadcast_to(np.concatenate([u_seeds, u_grid]),
+                                 (len(x_rows), channel.s_size, u_size))
+        triple = terms_of(u_rows, x_rows)[0]
+        if not p:
+            fallback = u_rows[0], x_rows[0]
+        for j, key_rate in enumerate(objectives):
+            value, feasible, seed_score, _ = _search_score(triple, key_rate)
+            offer(p * n_obj + j, value, feasible, u_rows, x_rows)
             best_grid[j] = max(best_grid[j], float(seed_score[len(u_seeds):].max()))
-            top.append(np.argsort(-seed_score, kind="stable")[:cfg.restarts])
-        # Restart r refines seed top[r] under objective owner[r].
-        owner = np.repeat(np.arange(n_obj), cfg.restarts)
-        top = np.concatenate(top)
-        restart_iterations = _refine_aux(u_rows[top], x_rows[top], evaluate,
-                                         gradient, cfg)
-        for j in range(n_obj):
-            iterations[j] += int(restart_iterations[owner == j].sum())
+            top = np.argsort(-seed_score, kind="stable")[:cfg.restarts]
+            starts_u.append(u_rows[top])
+            starts_x.append(x_rows[top])
+    # Restart r, in group g = group[r], refines a seed of pass g // n_obj
+    # under objective g % n_obj; restricted-pass restarts have tied u-rows.
+    group = np.repeat(np.arange(passes * n_obj), cfg.restarts)
+    restart_iterations = _refine_aux(
+        np.concatenate(starts_u), np.concatenate(starts_x), group < n_obj,
+        evaluate, gradient, cfg)
 
     results = []
-    for (value, u_given_s, x_given_us), j_evals, j_iterations, j_grid in zip(
-            best, evals, iterations, best_grid):
-        # The constant-u policy is feasible with value 0, so a result always
-        # exists.
+    for j in range(n_obj):
+        # The first of equal values wins: the restricted pass's incumbent.
+        value, u_given_s, x_given_us = max(best[j::n_obj], key=lambda b: b[0])
+        # The first seed, constant u with uniform x, is feasible with value
+        # 0, so a result always exists.
         if not value >= 0.0:
-            u_given_s = np.zeros((channel.s_size, u_size))
-            u_given_s[:, 0] = 1.0
-            x_given_us = np.full((u_size, channel.s_size, channel.x_size),
-                                 1.0 / channel.x_size)
-        # A restricted-pass point has one u-row, shared by every state.
-        u_given_s = np.broadcast_to(u_given_s, (channel.s_size, u_size))
+            u_given_s, x_given_us = fallback
         diagnostics = {
-            "iterations": float(j_iterations),
+            "iterations": float(restart_iterations[group % n_obj == j].sum()),
             "restarts": float(cfg.restarts),
-            "best_grid_value": j_grid,
-            "objective_evaluations": float(j_evals),
+            "best_grid_value": best_grid[j],
+            "objective_evaluations": float(evals[j]),
         }
         results.append((AuxiliaryEncoderPolicy(u_size, u_given_s, x_given_us),
                         diagnostics))
@@ -623,6 +630,14 @@ def _project_couplings(cells: np.ndarray, weights: np.ndarray,
     return np.where(met[:, None, None], q, cells)
 
 
+def _check_coupling_budget(channel: StateChannel) -> None:
+    """Refuse a channel whose coupling bound would hold over _COUPLING_BYTES."""
+    need = 5 * 8 * channel.kernel.size
+    if need > _COUPLING_BYTES:
+        raise BudgetError(f"the coupling upper bound needs {need / 2**20:.0f} MiB, "
+                          f"over the limit of {_COUPLING_BYTES / 2**20:.0f} MiB")
+
+
 def upper_bound_no_discussion(channel: StateChannel,
                               cfg: OptimizerConfig) -> BoundResult:
     """min over output couplings of max over p(x|s) of I(X,S;Yr|Ye).
@@ -640,8 +655,10 @@ def upper_bound_no_discussion(channel: StateChannel,
     decreasing, or after ``_COUPLING_ROUNDS`` rounds.  Every coupling visited
     is valid, so the lowest value seen is a true upper bound up to
     inner-ascent tolerance; its certificate gap is reported.  ``cfg`` is not
-    read: the solver is deterministic and has no search budget.
+    read: the solver is deterministic and has no search budget.  A channel
+    over the coupling byte budget raises ``BudgetError`` first.
     """
+    _check_coupling_budget(channel)
     pr = channel.receiver_kernel()
     pe = channel.eavesdropper_kernel()
     x_size, s_size = channel.x_size, channel.s_size
@@ -711,7 +728,9 @@ def discussion_capacity_if_markov(channel: StateChannel, cfg: OptimizerConfig,
 def evaluate_bounds(channel: StateChannel, cfg: OptimizerConfig) -> dict:
     """Every bound of ``channel``, each computed once, under the keys of the
     ``bounds-dmc --out`` report in print order; ``discussion_capacity`` is
-    None when the kernel does not factorize."""
+    None when the kernel does not factorize.  Both budgets are checked
+    before the search starts."""
+    _check_coupling_budget(channel)
     key, message = _search_aux(channel, cfg, (True, False))
     lb = _key_rate_result(channel, *key)
     msg = _message_result(channel, *message)

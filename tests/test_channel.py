@@ -10,7 +10,8 @@ from statekey import (AuxiliaryEncoderPolicy, InputPolicy, JointPmf,
                       conditional_mutual_information, entropy_bits,
                       induce_joint, marginalize, mutual_information,
                       upper_bound_discussion)
-from statekey.channel import mi_bits, policy_mi_triple
+from statekey.channel import (aux_mi_gradient, aux_mi_partials, aux_mi_terms,
+                              aux_mi_triple, mi_bits, policy_mi_triple)
 from conftest import (bsc_matrix, factorized_binary, random_aux_policy,
                       random_channel)
 
@@ -330,6 +331,44 @@ class TestMemoryLayout:
         cfg = OptimizerConfig()
         assert upper_bound_discussion(f_channel, cfg).value_bits == \
             upper_bound_discussion(channel, cfg).value_bits
+
+
+class TestAuxKernel:
+    @pytest.mark.parametrize("k", range(8))
+    @pytest.mark.parametrize("shared", [False, True], ids=["s-rows", "one-row"])
+    def test_batch_rows_equal_the_wrappers_bit_for_bit(self, k, shared):
+        # The search scores a batch with aux_mi_terms and takes the partials
+        # of a few of its rows from those terms; each must have the bits
+        # that aux_mi_triple and aux_mi_gradient give for the rows alone.
+        rng = np.random.default_rng(k)
+        channel = random_channel(rng, *rng.integers(1, 4, size=4))
+        u_size, batch = int(rng.integers(1, 5)), 12
+        policies = [random_aux_policy(rng, channel, u_size) for _ in range(batch)]
+        u_rows = np.array([p.u_given_s[:1] if shared else p.u_given_s
+                           for p in policies])
+        x_rows = np.array([p.x_given_us for p in policies])
+        weights = rng.normal(size=(batch, 3))
+        args = (channel.state_pmf, channel.stacked_kernel(), channel.yr_size)
+        triple, terms = aux_mi_terms(*args, u_rows, x_rows)
+        take = np.sort(rng.choice(batch, size=5, replace=False))
+        grad_u, grad_x = aux_mi_partials(
+            *args[:2], x_rows[take], weights[take], [t[take] for t in terms],
+            np.full(len(take), shared))
+        for whole, alone in zip(triple, aux_mi_triple(*args, u_rows[take],
+                                                      x_rows[take])):
+            assert np.array_equal(whole[take], alone)
+        alone_u, alone_x = aux_mi_gradient(*args, u_rows[take], x_rows[take],
+                                           weights[take])
+        assert np.array_equal(grad_x, alone_x)
+        assert grad_u.shape == (len(take), channel.s_size, u_size)
+        assert np.array_equal(grad_u, np.broadcast_to(alone_u, grad_u.shape))
+        if shared:
+            # A shared row stored once per state gives the same bits.
+            wide_triple, wide_terms = aux_mi_terms(
+                *args, np.broadcast_to(u_rows, (batch, channel.s_size, u_size)),
+                x_rows)
+            for a, b in zip(triple + terms, wide_triple + wide_terms):
+                assert np.array_equal(a, b)
 
 
 class TestEntropySign:

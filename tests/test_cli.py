@@ -109,6 +109,12 @@ class TestExitCodes:
         assert main(["bounds-dmc", str(path)]) == 3
         assert "budget exceeded" in capsys.readouterr().err
 
+    def test_coupling_budget_exit_code(self, degraded_file, monkeypatch,
+                                       capsys):
+        monkeypatch.setattr(dmc, "_COUPLING_BYTES", 0)
+        assert main(["bounds-dmc", degraded_file]) == 3
+        assert "coupling upper bound" in capsys.readouterr().err
+
     def test_bad_sweep_range_is_input_error(self, capsys):
         rc = main(["gaussian", "--axis", "snr", "--start-db", "5",
                    "--stop-db", "-5", "--points", "11",

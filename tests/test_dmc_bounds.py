@@ -150,16 +150,16 @@ class TestSearchIncumbent:
         ids=["key", "message"])
     def test_result_is_first_evaluated_point_of_highest_value(
             self, make_channel, domain, bound, key_rate, monkeypatch):
-        triple = dmc.aux_mi_triple
+        terms = dmc.aux_mi_terms
         batches = []
 
         def spy(state_pmf, kernel, yr_size, u_rows, x_rows):
-            out = triple(state_pmf, kernel, yr_size, u_rows, x_rows)
+            out = terms(state_pmf, kernel, yr_size, u_rows, x_rows)
             # Copies: the refinement moves its restarts' rows in place.
-            batches.append((u_rows.copy(), x_rows.copy(), out))
+            batches.append((u_rows.copy(), x_rows.copy(), out[0]))
             return out
 
-        monkeypatch.setattr(dmc, "aux_mi_triple", spy)
+        monkeypatch.setattr(dmc, "aux_mi_terms", spy)
         cfg = OptimizerConfig(restarts=3, local_steps=10, grid_resolution=3,
                               u_size_max=3, domain=domain)
         policy = bound(make_channel(), cfg).argmax_policy
@@ -173,6 +173,66 @@ class TestSearchIncumbent:
         assert np.array_equal(policy.u_given_s,
                               np.broadcast_to(u_row, policy.u_given_s.shape))
         assert np.array_equal(policy.x_given_us, x_row)
+
+
+def grid_seeds_row_by_row(channel, u_size, restricted, resolution, count, rng):
+    """The grid seeds drawn with one ``rng.integers`` call per row."""
+    def row(dim):
+        return np.bincount(rng.integers(0, dim, size=resolution),
+                           minlength=dim) / resolution
+
+    u_seeds, x_seeds = [], []
+    for _ in range(count):
+        u_seeds.append([row(u_size)
+                        for _ in range(1 if restricted else channel.s_size)])
+        x_seeds.append([[row(channel.x_size) for _ in range(channel.s_size)]
+                        for _ in range(u_size)])
+    return np.array(u_seeds), np.array(x_seeds)
+
+
+class TestGridSeeds:
+    @pytest.mark.parametrize("restricted", [True, False],
+                             ids=["restricted", "general"])
+    @pytest.mark.parametrize("resolution", [2, 3, 4, 5])
+    def test_one_draw_equals_the_row_by_row_draws(self, restricted, resolution):
+        # One rng.integers call with per-draw bounds must return the draws
+        # of one call per row on every numpy release the package supports.
+        for u_size, x_size in itertools.product((1, 2, 6), (1, 2, 3)):
+            channel = random_channel(np.random.default_rng(x_size), x_size, 3)
+            rngs = [np.random.default_rng([u_size, x_size, resolution])
+                    for _ in range(2)]
+            got = dmc._grid_aux_seeds(channel, u_size, restricted, resolution,
+                                      7, rngs[0])
+            want = grid_seeds_row_by_row(channel, u_size, restricted,
+                                         resolution, 7, rngs[1])
+            for a, b in zip(got, want):
+                assert a.shape == b.shape and np.array_equal(a, b)
+            # Both leave the stream at the same point.
+            assert rngs[0].integers(2**62) == rngs[1].integers(2**62)
+
+
+class TestRestrictedSearch:
+    @pytest.mark.parametrize("objectives", [(True,), (False,), (True, False)])
+    def test_every_batch_has_equal_u_rows_across_states(self, objectives,
+                                                        monkeypatch):
+        # A restricted_u search stores each policy's shared p(u|s) once per
+        # state; every batch it scores keeps those rows bit-identical.
+        terms = dmc.aux_mi_terms
+        batches = []
+
+        def spy(state_pmf, kernel, yr_size, u_rows, x_rows):
+            batches.append(u_rows.copy())
+            return terms(state_pmf, kernel, yr_size, u_rows, x_rows)
+
+        monkeypatch.setattr(dmc, "aux_mi_terms", spy)
+        channel = random_channel(np.random.default_rng(4), 2, 3, 2, 2)
+        cfg = replace(CFG_SMALL, domain="restricted_u")
+        dmc._search_aux(channel, cfg, objectives)
+        assert len(batches) > 2
+        for u_rows in batches:
+            assert u_rows.shape[1] == channel.s_size
+            assert np.array_equal(u_rows, np.broadcast_to(u_rows[:, :1],
+                                                          u_rows.shape))
 
 
 JOINT_CASES = [pytest.param(case.values[0], case.values[1], id=case.id)
@@ -250,12 +310,39 @@ class TestSearchBudget:
         with pytest.raises(BudgetError, match="88 MiB"):
             dmc._check_aux_budget(channel, cfg, 18, 1, 2)
 
+    def test_batch_bytes_count_both_passes_candidates(self):
+        # As above, under general_u: one pass's 16,000 candidates of one
+        # objective fit in 44 MiB, and the joint refinement batch of both
+        # passes needs 88 MiB.  The search is refused before it starts.
+        channel = random_channel(np.random.default_rng(0), 4, 4, 2, 2)
+        cfg = OptimizerConfig(restarts=4000, local_steps=1, u_size_max=18)
+        dmc._check_aux_budget(channel, cfg, 18, 1, 1)
+        for bound in (lower_bound_no_discussion, secret_message_lower_bound):
+            with pytest.raises(BudgetError, match="88 MiB"):
+                bound(channel, cfg)
+
     def test_capped_alphabet_fits(self):
         channel = random_channel(np.random.default_rng(0), 16, 16, 2, 2)
         cfg = OptimizerConfig(u_size_max=2, restarts=1, local_steps=1,
                               grid_resolution=2, domain="restricted_u")
         res = lower_bound_no_discussion(channel, cfg)
         assert res.value_bits >= 0.0
+
+
+class TestCouplingBudget:
+    def test_over_budget_channel_fails_before_the_search(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(dmc, "_COUPLING_BYTES", 2**10)
+        monkeypatch.setattr(dmc, "_search_aux",
+                            lambda *args: calls.append(args))
+        # 2x2x3x3 needs 5 arrays of 36 float64 entries, 1,440 bytes.
+        channel = random_channel(np.random.default_rng(0), 2, 2, 3, 3)
+        for bound in (upper_bound_no_discussion, dmc.evaluate_bounds):
+            with pytest.raises(BudgetError, match="coupling upper bound"):
+                bound(channel, CFG_SMALL)
+        assert calls == []
+        monkeypatch.setattr(dmc, "_COUPLING_BYTES", 1440)
+        upper_bound_no_discussion(channel, CFG_SMALL)
 
 
 class TestSecretMessageLowerBound:
