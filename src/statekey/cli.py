@@ -10,6 +10,7 @@ Exit codes: 0 success, 2 input error, 3 budget error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -332,7 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--domain", choices=["restricted", "general"],
                    default="general")
     p.add_argument("--out", default=None, help="also write a JSON report")
-    p.set_defaults(func=cmd_bounds_dmc)
 
     p = sub.add_parser("gaussian", help="closed-form Gaussian bound sweep (CSV)")
     p.add_argument("--axis", choices=["snr", "q", "delta"], required=True)
@@ -343,7 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q-db", type=float, default=None)
     p.add_argument("--delta-db", type=float, default=None)
     p.add_argument("--out", default=None, help="CSV output path (default stdout)")
-    p.set_defaults(func=cmd_gaussian)
 
     p = sub.add_parser("simulate", help="run the key-agreement simulator")
     p.add_argument("channel", help="channel JSON file")
@@ -356,21 +355,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--policy-file", default=None,
                    help="JSON policy (x_given_s, or u_given_s + x_given_us)")
     p.add_argument("--out", default=None, help="also write a one-row CSV report")
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("figure", help="emit the fixed Gaussian sweep panels")
     p.add_argument("--panel", choices=["left", "right"], required=True)
     p.add_argument("--out", required=True,
                    help="CSV path; a gnuplot .dat twin is written alongside")
-    p.set_defaults(func=cmd_figure)
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    # Looked up at call time, so a replaced cmd_* function is the one run.
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return command(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

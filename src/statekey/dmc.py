@@ -14,12 +14,14 @@ policies p(x|s), each H(Yr|Ye) minus a term linear in p(s) p(x|s) under an
 output law: one kernel, ``_input_value_grad``, evaluates all three, and
 each is solved by one multiplicative-update ascent from the uniform policy.
 The ascent stops when its Frank-Wolfe gap proves that no step can gain
-_ASCENT_TOL, or when it stalls at a maximum on the simplex boundary.  The
-no-discussion upper bound also minimizes over output couplings with fixed
-marginals, where the objective is convex: it alternates the ascent with a
-Sinkhorn I-projection of the coupling until the pair stops improving.  The
-upper bounds report the Frank-Wolfe gap of their inner maximum as
-certificate_gap_bits; value plus gap is a proven bound.
+_ASCENT_TOL, or when it stalls at a maximum on the simplex boundary; a
+maximum at a vertex (a deterministic policy) is certified in one evaluation.
+The no-discussion upper bound also minimizes over output couplings with
+fixed marginals, where the objective is convex: it alternates the ascent,
+warm-started from the last maximizer, with a Sinkhorn I-projection of every
+input's coupling cell until the pair stops improving.  The upper bounds
+report the Frank-Wolfe gap of their inner maximum as certificate_gap_bits;
+value plus gap is a proven bound.
 """
 
 from __future__ import annotations
@@ -489,9 +491,21 @@ def _fw_gap(p_xs: np.ndarray, state_pmf: np.ndarray, d: np.ndarray) -> float:
     return max(0.0, float(state_pmf @ (d.max(axis=1) - (p_xs * d).sum(axis=1))))
 
 
+def _reaches_charged_outputs(p_xs: np.ndarray, state_pmf: np.ndarray,
+                             q: np.ndarray) -> bool:
+    """Whether the output law at ``p_xs`` is positive on every (yr, ye) that
+    some (x, s) cell with p(s) > 0 charges: only then are the partials of
+    ``_input_value_grad`` exact at inputs of probability zero."""
+    m = np.einsum("sx,xsre->re", state_pmf[:, None] * p_xs, q)
+    return bool(np.all(m[(q[:, state_pmf > 0] > 0).any(axis=(0, 1))] > 0))
+
+
 def _certificate_gap(p_xs: np.ndarray, state_pmf: np.ndarray,
                      q: np.ndarray) -> float:
-    """``_fw_gap`` of I(X,S;Yr|Ye) under ``q`` at ``p_xs``."""
+    """``_fw_gap`` of I(X,S;Yr|Ye) under ``q`` at ``p_xs``; inf where an
+    output a live cell charges is unreached, as the partials are not exact."""
+    if not _reaches_charged_outputs(p_xs, state_pmf, q):
+        return math.inf
     _, d = _input_value_grad(p_xs, state_pmf, q, _cell_entropy(q, True))
     return _fw_gap(p_xs, state_pmf, d)
 
@@ -508,16 +522,34 @@ def _ascend_input(state_pmf: np.ndarray, q: np.ndarray, given_ye: bool,
     _ASCENT_TOL; or, stalled at a maximum on the simplex boundary where the
     gap shrinks slowly, when no step down to eta = 1e-12 gains, after five
     steps in a row gain less than 1e-12, or after _ASCENT_MAX_ITER steps.
+    Maxima at a vertex (every row one-hot) take one evaluation to certify:
+    a vertex ``p0`` with gap at most _ASCENT_TOL / 2 is returned as it is,
+    and a stalled ascent returns the argmax vertex of its p when that
+    vertex's value is no lower and its value plus gap is lower.  A vertex is
+    taken only where ``_reaches_charged_outputs`` makes its gap exact.
     """
     h_cell = _cell_entropy(q, given_ye)
+
+    def at_vertex(v):
+        """(value, gap) at vertex v; the gap is inf where it is not exact."""
+        value, grad = _input_value_grad(v, state_pmf, q, h_cell)
+        exact = _reaches_charged_outputs(v, state_pmf, q)
+        return value, _fw_gap(v, state_pmf, grad) if exact else math.inf
+
+    if np.all((p0 == 0.0) | (p0 == 1.0)):
+        value, gap = at_vertex(p0)
+        if gap <= _ASCENT_TOL / 2:
+            return p0, value, gap
     p = (1.0 - 1e-3) * p0 + 1e-3 / p0.shape[1]
     p /= p.sum(axis=1, keepdims=True)
     value, grad = _input_value_grad(p, state_pmf, q, h_cell)
     eta, stall = 1.0, 0
     for step in itertools.count():
         gap = _fw_gap(p, state_pmf, grad)
-        if gap <= _ASCENT_TOL / 2 or stall >= 5 or step == _ASCENT_MAX_ITER:
+        if gap <= _ASCENT_TOL / 2:
             return p, value, gap
+        if stall >= 5 or step == _ASCENT_MAX_ITER:
+            break
         while eta >= 1e-12:
             logp = np.log(np.maximum(p, 1e-300)) + eta * grad * LN2
             logp -= logp.max(axis=1, keepdims=True)
@@ -531,8 +563,13 @@ def _ascend_input(state_pmf: np.ndarray, q: np.ndarray, given_ye: bool,
                 break
             eta *= 0.5
         else:
-            return p, value, gap
+            break
         stall = stall + 1 if gain < 1e-12 else 0
+    top = np.eye(p.shape[1])[p.argmax(axis=1)]
+    top_value, top_gap = at_vertex(top)
+    if top_value >= value and top_value + top_gap < value + gap:
+        return top, top_value, top_gap
+    return p, value, gap
 
 
 def _uniform_input(channel: StateChannel) -> np.ndarray:
@@ -612,11 +649,13 @@ def _project_couplings(cells: np.ndarray, weights: np.ndarray,
     ``cells`` has shape (x*s, yr, ye) and ``weights`` holds p(s) p(x|s) per
     cell.  Each cell becomes the Sinkhorn scaling of the mixture
     m = sum_k w_k cells_k, restricted to the cell's support, onto the cell's
-    marginals (r_k, c_k): the minimizer of sum_k w_k D(cells_k || m).  A cell
-    with zero weight, or one whose scaling misses its marginals, is kept.
+    marginals (r_k, c_k): the minimizer of sum_k w_k D(cells_k || m).  Cells
+    of zero weight are projected too, since the ascent's partials at inputs
+    of probability zero read them; a cell whose scaling misses its marginals
+    is kept.
     """
     m = np.einsum("k,kre->re", weights, cells)
-    q = np.where(weights[:, None, None] > 0, np.where(cells > 0, m, 0.0), cells)
+    q = np.where(cells > 0, m, 0.0)
     rows = q.sum(axis=2)
     for _ in range(_SINKHORN_ITERATIONS):
         q *= np.divide(r, rows, out=np.zeros_like(r), where=rows > 0)[:, :, None]
@@ -626,8 +665,7 @@ def _project_couplings(cells: np.ndarray, weights: np.ndarray,
         row_err = np.abs(rows - r).max(axis=1)
         if row_err.max() <= _SINKHORN_TOL:
             break
-    met = (row_err <= _SINKHORN_TOL) & (weights > 0)
-    return np.where(met[:, None, None], q, cells)
+    return np.where((row_err <= _SINKHORN_TOL)[:, None, None], q, cells)
 
 
 def _check_coupling_budget(channel: StateChannel) -> None:
@@ -649,14 +687,16 @@ def upper_bound_no_discussion(channel: StateChannel,
     (value 0) when the outputs can be coupled to agree.  Unless it is, the
     saddle point is approached from the independent product coupling by
     alternating best responses: a multiplicative-update ascent in p(x|s)
-    (warm-started from the candidate's maximizer, one ``inner_solves`` each)
-    and a Csiszar-Tusnady I-projection step in the coupling (Sinkhorn scaling
-    of all (x, s) cells at once), until the value reaches 0, stops
-    decreasing, or after ``_COUPLING_ROUNDS`` rounds.  Every coupling visited
-    is valid, so the lowest value seen is a true upper bound up to
-    inner-ascent tolerance; its certificate gap is reported.  ``cfg`` is not
-    read: the solver is deterministic and has no search budget.  A channel
-    over the coupling byte budget raises ``BudgetError`` first.
+    (warm-started from the last maximizer, one ``inner_solves`` each; a
+    vertex maximizer that is still one is certified in one evaluation) and
+    a Csiszar-Tusnady I-projection step in the coupling (Sinkhorn scaling of
+    all (x, s) cells at once, zero-weight ones included), until the value
+    reaches 0, stops decreasing, or after ``_COUPLING_ROUNDS`` rounds.
+    Every coupling visited is valid, so the lowest value seen is a true
+    upper bound up to inner-ascent tolerance; its certificate gap is
+    reported.  ``cfg`` is not read: the solver is deterministic and has no
+    search budget.  A channel over the coupling byte budget raises
+    ``BudgetError`` first.
     """
     _check_coupling_budget(channel)
     pr = channel.receiver_kernel()

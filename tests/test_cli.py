@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from statekey import SimConfig, build_codebook, dmc, exact_leakage
+from statekey import SimConfig, build_codebook, cli, dmc, exact_leakage
 from statekey.cli import (CliInputError, channel_from_dict, channel_to_dict,
                           db_to_linear, default_aux_policy, load_channel, main,
                           save_channel)
@@ -24,6 +24,32 @@ def degraded_file(tmp_path):
     path = tmp_path / "degraded.json"
     save_channel(degraded_binary_wiretap(), str(path), name="degraded-binary")
     return str(path)
+
+
+class TestParser:
+    def test_two_calls_build_one_parser_and_run_a_patched_command(
+            self, tmp_path, monkeypatch):
+        # The parser is built once per process; the command is looked up by
+        # name at each call, so a replaced cmd_* function is the one run.
+        builds, ran = [], []
+        build = cli.build_parser
+
+        def counted():
+            builds.append(None)
+            return build()
+
+        monkeypatch.setattr(cli, "build_parser", counted)
+        cli._parser.cache_clear()
+        monkeypatch.setattr(cli, "cmd_figure", lambda args: ran.append(args) or 0)
+        out = str(tmp_path / "left.csv")
+        try:
+            assert main(["figure", "--panel", "left", "--out", out]) == 0
+            assert main(["figure", "--panel", "right", "--out", out]) == 0
+        finally:
+            cli._parser.cache_clear()
+        assert len(builds) == 1
+        assert [args.panel for args in ran] == ["left", "right"]
+        assert not (tmp_path / "left.csv").exists()
 
 
 class TestChannelFiles:

@@ -15,7 +15,8 @@ from statekey import (AuxiliaryEncoderPolicy, BudgetError, CouplingFamily,
                       mutual_information, secret_message_lower_bound,
                       upper_bound_discussion, upper_bound_no_discussion)
 from statekey.dmc import (LN2, _ASCENT_MAX_ITER, _ASCENT_TOL, _ascend_input,
-                          _cell_entropy, _certificate_gap, _input_value_grad)
+                          _cell_entropy, _certificate_gap, _fw_gap,
+                          _input_value_grad)
 from conftest import (bsc_matrix, constant_channel, degraded_binary_wiretap,
                       factorized_binary, identical_outputs_channel,
                       random_channel)
@@ -37,6 +38,12 @@ def constant_u_policy(channel):
     return AuxiliaryEncoderPolicy(
         2, u_given_s, np.full((2, channel.s_size, channel.x_size),
                               1.0 / channel.x_size))
+
+
+def vertices(channel):
+    """Every deterministic p(x|s) of ``channel``."""
+    return [np.eye(channel.x_size)[list(xs)] for xs in
+            itertools.product(range(channel.x_size), repeat=channel.s_size)]
 
 
 class TestLowerBoundNoDiscussion:
@@ -433,12 +440,14 @@ class TestUpperBoundNoDiscussion:
 
     @pytest.mark.parametrize("channel, per_solve, total", [
         (factorized_binary(), 2, np.inf),
-        (random_channel(np.random.default_rng(3), 2, 2, 3, 2), np.inf, 1000),
+        (random_channel(np.random.default_rng(3), 2, 2, 3, 2), np.inf, 200),
     ])
     def test_input_evaluations(self, channel, per_solve, total, monkeypatch):
         # An ascent that stops on its Frank-Wolfe gap skips the 40-odd
         # evaluations of a backtracking ladder that can accept nothing: each
-        # inner solve on the factorized channel then needs at most two.
+        # inner solve on the factorized channel then needs at most two.  On
+        # the random channel every maximum is a vertex, which a warm start
+        # certifies in one evaluation (903 evaluations without that check).
         calls = []
 
         def spy(*args):
@@ -449,6 +458,47 @@ class TestUpperBoundNoDiscussion:
         res = upper_bound_no_discussion(channel, CFG_SMALL)
         assert 0 < len(calls) <= min(total,
                                      per_solve * res.diagnostics["inner_solves"])
+
+    def test_warm_starts_certify_the_vertex_in_one_evaluation(self,
+                                                              monkeypatch):
+        # The first solve climbs from the uniform policy to the vertex x = 0
+        # in both states; every later solve starts there and returns it.
+        channel = random_channel(np.random.default_rng(3), 2, 2, 3, 2)
+        calls, solves = [], []
+        ascend = dmc._ascend_input
+
+        def count(*args):
+            calls.append(None)
+            return _input_value_grad(*args)
+
+        def spy(*args):
+            before = len(calls)
+            solves.append((*ascend(*args), len(calls) - before))
+            return solves[-1][:3]
+
+        monkeypatch.setattr(dmc, "_input_value_grad", count)
+        monkeypatch.setattr(dmc, "_ascend_input", spy)
+        res = upper_bound_no_discussion(channel, CFG_SMALL)
+        assert len(solves) == res.diagnostics["inner_solves"] == 37
+        for p, _, gap, evaluations in solves[1:]:
+            assert np.array_equal(p, np.eye(channel.x_size)[[0, 0]])
+            assert evaluations == 1 and gap == 0.0
+        assert res.diagnostics["certificate_gap_bits"] == 0.0
+
+    def test_projection_moves_zero_weight_cells(self):
+        # At a vertex the other inputs have weight 0, and the ascent's
+        # partials read their cells: those move to the mixture's I-projection
+        # too, on their own marginals.
+        channel = random_channel(np.random.default_rng(1), 2, 2, 3, 2)
+        r = channel.receiver_kernel().reshape(-1, channel.yr_size)
+        c = channel.eavesdropper_kernel().reshape(-1, channel.ye_size)
+        cells = r[:, :, None] * c[:, None, :]
+        weights = np.array([0.5, 0.0, 0.5, 0.0])
+        moved = dmc._project_couplings(cells, weights, r, c)
+        for k in np.flatnonzero(weights == 0):
+            assert np.abs(moved[k] - cells[k]).max() > 1e-3
+            assert np.abs(moved[k].sum(axis=1) - r[k]).max() <= 1e-12
+            assert np.abs(moved[k].sum(axis=0) - c[k]).max() <= 1e-12
 
     def test_nan_coupling_rejected(self, degraded_channel):
         q = np.array(degraded_channel.kernel)
@@ -492,31 +542,37 @@ class TestCertificateGap:
             q = channel.kernel if res.coupling is None else res.coupling.q
             gap = res.diagnostics["certificate_gap_bits"]
             assert gap >= 0.0
-            for xs in itertools.product(range(channel.x_size),
-                                        repeat=channel.s_size):
-                vertex = np.eye(channel.x_size)[list(xs)]
+            for vertex in vertices(channel):
                 value, _ = _input_value_grad(vertex, channel.state_pmf, q,
                                              _cell_entropy(q, True))
-                assert res.value_bits + gap >= value - 1e-13, (bound, xs)
+                assert res.value_bits + gap >= value - 1e-13, (bound, vertex)
 
     def test_gap_at_every_vertex_bounds_every_vertex(self):
         # At a deterministic p(x|s) every other input has probability 0, and
         # the gap needs the partials of those inputs too: value + gap at any
-        # vertex bounds the value at every vertex.
-        for k in range(20):
-            channel = random_channel(np.random.default_rng(k), 2, 3, 2, 2)
+        # vertex bounds the value at every vertex and the ascent's maximum.
+        # Sparse kernels leave outputs unreached at some vertices, where the
+        # partials are not exact and the gap is inf (at k = 53, the vertex
+        # x = 0 read value 0 and gap 0.26 while the maximum is 0.49).
+        channels = [(k, random_channel(np.random.default_rng(k), 2, 3, 2, 2))
+                    for k in range(20)]
+        for k in range(40, 60):
+            rng = np.random.default_rng(k)
+            channels.append((k, sparse_channel(rng, *rng.integers(1, 4, size=4))))
+        for k, channel in channels:
             product = np.einsum("xsr,xse->xsre", channel.receiver_kernel(),
                                 channel.eavesdropper_kernel())
-            vertices = [np.eye(channel.x_size)[list(xs)] for xs in
-                        itertools.product(range(channel.x_size),
-                                          repeat=channel.s_size)]
+            points = vertices(channel)
             for q in (channel.kernel, product):
                 values = [_input_value_grad(v, channel.state_pmf, q,
                                             _cell_entropy(q, True))[0]
-                          for v in vertices]
-                for vertex, value in zip(vertices, values):
+                          for v in points]
+                best = max(values + [_ascend_input(
+                    channel.state_pmf, q, True,
+                    np.full(points[0].shape, 1.0 / channel.x_size))[1]])
+                for vertex, value in zip(points, values):
                     gap = _certificate_gap(vertex, channel.state_pmf, q)
-                    assert value + gap >= max(values) - 1e-12, (k, vertex)
+                    assert value + gap >= best - 1e-12, (k, vertex)
 
     def test_capacity_result_carries_the_gap(self):
         channel = factorized_binary(0.1, 0.25)
@@ -577,11 +633,12 @@ class TestInputAscent:
     def test_gap_stop_keeps_the_ladder_result(self):
         # By concavity value + gap bounds every point, in particular every
         # step of the backtracking ladder (eta = 64 * 2^-k down to 1e-12) at
-        # the returned point, up to 1e-15 of rounding.  So an ascent stopped
-        # on gap <= _ASCENT_TOL / 2 gives up no step it would accept, and it
-        # returns the bits of the ascent without that stop.  Sparse kernels
-        # put maxima on the simplex boundary, where the ascent stalls with a
-        # larger gap instead.
+        # the returned point and every vertex, up to 1e-15 of rounding.  So
+        # an ascent stopped on gap <= _ASCENT_TOL / 2 gives up no step it
+        # would accept, and where the ascent without that stop ends with
+        # such a gap, both return the same bits.  Sparse kernels put maxima
+        # on the simplex boundary, where the ascent stalls with a larger gap
+        # and may return the argmax vertex of its p instead, never lower.
         stopped = stalled = 0
         for k in range(40):
             rng = np.random.default_rng(k)
@@ -594,14 +651,19 @@ class TestInputAscent:
                                 (product, True)):
                 p, value, gap = _ascend_input(channel.state_pmf, q, given_ye, p0)
                 ref_p, ref_value = ladder_ascent(channel.state_pmf, q, given_ye, p0)
-                assert np.array_equal(p, ref_p) and value == ref_value, k
                 h_cell = _cell_entropy(q, given_ye)
+                _, ref_d = _input_value_grad(ref_p, channel.state_pmf, q, h_cell)
+                assert value >= ref_value, (k, given_ye)
+                if _fw_gap(ref_p, channel.state_pmf, ref_d) <= _ASCENT_TOL / 2:
+                    assert np.array_equal(p, ref_p) and value == ref_value, k
                 _, d = _input_value_grad(p, channel.state_pmf, q, h_cell)
                 if given_ye:
                     assert gap == _certificate_gap(p, channel.state_pmf, q)
-                best = max(_input_value_grad(ladder_candidate(p, d, eta),
-                                             channel.state_pmf, q, h_cell)[0]
-                           for eta in 64.0 * 0.5 ** np.arange(46))
+                best = max(_input_value_grad(point, channel.state_pmf, q,
+                                             h_cell)[0]
+                           for point in [ladder_candidate(p, d, eta) for eta
+                                         in 64.0 * 0.5 ** np.arange(46)]
+                           + vertices(channel))
                 assert best <= value + gap + 1e-15, (k, given_ye)
                 if gap <= _ASCENT_TOL / 2:
                     stopped += 1
@@ -609,6 +671,23 @@ class TestInputAscent:
                 else:
                     stalled += 1
         assert stopped and stalled
+
+
+    def test_vertex_with_an_unreached_output_is_not_certified(self):
+        # At the vertex x = 0 of this channel an output the other inputs
+        # charge is unreached, and the discussion objective's gap there reads
+        # 0; a start at that vertex must still climb to the interior maximum.
+        rng = np.random.default_rng(53)
+        channel = sparse_channel(rng, *rng.integers(1, 4, size=4))
+        vertex = np.eye(channel.x_size)[[0] * channel.s_size]
+        uniform = np.full(vertex.shape, 1.0 / channel.x_size)
+        for given_ye in (True, False):
+            _, value, _ = _ascend_input(channel.state_pmf, channel.kernel,
+                                        given_ye, vertex)
+            _, ref_value, _ = _ascend_input(channel.state_pmf, channel.kernel,
+                                            given_ye, uniform)
+            assert value == pytest.approx(ref_value, abs=1e-9) \
+                and value > 0.08, given_ye
 
 
 class TestLowerBoundDiscussion:
