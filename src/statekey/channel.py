@@ -11,8 +11,11 @@ All information quantities are in bits (base-2 logarithms).  The kernel
 (``aux_mi_terms``) are the package's only implementations of mutual
 information; every other MI is computed by them, except the concave
 input-policy objectives of ``dmc``, which one kernel evaluates as entropy
-differences together with their partials.  ``aux_mi_partials`` takes the
-partials of the triple from the terms ``aux_mi_terms`` returns with it.
+differences together with their partials.  The batch kernels
+``aux_mi_terms`` and ``aux_mi_partials`` are the only entry points to the
+triple and its partials: ``aux_mi_partials`` takes the partials from the
+terms ``aux_mi_terms`` returns with the triple, and ``policy_mi_triple``
+is ``aux_mi_terms`` on a batch of one policy.
 """
 
 from __future__ import annotations
@@ -328,12 +331,6 @@ def conditional_mutual_information(joint: JointPmf, group_a: Sequence[str],
     return float(p_c[seen] @ mi_bits(table[seen] / p_c[seen, None, None]))
 
 
-def _aux_joints(state_pmf, kernel, u_rows, x_rows):
-    """p(u,s) (batch, u, s) and p(u,k) (batch, u, yr + ye) of a policy batch."""
-    p_us = np.swapaxes(state_pmf[:, None] * u_rows, 1, 2)
-    return p_us, np.einsum("bus,busx,xsk->buk", p_us, x_rows, kernel)
-
-
 def aux_mi_terms(state_pmf: np.ndarray, kernel: np.ndarray, yr_size: int,
                  u_rows: np.ndarray, x_rows: np.ndarray):
     """(I(U;Yr), I(U;Ye), I(U;S)) of a batch of policies, by direct
@@ -344,7 +341,8 @@ def aux_mi_terms(state_pmf: np.ndarray, kernel: np.ndarray, yr_size: int,
     it has a single row; ``x_rows`` (batch, u, s, x) holds p(x|u,s).
     ``kernel`` is the channel's ``stacked_kernel()``.
     """
-    p_us, p_uk = _aux_joints(state_pmf, kernel, u_rows, x_rows)
+    p_us = np.swapaxes(state_pmf[:, None] * u_rows, 1, 2)         # p(u,s)
+    p_uk = np.einsum("bus,busx,xsk->buk", p_us, x_rows, kernel)
     joints = (p_uk[:, :, :yr_size], p_uk[:, :, yr_size:], p_us)
     ratios = tuple(_log_ratio(joint) for joint in joints)
     return tuple(map(mi_bits, joints, ratios)), (p_us,) + ratios
@@ -375,29 +373,13 @@ def aux_mi_partials(state_pmf: np.ndarray, kernel: np.ndarray,
     return grad_u, p_us[:, :, :, None] * d
 
 
-def aux_mi_triple(state_pmf: np.ndarray, kernel: np.ndarray, yr_size: int,
-                  u_rows: np.ndarray, x_rows: np.ndarray):
-    """(I(U;Yr), I(U;Ye), I(U;S)) of a batch of policies (see ``aux_mi_terms``)."""
-    return aux_mi_terms(state_pmf, kernel, yr_size, u_rows, x_rows)[0]
-
-
-def aux_mi_gradient(state_pmf: np.ndarray, kernel: np.ndarray, yr_size: int,
-                    u_rows: np.ndarray, x_rows: np.ndarray, weights: np.ndarray):
-    """``aux_mi_partials`` of a batch, arguments as in ``aux_mi_terms``; a
-    single u-row, shared by every state, gets one partial row."""
-    terms = aux_mi_terms(state_pmf, kernel, yr_size, u_rows, x_rows)[1]
-    tied = np.full(len(x_rows), u_rows.shape[1] == 1)
-    grad_u, grad_x = aux_mi_partials(state_pmf, kernel, x_rows, weights, terms, tied)
-    return grad_u[:, :u_rows.shape[1]], grad_x
-
-
 def policy_mi_triple(channel: StateChannel, policy: AuxiliaryEncoderPolicy
                      ) -> tuple[float, float, float]:
     """(I(U;Yr), I(U;Ye), I(U;S)) for one policy driving ``channel``."""
     check_alphabets(channel, policy)
-    return tuple(float(v[0]) for v in aux_mi_triple(
+    return tuple(float(v[0]) for v in aux_mi_terms(
         channel.state_pmf, channel.stacked_kernel(), channel.yr_size,
-        policy.u_given_s[None], policy.x_given_us[None]))
+        policy.u_given_s[None], policy.x_given_us[None])[0])
 
 
 def augment_receiver(channel: StateChannel, side_info: str = "none") -> StateChannel:

@@ -34,7 +34,10 @@ def _fmt(value: float) -> str:
 
 
 def db_to_linear(db: float) -> float:
-    return 10.0 ** (db / 10.0)
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:
+        raise CliInputError(f"{db:g} dB overflows in linear scale") from None
 
 
 # ---------------------------------------------------------------------------
@@ -202,8 +205,10 @@ def _gaussian_rows(axis: str, start_db: float, stop_db: float, points: int,
         gp = gaussian.GaussianParams(params["p"], params["q"], params["delta"])
         ub = gaussian.ub_no_discussion(gp)
         cap = gaussian.capacity_discussion(gp)
+        lb = gaussian.lb_no_discussion(gp) if gp.p >= 1.0 else 0.0
+        if not all(map(np.isfinite, (lb, ub, cap))):
+            raise CliInputError(f"the bounds at {value_db:g} dB are not finite")
         if gp.p >= 1.0:
-            lb = gaussian.lb_no_discussion(gp)
             rows.append((float(value_db), _fmt(lb), _fmt(ub), _fmt(cap),
                          _fmt(ub - lb)))
         else:

@@ -79,8 +79,10 @@ class OptimizerConfig:
     """Search budget of the auxiliary-policy searches.
 
     Every evaluator takes one, so all have the same call shape, but only
-    ``lower_bound_no_discussion`` and ``secret_message_lower_bound`` read it;
-    the concave input-policy maximizations have no search budget.
+    ``lower_bound_no_discussion`` and ``secret_message_lower_bound`` read
+    it, and ``lower_bound_discussion`` when it runs the first of these
+    itself (``no_discussion`` None); the concave input-policy maximizations
+    have no search budget.
 
     ``domain`` selects the auxiliary-policy search space: ``general_u``
     optimizes p(u|s) jointly with p(x|u,s); ``restricted_u`` ties the
@@ -405,17 +407,21 @@ def _search_aux(channel, cfg, objectives):
     return results
 
 
-def _key_rate_result(channel, policy, diagnostics) -> BoundResult:
-    # The reported numbers are recomputed from the stored policy alone.
-    value, slack = aux_policy_rate(channel, policy)
-    return BoundResult(value_bits=max(0.0, value), argmax_policy=policy,
-                       constraint_slack_bits=slack, diagnostics=diagnostics)
+def _policy_rate(channel, policy, key_rate) -> tuple[float, float]:
+    """(rate, covering slack I(U;Yr) - I(U;S)) of one policy, the rate being
+    the objective's ``_search_score`` value."""
+    triple = np.array(policy_mi_triple(channel, policy))[:, None]
+    return (float(_search_score(triple, key_rate)[0][0]),
+            float(triple[0, 0] - triple[2, 0]))
 
 
-def _message_result(channel, policy, diagnostics) -> BoundResult:
-    i_uyr, i_uye, i_us = policy_mi_triple(channel, policy)
-    return BoundResult(value_bits=max(0.0, i_uyr - max(i_us, i_uye)),
-                       argmax_policy=policy, diagnostics=diagnostics)
+def _search_result(channel, key_rate, policy, diagnostics) -> BoundResult:
+    """The bound of a searched objective, recomputed from the stored policy
+    alone: its rate, clipped at 0, and the key rate's covering slack."""
+    rate, slack = _policy_rate(channel, policy, key_rate)
+    return BoundResult(value_bits=max(0.0, rate), argmax_policy=policy,
+                       constraint_slack_bits=slack if key_rate else None,
+                       diagnostics=diagnostics)
 
 
 def lower_bound_no_discussion(channel: StateChannel,
@@ -428,7 +434,7 @@ def lower_bound_no_discussion(channel: StateChannel,
     value is always achievable.
     """
     (found,) = _search_aux(channel, cfg, (True,))
-    return _key_rate_result(channel, *found)
+    return _search_result(channel, True, *found)
 
 
 def secret_message_lower_bound(channel: StateChannel,
@@ -440,14 +446,13 @@ def secret_message_lower_bound(channel: StateChannel,
     on the constrained region.
     """
     (found,) = _search_aux(channel, cfg, (False,))
-    return _message_result(channel, *found)
+    return _search_result(channel, False, *found)
 
 
 def aux_policy_rate(channel: StateChannel,
                     policy: AuxiliaryEncoderPolicy) -> tuple[float, float]:
     """(I(U;Yr) - I(U;Ye), covering slack) for one concrete policy."""
-    i_uyr, i_uye, i_us = policy_mi_triple(channel, policy)
-    return i_uyr - i_uye, i_uyr - i_us
+    return _policy_rate(channel, policy, True)
 
 
 # ---------------------------------------------------------------------------
@@ -491,23 +496,17 @@ def _fw_gap(p_xs: np.ndarray, state_pmf: np.ndarray, d: np.ndarray) -> float:
     return max(0.0, float(state_pmf @ (d.max(axis=1) - (p_xs * d).sum(axis=1))))
 
 
-def _reaches_charged_outputs(p_xs: np.ndarray, state_pmf: np.ndarray,
-                             q: np.ndarray) -> bool:
-    """Whether the output law at ``p_xs`` is positive on every (yr, ye) that
-    some (x, s) cell with p(s) > 0 charges: only then are the partials of
-    ``_input_value_grad`` exact at inputs of probability zero."""
+def _certified_value(p_xs: np.ndarray, state_pmf: np.ndarray, q: np.ndarray,
+                     h_cell: np.ndarray) -> tuple[float, float]:
+    """(value, gap) of ``_input_value_grad`` at ``p_xs``, the gap by
+    ``_fw_gap``.  The gap is inf unless the output law at ``p_xs`` is
+    positive on every (yr, ye) that some (x, s) cell with p(s) > 0 charges:
+    only then are the partials exact at inputs of probability zero."""
+    value, d = _input_value_grad(p_xs, state_pmf, q, h_cell)
     m = np.einsum("sx,xsre->re", state_pmf[:, None] * p_xs, q)
-    return bool(np.all(m[(q[:, state_pmf > 0] > 0).any(axis=(0, 1))] > 0))
-
-
-def _certificate_gap(p_xs: np.ndarray, state_pmf: np.ndarray,
-                     q: np.ndarray) -> float:
-    """``_fw_gap`` of I(X,S;Yr|Ye) under ``q`` at ``p_xs``; inf where an
-    output a live cell charges is unreached, as the partials are not exact."""
-    if not _reaches_charged_outputs(p_xs, state_pmf, q):
-        return math.inf
-    _, d = _input_value_grad(p_xs, state_pmf, q, _cell_entropy(q, True))
-    return _fw_gap(p_xs, state_pmf, d)
+    if not np.all(m[(q[:, state_pmf > 0] > 0).any(axis=(0, 1))] > 0):
+        return value, math.inf
+    return value, _fw_gap(p_xs, state_pmf, d)
 
 
 def _ascend_input(state_pmf: np.ndarray, q: np.ndarray, given_ye: bool,
@@ -525,19 +524,12 @@ def _ascend_input(state_pmf: np.ndarray, q: np.ndarray, given_ye: bool,
     Maxima at a vertex (every row one-hot) take one evaluation to certify:
     a vertex ``p0`` with gap at most _ASCENT_TOL / 2 is returned as it is,
     and a stalled ascent returns the argmax vertex of its p when that
-    vertex's value is no lower and its value plus gap is lower.  A vertex is
-    taken only where ``_reaches_charged_outputs`` makes its gap exact.
+    vertex's value is no lower and its value plus gap is lower.  A vertex's
+    gap is ``_certified_value``'s, inf where it is not exact.
     """
     h_cell = _cell_entropy(q, given_ye)
-
-    def at_vertex(v):
-        """(value, gap) at vertex v; the gap is inf where it is not exact."""
-        value, grad = _input_value_grad(v, state_pmf, q, h_cell)
-        exact = _reaches_charged_outputs(v, state_pmf, q)
-        return value, _fw_gap(v, state_pmf, grad) if exact else math.inf
-
     if np.all((p0 == 0.0) | (p0 == 1.0)):
-        value, gap = at_vertex(p0)
+        value, gap = _certified_value(p0, state_pmf, q, h_cell)
         if gap <= _ASCENT_TOL / 2:
             return p0, value, gap
     p = (1.0 - 1e-3) * p0 + 1e-3 / p0.shape[1]
@@ -566,7 +558,7 @@ def _ascend_input(state_pmf: np.ndarray, q: np.ndarray, given_ye: bool,
             break
         stall = stall + 1 if gain < 1e-12 else 0
     top = np.eye(p.shape[1])[p.argmax(axis=1)]
-    top_value, top_gap = at_vertex(top)
+    top_value, top_gap = _certified_value(top, state_pmf, q, h_cell)
     if top_value >= value and top_value + top_gap < value + gap:
         return top, top_value, top_gap
     return p, value, gap
@@ -736,14 +728,6 @@ def upper_bound_no_discussion(channel: StateChannel,
 # factorization test (discussion capacity)
 # ---------------------------------------------------------------------------
 
-def kernel_factorization_residual(channel: StateChannel) -> float:
-    """Largest deviation of the kernel from p(yr|x,s) * p(ye|x,s)."""
-    pr = channel.receiver_kernel()
-    pe = channel.eavesdropper_kernel()
-    product = np.einsum("xsr,xse->xsre", pr, pe)
-    return float(np.abs(channel.kernel - product).max())
-
-
 def discussion_capacity_if_markov(channel: StateChannel, cfg: OptimizerConfig,
                                   upper: BoundResult | None = None
                                   ) -> BoundResult | None:
@@ -756,7 +740,9 @@ def discussion_capacity_if_markov(channel: StateChannel, cfg: OptimizerConfig,
     ``upper_bound_discussion`` for the same channel and config when the
     caller already has it; otherwise that bound is computed here.
     """
-    residual = kernel_factorization_residual(channel)
+    product = np.einsum("xsr,xse->xsre", channel.receiver_kernel(),
+                        channel.eavesdropper_kernel())
+    residual = float(np.abs(channel.kernel - product).max())
     if residual > 1e-10:
         return None
     result = upper if upper is not None else upper_bound_discussion(channel, cfg)
@@ -772,8 +758,8 @@ def evaluate_bounds(channel: StateChannel, cfg: OptimizerConfig) -> dict:
     before the search starts."""
     _check_coupling_budget(channel)
     key, message = _search_aux(channel, cfg, (True, False))
-    lb = _key_rate_result(channel, *key)
-    msg = _message_result(channel, *message)
+    lb = _search_result(channel, True, *key)
+    msg = _search_result(channel, False, *message)
     ub = upper_bound_no_discussion(channel, cfg)
     lbd = lower_bound_discussion(channel, cfg, no_discussion=lb)
     ubd = upper_bound_discussion(channel, cfg)

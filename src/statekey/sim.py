@@ -746,13 +746,16 @@ def _one_round_tables(channel: StateChannel, policy: InputPolicy,
     i_xs = mutual_information(joint, ["Yr"], ["X", "S"])
     i_e = mutual_information(joint, ["Yr"], ["Ye"])
     n = cfg.n
-    num_bins = max(1, math.ceil(2.0 ** (n * (h_yr_given_xs + cfg.rate_margin))))
+    outputs = channel.yr_size ** n
+    # The bins are cut to the typical set below, at most |Yr|^n sequences,
+    # so the exponent is capped at log2 |Yr|^n: 2^exponent may overflow.
+    num_bins = max(1, math.ceil(2.0 ** min(
+        n * (h_yr_given_xs + cfg.rate_margin), math.log2(outputs))))
     key_exponent = i_xs - i_e - cfg.rate_margin
     num_subbins = max(1, math.ceil(2.0 ** (n * key_exponent))) \
         if key_exponent > 0 else 1
     # Fail before any enumeration, on at most this many bins: the rows of
     # one_round_exact_leakage are the |Yr|^n sequences, with one weight each.
-    outputs = channel.yr_size ** n
     _check_leakage_cost(outputs, n, 1, channel.ye_size, outputs + num_subbins
                         * (min(num_bins, outputs) + 1) * channel.ye_size ** n)
     all_yr = _enumerate_sequences(channel.yr_size, cfg.n)

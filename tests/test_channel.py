@@ -10,8 +10,8 @@ from statekey import (AuxiliaryEncoderPolicy, InputPolicy, JointPmf,
                       conditional_mutual_information, entropy_bits,
                       induce_joint, marginalize, mutual_information,
                       upper_bound_discussion)
-from statekey.channel import (aux_mi_gradient, aux_mi_partials, aux_mi_terms,
-                              aux_mi_triple, mi_bits, policy_mi_triple)
+from statekey.channel import (aux_mi_partials, aux_mi_terms, mi_bits,
+                              policy_mi_triple)
 from conftest import (bsc_matrix, factorized_binary, random_aux_policy,
                       random_channel)
 
@@ -336,10 +336,10 @@ class TestMemoryLayout:
 class TestAuxKernel:
     @pytest.mark.parametrize("k", range(8))
     @pytest.mark.parametrize("shared", [False, True], ids=["s-rows", "one-row"])
-    def test_batch_rows_equal_the_wrappers_bit_for_bit(self, k, shared):
+    def test_batch_rows_equal_the_rows_alone_bit_for_bit(self, k, shared):
         # The search scores a batch with aux_mi_terms and takes the partials
         # of a few of its rows from those terms; each must have the bits
-        # that aux_mi_triple and aux_mi_gradient give for the rows alone.
+        # that aux_mi_terms and aux_mi_partials give for the rows alone.
         rng = np.random.default_rng(k)
         channel = random_channel(rng, *rng.integers(1, 4, size=4))
         u_size, batch = int(rng.integers(1, 5)), 12
@@ -354,14 +354,16 @@ class TestAuxKernel:
         grad_u, grad_x = aux_mi_partials(
             *args[:2], x_rows[take], weights[take], [t[take] for t in terms],
             np.full(len(take), shared))
-        for whole, alone in zip(triple, aux_mi_triple(*args, u_rows[take],
-                                                      x_rows[take])):
+        alone_triple, alone_terms = aux_mi_terms(*args, u_rows[take],
+                                                 x_rows[take])
+        for whole, alone in zip(triple, alone_triple):
             assert np.array_equal(whole[take], alone)
-        alone_u, alone_x = aux_mi_gradient(*args, u_rows[take], x_rows[take],
-                                           weights[take])
+        alone_u, alone_x = aux_mi_partials(
+            *args[:2], x_rows[take], weights[take], alone_terms,
+            np.full(len(take), shared))
         assert np.array_equal(grad_x, alone_x)
         assert grad_u.shape == (len(take), channel.s_size, u_size)
-        assert np.array_equal(grad_u, np.broadcast_to(alone_u, grad_u.shape))
+        assert np.array_equal(grad_u, alone_u)
         if shared:
             # A shared row stored once per state gives the same bits.
             wide_triple, wide_terms = aux_mi_terms(

@@ -157,6 +157,33 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err.splitlines() == ["error: points must lie in [2, 100000]"]
 
+    @pytest.mark.parametrize("sweep", [
+        ["--axis", "snr", "--start-db", "0", "--stop-db", "10",
+         "--q-db", "4000", "--delta-db", "0"],
+        ["--axis", "q", "--start-db", "0", "--stop-db", "4000",
+         "--p-db", "0", "--delta-db", "0"]], ids=["fixed", "swept"])
+    def test_overflowing_db_input_is_input_error(self, sweep, capsys):
+        # 10^(4000/10) overflows a float.
+        assert main(["gaussian", "--points", "3", *sweep]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: 4000 dB overflows in linear scale"]
+
+    @pytest.mark.parametrize("sweep", [
+        ["--axis", "snr", "--q-db", "3080", "--delta-db", "0"],
+        ["--axis", "delta", "--p-db", "0", "--q-db", "0"]], ids=["nan", "inf"])
+    def test_non_finite_sweep_point_is_input_error(self, sweep, capsys):
+        # Every linear value is finite near 3080 dB, but the bounds are nan
+        # (snr sweep) or inf (delta sweep).
+        rc = main(["gaussian", "--start-db", "3079", "--stop-db", "3080",
+                   "--points", "2", *sweep])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: the bounds at 3079 dB are not finite"]
+
 
 class TestBoundsCommand:
     def test_constant_channel_all_bounds_zero(self, tmp_path, capsys):
@@ -422,3 +449,17 @@ class TestSimulateCommand:
         assert rc == 0
         out = capsys.readouterr().out
         assert "reconstruction_success_rate" in out
+
+    @pytest.mark.parametrize("n, margin, bins", [
+        (11, "50", 1584), (11, "100", 1584), (4, "1e6", 6)])
+    def test_one_round_bins_stop_at_the_typical_set(self, n, margin, bins,
+                                                    tmp_path, capsys):
+        # More bins than typical output sequences are cut to one bin each.
+        # At margin 100 (n = 11) or 1e6 (n = 4), 2^(n (H(Yr|X,S) + margin))
+        # is past the float range; the capped exponent gives the same bins.
+        path = tmp_path / "fact.json"
+        save_channel(factorized_binary(), str(path))
+        rc = main(["simulate", str(path), "--mode", "one-round", "--n", str(n),
+                   "--margin", margin, "--trials", "200"])
+        assert rc == 0
+        assert f"  num_public_bins = {bins}\n" in capsys.readouterr().out

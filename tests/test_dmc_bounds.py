@@ -15,7 +15,7 @@ from statekey import (AuxiliaryEncoderPolicy, BudgetError, CouplingFamily,
                       mutual_information, secret_message_lower_bound,
                       upper_bound_discussion, upper_bound_no_discussion)
 from statekey.dmc import (LN2, _ASCENT_MAX_ITER, _ASCENT_TOL, _ascend_input,
-                          _cell_entropy, _certificate_gap, _fw_gap,
+                          _cell_entropy, _certified_value, _fw_gap,
                           _input_value_grad)
 from conftest import (bsc_matrix, constant_channel, degraded_binary_wiretap,
                       factorized_binary, identical_outputs_channel,
@@ -262,13 +262,13 @@ class TestJointSearch:
         # each objective's incumbent sees only its own rows, so the joint
         # search reproduces every bit of the two separate searches.
         channel = make_channel()
-        build = {True: dmc._key_rate_result, False: dmc._message_result}
         alone = {True: lower_bound_no_discussion,
                  False: secret_message_lower_bound}
         joint = dmc._search_aux(channel, cfg, objectives)
         assert len(joint) == len(objectives)
         for key_rate, (policy, diagnostics) in zip(objectives, joint):
-            together = build[key_rate](channel, policy, diagnostics)
+            together = dmc._search_result(channel, key_rate, policy,
+                                          diagnostics)
             single = alone[key_rate](channel, cfg)
             assert np.array_equal(together.argmax_policy.u_given_s,
                                   single.argmax_policy.u_given_s)
@@ -564,14 +564,13 @@ class TestCertificateGap:
                                 channel.eavesdropper_kernel())
             points = vertices(channel)
             for q in (channel.kernel, product):
-                values = [_input_value_grad(v, channel.state_pmf, q,
-                                            _cell_entropy(q, True))[0]
-                          for v in points]
-                best = max(values + [_ascend_input(
+                h_cell = _cell_entropy(q, True)
+                certified = [_certified_value(v, channel.state_pmf, q, h_cell)
+                             for v in points]
+                best = max([value for value, _ in certified] + [_ascend_input(
                     channel.state_pmf, q, True,
                     np.full(points[0].shape, 1.0 / channel.x_size))[1]])
-                for vertex, value in zip(points, values):
-                    gap = _certificate_gap(vertex, channel.state_pmf, q)
+                for vertex, (value, gap) in zip(points, certified):
                     assert value + gap >= best - 1e-12, (k, vertex)
 
     def test_capacity_result_carries_the_gap(self):
@@ -657,8 +656,8 @@ class TestInputAscent:
                 if _fw_gap(ref_p, channel.state_pmf, ref_d) <= _ASCENT_TOL / 2:
                     assert np.array_equal(p, ref_p) and value == ref_value, k
                 _, d = _input_value_grad(p, channel.state_pmf, q, h_cell)
-                if given_ye:
-                    assert gap == _certificate_gap(p, channel.state_pmf, q)
+                assert (value, gap) == _certified_value(p, channel.state_pmf,
+                                                        q, h_cell)
                 best = max(_input_value_grad(point, channel.state_pmf, q,
                                              h_cell)[0]
                            for point in [ladder_candidate(p, d, eta) for eta

@@ -17,7 +17,7 @@ from hypothesis import assume, given, settings, strategies as st
 from statekey import (AuxiliaryEncoderPolicy, BoundResult, OptimizerConfig,
                       StateChannel, entropy_bits, induce_joint,
                       lower_bound_discussion)
-from statekey.channel import (aux_mi_gradient, aux_mi_triple, mi_bits,
+from statekey.channel import (aux_mi_partials, aux_mi_terms, mi_bits,
                               policy_mi_triple)
 from statekey.dmc import _cell_entropy, _input_value_grad, _search_score
 from statekey.sim import _typical_pairs
@@ -127,18 +127,21 @@ def test_score_gradient_matches_central_differences(sizes, seed, restricted,
     kernel = channel.stacked_kernel()
 
     def scores(u_batch, x_batch):
-        triple = aux_mi_triple(channel.state_pmf, kernel, yr_size,
-                               u_batch, x_batch)
-        return triple, _search_score(triple, key_rate)
+        triple, terms = aux_mi_terms(channel.state_pmf, kernel, yr_size,
+                                     u_batch, x_batch)
+        return triple, terms, _search_score(triple, key_rate)
 
-    (i_uyr, i_uye, i_us), (_, _, _, weights) = scores(u_rows[None], x_rows[None])
+    (i_uyr, i_uye, i_us), terms, (_, _, _, weights) = scores(u_rows[None],
+                                                             x_rows[None])
     # The score has kinks where the slack or I(U;Ye) - I(U;S) changes sign.
     if key_rate:
         assume(abs(i_uyr[0] - i_us[0]) > 1e-4)
     else:
         assume(abs(i_uye[0] - i_us[0]) > 1e-4)
-    grads = aux_mi_gradient(channel.state_pmf, kernel, yr_size,
-                            u_rows[None], x_rows[None], weights)
+    grad_u, grad_x = aux_mi_partials(channel.state_pmf, kernel, x_rows[None],
+                                     weights, terms, np.array([restricted]))
+    # A tied row gets the same partial in every state's row: keep one.
+    grads = grad_u[:, :len(u_rows)], grad_x
     h = 1e-6
     for kind, (rows, grad) in enumerate(zip((u_rows, x_rows), grads)):
         width = rows.shape[-1]
@@ -153,7 +156,7 @@ def test_score_gradient_matches_central_differences(sizes, seed, restricted,
         batch = [np.repeat(u_rows[None], len(bumped), axis=0),
                  np.repeat(x_rows[None], len(bumped), axis=0)]
         batch[kind] = bumped
-        score = scores(*batch)[1][2].reshape(-1, 2, width)
+        score = scores(*batch)[2][2].reshape(-1, 2, width)
         numeric = (score[:, 0] - score[:, 1]) / (2 * h)
         exact = grad[0].reshape(-1, width) @ tangent
         np.testing.assert_allclose(exact, numeric, rtol=0, atol=1e-6)
