@@ -116,9 +116,12 @@ class StateChannel:
         return self.kernel.sum(axis=2)
 
     def stacked_kernel(self) -> np.ndarray:
-        """p(yr | x, s) and p(ye | x, s) side by side, shape (x, s, yr + ye)."""
-        return np.concatenate([self.receiver_kernel(), self.eavesdropper_kernel()],
-                              axis=2)
+        """p(yr | x, s) and p(ye | x, s) side by side, one row per (s, x) in
+        s-major order: shape (s * x, yr + ye), the right factor of the
+        auxiliary-policy contraction in ``aux_mi_terms``."""
+        stacked = np.concatenate([self.receiver_kernel(),
+                                  self.eavesdropper_kernel()], axis=2)
+        return stacked.swapaxes(0, 1).reshape(self.s_size * self.x_size, -1)
 
 
 @dataclass(frozen=True)
@@ -271,14 +274,13 @@ def _check_groups(joint: JointPmf, *groups: Sequence[str]) -> None:
         seen |= gset
 
 
-def _log_ratio(joint: np.ndarray) -> np.ndarray:
-    """log2 p(a,b) / (p(a) p(b)) over the last two axes, 0 where p(a,b) = 0.
+def _log_ratio(joint: np.ndarray, pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
+    """log2 p(a,b) / (p(a) p(b)), 0 where p(a,b) = 0, from ``joint`` and the
+    marginals ``pa`` and ``pb``, which broadcast against it.
 
     Where p(a) p(b) underflows below the smallest normal float (a cell of
     subnormal mass), its logarithm is taken as log2 p(a) + log2 p(b).
     """
-    pa = joint.sum(axis=-1, keepdims=True)
-    pb = joint.sum(axis=-2, keepdims=True)
     mask = joint > 0
     product = pa * pb
     split = mask & (product < _NORMAL_MIN)
@@ -294,13 +296,13 @@ def _log_ratio(joint: np.ndarray) -> np.ndarray:
     return terms
 
 
-def mi_bits(joint: np.ndarray, ratio: np.ndarray | None = None) -> np.ndarray:
+def mi_bits(joint: np.ndarray) -> np.ndarray:
     """I(A;B) in bits from joint pmfs over the last two axes.
 
-    Leading axes index a batch; a 2-D joint gives a scalar.  ``ratio``, the
-    ``_log_ratio`` of ``joint``, is computed here unless the caller has it.
+    Leading axes index a batch; a 2-D joint gives a scalar.
     """
-    terms = _log_ratio(joint) if ratio is None else ratio.copy()
+    terms = _log_ratio(joint, joint.sum(axis=-1, keepdims=True),
+                       joint.sum(axis=-2, keepdims=True))
     terms *= joint
     return np.maximum(0.0, terms.reshape(*terms.shape[:-2], -1).sum(axis=-1))
 
@@ -335,17 +337,31 @@ def aux_mi_terms(state_pmf: np.ndarray, kernel: np.ndarray, yr_size: int,
                  u_rows: np.ndarray, x_rows: np.ndarray):
     """(I(U;Yr), I(U;Ye), I(U;S)) of a batch of policies, by direct
     summation, and the terms ``aux_mi_partials`` takes: p(u,s) (batch, u, s)
-    and the ``_log_ratio`` arrays of p(u,yr), p(u,ye) and p(u,s).
+    and the log-ratios log2 p(u,k) / (p(u) p(k)) of p(u,yr), p(u,ye) and
+    p(u,s), views of one array.
 
     ``u_rows`` (batch, 1 or s, u) holds p(u|s), one row for every state when
     it has a single row; ``x_rows`` (batch, u, s, x) holds p(x|u,s).
-    ``kernel`` is the channel's ``stacked_kernel()``.
+    ``kernel`` is the channel's ``stacked_kernel()``.  The three joints are
+    the blocks of one (batch, u, yr + ye + s) array, p(u,yr) and p(u,ye)
+    from one matmul with ``kernel``; their marginals, one ``_log_ratio``
+    pass and the three sums are taken over all blocks at once.  Every sum
+    over an axis is a matmul whose stacking axis is the batch, so a row's
+    bits do not depend on the batch it is in.
     """
     p_us = np.swapaxes(state_pmf[:, None] * u_rows, 1, 2)         # p(u,s)
-    p_uk = np.einsum("bus,busx,xsk->buk", p_us, x_rows, kernel)
-    joints = (p_uk[:, :, :yr_size], p_uk[:, :, yr_size:], p_us)
-    ratios = tuple(_log_ratio(joint) for joint in joints)
-    return tuple(map(mi_bits, joints, ratios)), (p_us,) + ratios
+    batch, u_size, s_size = p_us.shape
+    k = kernel.shape[1]
+    joint = np.concatenate(                        # p(u,yr) | p(u,ye) | p(u,s)
+        [(p_us[..., None] * x_rows).reshape(batch, u_size, -1) @ kernel, p_us],
+        axis=2)
+    blocks = np.repeat(np.arange(3), (yr_size, k - yr_size, s_size))
+    in_block = (blocks[:, None] == np.arange(3)).astype(float)
+    ratio = _log_ratio(joint, joint @ (in_block @ in_block.T),  # p(u) per block
+                       np.ones((1, u_size)) @ joint)            # p(k)
+    triple = (joint * ratio).reshape(batch, 1, -1) @ np.tile(in_block, (u_size, 1))
+    return tuple(np.maximum(0.0, triple[:, 0].T)), (
+        p_us, ratio[..., :yr_size], ratio[..., yr_size:k], ratio[..., k:])
 
 
 def aux_mi_partials(state_pmf: np.ndarray, kernel: np.ndarray,
@@ -359,12 +375,13 @@ def aux_mi_partials(state_pmf: np.ndarray, kernel: np.ndarray,
     p(s) [sum_x p(x|u,s) sum_k K(k|x,s) G(u,k) + w_c log2 p(u|s) / p(u)],
     summed over s, in every state's row, where ``tied`` (batch,) marks a
     p(u|s) that all states share.  Each is exact up to a constant per row;
-    cells of zero probability add 0.
+    cells of zero probability add 0.  The sums over k are one stacked
+    matmul with the transposed ``kernel``.
     """
     p_us, ratio_yr, ratio_ye, ratio_us = terms
     g = np.concatenate([weights[:, :1, None] * ratio_yr,
                         weights[:, 1:2, None] * ratio_ye], axis=2)
-    d = np.einsum("xsk,buk->busx", kernel, g)
+    d = (g @ kernel.T).reshape(x_rows.shape)
     grad_u = state_pmf * (np.einsum("busx,busx->bus", x_rows, d)
                           + weights[:, 2:, None] * ratio_us)
     grad_u = np.swapaxes(grad_u, 1, 2)

@@ -7,8 +7,13 @@ p(x|u,s)) with a seeded multi-start grid plus projected-gradient ascent on
 closed-form partials of the MI triple, scoring policies in batches; their
 optima are "best found" and deterministic for a fixed seed.  One search
 serves both: one refinement batch holds both passes' and objectives'
-restarts, each gradient comes from the batch that scored its point, and
-each objective gets the result of a search for it alone.  The upper bounds
+restarts, each row scored under its own objective by one ``_search_score``
+call, each gradient comes from the batch that scored its point, and each
+objective gets the result of a search for it alone.  The batch kernels
+(``aux_mi_terms``, ``aux_mi_partials``) contract with the channel's
+``stacked_kernel()`` by stacked matmuls and take the three MIs in one
+log-ratio pass, so an iteration's numpy calls do not grow with the batch,
+and a row's bits do not depend on the batch it is in.  The upper bounds
 and the discussion lower bound maximize concave objectives over input
 policies p(x|s), each H(Yr|Ye) minus a term linear in p(s) p(x|s) under an
 output law: one kernel, ``_input_value_grad``, evaluates all three, and
@@ -163,12 +168,24 @@ class BoundResult:
 # ---------------------------------------------------------------------------
 
 def _project_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection of each row of ``v`` onto the probability simplex."""
-    u = np.sort(v, axis=1)[:, ::-1]
-    css = np.cumsum(u, axis=1) - 1.0
-    cond = u - css / np.arange(1, v.shape[1] + 1) > 0
-    rho = v.shape[1] - np.argmax(cond[:, ::-1], axis=1)    # last True, 1-based
-    theta = css[np.arange(len(v)), rho - 1] / rho
+    """Euclidean projection of each row of ``v`` onto the probability simplex.
+
+    With u a row sorted in descending order and c_j = u_1 + ... + u_j - 1,
+    the projection is max(v - c_rho / rho, 0) for the last rank rho with
+    u_rho > c_rho / rho.  Between the sort and the result the work runs on
+    the transposed rows, one array row per rank, so each step is along the
+    long axis.  The result is C-ordered like ``v``: the einsum sums of the
+    partials take other rounding paths on other memory layouts.
+    """
+    n, w = v.shape
+    u = np.sort(v, axis=1).T[::-1].copy()                  # (w, n), by rank
+    css = u.copy()
+    for j in range(1, w):
+        css[j] += css[j - 1]
+    css -= 1.0
+    rank = np.arange(1, w + 1)[:, None]
+    rho = ((u - css / rank > 0) * rank).max(axis=0)
+    theta = css.ravel()[(rho - 1) * n + np.arange(n)] / rho
     return np.maximum(v - theta[:, None], 0.0)
 
 
@@ -208,26 +225,27 @@ def _structured_aux_seeds(channel, u_size, restricted, rng):
     const_u[:, 0] = 1.0
     uni_u = np.full((u_rows_n, u_size), 1.0 / u_size)
     uni_x = np.full((u_size, s_size, x_size), 1.0 / x_size)
-    seeds = [(const_u, uni_x), (uni_u, uni_x)]
 
     # Deterministic input maps x = f(u) under a uniform u; for binary inputs
     # this includes the classic "send the codeword symbol" encoders.
     if x_size ** min(u_size, 8) <= 64:
-        maps = [list(m) for m in itertools.product(range(x_size), repeat=u_size)]
+        maps = list(itertools.product(range(x_size), repeat=u_size))
     else:
         maps = [rng.integers(0, x_size, size=u_size) for _ in range(16)]
         maps.append(np.arange(u_size) % x_size)
     eye_x = np.eye(x_size)
-    seeds += [(uni_u, np.repeat(eye_x[m][:, None], s_size, axis=1)) for m in maps]
+    map_x = np.repeat(eye_x[np.array(maps)][:, :, None], s_size, axis=2)
 
     # State-shifted deterministic map x = (u + s) mod |X|.
     det_x = eye_x[(np.arange(u_size)[:, None] + np.arange(s_size)) % x_size]
-    seeds.append((uni_u, det_x))
+    u_seeds = [const_u, uni_u] + [uni_u] * (len(maps) + 1)
+    x_seeds = [uni_x, uni_x, *map_x, det_x]
     if not restricted and s_size > 1:
         # u tracks the state: p(u|s) = delta(u = s mod |U|).
         copy_u = np.eye(u_size)[np.arange(s_size) % u_size]
-        seeds += [(copy_u, uni_x), (copy_u, det_x)]
-    return np.array([u for u, _ in seeds]), np.array([x for _, x in seeds])
+        u_seeds += [copy_u, copy_u]
+        x_seeds += [uni_x, det_x]
+    return np.array(u_seeds), np.array(x_seeds)
 
 
 def _grid_aux_seeds(channel, u_size, restricted, resolution, count, rng):
@@ -247,72 +265,82 @@ def _grid_aux_seeds(channel, u_size, restricted, resolution, count, rng):
 def _refine_aux(u_rows, x_rows, tied, evaluate, gradient, cfg):
     """Projected-gradient ascent on the search score, every restart at once.
 
-    ``u_rows`` (restarts, s, u) and ``x_rows`` (restarts, u, s, x) are
-    refined in place; a ``tied`` restart's u-rows are equal and stay equal.
-    Each iteration scores one ``evaluate(u_rows, x_rows, restart)`` batch,
-    row i from restart ``restart[i]``: every live restart's points projected
-    onto the simplex after steps of eta * _STEP_MULTIPLIERS along its
-    gradient.  The best candidate is taken when it beats the restart's score
-    by more than 1e-13; eta becomes its step, and ``gradient`` takes the
-    next gradient from the weights and terms ``evaluate`` returned; else
-    eta (0.25 at first) is divided by 64.  A restart leaves when eta < 1e-9
-    or after _ITERATIONS_PER_STEP * ``cfg.local_steps`` iterations.  Returns
-    the iterations of each restart.
+    ``u_rows`` (restarts, s, u) and ``x_rows`` (restarts, u, s, x) hold the
+    start points and are overwritten; a ``tied`` restart's u-rows are equal
+    and stay equal.  Each iteration scores one ``evaluate(u_rows, x_rows,
+    restart)`` batch, row i from restart ``restart[i]``: every live
+    restart's point projected onto the simplex after steps of
+    eta * _STEP_MULTIPLIERS along its gradient.  The best candidate is taken
+    when it beats the restart's score by more than 1e-13; eta becomes its
+    step, and ``gradient`` takes the next gradient from the weights and
+    terms ``evaluate`` returned; else eta (0.25 at first) is divided by 64.
+    A restart leaves when eta < 1e-9 or after _ITERATIONS_PER_STEP *
+    ``cfg.local_steps`` iterations.  Points, gradients, steps and scores are
+    held for the live restarts only, and cut when one leaves.  Returns the
+    iterations of each restart.
     """
     n, k = len(u_rows), len(_STEP_MULTIPLIERS)
     current, weights, terms = evaluate(u_rows, x_rows, np.arange(n))
-    grads = gradient(x_rows, weights, terms, tied)
+    points = [u_rows, x_rows]
+    grads = list(gradient(x_rows, weights, terms, tied))
     eta = np.full(n, 0.25)
     iterations = np.zeros(n, dtype=int)
     live = np.arange(n)
-    for _ in range(_ITERATIONS_PER_STEP * cfg.local_steps):
-        steps = eta[live, None] * _STEP_MULTIPLIERS                 # (live, k)
+    restart, first = np.repeat(live, k), live * k
+    for it in range(1, _ITERATIONS_PER_STEP * cfg.local_steps + 1):
+        steps = eta[:, None] * _STEP_MULTIPLIERS                    # (live, k)
         cand = []
-        for rows, grad in zip((u_rows, x_rows), grads):
-            moved = rows[live, None] + grad[live, None] * steps.reshape(
+        for rows, grad in zip(points, grads):
+            moved = rows[:, None] + grad[:, None] * steps.reshape(
                 steps.shape + (1,) * (rows.ndim - 1))
             cand.append(_project_simplex(moved.reshape(-1, rows.shape[-1]))
                         .reshape((-1,) + rows.shape[1:]))
-        score, weights, terms = evaluate(*cand, np.repeat(live, k))
-        score = score.reshape(-1, k)
-        pick = np.argmax(score, axis=1)
-        up = np.flatnonzero(score[np.arange(len(live)), pick] > current[live] + 1e-13)
-        take, won = up * k + pick[up], live[up]
-        u_rows[won], x_rows[won] = cand[0][take], cand[1][take]
-        current[won] = score[up, pick[up]]
-        for grad, new in zip(grads, gradient(
-                x_rows[won], weights[take], [t[take] for t in terms], tied[won])):
-            grad[won] = new
-        eta[live] /= 64.0
-        eta[won] = steps[up, pick[up]]
-        iterations[live] += 1
-        live = live[eta[live] >= 1e-9]
-        if not live.size:
-            break
+        score, weights, terms = evaluate(*cand, restart)
+        pick = first + np.argmax(score.reshape(-1, k), axis=1)
+        up = np.flatnonzero(score[pick] > current + 1e-13)
+        take = pick[up]
+        current[up] = score[take]
+        won = [c[take] for c in cand]
+        for rows, grad, row, new in zip(points, grads, won, gradient(
+                won[1], weights[take], [t[take] for t in terms], tied[up])):
+            rows[up], grad[up] = row, new
+        eta /= 64.0
+        eta[up] = steps.ravel()[take]
+        keep = eta >= 1e-9
+        if not keep.all():
+            iterations[live[~keep]] = it
+            live, eta, current, tied = live[keep], eta[keep], current[keep], tied[keep]
+            points = [rows[keep] for rows in points]
+            grads = [grad[keep] for grad in grads]
+            if not live.size:
+                break
+            restart, first = np.repeat(live, k), np.arange(len(live)) * k
+    iterations[live] = it
     return iterations
 
 
 def _search_score(triple, key_rate):
     """(value, feasible, score, weights) of a batch from its MI triple.
 
-    The key rate I(U;Yr) - I(U;Ye) is feasible when the covering slack
-    I(U;Yr) - I(U;S) is at least -_STEP_TOLERANCE, and its score adds
-    _PENALTY_WEIGHT * min(0, slack), so refinement can cross back into the
-    feasible region.  The secret-message rate I(U;Yr) - max(I(U;S), I(U;Ye))
-    is its own score.  ``weights`` (batch, 3) holds the partials of the
-    score in the triple, as ``aux_mi_partials`` takes them.
+    ``key_rate`` is a bool, or a bool array that broadcasts against the
+    batch, one objective per row: True for the key rate, False for the
+    secret-message rate.  The key rate I(U;Yr) - I(U;Ye) is feasible when
+    the covering slack I(U;Yr) - I(U;S) is at least -_STEP_TOLERANCE, and
+    its score adds _PENALTY_WEIGHT * min(0, slack), so refinement can cross
+    back into the feasible region.  The secret-message rate
+    I(U;Yr) - max(I(U;S), I(U;Ye)) is its own score.  ``weights`` (batch, 3)
+    holds the partials of the score in the triple, as ``aux_mi_partials``
+    takes them.  A row's outputs do not depend on the other rows' flags.
     """
     i_uyr, i_uye, i_us = triple
-    if key_rate:
-        value, slack = i_uyr - i_uye, i_uyr - i_us
-        penalty = _PENALTY_WEIGHT * (slack < 0.0)
-        return (value, slack >= -_STEP_TOLERANCE,
-                value + _PENALTY_WEIGHT * np.minimum(0.0, slack),
-                np.column_stack([1.0 + penalty, np.full_like(value, -1.0), -penalty]))
-    value = i_uyr - np.maximum(i_us, i_uye)
-    return (value, np.ones(len(value), dtype=bool), value,
-            np.column_stack([np.ones_like(value), -1.0 * (i_uye >= i_us),
-                             -1.0 * (i_us > i_uye)]))
+    key = np.asarray(key_rate)
+    slack = i_uyr - i_us
+    value = i_uyr - np.maximum(i_uye, np.where(key, -np.inf, i_us))
+    penalty = _PENALTY_WEIGHT * (key & (slack < 0.0))
+    score = np.where(key, value + _PENALTY_WEIGHT * np.minimum(0.0, slack), value)
+    weights = np.column_stack([1.0 + penalty, -1.0 * (key | (i_uye >= i_us)),
+                               -(penalty + (~key & (i_us > i_uye)))])
+    return value, (slack >= -_STEP_TOLERANCE) | ~key, score, weights
 
 
 def _search_aux(channel, cfg, objectives):
@@ -324,44 +352,49 @@ def _search_aux(channel, cfg, objectives):
     constraint is vacuous; its points hold one equal u-row per state.  Each
     pass scores its seeds under every objective; the ``restarts`` best of
     each (pass, objective) are refined in one ``_refine_aux`` batch, ordered
-    by (pass, objective).  Each (pass, objective) keeps one incumbent, which
-    sees only its own rows and is replaced only by a strictly higher
-    feasible value; an objective keeps its restricted incumbent unless the
-    general one is higher.  So among equal values the first evaluated
-    stays, and every objective's result equals that of a search for it
-    alone.  An over-budget search raises ``BudgetError`` first.
+    by (pass, objective), each row scored under its own objective.  Each
+    (pass, objective) keeps one incumbent, which sees only its own rows and
+    is replaced only by a strictly higher feasible value; an objective keeps
+    its restricted incumbent unless the general one is higher.  So among
+    equal values the first evaluated stays, and every objective's result
+    equals that of a search for it alone.  An over-budget search raises
+    ``BudgetError`` first.
     """
     u_size, n_obj = cfg.resolve_u_size(channel), len(objectives)
     passes = 2 if cfg.domain == "general_u" and channel.s_size > 1 else 1
+    n_groups = passes * n_obj
     _check_aux_budget(channel, cfg, u_size, passes, n_obj)
     kernel = channel.stacked_kernel()
     terms_of = partial(aux_mi_terms, channel.state_pmf, kernel, channel.yr_size)
     gradient = partial(aux_mi_partials, channel.state_pmf, kernel)
 
-    def offer(g, value, feasible, u_rows, x_rows):
-        """A copy of the first feasible best point replaces a lower incumbent g."""
-        evals[g % n_obj] += len(value)
+    def offer(row_group, value, feasible, u_rows, x_rows):
+        """For each group g in ``row_group`` (sorted), a copy of its first
+        feasible best row replaces a lower incumbent."""
         masked = np.where(feasible, value, -np.inf)
-        i = int(np.argmax(masked))
-        if masked[i] > best[g][0]:
-            best[g] = (masked[i], u_rows[i].copy(), x_rows[i].copy())
+        ends = np.searchsorted(row_group, np.arange(n_groups + 1))
+        evals[:] += ends[1:] - ends[:-1]
+        seen = np.flatnonzero(ends[1:] > ends[:-1])
+        # A stable sort: within a group the first of equal values leads.
+        first = np.lexsort((-masked, row_group))[ends[seen]]
+        up = masked[first] > best_value[seen]
+        won, first = seen[up], first[up]
+        best_value[won] = masked[first]
+        best_u[won], best_x[won] = u_rows[first], x_rows[first]
 
     def evaluate(u_rows, x_rows, restart):
         """Scores, weights and terms of a batch, each row under its objective."""
         triple, terms = terms_of(u_rows, x_rows)
         row_group = group[restart]
-        value, feasible, score, weights = (
-            np.stack(out)[row_group % n_obj, np.arange(len(restart))]
-            for out in zip(*(_search_score(triple, key) for key in objectives)))
-        ends = np.searchsorted(row_group, np.arange(passes * n_obj + 1))
-        for g, (lo, hi) in enumerate(zip(ends, ends[1:])):
-            if hi > lo:
-                offer(g, value[lo:hi], feasible[lo:hi], u_rows[lo:hi],
-                      x_rows[lo:hi])
+        value, feasible, score, weights = _search_score(
+            triple, group_key[row_group])
+        offer(row_group, value, feasible, u_rows, x_rows)
         return score, weights, terms
 
-    best = [(-np.inf, None, None)] * (passes * n_obj)
-    evals, best_grid = [0] * n_obj, [-np.inf] * n_obj
+    best_value = np.full(n_groups, -np.inf)
+    best_u = np.zeros((n_groups, channel.s_size, u_size))
+    best_x = np.zeros((n_groups, u_size, channel.s_size, channel.x_size))
+    evals, best_grid = np.zeros(n_groups, dtype=int), [-np.inf] * n_obj
     starts_u, starts_x = [], []
     for p, (restricted, stream_key) in enumerate(((True, 11), (False, 12))[:passes]):
         rng = _rng_stream(cfg.seed, stream_key)
@@ -376,14 +409,16 @@ def _search_aux(channel, cfg, objectives):
             fallback = u_rows[0], x_rows[0]
         for j, key_rate in enumerate(objectives):
             value, feasible, seed_score, _ = _search_score(triple, key_rate)
-            offer(p * n_obj + j, value, feasible, u_rows, x_rows)
+            offer(np.full(len(value), p * n_obj + j), value, feasible, u_rows,
+                  x_rows)
             best_grid[j] = max(best_grid[j], float(seed_score[len(u_seeds):].max()))
             top = np.argsort(-seed_score, kind="stable")[:cfg.restarts]
             starts_u.append(u_rows[top])
             starts_x.append(x_rows[top])
     # Restart r, in group g = group[r], refines a seed of pass g // n_obj
     # under objective g % n_obj; restricted-pass restarts have tied u-rows.
-    group = np.repeat(np.arange(passes * n_obj), cfg.restarts)
+    group = np.repeat(np.arange(n_groups), cfg.restarts)
+    group_key = np.tile(np.array(objectives, dtype=bool), passes)
     restart_iterations = _refine_aux(
         np.concatenate(starts_u), np.concatenate(starts_x), group < n_obj,
         evaluate, gradient, cfg)
@@ -391,16 +426,17 @@ def _search_aux(channel, cfg, objectives):
     results = []
     for j in range(n_obj):
         # The first of equal values wins: the restricted pass's incumbent.
-        value, u_given_s, x_given_us = max(best[j::n_obj], key=lambda b: b[0])
+        g = j + n_obj * int(np.argmax(best_value[j::n_obj]))
+        u_given_s, x_given_us = best_u[g], best_x[g]
         # The first seed, constant u with uniform x, is feasible with value
         # 0, so a result always exists.
-        if not value >= 0.0:
+        if not best_value[g] >= 0.0:
             u_given_s, x_given_us = fallback
         diagnostics = {
             "iterations": float(restart_iterations[group % n_obj == j].sum()),
             "restarts": float(cfg.restarts),
             "best_grid_value": best_grid[j],
-            "objective_evaluations": float(evals[j]),
+            "objective_evaluations": float(evals[j::n_obj].sum()),
         }
         results.append((AuxiliaryEncoderPolicy(u_size, u_given_s, x_given_us),
                         diagnostics))
@@ -649,15 +685,17 @@ def _project_couplings(cells: np.ndarray, weights: np.ndarray,
     m = np.einsum("k,kre->re", weights, cells)
     q = np.where(cells > 0, m, 0.0)
     rows = q.sum(axis=2)
+    # Scale buffers, reused: where a row or column sum is 0 the stale scale
+    # multiplies a row or column of zeros, as the first sweep's 0 would.
+    row_scale, col_scale, err = np.zeros_like(r), np.zeros_like(c), np.empty_like(r)
     for _ in range(_SINKHORN_ITERATIONS):
-        q *= np.divide(r, rows, out=np.zeros_like(r), where=rows > 0)[:, :, None]
+        q *= np.divide(r, rows, out=row_scale, where=rows > 0)[:, :, None]
         cols = q.sum(axis=1)
-        q *= np.divide(c, cols, out=np.zeros_like(c), where=cols > 0)[:, None, :]
+        q *= np.divide(c, cols, out=col_scale, where=cols > 0)[:, None, :]
         rows = q.sum(axis=2)
-        row_err = np.abs(rows - r).max(axis=1)
-        if row_err.max() <= _SINKHORN_TOL:
+        if np.abs(np.subtract(rows, r, out=err), out=err).max() <= _SINKHORN_TOL:
             break
-    return np.where((row_err <= _SINKHORN_TOL)[:, None, None], q, cells)
+    return np.where((err.max(axis=1) <= _SINKHORN_TOL)[:, None, None], q, cells)
 
 
 def _check_coupling_budget(channel: StateChannel) -> None:

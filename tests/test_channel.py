@@ -10,8 +10,8 @@ from statekey import (AuxiliaryEncoderPolicy, InputPolicy, JointPmf,
                       conditional_mutual_information, entropy_bits,
                       induce_joint, marginalize, mutual_information,
                       upper_bound_discussion)
-from statekey.channel import (aux_mi_partials, aux_mi_terms, mi_bits,
-                              policy_mi_triple)
+from statekey.channel import (_NORMAL_MIN, _log_ratio, aux_mi_partials,
+                              aux_mi_terms, mi_bits, policy_mi_triple)
 from conftest import (bsc_matrix, factorized_binary, random_aux_policy,
                       random_channel)
 
@@ -333,6 +333,63 @@ class TestMemoryLayout:
             upper_bound_discussion(channel, cfg).value_bits
 
 
+def sparse_aux_batch(seed):
+    """A channel with zeros in its kernel and a state of probability 0, and
+    a batch of policies: full-support ones, deterministic x maps with unused
+    u symbols, and u-rows of subnormal mass whose cells take the subnormal
+    split of the log-ratio."""
+    rng = np.random.default_rng(seed)
+    x_size, s_size, yr_size, ye_size, u_size = 2, 3, 2, 3, 4
+    kernel = rng.dirichlet(np.ones(yr_size * ye_size), size=(x_size, s_size))
+    kernel[rng.random(kernel.shape) < 0.3] = 0.0
+    kernel[..., 0] += 0.1
+    kernel /= kernel.sum(axis=-1, keepdims=True)
+    channel = StateChannel.from_arrays(
+        [0.6, 0.0, 0.4], kernel.reshape(x_size, s_size, yr_size, ye_size))
+    u_rows, x_rows = [], []
+    for i in range(9):
+        u_given_s = rng.dirichlet(np.ones(u_size), size=s_size)
+        x_given_us = rng.dirichlet(np.ones(x_size), size=(u_size, s_size))
+        if i % 3 == 1:
+            x_given_us = np.eye(x_size)[rng.integers(0, x_size,
+                                                     size=(u_size, s_size))]
+            u_given_s[:, -1] = 0.0
+        elif i % 3 == 2:
+            u_given_s[:, 0] = [5e-324, 1e-310, 3e-320]
+        u_rows.append(u_given_s / u_given_s.sum(axis=1, keepdims=True))
+        x_rows.append(x_given_us)
+    return channel, np.array(u_rows), np.array(x_rows)
+
+
+def joints_alone(channel, u_rows, x_rows):
+    """p(u,yr), p(u,ye) and p(u,s) of each policy, each formed on its own."""
+    p_us = np.swapaxes(channel.state_pmf[:, None] * u_rows, 1, 2)
+    return (np.einsum("bus,busx,xsr->bur", p_us, x_rows,
+                      channel.receiver_kernel()),
+            np.einsum("bus,busx,xse->bue", p_us, x_rows,
+                      channel.eavesdropper_kernel()),
+            p_us)
+
+
+def reference_partials(channel, x_rows, weights, joints, tied):
+    """The partials by the per-joint einsum formulas: d(u,s,x) =
+    sum_k K(k|x,s) G(u,k) from ``_log_ratio`` of each joint."""
+    ratio_yr, ratio_ye, ratio_us = (
+        _log_ratio(joint, joint.sum(axis=2, keepdims=True),
+                   joint.sum(axis=1, keepdims=True)) for joint in joints)
+    kernel = np.concatenate([channel.receiver_kernel(),
+                             channel.eavesdropper_kernel()], axis=2)
+    g = np.concatenate([weights[:, :1, None] * ratio_yr,
+                        weights[:, 1:2, None] * ratio_ye], axis=2)
+    d = np.einsum("xsk,buk->busx", kernel, g)
+    grad_u = channel.state_pmf * (np.einsum("busx,busx->bus", x_rows, d)
+                                  + weights[:, 2:, None] * ratio_us)
+    grad_u = np.swapaxes(grad_u, 1, 2)
+    grad_u = np.where(tied[:, None, None], grad_u.sum(axis=1, keepdims=True),
+                      grad_u)
+    return grad_u, joints[2][:, :, :, None] * d
+
+
 class TestAuxKernel:
     @pytest.mark.parametrize("k", range(8))
     @pytest.mark.parametrize("shared", [False, True], ids=["s-rows", "one-row"])
@@ -371,6 +428,37 @@ class TestAuxKernel:
                 x_rows)
             for a, b in zip(triple + terms, wide_triple + wide_terms):
                 assert np.array_equal(a, b)
+
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("shared", [False, True], ids=["s-rows", "one-row"])
+    def test_fused_kernel_matches_the_per_joint_formulas(self, seed, shared):
+        # The fused triple against mi_bits of each joint formed on its own,
+        # and the partials against the per-joint einsum formulas, on zero
+        # cells (a state of probability 0, deterministic x maps, unused u
+        # symbols) and on cells of subnormal mass.
+        channel, u_rows, x_rows = sparse_aux_batch(seed)
+        if shared:
+            u_rows = u_rows[:, :1]
+        joints = joints_alone(channel, u_rows, x_rows)
+        p_yr = joints[0].sum(axis=1, keepdims=True)
+        p_u = joints[0].sum(axis=2, keepdims=True)
+        assert (joints[0] == 0).any() and (joints[2] == 0).any()
+        assert ((joints[0] > 0) & (p_u * p_yr < _NORMAL_MIN)).any()
+        triple, terms = aux_mi_terms(channel.state_pmf, channel.stacked_kernel(),
+                                     channel.yr_size, u_rows, x_rows)
+        for fused, joint in zip(triple, joints):
+            assert np.all(np.isfinite(fused))
+            np.testing.assert_allclose(fused, mi_bits(joint), rtol=0,
+                                       atol=1e-15)
+        weights = np.random.default_rng(seed).normal(size=(len(x_rows), 3))
+        tied = np.full(len(x_rows), shared)
+        got = aux_mi_partials(channel.state_pmf, channel.stacked_kernel(),
+                              x_rows, weights, terms, tied)
+        want = reference_partials(channel, x_rows, weights, joints, tied)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and np.all(np.isfinite(a))
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-13)
 
 
 class TestEntropySign:

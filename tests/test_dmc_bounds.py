@@ -279,6 +279,58 @@ class TestJointSearch:
             assert together.diagnostics == single.diagnostics
 
 
+class TestSearchScore:
+    def test_per_row_flags_equal_the_scalar_calls_bit_for_bit(self):
+        # One call scores each row under its own objective; every output
+        # must carry the bits of the scalar call on that row alone.
+        rng = np.random.default_rng(0)
+        i_uyr = rng.random(40)
+        i_uye = np.where(rng.random(40) < 0.3, i_uyr, rng.random(40))
+        i_us = np.where(rng.random(40) < 0.3, i_uye, rng.random(40))
+        i_us[:4] = i_uyr[:4] + [-1e-10, 1e-10, 0.0, 2e-9]
+        triple = (i_uyr, i_uye, i_us)
+        flags = rng.random(40) < 0.5
+        assert flags.any() and not flags.all()
+        out = dmc._search_score(triple, flags)
+        for i, key_rate in enumerate(flags):
+            alone = dmc._search_score(tuple(t[i:i + 1] for t in triple),
+                                      bool(key_rate))
+            for got, want in zip(out, alone):
+                assert got[i:i + 1].tobytes() == want.tobytes()
+
+
+# lower_bound_no_discussion and secret_message_lower_bound under the default
+# config on the first corpus channels, random_channel(default_rng(1000 + k),
+# *default_rng(k).integers(1, 4, size=4)), as the einsum kernel computed them.
+CORPUS_SEARCH_VALUES = {
+    0: (0.29270393056348154, 0.29333947150027223),
+    1: (0.0, 0.0),
+    2: (0.0, 0.0),
+    3: (0.0, 0.0),
+    4: (0.04271776530730417, 0.04271776530730417),
+    5: (1.9025559252648656e-16, 1.9025559252648656e-16),
+    6: (0.024047463053099898, 0.012846348861416987),
+    7: (0.007621816248207796, 0.007621816248207796),
+    8: (3.4864741278993303e-16, 3.4864741278993303e-16),
+    9: (0.1099135487680876, 0.052184908413555824),
+    10: (0.0, 0.0),
+    11: (0.0, 0.0),
+}
+
+
+class TestCorpusSearchValues:
+    @pytest.mark.parametrize("k", sorted(CORPUS_SEARCH_VALUES))
+    def test_searched_bounds_hold_their_values(self, k):
+        # A rewrite of the search kernels may move these by rounding only.
+        channel = random_channel(np.random.default_rng(1000 + k),
+                                 *np.random.default_rng(k).integers(1, 4, size=4))
+        lb, message = CORPUS_SEARCH_VALUES[k]
+        assert lower_bound_no_discussion(channel, CFG).value_bits == \
+            pytest.approx(lb, rel=0, abs=1e-12)
+        assert secret_message_lower_bound(channel, CFG).value_bits == \
+            pytest.approx(message, rel=0, abs=1e-12)
+
+
 class TestSearchBudget:
     def test_default_alphabet_on_large_channel_is_refused(self):
         # |X| = |S| = 16 gives |U| = 258: one u-row probe batch would hold
