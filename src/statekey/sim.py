@@ -15,9 +15,13 @@ Two modes are implemented at tiny block lengths:
 
 Typicality is the strong (empirical-count) kind: every cell of the joint
 empirical distribution must lie within ``epsilon`` of the model pmf, and
-cells with zero model probability must be unoccupied.  ``_typical_pairs``
-tests it in batches for the encoder, the exact leakage, and the one-round
-bins and reconstruction, where ambiguity is an error.  The no-discussion
+cells with zero model probability must be unoccupied.  ``_typicality``
+prepares the test once per (pmf, n, epsilon): it checks the count bands once,
+then holds a batch of candidate rows against a batch of fixed rows with one
+0/1 product for all zero cells, one count per fixed row for a column with one
+positive cell, and one product for each other cell whose band can fail.  The
+encoder, the exact leakage, the one-round typical set and reconstruction (where
+ambiguity is an error) and ``is_jointly_typical`` all use it.  The no-discussion
 decoder is bin-wise maximum likelihood under the single-letter law
 p(yr | u): it reads no ``epsilon``, and a tie between bins counts as an
 error.  When the encoder finds no typical codeword it falls back to a
@@ -51,9 +55,10 @@ The trial loops run on chunks of trials: ``encode``, ``transmit``,
 ``decode`` and the typicality kernel take a leading trial axis.  A chunk's
 largest temporary stays near ``_TRIAL_CHUNK_BYTES``: the decoder's n floats
 per codeword, the channel's cdf rows, or the raw words and uniforms; the
-typicality kernel holds only 11 bytes per (trial, candidate) pair.  One-round
-reconstruction splits each public bin's trials to the same budget.  Run
-memory therefore does not grow with the number of trials.
+typicality test holds at most ``_PAIR_BYTES`` (11) bytes per (trial,
+candidate) pair.  One-round reconstruction splits each public bin's members
+and trials to the same budget.  Run memory therefore does not grow with the
+number of trials.
 """
 
 from __future__ import annotations
@@ -79,6 +84,10 @@ _KRON_CHUNK_BYTES = 8 * 2 ** 20
 # Several temporaries of a chunk's size are alive at once, so a budget much
 # above this raises resident memory without making the trial loops faster.
 _TRIAL_CHUNK_BYTES = 256 * 2 ** 10
+# The most bytes _Typicality.pairs holds per (fixed, candidate) pair: its
+# float count buffer, the running result, and one comparison or the result
+# scattered back to every fixed row.
+_PAIR_BYTES = 11
 _TINY = np.finfo(float).tiny
 
 
@@ -396,27 +405,119 @@ def _sequences(alphabet: int, n: int, lo: int, hi: int) -> np.ndarray:
     return np.arange(lo, hi)[:, None] // powers % alphabet
 
 
+class _Typicality:
+    """Strong typicality against pmf[a, b] at block length n and slack eps,
+    prepared once per (pmf, n, eps) by ``_typicality``.
+
+    A cell's count c passes if |c / n - pmf| <= eps + 1e-12, and only c = 0
+    if pmf is 0, so each cell admits an interval [lo, hi] (empty if
+    lo > hi).  ``pairs`` holds each candidate row (side a, prepared by
+    ``candidates``) against each fixed row (side b), with counts that 0/1
+    float products give exactly:
+
+    * the zero cells: one product counts the positions that fall on a cell
+      of probability 0, and the pair needs none;
+    * a column b with one positive cell a: once the zero cells are empty,
+      that cell's count is the fixed row's own count of b, so it is tested
+      once per fixed row, and a row that fails skips the pair work;
+    * every other positive cell whose band is not [0, n]: one product per
+      cell, compared only at the ends of the band that a count can cross.
+
+    At most ``_PAIR_BYTES`` are alive per (fixed, candidate) pair.
+    """
+
+    def __init__(self, pmf: np.ndarray, n: int, eps: float):
+        flat = pmf.ravel()
+        c = np.arange(n + 1)[:, None]
+        admitted = (np.abs(c / n - flat) <= eps + 1e-12) & ((flat > 0) | (c == 0))
+        lo = np.where(admitted.any(axis=0), admitted.argmax(axis=0), n + 1)
+        hi = n - admitted[::-1].argmax(axis=0)
+        # c / n - p is nondecreasing in c, so no admitted set has a gap.
+        assert (admitted.sum(axis=0) == np.maximum(hi - lo + 1, 0)).all()
+        lo, hi = lo.reshape(pmf.shape), hi.reshape(pmf.shape)
+        positive = pmf > 0
+        self.n, (self.a_size, self.b_size) = n, pmf.shape
+        # zero[a * |B| + b] is 1 on a zero cell, and zero_at[a] = a * |B|,
+        # so zero[zero_at + fixed row] is its (|A|, n) column of zero cells.
+        self.zero = (~positive).ravel().astype(float) if not positive.all() else None
+        self.zero_at = (self.b_size * np.arange(self.a_size))[:, None]
+        bounded = positive & ((lo > 0) | (hi < n))   # others admit any count
+        single = positive.sum(axis=0) == 1
+        a_of = positive.argmax(axis=0)
+        self.row_cols = np.flatnonzero(single & bounded[a_of, np.arange(len(a_of))])
+        self.row_lo = lo[a_of[self.row_cols], self.row_cols]
+        self.row_hi = hi[a_of[self.row_cols], self.row_cols]
+        cells = {}                  # b -> [(a, lo, hi)], the pair-wise cells
+        for a, b in zip(*np.nonzero(bounded & ~single)):
+            cells.setdefault(int(b), []).append((int(a), lo[a, b], hi[a, b]))
+        # One prepared test serves every caller, so nothing in it may change.
+        self.cells = tuple((b, tuple(c)) for b, c in cells.items())
+        for table in (self.zero, self.zero_at, self.row_cols, self.row_lo,
+                      self.row_hi):
+            if table is not None:
+                table.setflags(write=False)
+
+    def candidates(self, rows: np.ndarray) -> np.ndarray:
+        """The candidate side of ``pairs``: rows (m, n) as 0/1 indicators of
+        each symbol a, shape (m, |A|, n), n |A| floats per row."""
+        return (rows[:, None, :] == np.arange(self.a_size)[:, None]).astype(float)
+
+    def pairs(self, cand: np.ndarray, fixed: np.ndarray) -> np.ndarray:
+        """(trials, m) typicality of each candidate against each fixed[t]."""
+        trials = len(fixed)
+        live = np.ones(trials, dtype=bool)
+        if self.row_cols.size:
+            offsets = self.b_size * np.arange(trials)[:, None]
+            tally = np.bincount((fixed + offsets).ravel(),
+                                minlength=self.b_size * trials).reshape(
+                                    trials, self.b_size)[:, self.row_cols]
+            live = (tally <= self.row_hi).all(axis=1)
+            if self.row_lo.any():
+                live &= (tally >= self.row_lo).all(axis=1)
+        rows = fixed if live.all() else fixed[live]
+        counts = np.empty((len(rows), len(cand)))   # one buffer for every product
+        if self.zero is None:
+            ok = np.ones(counts.shape, dtype=bool)
+        else:
+            width = self.a_size * self.n
+            np.matmul(self.zero[rows[:, None, :] + self.zero_at].reshape(
+                len(rows), width), cand.reshape(len(cand), width).T, out=counts)
+            ok = counts == 0
+        for b, cells in self.cells:
+            is_b = (rows == b).astype(float)
+            for a, lo, hi in cells:
+                np.matmul(is_b, cand[:, a].T, out=counts)
+                if lo > 0:
+                    ok &= counts >= lo
+                if hi < self.n:
+                    ok &= counts <= hi
+        if len(rows) == trials:
+            return ok
+        out = np.zeros((trials, len(cand)), dtype=bool)
+        out[live] = ok
+        return out
+
+
+@functools.lru_cache(maxsize=16)
+def _prepared_typicality(pmf_bytes: bytes, shape: tuple, n: int,
+                         eps: float) -> _Typicality:
+    """``_typicality``'s cache, keyed by the bytes of the pmf."""
+    return _Typicality(np.frombuffer(pmf_bytes).reshape(shape), n, eps)
+
+
+def _typicality(pmf: np.ndarray, n: int, eps: float) -> _Typicality:
+    """The prepared typicality test of (pmf, n, eps), built on its first use
+    and shared by every later call with equal arguments."""
+    pmf = np.ascontiguousarray(pmf, dtype=float)
+    return _prepared_typicality(pmf.tobytes(), pmf.shape, n, float(eps))
+
+
 def _typical_pairs(rows: np.ndarray, fixed: np.ndarray, pmf: np.ndarray,
                    eps: float) -> np.ndarray:
     """(trials, m) strong typicality of each rows[i] (m, n) against each
-    fixed[t] (trials, n) under pmf[a, b]: a cell's count c passes if
-    |c / n - pmf| <= eps + 1e-12, and only c = 0 if pmf is 0.  Each cell thus
-    admits an interval [lo, hi] (empty if lo > hi), held against its counts,
-    which 0/1 float matrix products give exactly: 11 bytes per pair."""
-    n = rows.shape[1]
-    flat = pmf.ravel()
-    c = np.arange(n + 1)[:, None]
-    admitted = (np.abs(c / n - flat) <= eps + 1e-12) & ((flat > 0) | (c == 0))
-    lo = np.where(admitted.any(axis=0), admitted.argmax(axis=0), n + 1)
-    hi = n - admitted[::-1].argmax(axis=0)
-    # c / n - p is nondecreasing in c, so no admitted set has a gap.
-    assert (admitted.sum(axis=0) == np.maximum(hi - lo + 1, 0)).all()
-    ok = np.ones((len(fixed), len(rows)), dtype=bool)
-    for cell in np.flatnonzero((lo > 0) | (hi < n)):   # others admit any count
-        a, b = divmod(int(cell), pmf.shape[1])
-        counts = (fixed == b).astype(float) @ (rows == a).T.astype(float)
-        ok &= (counts >= lo[cell]) & (counts <= hi[cell])
-    return ok
+    fixed[t] (trials, n) under pmf[a, b], in one call of ``_Typicality``."""
+    test = _typicality(pmf, rows.shape[1], eps)
+    return test.pairs(test.candidates(rows), fixed)
 
 
 def is_jointly_typical(a_seq, b_seq, pmf: np.ndarray, eps: float) -> bool:
@@ -522,7 +623,8 @@ def encode(codebook: BinningCodebook, tables: _NoDiscTables, s_seqs,
     s_seqs = np.asarray(s_seqs, dtype=np.int64)
     if s_seqs.shape != (len(streams), codebook.n):
         raise ValueError(f"s_seqs must have shape ({len(streams)}, {codebook.n})")
-    mask = _typical_pairs(codebook.sequences, s_seqs, tables.p_us, epsilon)
+    test = _typicality(tables.p_us, codebook.n, epsilon)
+    mask = test.pairs(test.candidates(codebook.sequences), s_seqs)
     sizes = mask.sum(axis=1)
     picks = streams.integers(np.where(sizes > 0, sizes, codebook.count))
     uniforms = streams.random(codebook.n)
@@ -647,11 +749,13 @@ def exact_leakage(codebook: BinningCodebook, channel: StateChannel,
     states = channel.s_size ** n
     weights = np.empty((codebook.count, states))
     log_ps = np.log(np.maximum(channel.state_pmf, 1e-300))
+    test = _typicality(p_us, n, cfg.epsilon)
+    codewords = test.candidates(codebook.sequences)
     step = _chunk_rows(8 * max(codebook.count, n))   # a float share per pair
     for lo in range(0, states, step):
         s_seqs = _sequences(channel.s_size, n, lo, min(lo + step, states))
         prob_s = np.exp(log_ps[s_seqs].sum(axis=1))
-        mask = _typical_pairs(codebook.sequences, s_seqs, p_us, cfg.epsilon)
+        mask = test.pairs(codewords, s_seqs)
         k = mask.sum(axis=1, keepdims=True)
         share = np.where(k > 0, mask / np.maximum(k, 1), 1.0 / codebook.count)
         weights[:, lo:lo + len(s_seqs)] = (prob_s[:, None] * share).T
@@ -726,10 +830,17 @@ def _enumerate_sequences(alphabet: int, n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _OneRoundTables:
-    """Receiver-sequence partition and single-letter laws for one-round runs."""
+    """Receiver-sequence partition and single-letter laws for one-round runs.
+
+    The members of public bin b, in increasing sequence order, are
+    ``by_bin[bin_starts[b]:bin_starts[b + 1]]``: one stable argsort of
+    ``bin_of``, made once per run, serves every reconstruction.
+    """
 
     all_yr: np.ndarray          # (|Yr|^n, n)
     bin_of: np.ndarray          # public bin per sequence (overflow = num_bins)
+    by_bin: np.ndarray          # sequence indices sorted stably by bin
+    bin_starts: np.ndarray      # (num_bins + 2,) offsets of each bin in by_bin
     sub_of: np.ndarray          # key sub-bin per sequence
     num_bins: int
     num_subbins: int
@@ -760,8 +871,14 @@ def _one_round_tables(channel: StateChannel, policy: InputPolicy,
                         * (min(num_bins, outputs) + 1) * channel.ye_size ** n)
     all_yr = _enumerate_sequences(channel.yr_size, cfg.n)
     p_yr = joint.probs.sum(axis=(0, 1, 3))
-    typ_idx = np.flatnonzero(_typical_pairs(
-        all_yr, np.zeros((1, n), dtype=np.int64), p_yr[:, None], cfg.epsilon)[0])
+    # The marginal test: each sequence against one all-zero row, in pieces
+    # that keep the candidate matrices within the chunk budget.
+    test = _typicality(p_yr[:, None], n, cfg.epsilon)
+    step = _chunk_rows(8 * channel.yr_size * n)
+    typ_idx = np.flatnonzero(np.concatenate([
+        test.pairs(test.candidates(all_yr[lo:lo + step]),
+                   np.zeros((1, n), dtype=np.int64))[0]
+        for lo in range(0, outputs, step)]))
     num_bins = min(num_bins, max(1, typ_idx.size))
     ranked = typ_idx[_rng_stream(cfg.seed, 0).permutation(typ_idx.size)]
     bin_of = np.full(all_yr.shape[0], num_bins, dtype=np.int64)   # overflow bin
@@ -769,9 +886,13 @@ def _one_round_tables(channel: StateChannel, policy: InputPolicy,
     # Rank r fills bin r % num_bins as that bin's (r // num_bins)-th member.
     rounds, bin_of[ranked] = np.divmod(np.arange(ranked.size), num_bins)
     sub_of[ranked] = rounds % num_subbins
+    bin_starts = np.concatenate(
+        ([0], np.cumsum(np.bincount(bin_of, minlength=num_bins + 1))))
     p_yr_xs = np.einsum("s,sx,xsr->rxs", channel.state_pmf, policy.x_given_s,
                         channel.receiver_kernel()).reshape(channel.yr_size, -1)
-    return _OneRoundTables(all_yr=all_yr, bin_of=bin_of, sub_of=sub_of,
+    return _OneRoundTables(all_yr=all_yr, bin_of=bin_of,
+                           by_bin=np.argsort(bin_of, kind="stable"),
+                           bin_starts=bin_starts, sub_of=sub_of,
                            num_bins=num_bins, num_subbins=num_subbins,
                            p_yr_xs=p_yr_xs, kernel_cdf=_kernel_cdf(channel),
                            key_rate_target=max(0.0, key_exponent))
@@ -781,18 +902,33 @@ def _reconstruct(tables: _OneRoundTables, xs_seqs: np.ndarray,
                  published: np.ndarray, epsilon: float) -> np.ndarray:
     """Per trial, the unique member of its published bin jointly typical
     with its (x, s) pairs, coded x * |S| + s in ``xs_seqs`` (trials, n);
-    -1 where no member or several are.  Trials go by bin, in budget pieces."""
-    found = np.full(len(published), -1, dtype=np.int64)
-    for b in np.unique(published):
-        members = np.flatnonzero(tables.bin_of == b)
-        in_bin = np.flatnonzero(published == b)
-        step = _chunk_rows(11 * len(members))   # see _typical_pairs
-        for trials in np.split(in_bin, np.arange(step, len(in_bin), step)):
-            hits = _typical_pairs(tables.all_yr[members], xs_seqs[trials],
-                                  tables.p_yr_xs, epsilon)
-            unique = hits.sum(axis=1) == 1
-            found[trials[unique]] = members[hits[unique].argmax(axis=1)]
-    return found
+    -1 where no member or several are.
+
+    One stable argsort groups the trials by bin, and ``tables.by_bin``
+    holds each bin's members.  A bin's members go in pieces whose candidate
+    matrices fit the chunk budget, built for that piece alone, and its
+    trials in pieces whose pairs do; per trial, the hits and the sum of
+    the hit members' indices add up over the pieces, so a lone hit's sum is
+    that member.
+    """
+    test = _typicality(tables.p_yr_xs, xs_seqs.shape[1], epsilon)
+    hits = np.zeros(len(published), dtype=np.int64)
+    hit_sum = np.zeros(len(published), dtype=np.int64)
+    order = np.argsort(published, kind="stable")
+    bins, starts = np.unique(published[order], return_index=True)
+    member_step = _chunk_rows(8 * test.a_size * xs_seqs.shape[1])
+    for b, start, end in zip(bins, starts, [*starts[1:], len(order)]):
+        members = tables.by_bin[tables.bin_starts[b]:tables.bin_starts[b + 1]]
+        for lo in range(0, len(members), member_step):
+            piece = members[lo:lo + member_step]
+            cand = test.candidates(tables.all_yr[piece])
+            step = _chunk_rows(_PAIR_BYTES * len(piece))
+            for first in range(start, end, step):
+                trials = order[first:min(first + step, end)]
+                ok = test.pairs(cand, xs_seqs[trials])
+                hits[trials] += ok.sum(axis=1)
+                hit_sum[trials] += ok @ piece
+    return np.where(hits == 1, hit_sum, -1)
 
 
 def one_round_exact_leakage(tables: _OneRoundTables, channel: StateChannel,

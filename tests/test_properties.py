@@ -267,7 +267,11 @@ def test_typical_pairs_match_the_count_definition(a_size, b_size, n, seed,
     """``_typical_pairs`` against the per-pair definition, on pmfs with zero
     cells.  ``boundary`` puts eps on |c / n - p| of one cell, up to
     rounding, where a count one off the admitted interval decides; ``none``
-    leaves a positive cell no admitted count unless p is on the 1/n grid."""
+    leaves a positive cell no admitted count unless p is on the 1/n grid.
+    A third of the pmfs give column 0 one positive cell and column 1 none;
+    their fixed rows then hold symbol 0 every count from 0 to n times, each
+    beside a row that puts that cell's symbol there and positive cells
+    elsewhere, so that cell's count band alone decides the pair."""
     rng = np.random.default_rng(seed)
     pmf = rng.dirichlet(np.ones(a_size * b_size))
     pmf[rng.random(pmf.size) < 0.3] = 0.0
@@ -276,12 +280,25 @@ def test_typical_pairs_match_the_count_definition(a_size, b_size, n, seed,
     if rng.random() < 0.5:      # a pmf on the count grid, whose bands touch
         pmf = rng.multinomial(n, pmf / pmf.sum()) / n
     pmf = (pmf / pmf.sum()).reshape(a_size, b_size)
+    one_cell = rng.random() < 1 / 3
+    if one_cell:
+        pmf[:, :2] = 0.0
+        pmf[rng.integers(a_size), 0] = rng.uniform(0.05, 1.0)
+        pmf /= pmf.sum()
     # The first pair is drawn from pmf itself, so some pairs are typical.
     pair = rng.choice(pmf.size, size=n, p=pmf.ravel())
     rows = np.vstack([pair // b_size,
                       rng.integers(0, a_size, size=(int(rng.integers(0, 6)), n))])
     fixed = np.vstack([pair % b_size,
                        rng.integers(0, b_size, size=(int(rng.integers(0, 6)), n))])
+    if one_cell:
+        others = np.flatnonzero(pmf[:, 1:].any(axis=0)) + 1
+        for count in range(n + 1) if others.size else [n]:
+            b_seq = np.concatenate([np.zeros(count, dtype=int),
+                                    rng.choice(others, size=n - count)])
+            b_seq = rng.permutation(b_seq)
+            a_seq = [rng.choice(np.flatnonzero(pmf[:, b] > 0)) for b in b_seq]
+            rows, fixed = np.vstack([rows, a_seq]), np.vstack([fixed, b_seq])
     if eps_kind == "boundary":    # rounded unlike |c / n - p|: the slack decides
         eps = abs(rng.integers(0, n + 1) - n * rng.choice(pmf.ravel())) / n
     elif eps_kind == "none":

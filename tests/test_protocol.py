@@ -15,9 +15,9 @@ from statekey import (AuxiliaryEncoderPolicy, BinningCodebook, BudgetError,
                       run_no_discussion, run_one_round_discussion)
 from statekey.channel import mi_bits
 from statekey.sim import (SimReport, TrialStreams, _entropy, _no_disc_tables,
-                          _one_round_tables, _rng_stream, _sample_rows,
-                          _trial_draws, is_jointly_typical,
-                          one_round_exact_leakage, transmit)
+                          _one_round_tables, _reconstruct, _rng_stream,
+                          _sample_rows, _trial_draws, _typicality,
+                          is_jointly_typical, one_round_exact_leakage, transmit)
 from conftest import (bsc_matrix, copy_encoder_policy, degraded_binary_wiretap,
                       erasure_eavesdropper_channel, factorized_binary,
                       identity_channel, random_aux_policy, random_channel,
@@ -51,6 +51,24 @@ def xor_policy():
         for s in range(2):
             x_given_us[u, s, u ^ s] = 1.0
     return AuxiliaryEncoderPolicy(2, np.full((2, 2), 0.5), x_given_us)
+
+
+def partly_deterministic_channel():
+    """yr = x xor s exactly when s = 0 and through a BSC(0.2) when s = 1;
+    ye = BSC(0.3)(x xor s)."""
+    kernel = np.zeros((2, 2, 2, 2))
+    for x in range(2):
+        for s in range(2):
+            kernel[x, s] = np.outer(bsc_matrix(0.2 * s)[x ^ s],
+                                    bsc_matrix(0.3)[x ^ s])
+    return StateChannel.from_arrays([0.5, 0.5], kernel)
+
+
+# Laws of yr given (x, s) with one positive cell in every (x, s) column, with
+# two in every column, and with both kinds of column.
+RECONSTRUCT_CHANNELS = {"one-cell": factorized_binary(0.0, 0.3),
+                        "two-cell": factorized_binary(0.1, 0.25),
+                        "both": partly_deterministic_channel()}
 
 
 def kron_law(rows):
@@ -902,3 +920,68 @@ class TestOneRoundDiscussion:
         a = run_one_round_discussion(channel, uniform_input_policy(channel), cfg)
         b = run_one_round_discussion(channel, uniform_input_policy(channel), cfg)
         assert a == b
+
+    @pytest.mark.parametrize("name", sorted(RECONSTRUCT_CHANNELS))
+    @pytest.mark.parametrize("n, epsilon", [(6, 0.3), (7, 0.01)])
+    def test_reconstruct_equals_the_per_trial_oracle(self, name, n, epsilon):
+        # At n = 7 and epsilon 0.01 no output sequence is typical, so bin 0
+        # is empty and every sequence is in the overflow bin; no cell band
+        # holds an integer count there either.
+        channel = RECONSTRUCT_CHANNELS[name]
+        cfg = SimConfig(n=n, epsilon=epsilon, rate_margin=0.2, trials=1, seed=7)
+        tables = _one_round_tables(channel, uniform_input_policy(channel), cfg)
+        rng = np.random.default_rng(n)
+        s_seqs = rng.integers(0, 2, size=(80, n))
+        x_seqs = rng.integers(0, 2, size=(80, n))
+        yr_seqs = _sample_rows(np.cumsum(channel.receiver_kernel(), axis=2)
+                               [x_seqs, s_seqs], rng.random((80, n)))
+        # The first half publishes its output's bin, the second half any bin,
+        # the overflow bin included.  The last two trials repeat one (x, s)
+        # symbol n times, past its count band: x = s = 0, published with its
+        # output 0^n, and x = 0, s = 1.
+        xs_seqs = x_seqs * 2 + s_seqs
+        xs_seqs[-2:] = [[0], [1]]
+        published = np.concatenate([
+            tables.bin_of[yr_seqs[:40] @ 2 ** np.arange(n - 1, -1, -1)],
+            rng.integers(0, tables.num_bins + 1, size=40)])
+        published[-2] = tables.bin_of[0]
+        expected = []
+        for xs_seq, b in zip(xs_seqs, published):
+            members = np.flatnonzero(tables.bin_of == b)
+            typical = [is_jointly_typical(tables.all_yr[m], xs_seq,
+                                          tables.p_yr_xs, epsilon)
+                       for m in members]
+            # The oracle is checked against explicit cell counts.
+            assert typical == list(typical_rows(tables.all_yr[members], xs_seq,
+                                                tables.p_yr_xs, epsilon))
+            hits = members[typical]
+            expected.append(hits[0] if len(hits) == 1 else -1)
+        found = _reconstruct(tables, xs_seqs, published, epsilon)
+        assert np.array_equal(found, expected)
+        assert (published == tables.num_bins).any()
+        if epsilon == 0.01:
+            assert tables.bin_starts[1] == 0       # bin 0 is empty
+            assert (published == 0).any()
+        else:
+            assert (found >= 0).any() and (found == -1).any()
+
+    @pytest.mark.parametrize("flip", [0.0, 0.02])
+    def test_typicality_holds_the_bytes_per_pair_reconstruct_budgets(self, flip):
+        # Flip 0 puts one positive cell in every (x, s) column (the zero-cell
+        # product and the per-row bands), flip 0.02 two (a product per cell).
+        channel = factorized_binary(flip, 0.3)
+        cfg = SimConfig(n=12, epsilon=0.4, rate_margin=0.2, trials=1, seed=42)
+        tables = _one_round_tables(channel, uniform_input_policy(channel), cfg)
+        b = np.diff(tables.bin_starts).argmax()
+        members = tables.by_bin[tables.bin_starts[b]:tables.bin_starts[b + 1]]
+        test = _typicality(tables.p_yr_xs, cfg.n, cfg.epsilon)
+        candidates = test.candidates(tables.all_yr[members])
+        xs_seqs = np.random.default_rng(0).integers(0, 4, size=(2000, cfg.n))
+        tracemalloc.start()
+        try:
+            test.pairs(candidates, xs_seqs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(members) > 200
+        assert peak <= sim_module._PAIR_BYTES * 2000 * len(members)
