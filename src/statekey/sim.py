@@ -52,13 +52,22 @@ pick that Lemire's rejection rule refuses sends its trial back to
 ``_rng_stream``.
 
 The trial loops run on chunks of trials: ``encode``, ``transmit``,
-``decode`` and the typicality kernel take a leading trial axis.  A chunk's
-largest temporary stays near ``_TRIAL_CHUNK_BYTES``: the decoder's n floats
-per codeword, the channel's cdf rows, or the raw words and uniforms; the
-typicality test holds at most ``_PAIR_BYTES`` (11) bytes per (trial,
-candidate) pair.  One-round reconstruction splits each public bin's members
-and trials to the same budget.  Run memory therefore does not grow with the
-number of trials.
+``decode`` and the typicality kernel take a leading trial axis.  Every
+categorical draw (s, x and the channel's (yr, ye)) is ``_draw`` on a cdf
+table stored by column: one comparison per inner threshold on a (trials, n)
+array, so a draw never leaves the alphabet.  The decoder scores every
+(trial, codeword) pair with one matrix product of the trials' yr^n one-hot
+and the codewords' log-likelihood terms, built once per run.  A chunk holds
+a few floats per (trial, codeword) pair in the decoder, at most
+``_PAIR_BYTES`` (11) bytes per (trial, candidate) pair in the typicality
+test, and the raw words and uniforms.  The chunk sizes still budget the n
+floats per codeword and the n |Yr| |Ye| floats per trial that the decoder
+and the channel draw once gathered: chunks sized to the smaller temporaries
+would be about 2.4 times larger, and the traced peak of a no-discussion run
+would then grow with its trials (1.4 MB at 1,000 trials, 1.9 MB at 20,000,
+on the benchmark configuration).  One-round reconstruction splits each
+public bin's members and trials to the same budget.  Run memory therefore
+does not grow with the number of trials.
 """
 
 from __future__ import annotations
@@ -81,8 +90,9 @@ MAX_CODEBOOK = 2 ** 20
 MAX_LEAKAGE_MULADDS = 2 ** 30
 MAX_LEAKAGE_BYTES = 192 * 2 ** 20
 _KRON_CHUNK_BYTES = 8 * 2 ** 20
-# Several temporaries of a chunk's size are alive at once, so a budget much
-# above this raises resident memory without making the trial loops faster.
+# Several temporaries of a chunk's size are alive at once.  A larger budget
+# makes the trial loops faster, but their traced peak then grows with the
+# number of trials (see the module docstring).
 _TRIAL_CHUNK_BYTES = 256 * 2 ** 10
 # The most bytes _Typicality.pairs holds per (fixed, candidate) pair: its
 # float count buffer, the running result, and one comparison or the result
@@ -543,16 +553,34 @@ def _joint_u_yr(channel: StateChannel, policy: AuxiliaryEncoderPolicy) -> np.nda
                      policy.x_given_us, channel.receiver_kernel())
 
 
-def _sample_rows(cdf: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-    """One categorical draw per uniform; cdf[..., :] is the cumulative pmf
-    it reads, broadcast against ``uniforms``."""
-    return (cdf < uniforms[..., None]).sum(axis=-1)
+def _cdf_columns(pmf_rows: np.ndarray) -> np.ndarray:
+    """The inner thresholds of the cdf of each pmf row (cells, K), stored by
+    column: cols[j, cell] = cdf[cell, j] for j < K - 1, shape (K - 1, cells).
+
+    The last threshold, the row's total, is left out: a row may sum to
+    1 - 1e-12, and a uniform past it must still draw the last symbol.
+    """
+    cols = np.ascontiguousarray(np.cumsum(pmf_rows, axis=1)[:, :-1].T)
+    cols.setflags(write=False)
+    return cols
 
 
-def _kernel_cdf(channel: StateChannel) -> np.ndarray:
-    """cdf of the kernel over (yr, ye) pairs, shape (x, s, yr * ye)."""
-    return np.cumsum(channel.kernel.reshape(channel.x_size, channel.s_size, -1),
-                     axis=2)
+def _draw(cols: np.ndarray, cells, uniforms: np.ndarray) -> np.ndarray:
+    """One categorical draw per uniform, from the pmf row ``cells`` (an
+    index array broadcast against ``uniforms``, or one index) of the table
+    whose ``_cdf_columns`` are ``cols``: the count of inner thresholds below
+    the uniform, always inside the alphabet."""
+    draws = np.zeros(np.shape(uniforms), dtype=np.int64)
+    for col in cols:
+        draws += col.take(cells) < uniforms
+    return draws
+
+
+def _kernel_columns(channel: StateChannel) -> np.ndarray:
+    """``_cdf_columns`` of the kernel over (yr, ye) pairs, one cell per
+    (x, s) coded x * |S| + s: shape (|Yr| |Ye| - 1, |X| |S|)."""
+    return _cdf_columns(channel.kernel.reshape(channel.x_size * channel.s_size,
+                                               -1))
 
 
 def build_codebook(channel: StateChannel, policy: AuxiliaryEncoderPolicy,
@@ -590,24 +618,44 @@ def build_codebook(channel: StateChannel, policy: AuxiliaryEncoderPolicy,
 
 @dataclass(frozen=True)
 class _NoDiscTables:
-    """Single-letter tables of a no-discussion run, built once per run."""
+    """The tables of a no-discussion run and its codebook, built once per
+    run by ``_no_disc_tables``.
+
+    The cdf tables are ``_cdf_columns``, read by ``_draw``: p(s) has one
+    cell (0), p(x | u, s) one per (u, s) coded u * |S| + s, and the kernel
+    one per (x, s), see ``_kernel_columns``.  The decoder's terms hold
+    n |Yr| floats per codeword c: row i |Yr| + y is log p(y | u_ci), with 0
+    in place of -inf where p(u_ci, y) = 0, and ``yr_zero`` marks those cells
+    with 1.0 (None when the law has none).
+    """
 
     p_us: np.ndarray            # p(u, s), the encoder's typicality pmf
-    x_cdf: np.ndarray           # cdf of p(x | u, s) over x, shape (u, s, x)
-    log_yr_given_u: np.ndarray  # log p(yr | u), -inf where p(u, yr) = 0
-    state_cdf: np.ndarray       # cdf of p(s), shape (s,)
-    kernel_cdf: np.ndarray      # see _kernel_cdf
+    x_cols: np.ndarray          # cdf columns of p(x | u, s), (x - 1, u * s)
+    state_cols: np.ndarray      # cdf columns of p(s), shape (s - 1, 1)
+    kernel_cols: np.ndarray     # see _kernel_columns
+    yr_terms: np.ndarray        # (n * yr, count), log p(y | u_ci)
+    yr_zero: np.ndarray | None  # (n * yr, count), 1.0 where p(u_ci, y) = 0
 
 
-def _no_disc_tables(channel: StateChannel,
-                    policy: AuxiliaryEncoderPolicy) -> _NoDiscTables:
+def _no_disc_tables(channel: StateChannel, policy: AuxiliaryEncoderPolicy,
+                    codebook: BinningCodebook) -> _NoDiscTables:
     joint = _joint_u_yr(channel, policy)
     p_u = np.maximum(joint.sum(axis=1, keepdims=True), _TINY)
     with np.errstate(divide="ignore"):
         log_yr_given_u = np.log(joint / p_u)
-    return _NoDiscTables(_joint_u_s(channel, policy),
-                         np.cumsum(policy.x_given_us, axis=2), log_yr_given_u,
-                         np.cumsum(channel.state_pmf), _kernel_cdf(channel))
+    zero = np.isneginf(log_yr_given_u)
+
+    def terms(table):           # (u, yr) -> (n * yr, count)
+        return np.ascontiguousarray(
+            table[codebook.sequences].reshape(codebook.count, -1).T)
+
+    return _NoDiscTables(
+        p_us=_joint_u_s(channel, policy),
+        x_cols=_cdf_columns(policy.x_given_us.reshape(-1, channel.x_size)),
+        state_cols=_cdf_columns(channel.state_pmf[None]),
+        kernel_cols=_kernel_columns(channel),
+        yr_terms=terms(np.where(zero, 0.0, log_yr_given_u)),
+        yr_zero=terms(zero.astype(float)) if zero.any() else None)
 
 
 def encode(codebook: BinningCodebook, tables: _NoDiscTables, s_seqs,
@@ -618,7 +666,8 @@ def encode(codebook: BinningCodebook, tables: _NoDiscTables, s_seqs,
     The codeword is drawn uniformly from the typical candidates; where none
     qualifies (an encode failure, reported in ``typical`` and not raised) it
     is drawn uniformly from the whole codebook.  Each stream draws its pick,
-    then the n uniforms of x^n.
+    then the n uniforms of x^n; x_i is drawn by ``_draw`` from the cell
+    u_i * |S| + s_i of ``tables.x_cols``.
     """
     s_seqs = np.asarray(s_seqs, dtype=np.int64)
     if s_seqs.shape != (len(streams), codebook.n):
@@ -632,9 +681,9 @@ def encode(codebook: BinningCodebook, tables: _NoDiscTables, s_seqs,
     # The pick-th typical codeword is where the running count passes pick.
     nth = (mask.cumsum(axis=1) > picks[:, None]).argmax(axis=1)
     index = np.where(typical, nth, picks)
-    x_seqs = _sample_rows(tables.x_cdf[codebook.sequences[index], s_seqs],
-                          uniforms)
-    return EncodeResult(index=index, x_seq=x_seqs, typical=typical)
+    cells = codebook.sequences[index] * tables.p_us.shape[1] + s_seqs
+    return EncodeResult(index=index, x_seq=_draw(tables.x_cols, cells, uniforms),
+                        typical=typical)
 
 
 def decode(codebook: BinningCodebook, tables: _NoDiscTables,
@@ -647,13 +696,29 @@ def decode(codebook: BinningCodebook, tables: _NoDiscTables,
     with the largest sum is the key.  ``index`` is the most likely codeword
     inside that bin.  A tie for the top bin sum, or zero likelihood for
     every codeword, is a decode failure (key and index -1).
+
+    The log-likelihoods of all (trial, codeword) pairs are one matrix
+    product: the trials' yr^n one-hot, (trials, n |Yr|) with a 1 at column
+    i |Yr| + yr_i, times ``tables.yr_terms``, which must be built for this
+    codebook.  A second product with ``tables.yr_zero`` marks the codewords
+    of zero likelihood; it is skipped when the law has no zero cell.
     """
     yr_seqs = np.asarray(yr_seqs, dtype=np.int64)
     if yr_seqs.ndim != 2 or yr_seqs.shape[1] != codebook.n:
         raise ValueError(f"yr_seqs must have shape (trials, {codebook.n})")
+    width, count = tables.yr_terms.shape
+    if count != codebook.count or width % codebook.n:
+        raise ValueError("tables were built for another codebook")
+    yr_size = width // codebook.n
+    if yr_seqs.size and (yr_seqs.min() < 0 or yr_seqs.max() >= yr_size):
+        raise ValueError(f"yr symbols must be integers in [0, {yr_size})")
     trials = len(yr_seqs)
-    log_lik = tables.log_yr_given_u[codebook.sequences[None, :, :],
-                                    yr_seqs[:, None, :]].sum(axis=2)
+    onehot = np.zeros((trials, width))
+    onehot[np.arange(trials)[:, None],
+           yr_size * np.arange(codebook.n) + yr_seqs] = 1.0
+    log_lik = onehot @ tables.yr_terms
+    if tables.yr_zero is not None:
+        log_lik[onehot @ tables.yr_zero > 0] = -np.inf
     top = log_lik.max(axis=1)
     live = top > -np.inf
     scores = np.exp(log_lik - np.where(live, top, 0.0)[:, None])
@@ -672,12 +737,13 @@ def decode(codebook: BinningCodebook, tables: _NoDiscTables,
                         key=np.where(ok, key, -1))
 
 
-def transmit(channel: StateChannel, kernel_cdf: np.ndarray, x_seqs, s_seqs,
+def transmit(channel: StateChannel, kernel_cols: np.ndarray, x_seqs, s_seqs,
              uniforms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sample (yr, ye) per symbol from the memoryless kernel, one uniform
-    per symbol; ``kernel_cdf`` is ``_kernel_cdf(channel)``.  Any leading
-    (trial) axes are kept."""
-    pair = _sample_rows(kernel_cdf[x_seqs, s_seqs], uniforms)
+    per symbol, by ``_draw`` from the cell x * |S| + s of ``kernel_cols``
+    (``_kernel_columns(channel)``).  Any leading (trial) axes are kept."""
+    pair = _draw(kernel_cols, np.asarray(x_seqs) * channel.s_size + s_seqs,
+                 uniforms)
     return pair // channel.ye_size, pair % channel.ye_size
 
 
@@ -780,20 +846,20 @@ def run_no_discussion(channel: StateChannel, policy: AuxiliaryEncoderPolicy,
     """
     codebook = build_codebook(channel, policy, cfg)
     leakage = exact_leakage(codebook, channel, policy, cfg)
-    tables = _no_disc_tables(channel, policy)
+    tables = _no_disc_tables(channel, policy, codebook)
     n = cfg.n
     disagreements = 0
     encode_failures = 0
     key_counts = np.zeros(codebook.num_bins, dtype=np.int64)
     width = 3 * n + 1               # s^n, the pick, x^n and the channel
-    step = _chunk_rows(8 * max(codebook.count * n, n * tables.kernel_cdf.shape[2],
-                               width + n))
+    step = _chunk_rows(8 * max(codebook.count * n,
+                               n * channel.yr_size * channel.ye_size, width + n))
     for lo in range(0, cfg.trials, step):
         streams = TrialStreams(cfg.seed, (1,),
                                np.arange(lo, min(lo + step, cfg.trials)), width)
-        s_seqs = _sample_rows(tables.state_cdf, streams.random(n))
+        s_seqs = _draw(tables.state_cols, 0, streams.random(n))
         enc = encode(codebook, tables, s_seqs, cfg.epsilon, streams)
-        yr_seqs, _ = transmit(channel, tables.kernel_cdf, enc.x_seq, s_seqs,
+        yr_seqs, _ = transmit(channel, tables.kernel_cols, enc.x_seq, s_seqs,
                               streams.random(n))
         keys = codebook.bin_of[enc.index]
         key_counts += np.bincount(keys, minlength=codebook.num_bins)
@@ -834,7 +900,10 @@ class _OneRoundTables:
 
     The members of public bin b, in increasing sequence order, are
     ``by_bin[bin_starts[b]:bin_starts[b + 1]]``: one stable argsort of
-    ``bin_of``, made once per run, serves every reconstruction.
+    ``bin_of``, made once per run, serves every reconstruction.  The cdf
+    tables are ``_cdf_columns``, read by ``_draw``: p(s) has one cell (0),
+    p(x | s) one per s, and the kernel one per (x, s), see
+    ``_kernel_columns``.
     """
 
     all_yr: np.ndarray          # (|Yr|^n, n)
@@ -845,7 +914,9 @@ class _OneRoundTables:
     num_bins: int
     num_subbins: int
     p_yr_xs: np.ndarray         # p(yr, (x, s)) single-letter
-    kernel_cdf: np.ndarray      # see _kernel_cdf
+    state_cols: np.ndarray      # cdf columns of p(s), shape (s - 1, 1)
+    x_cols: np.ndarray          # cdf columns of p(x | s), shape (x - 1, s)
+    kernel_cols: np.ndarray     # see _kernel_columns
     key_rate_target: float
 
 
@@ -894,7 +965,10 @@ def _one_round_tables(channel: StateChannel, policy: InputPolicy,
                            by_bin=np.argsort(bin_of, kind="stable"),
                            bin_starts=bin_starts, sub_of=sub_of,
                            num_bins=num_bins, num_subbins=num_subbins,
-                           p_yr_xs=p_yr_xs, kernel_cdf=_kernel_cdf(channel),
+                           p_yr_xs=p_yr_xs,
+                           state_cols=_cdf_columns(channel.state_pmf[None]),
+                           x_cols=_cdf_columns(policy.x_given_s),
+                           kernel_cols=_kernel_columns(channel),
                            key_rate_target=max(0.0, key_exponent))
 
 
@@ -965,22 +1039,20 @@ def run_one_round_discussion(channel: StateChannel, policy: InputPolicy,
     """
     tables = _one_round_tables(channel, policy, cfg)
     n = cfg.n
-    state_cdf = np.cumsum(channel.state_pmf)
-    x_cdf = np.cumsum(policy.x_given_s, axis=1)
     powers = channel.yr_size ** np.arange(n - 1, -1, -1)
     disagreements = 0
     recon_failures = 0
     unique_correct = 0
     key_counts = np.zeros(tables.num_subbins, dtype=np.int64)
     # 3n raw words and 3n uniforms per trial; _reconstruct splits its own.
-    step = _chunk_rows(8 * n * max(tables.kernel_cdf.shape[2], 6))
+    step = _chunk_rows(8 * n * max(channel.yr_size * channel.ye_size, 6))
     for lo in range(0, cfg.trials, step):
         uniforms = TrialStreams(cfg.seed, (1,),
                                 np.arange(lo, min(lo + step, cfg.trials)),
                                 3 * n).random(3 * n)
-        s_seqs = _sample_rows(state_cdf, uniforms[:, :n])
-        x_seqs = _sample_rows(x_cdf[s_seqs], uniforms[:, n:2 * n])
-        yr_seqs, _ = transmit(channel, tables.kernel_cdf, x_seqs, s_seqs,
+        s_seqs = _draw(tables.state_cols, 0, uniforms[:, :n])
+        x_seqs = _draw(tables.x_cols, s_seqs, uniforms[:, n:2 * n])
+        yr_seqs, _ = transmit(channel, tables.kernel_cols, x_seqs, s_seqs,
                               uniforms[:, 2 * n:])
         yr_index = yr_seqs @ powers
         receiver_keys = tables.sub_of[yr_index]

@@ -14,10 +14,11 @@ from statekey import (AuxiliaryEncoderPolicy, BinningCodebook, BudgetError,
                       build_codebook, decode, encode, exact_leakage,
                       run_no_discussion, run_one_round_discussion)
 from statekey.channel import mi_bits
-from statekey.sim import (SimReport, TrialStreams, _entropy, _no_disc_tables,
+from statekey.sim import (SimReport, TrialStreams, _cdf_columns, _draw,
+                          _entropy, _kernel_columns, _no_disc_tables,
                           _one_round_tables, _reconstruct, _rng_stream,
-                          _sample_rows, _trial_draws, _typicality,
-                          is_jointly_typical, one_round_exact_leakage, transmit)
+                          _trial_draws, _typicality, is_jointly_typical,
+                          one_round_exact_leakage, transmit)
 from conftest import (bsc_matrix, copy_encoder_policy, degraded_binary_wiretap,
                       erasure_eavesdropper_channel, factorized_binary,
                       identity_channel, random_aux_policy, random_channel,
@@ -352,24 +353,38 @@ class TestBuildCodebook:
         assert np.unique(cb.bin_of).size == cb.num_bins
 
 
+# (pmf, epsilon, state sequences) at n = 8 for the enumerated typicality test.
+TYPICALITY_CASES = {
+    # Product-uniform p(u, s) at epsilon = 0.1: acceptance means every joint
+    # cell count stays within 0.8 of the expected 2.
+    "uniform": (np.full((2, 2), 0.25), 0.1,
+                np.random.default_rng(17).integers(0, 2, size=(1, 8))),
+    # Column s = 0 has one positive cell, whose band admits 3-5 of the 8
+    # symbols: the first s^n (four zeros) meets it, the second (two zeros)
+    # does not, though 20 u^n meet every other cell's band against it.
+    "one-cell-column": (np.array([[0.5, 0.25], [0.0, 0.25]]), 0.15,
+                        np.array([[0, 1, 0, 1, 1, 0, 1, 0],
+                                  [1, 1, 0, 1, 1, 1, 0, 1]])),
+}
+
+
 class TestTypicality:
-    def test_enumerated_acceptance_set_matches_direct_count_oracle(self):
-        # Product-uniform p(u, s) at n = 8, epsilon = 0.1: acceptance means
-        # every joint cell count stays within 0.8 of the expected 2.
-        n, eps = 8, 0.1
-        pmf = np.full((2, 2), 0.25)
-        rng = np.random.default_rng(17)
-        s_seq = rng.integers(0, 2, size=n)
+    @pytest.mark.parametrize("case", sorted(TYPICALITY_CASES))
+    def test_enumerated_acceptance_set_matches_direct_count_oracle(self, case):
+        pmf, eps, s_seqs = TYPICALITY_CASES[case]
+        n = s_seqs.shape[1]
         hits = 0
-        for code in range(2 ** n):
-            u_seq = np.array([(code >> i) & 1 for i in range(n)])
-            counts = np.zeros((2, 2))
-            for a, b in zip(u_seq, s_seq):
-                counts[a, b] += 1
-            expected = bool((np.abs(counts / n - pmf) <= eps + 1e-12).all())
-            assert is_jointly_typical(u_seq, s_seq, pmf, eps) == expected
-            hits += expected
-        assert 0 < hits < 2 ** n
+        for s_seq in s_seqs:
+            for code in range(2 ** n):
+                u_seq = np.array([(code >> i) & 1 for i in range(n)])
+                counts = np.zeros((2, 2))
+                for a, b in zip(u_seq, s_seq):
+                    counts[a, b] += 1
+                expected = bool((np.abs(counts / n - pmf) <= eps + 1e-12).all()
+                                and (counts[pmf == 0] == 0).all())
+                assert is_jointly_typical(u_seq, s_seq, pmf, eps) == expected
+                hits += expected
+        assert 0 < hits < len(s_seqs) * 2 ** n
 
     def test_zero_probability_cells_must_be_empty(self):
         pmf = np.array([[0.5, 0.0], [0.0, 0.5]])
@@ -409,7 +424,7 @@ class TestEncode:
         # Epsilon beyond 0.5 makes the cell band vacuous, so only the
         # zero-cell rule binds and exactly u = s survives.
         s_seqs = rng.integers(0, 2, size=(20, n))
-        enc = encode(cb, _no_disc_tables(channel, policy), s_seqs, 0.6,
+        enc = encode(cb, _no_disc_tables(channel, policy, cb), s_seqs, 0.6,
                      TrialStreams(5, (9,), range(20), n + 1))
         assert enc.typical.all()
         assert np.array_equal(cb.sequences[enc.index], s_seqs)
@@ -420,14 +435,14 @@ class TestEncode:
                              rates=CodebookRates(math.log2(3) / 6,
                                                  math.log2(3) / 6, 0.0))
         # All-zero codewords are never typical for a uniform u-marginal.
-        enc = encode(cb, _no_disc_tables(degraded_channel, COPY_POLICY),
+        enc = encode(cb, _no_disc_tables(degraded_channel, COPY_POLICY, cb),
                      np.zeros((1, 6), dtype=int), 0.25,
                      TrialStreams(1, (1,), [0], 7))
         assert not enc.typical[0]
 
     def test_selection_uniform_over_candidates(self, degraded_channel):
         cb = build_codebook(degraded_channel, COPY_POLICY, BENCH6)
-        tables = _no_disc_tables(degraded_channel, COPY_POLICY)
+        tables = _no_disc_tables(degraded_channel, COPY_POLICY, cb)
         enc = encode(cb, tables, np.zeros((4000, 6), dtype=int), 0.25,
                      TrialStreams(2, (2,), range(4000), 7))
         assert enc.typical.all()
@@ -444,10 +459,10 @@ class TestDecode:
         cb = build_codebook(channel, COPY_POLICY, cfg)
         assert np.unique(cb.sequences, axis=0).shape[0] == cb.count
         rng = _rng_stream(3, 3)
-        tables = _no_disc_tables(channel, COPY_POLICY)
+        tables = _no_disc_tables(channel, COPY_POLICY, cb)
         s_seqs = np.zeros((20, 6), dtype=int)
         enc = encode(cb, tables, s_seqs, 0.5, TrialStreams(3, (3,), range(20), 7))
-        yr_seqs, _ = transmit(channel, tables.kernel_cdf, enc.x_seq, s_seqs,
+        yr_seqs, _ = transmit(channel, tables.kernel_cols, enc.x_seq, s_seqs,
                               rng.random((20, 6)))
         dec = decode(cb, tables, yr_seqs)
         assert (dec.key >= 0).all()
@@ -461,7 +476,7 @@ class TestDecode:
                              num_bins=2,
                              rates=CodebookRates(0.25 * math.log2(3), 0.25,
                                                  0.25 * math.log2(3) - 0.25))
-        tables = _no_disc_tables(channel, COPY_POLICY)
+        tables = _no_disc_tables(channel, COPY_POLICY, cb)
         dec = decode(cb, tables, np.array([[0, 1, 0, 1], [1, 0, 1, 0]]))
         assert dec.key[0] == dec.index[0] == -1
         assert dec.key[1] == 0 and dec.index[1] == 2
@@ -476,19 +491,80 @@ class TestDecode:
         cb = BinningCodebook(sequences=seqs, bin_of=np.array([0, 1, 1, 1]),
                              num_bins=2,
                              rates=CodebookRates(0.5, 0.25, 0.25))
-        dec = decode(cb, _no_disc_tables(channel, COPY_POLICY),
+        dec = decode(cb, _no_disc_tables(channel, COPY_POLICY, cb),
                      np.zeros((1, 4), dtype=int))
         assert dec.key[0] == 1
         assert dec.index[0] in (1, 2, 3)
+
+    def test_symbols_outside_the_alphabet_are_rejected(self):
+        channel = identity_channel()
+        cb = BinningCodebook(sequences=np.array([[0, 1, 0, 1]]), bin_of=[0],
+                             num_bins=1, rates=CodebookRates(0.0, 0.0, 0.0))
+        tables = _no_disc_tables(channel, COPY_POLICY, cb)
+        for yr in ([0, 1, 2, 1], [0, -1, 0, 1]):
+            with pytest.raises(ValueError, match=r"in \[0, 2\)"):
+                decode(cb, tables, np.array([yr]))
+        other = BinningCodebook(sequences=np.zeros((2, 4), int), bin_of=[0, 0],
+                                num_bins=1, rates=CodebookRates(0.25, 0.0, 0.25))
+        with pytest.raises(ValueError, match="another codebook"):
+            decode(other, tables, np.zeros((1, 4), int))
 
     def test_zero_likelihood_everywhere_is_failure(self):
         channel = identity_channel()
         seqs = np.array([[0, 0, 0, 0], [1, 1, 1, 1]])
         cb = BinningCodebook(sequences=seqs, bin_of=np.array([0, 1]),
                              num_bins=2, rates=CodebookRates(0.25, 0.25, 0.0))
-        dec = decode(cb, _no_disc_tables(channel, COPY_POLICY),
+        dec = decode(cb, _no_disc_tables(channel, COPY_POLICY, cb),
                      np.array([[0, 1, 0, 1]]))
         assert dec.key[0] == dec.index[0] == -1
+
+
+# The largest uniform a stream draws: (2^53 - 1) 2^-53.
+LAST_UNIFORM = 1.0 - 2.0 ** -53
+
+
+def short_mass_channel(state_pmf=(0.5, 0.5)):
+    """Binary alphabets whose kernel row at (x, s) = (0, 0) sums to
+    1 - 5e-13, inside the accepted mass tolerance."""
+    kernel = np.full((2, 2, 2, 2), 0.25)
+    kernel[0, 0, 1, 1] -= 5e-13
+    return StateChannel.from_arrays(state_pmf, kernel)
+
+
+class TestDraws:
+    def test_a_short_kernel_row_draws_inside_the_alphabet(self):
+        # The row's cdf ends at 1 - 5e-13, below the uniform: the draw is
+        # its last (yr, ye) pair, not the pair index 4 past the alphabet.
+        channel = short_mass_channel()
+        yr, ye = transmit(channel, _kernel_columns(channel), np.zeros((1, 1), int),
+                          np.zeros((1, 1), int), np.full((1, 1), LAST_UNIFORM))
+        assert (yr.item(), ye.item()) == (1, 1)
+
+    def test_a_short_state_pmf_draws_inside_the_alphabet(self):
+        # p(s) sums to 1 - 5e-13; both modes draw s from their run tables.
+        channel = short_mass_channel((0.5, 0.5 - 5e-13))
+        cfg = SimConfig(n=4, epsilon=0.3, rate_margin=0.2, trials=1, seed=0)
+        cb = BinningCodebook(sequences=np.zeros((1, 4), int), bin_of=[0],
+                             num_bins=1, rates=CodebookRates(0.0, 0.0, 0.0))
+        uniforms = np.array([[0.0, 0.5, 0.5 + 2.0 ** -53, LAST_UNIFORM]])
+        for tables in (_no_disc_tables(channel, xor_policy(), cb),
+                       _one_round_tables(channel, uniform_input_policy(channel),
+                                         cfg)):
+            assert _draw(tables.state_cols, 0, uniforms).tolist() == [[0, 0, 1, 1]]
+
+    def test_column_draws_equal_the_full_cdf_comparison(self):
+        # Inside every row's total mass the draw counts the thresholds below
+        # the uniform, the ties included, as the per-trial oracle ``draw`` does.
+        rng = np.random.default_rng(3)
+        pmf = rng.dirichlet(np.ones(5), size=7)
+        pmf[2] = [0.0, 0.5, 0.0, 0.5, 0.0]
+        cdf = np.cumsum(pmf, axis=1)
+        cells = rng.integers(0, 7, size=(40, 9))
+        uniforms = rng.random((40, 9)) * cdf[cells, -1]
+        uniforms[0, :5] = cdf[2]                    # exactly on a threshold
+        cells[0, :5] = 2
+        expected = (cdf[cells] < uniforms[..., None]).sum(axis=-1)
+        assert np.array_equal(_draw(_cdf_columns(pmf), cells, uniforms), expected)
 
 
 class TestExactLeakage:
@@ -599,12 +675,12 @@ class TestExactLeakage:
         channel, policy = degraded_channel, COPY_POLICY
         cb = build_codebook(channel, policy, cfg)
         exact = exact_leakage(cb, channel, policy, cfg) * cfg.n
-        tables = _no_disc_tables(channel, policy)
+        tables = _no_disc_tables(channel, policy, cb)
         streams = TrialStreams(cfg.seed, (1,), np.arange(cfg.trials),
                                3 * cfg.n + 1)
-        s_seqs = _sample_rows(tables.state_cdf, streams.random(cfg.n))
+        s_seqs = _draw(tables.state_cols, 0, streams.random(cfg.n))
         enc = encode(cb, tables, s_seqs, cfg.epsilon, streams)
-        _, ye_seqs = transmit(channel, tables.kernel_cdf, enc.x_seq, s_seqs,
+        _, ye_seqs = transmit(channel, tables.kernel_cols, enc.x_seq, s_seqs,
                               streams.random(cfg.n))
         pairs = np.zeros((cb.num_bins, channel.ye_size ** cfg.n))
         np.add.at(pairs, (cb.bin_of[enc.index],
@@ -933,8 +1009,8 @@ class TestOneRoundDiscussion:
         rng = np.random.default_rng(n)
         s_seqs = rng.integers(0, 2, size=(80, n))
         x_seqs = rng.integers(0, 2, size=(80, n))
-        yr_seqs = _sample_rows(np.cumsum(channel.receiver_kernel(), axis=2)
-                               [x_seqs, s_seqs], rng.random((80, n)))
+        yr_seqs = _draw(_cdf_columns(channel.receiver_kernel().reshape(4, 2)),
+                        x_seqs * 2 + s_seqs, rng.random((80, n)))
         # The first half publishes its output's bin, the second half any bin,
         # the overflow bin included.  The last two trials repeat one (x, s)
         # symbol n times, past its count band: x = s = 0, published with its
