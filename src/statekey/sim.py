@@ -60,14 +60,19 @@ array, so a draw never leaves the alphabet.  The decoder scores every
 and the codewords' log-likelihood terms, built once per run.  A chunk holds
 a few floats per (trial, codeword) pair in the decoder, at most
 ``_PAIR_BYTES`` (11) bytes per (trial, candidate) pair in the typicality
-test, and the raw words and uniforms.  The chunk sizes still budget the n
-floats per codeword and the n |Yr| |Ye| floats per trial that the decoder
-and the channel draw once gathered: chunks sized to the smaller temporaries
-would be about 2.4 times larger, and the traced peak of a no-discussion run
-would then grow with its trials (1.4 MB at 1,000 trials, 1.9 MB at 20,000,
-on the benchmark configuration).  One-round reconstruction splits each
-public bin's members and trials to the same budget.  Run memory therefore
-does not grow with the number of trials.
+test, and the raw words and uniforms.
+
+Each chunk runs in one call (``_no_disc_chunk``, ``_one_round_chunk``) that
+returns only counts, so no array of a chunk is alive while the next one
+builds its stream words.  When the loop bodies held their arrays until the
+next chunk replaced them, a no-discussion run of one chunk peaked 30 %
+below a run of 20 on the benchmark configuration (0.67 against 0.87 MB,
+traced): the second chunk, not the number of trials, set the peak.  A chunk
+is sized to its largest per-trial temporary: two floats per stream word,
+the decoder's floats per codeword (budgeted as four), or the channel draw's
+n |Yr| |Ye| floats.  One-round reconstruction splits each public bin's
+members and trials to the same budget.  Run memory therefore does not grow
+with the number of trials.
 """
 
 from __future__ import annotations
@@ -90,9 +95,10 @@ MAX_CODEBOOK = 2 ** 20
 MAX_LEAKAGE_MULADDS = 2 ** 30
 MAX_LEAKAGE_BYTES = 192 * 2 ** 20
 _KRON_CHUNK_BYTES = 8 * 2 ** 20
-# Several temporaries of a chunk's size are alive at once.  A larger budget
-# makes the trial loops faster, but their traced peak then grows with the
-# number of trials (see the module docstring).
+# The bytes of a trial chunk's largest temporary.  Several temporaries of
+# that size are alive at once, and none outlives its chunk (see the module
+# docstring); a larger budget makes the trial loops faster and their traced
+# peak higher.
 _TRIAL_CHUNK_BYTES = 256 * 2 ** 10
 # The most bytes _Typicality.pairs holds per (fixed, candidate) pair: its
 # float count buffer, the running result, and one comparison or the result
@@ -360,26 +366,27 @@ class TrialStreams:
 
     ``random`` and ``integers`` make the draws of the Generator methods of
     the same names, from ``width`` raw words per row drawn up front by
-    ``_trial_draws``.  A uniform is (w >> 11) 2^-53 of the next word w.
-    ``integers(k)`` is Lemire's bounded integer (ACM TOMACS 2019) on the low
-    32 bits of the next word, and draws nothing for k = 1.  The rare row whose
-    word Lemire's threshold rejects is redrawn by ``_rng_stream`` itself,
-    which then also supplies the row's later words.
+    ``_trial_draws``.  ``pos`` holds each row's next word as a flat index
+    into ``words``, so every read is one ``take``; a row must draw no more
+    than its ``width`` words.  A uniform is (w >> 11) 2^-53 of the next word
+    w.  ``integers(k)`` is Lemire's bounded integer (ACM TOMACS 2019) on the
+    low 32 bits of the next word, and draws nothing for k = 1.  The rare row
+    whose word Lemire's threshold rejects is redrawn by ``_rng_stream``
+    itself, which then also supplies the row's later words.
     """
 
     def __init__(self, seed: int, key: tuple, trials, width: int):
         self.seed, self.key = seed, key
         self.trials = np.asarray(trials, dtype=np.int64)
         self.words = _trial_draws(seed, key, self.trials, width)
-        self.pos = np.zeros(len(self.trials), dtype=np.int64)
+        self.pos = width * np.arange(len(self.trials))
 
     def __len__(self) -> int:
         return len(self.trials)
 
     def random(self, n: int) -> np.ndarray:
         """n uniforms in [0, 1) per row, shape (rows, n)."""
-        words = np.take_along_axis(self.words, self.pos[:, None] + np.arange(n),
-                                   axis=1)
+        words = self.words.take(self.pos[:, None] + np.arange(n))
         self.pos += n
         return (words >> 11) * 2.0 ** -53
 
@@ -387,17 +394,18 @@ class TrialStreams:
         """One integer in [0, bounds[r]) per row r."""
         bounds = np.asarray(bounds, dtype=np.int64)
         k = bounds.astype(np.uint64)
-        scaled = (self.words[np.arange(len(self)), self.pos] & _M32) * k
+        scaled = (self.words.take(self.pos) & _M32) * k
         picks = (scaled >> 32).astype(np.int64)
         # Past 2^32 the Generator draws 64-bit words; no simulator bound does.
         redraw = (k > 2 ** 32) | ((scaled & _M32) < 2 ** 32 % k)
+        width = self.words.shape[1]
         for r in np.flatnonzero(redraw):
             rng = _rng_stream(self.seed, *self.key, int(self.trials[r]))
-            start = int(self.pos[r])
+            start = int(self.pos[r]) - r * width
             rng.bit_generator.random_raw(start)
             picks[r] = rng.integers(bounds[r])
             self.words[r, start + 1:] = rng.bit_generator.random_raw(
-                self.words.shape[1] - start - 1)
+                width - start - 1)
         self.pos += bounds > 1
         return picks
 
@@ -422,7 +430,7 @@ class _Typicality:
     A cell's count c passes if |c / n - pmf| <= eps + 1e-12, and only c = 0
     if pmf is 0, so each cell admits an interval [lo, hi] (empty if
     lo > hi).  ``pairs`` holds each candidate row (side a, prepared by
-    ``candidates``) against each fixed row (side b), with counts that 0/1
+    ``_indicators``) against each fixed row (side b), with counts that 0/1
     float products give exactly:
 
     * the zero cells: one product counts the positions that fall on a cell
@@ -467,11 +475,6 @@ class _Typicality:
             if table is not None:
                 table.setflags(write=False)
 
-    def candidates(self, rows: np.ndarray) -> np.ndarray:
-        """The candidate side of ``pairs``: rows (m, n) as 0/1 indicators of
-        each symbol a, shape (m, |A|, n), n |A| floats per row."""
-        return (rows[:, None, :] == np.arange(self.a_size)[:, None]).astype(float)
-
     def pairs(self, cand: np.ndarray, fixed: np.ndarray) -> np.ndarray:
         """(trials, m) typicality of each candidate against each fixed[t]."""
         trials = len(fixed)
@@ -508,6 +511,13 @@ class _Typicality:
         return out
 
 
+def _indicators(rows: np.ndarray, size: int) -> np.ndarray:
+    """The candidate side of ``_Typicality.pairs``: rows (m, n) of symbols
+    in [0, size) as 0/1 indicators of each symbol, shape (m, size, n), n size
+    floats per row."""
+    return (rows[:, None, :] == np.arange(size)[:, None]).astype(float)
+
+
 @functools.lru_cache(maxsize=16)
 def _prepared_typicality(pmf_bytes: bytes, shape: tuple, n: int,
                          eps: float) -> _Typicality:
@@ -527,7 +537,7 @@ def _typical_pairs(rows: np.ndarray, fixed: np.ndarray, pmf: np.ndarray,
     """(trials, m) strong typicality of each rows[i] (m, n) against each
     fixed[t] (trials, n) under pmf[a, b], in one call of ``_Typicality``."""
     test = _typicality(pmf, rows.shape[1], eps)
-    return test.pairs(test.candidates(rows), fixed)
+    return test.pairs(_indicators(rows, test.a_size), fixed)
 
 
 def is_jointly_typical(a_seq, b_seq, pmf: np.ndarray, eps: float) -> bool:
@@ -623,13 +633,15 @@ class _NoDiscTables:
 
     The cdf tables are ``_cdf_columns``, read by ``_draw``: p(s) has one
     cell (0), p(x | u, s) one per (u, s) coded u * |S| + s, and the kernel
-    one per (x, s), see ``_kernel_columns``.  The decoder's terms hold
-    n |Yr| floats per codeword c: row i |Yr| + y is log p(y | u_ci), with 0
-    in place of -inf where p(u_ci, y) = 0, and ``yr_zero`` marks those cells
-    with 1.0 (None when the law has none).
+    one per (x, s), see ``_kernel_columns``.  ``codewords`` are the
+    codebook's candidates for the encoder's typicality test.  The decoder's
+    terms hold n |Yr| floats per codeword c: row i |Yr| + y is
+    log p(y | u_ci), with 0 in place of -inf where p(u_ci, y) = 0, and
+    ``yr_zero`` marks those cells with 1.0 (None when the law has none).
     """
 
     p_us: np.ndarray            # p(u, s), the encoder's typicality pmf
+    codewords: np.ndarray       # (count, u, n), _indicators of the codebook
     x_cols: np.ndarray          # cdf columns of p(x | u, s), (x - 1, u * s)
     state_cols: np.ndarray      # cdf columns of p(s), shape (s - 1, 1)
     kernel_cols: np.ndarray     # see _kernel_columns
@@ -651,6 +663,7 @@ def _no_disc_tables(channel: StateChannel, policy: AuxiliaryEncoderPolicy,
 
     return _NoDiscTables(
         p_us=_joint_u_s(channel, policy),
+        codewords=_indicators(codebook.sequences, policy.u_size),
         x_cols=_cdf_columns(policy.x_given_us.reshape(-1, channel.x_size)),
         state_cols=_cdf_columns(channel.state_pmf[None]),
         kernel_cols=_kernel_columns(channel),
@@ -667,13 +680,16 @@ def encode(codebook: BinningCodebook, tables: _NoDiscTables, s_seqs,
     qualifies (an encode failure, reported in ``typical`` and not raised) it
     is drawn uniformly from the whole codebook.  Each stream draws its pick,
     then the n uniforms of x^n; x_i is drawn by ``_draw`` from the cell
-    u_i * |S| + s_i of ``tables.x_cols``.
+    u_i * |S| + s_i of ``tables.x_cols``.  The typicality test reads the
+    codewords from ``tables``, which must be built for this codebook.
     """
     s_seqs = np.asarray(s_seqs, dtype=np.int64)
     if s_seqs.shape != (len(streams), codebook.n):
         raise ValueError(f"s_seqs must have shape ({len(streams)}, {codebook.n})")
-    test = _typicality(tables.p_us, codebook.n, epsilon)
-    mask = test.pairs(test.candidates(codebook.sequences), s_seqs)
+    if tables.codewords.shape[::2] != codebook.sequences.shape:
+        raise ValueError("tables were built for another codebook")
+    mask = _typicality(tables.p_us, codebook.n, epsilon).pairs(tables.codewords,
+                                                               s_seqs)
     sizes = mask.sum(axis=1)
     picks = streams.integers(np.where(sizes > 0, sizes, codebook.count))
     uniforms = streams.random(codebook.n)
@@ -816,7 +832,7 @@ def exact_leakage(codebook: BinningCodebook, channel: StateChannel,
     weights = np.empty((codebook.count, states))
     log_ps = np.log(np.maximum(channel.state_pmf, 1e-300))
     test = _typicality(p_us, n, cfg.epsilon)
-    codewords = test.candidates(codebook.sequences)
+    codewords = _indicators(codebook.sequences, test.a_size)
     step = _chunk_rows(8 * max(codebook.count, n))   # a float share per pair
     for lo in range(0, states, step):
         s_seqs = _sequences(channel.s_size, n, lo, min(lo + step, states))
@@ -830,15 +846,39 @@ def exact_leakage(codebook: BinningCodebook, channel: StateChannel,
     return _leakage_bits(table, n)
 
 
+def _no_disc_chunk(channel: StateChannel, codebook: BinningCodebook,
+                   tables: _NoDiscTables, cfg: SimConfig,
+                   trials: np.ndarray) -> tuple[int, int, np.ndarray]:
+    """The no-discussion trials ``trials``, read through one
+    ``TrialStreams``: their disagreements, encode failures and key counts.
+
+    The streams draw s^n, one batched typicality test covers every
+    (codeword, s^n) pair, each stream then draws its pick and the uniforms
+    of x^n and of the channel, and ``encode``, ``transmit`` and ``decode``
+    run on all the trials at once.  Nothing else outlives the call.
+    """
+    n = cfg.n
+    streams = TrialStreams(cfg.seed, (1,), trials, 3 * n + 1)
+    s_seqs = _draw(tables.state_cols, 0, streams.random(n))
+    enc = encode(codebook, tables, s_seqs, cfg.epsilon, streams)
+    yr_seqs, _ = transmit(channel, tables.kernel_cols, enc.x_seq, s_seqs,
+                          streams.random(n))
+    keys = codebook.bin_of[enc.index]
+    dec = decode(codebook, tables, yr_seqs)
+    return (int(np.count_nonzero(dec.key != keys)),
+            int(np.count_nonzero(~enc.typical)),
+            np.bincount(keys, minlength=codebook.num_bins))
+
+
 def run_no_discussion(channel: StateChannel, policy: AuxiliaryEncoderPolicy,
                       cfg: SimConfig) -> SimReport:
     """Monte Carlo episodes of {draw state, encode, transmit, decode}.
 
-    Trials run in chunks, each read through one ``TrialStreams``: the
-    chunk's streams draw s^n, one batched typicality test covers every
-    (codeword, s^n) pair of the chunk, each stream then draws its pick and
-    the uniforms of x^n and of the channel, and ``encode``, ``transmit`` and
-    ``decode`` run on the whole chunk.
+    Trials run in chunks, one ``_no_disc_chunk`` call each, so no array of
+    one chunk is alive while the next builds its stream words.  A chunk is
+    sized to its largest per-trial temporary: two floats per stream word
+    (3n + 1 per trial), the decoder's four floats per codeword, or the
+    channel draw's n |Yr| |Ye| floats.
     Disagreement counts decode failures (tied bins, or no codeword with
     nonzero likelihood) as well as key mismatches.  Exact leakage is
     computed right after the codebook, so a run over the leakage budget
@@ -851,21 +891,15 @@ def run_no_discussion(channel: StateChannel, policy: AuxiliaryEncoderPolicy,
     disagreements = 0
     encode_failures = 0
     key_counts = np.zeros(codebook.num_bins, dtype=np.int64)
-    width = 3 * n + 1               # s^n, the pick, x^n and the channel
-    step = _chunk_rows(8 * max(codebook.count * n,
-                               n * channel.yr_size * channel.ye_size, width + n))
+    step = _chunk_rows(8 * max(2 * (3 * n + 1), 4 * codebook.count,
+                               n * channel.yr_size * channel.ye_size))
     for lo in range(0, cfg.trials, step):
-        streams = TrialStreams(cfg.seed, (1,),
-                               np.arange(lo, min(lo + step, cfg.trials)), width)
-        s_seqs = _draw(tables.state_cols, 0, streams.random(n))
-        enc = encode(codebook, tables, s_seqs, cfg.epsilon, streams)
-        yr_seqs, _ = transmit(channel, tables.kernel_cols, enc.x_seq, s_seqs,
-                              streams.random(n))
-        keys = codebook.bin_of[enc.index]
-        key_counts += np.bincount(keys, minlength=codebook.num_bins)
-        encode_failures += int(np.count_nonzero(~enc.typical))
-        dec = decode(codebook, tables, yr_seqs)
-        disagreements += int(np.count_nonzero(dec.key != keys))
+        missed, failed, keys = _no_disc_chunk(
+            channel, codebook, tables, cfg,
+            np.arange(lo, min(lo + step, cfg.trials)))
+        disagreements += missed
+        encode_failures += failed
+        key_counts += keys
     achieved = _entropy(key_counts / cfg.trials) / cfg.n
     return SimReport(
         disagreement_prob=disagreements / cfg.trials,
@@ -947,7 +981,7 @@ def _one_round_tables(channel: StateChannel, policy: InputPolicy,
     test = _typicality(p_yr[:, None], n, cfg.epsilon)
     step = _chunk_rows(8 * channel.yr_size * n)
     typ_idx = np.flatnonzero(np.concatenate([
-        test.pairs(test.candidates(all_yr[lo:lo + step]),
+        test.pairs(_indicators(all_yr[lo:lo + step], test.a_size),
                    np.zeros((1, n), dtype=np.int64))[0]
         for lo in range(0, outputs, step)]))
     num_bins = min(num_bins, max(1, typ_idx.size))
@@ -995,7 +1029,7 @@ def _reconstruct(tables: _OneRoundTables, xs_seqs: np.ndarray,
         members = tables.by_bin[tables.bin_starts[b]:tables.bin_starts[b + 1]]
         for lo in range(0, len(members), member_step):
             piece = members[lo:lo + member_step]
-            cand = test.candidates(tables.all_yr[piece])
+            cand = _indicators(tables.all_yr[piece], test.a_size)
             step = _chunk_rows(_PAIR_BYTES * len(piece))
             for first in range(start, end, step):
                 trials = order[first:min(first + step, end)]
@@ -1024,6 +1058,35 @@ def one_round_exact_leakage(tables: _OneRoundTables, channel: StateChannel,
     return _leakage_bits(table.reshape(tables.num_subbins, -1), n)
 
 
+def _one_round_chunk(channel: StateChannel, tables: _OneRoundTables,
+                     cfg: SimConfig,
+                     trials: np.ndarray) -> tuple[int, int, int, np.ndarray]:
+    """The one-round trials ``trials``: their disagreements (reconstruction
+    failures included), reconstruction failures, unique and correct
+    reconstructions, and key counts.
+
+    One ``TrialStreams`` draws the 3n uniforms of every trial, and the rest
+    runs on all the trials at once, the reconstruction once per published
+    bin.  Nothing else outlives the call.
+    """
+    n = cfg.n
+    uniforms = TrialStreams(cfg.seed, (1,), trials, 3 * n).random(3 * n)
+    s_seqs = _draw(tables.state_cols, 0, uniforms[:, :n])
+    x_seqs = _draw(tables.x_cols, s_seqs, uniforms[:, n:2 * n])
+    yr_seqs, _ = transmit(channel, tables.kernel_cols, x_seqs, s_seqs,
+                          uniforms[:, 2 * n:])
+    yr_index = yr_seqs @ channel.yr_size ** np.arange(n - 1, -1, -1)
+    receiver_keys = tables.sub_of[yr_index]
+    recon = _reconstruct(tables, x_seqs * channel.s_size + s_seqs,
+                         tables.bin_of[yr_index], cfg.epsilon)
+    found = recon >= 0
+    failures = int(np.count_nonzero(~found))
+    return (failures + int(np.count_nonzero(
+                tables.sub_of[recon[found]] != receiver_keys[found])),
+            failures, int(np.count_nonzero(recon == yr_index)),
+            np.bincount(receiver_keys, minlength=tables.num_subbins))
+
+
 def run_one_round_discussion(channel: StateChannel, policy: InputPolicy,
                              cfg: SimConfig) -> SimReport:
     """Simulate the one-round public-discussion scheme.
@@ -1033,38 +1096,26 @@ def run_one_round_discussion(channel: StateChannel, policy: InputPolicy,
     keeps its sub-bin index as the key; the sender reconstructs yr^n from
     (x^n, s^n, bin) by unique joint typicality and declares the reconstructed
     sub-bin.  Reconstruction failures count as disagreements and are reported
-    through ``encode_failure_rate``.  Trials run in chunks: one
-    ``TrialStreams`` draws the 3n uniforms of every trial of the chunk, and
-    the rest runs on the chunk, the reconstruction once per published bin.
+    through ``encode_failure_rate``.  Trials run in chunks, one
+    ``_one_round_chunk`` call each, so no array of one chunk is alive while
+    the next builds its stream words.  A chunk is sized to two floats per
+    stream word (3n per trial) or the channel draw's n |Yr| |Ye| floats;
+    ``_reconstruct`` splits its own work.
     """
     tables = _one_round_tables(channel, policy, cfg)
     n = cfg.n
-    powers = channel.yr_size ** np.arange(n - 1, -1, -1)
     disagreements = 0
     recon_failures = 0
     unique_correct = 0
     key_counts = np.zeros(tables.num_subbins, dtype=np.int64)
-    # 3n raw words and 3n uniforms per trial; _reconstruct splits its own.
     step = _chunk_rows(8 * n * max(channel.yr_size * channel.ye_size, 6))
     for lo in range(0, cfg.trials, step):
-        uniforms = TrialStreams(cfg.seed, (1,),
-                                np.arange(lo, min(lo + step, cfg.trials)),
-                                3 * n).random(3 * n)
-        s_seqs = _draw(tables.state_cols, 0, uniforms[:, :n])
-        x_seqs = _draw(tables.x_cols, s_seqs, uniforms[:, n:2 * n])
-        yr_seqs, _ = transmit(channel, tables.kernel_cols, x_seqs, s_seqs,
-                              uniforms[:, 2 * n:])
-        yr_index = yr_seqs @ powers
-        receiver_keys = tables.sub_of[yr_index]
-        key_counts += np.bincount(receiver_keys, minlength=tables.num_subbins)
-        recon = _reconstruct(tables, x_seqs * channel.s_size + s_seqs,
-                             tables.bin_of[yr_index], cfg.epsilon)
-        found = recon >= 0
-        recon_failures += int(np.count_nonzero(~found))
-        unique_correct += int(np.count_nonzero(recon == yr_index))
-        disagreements += int(np.count_nonzero(
-            tables.sub_of[recon[found]] != receiver_keys[found]))
-    disagreements += recon_failures
+        missed, failed, correct, keys = _one_round_chunk(
+            channel, tables, cfg, np.arange(lo, min(lo + step, cfg.trials)))
+        disagreements += missed
+        recon_failures += failed
+        unique_correct += correct
+        key_counts += keys
     unique_lookups = cfg.trials - recon_failures
     leakage = one_round_exact_leakage(tables, channel, policy, cfg)
     achieved = _entropy(key_counts / cfg.trials) / n

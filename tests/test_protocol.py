@@ -15,10 +15,11 @@ from statekey import (AuxiliaryEncoderPolicy, BinningCodebook, BudgetError,
                       run_no_discussion, run_one_round_discussion)
 from statekey.channel import mi_bits
 from statekey.sim import (SimReport, TrialStreams, _cdf_columns, _draw,
-                          _entropy, _kernel_columns, _no_disc_tables,
-                          _one_round_tables, _reconstruct, _rng_stream,
-                          _trial_draws, _typicality, is_jointly_typical,
-                          one_round_exact_leakage, transmit)
+                          _entropy, _indicators, _kernel_columns,
+                          _no_disc_tables, _one_round_tables, _reconstruct,
+                          _rng_stream, _trial_draws, _typicality,
+                          is_jointly_typical, one_round_exact_leakage,
+                          transmit)
 from conftest import (bsc_matrix, copy_encoder_policy, degraded_binary_wiretap,
                       erasure_eavesdropper_channel, factorized_binary,
                       identity_channel, random_aux_policy, random_channel,
@@ -819,6 +820,16 @@ def one_round_grid():
     ]
 
 
+def benchmark_simulation(mode):
+    """(channel, policy, run, config fields) of a benchmark simulation."""
+    if mode == "no-disc":
+        return factorized_binary(), xor_policy(), run_no_discussion, \
+            dict(n=10, epsilon=0.15)
+    channel = factorized_binary(0.0, 0.3)
+    return channel, uniform_input_policy(channel), run_one_round_discussion, \
+        dict(n=8, epsilon=0.4)
+
+
 class TestSingleKey:
     @pytest.mark.parametrize("seed", range(6))
     def test_no_discussion_reports_exact_zeros(self, seed):
@@ -885,6 +896,35 @@ class TestBatchedTrialLoops:
         assert max(peaks) < 4 * 2 ** 20
         assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0]
 
+    @pytest.mark.parametrize("mode", ["no-disc", "one-round"])
+    def test_one_chunk_and_twenty_chunks_peak_alike(self, mode, monkeypatch):
+        # A run of one chunk against a run of 20 at a benchmark
+        # configuration: if a chunk's arrays outlived it, they would be alive
+        # while the next chunk builds its stream words, and only the longer
+        # run would pay for them.
+        channel, policy, run, fields = benchmark_simulation(mode)
+        sizes = []
+        trial_draws = sim_module._trial_draws
+        monkeypatch.setattr(sim_module, "_trial_draws",
+                            lambda *args: sizes.append(len(args[2]))
+                            or trial_draws(*args))
+        # The warm-up run also reads the chunk size.
+        run(channel, policy, SimConfig(rate_margin=0.2, trials=2000, seed=42,
+                                       **fields))
+        monkeypatch.undo()
+        step = sizes[0]
+        assert step <= 1000      # both runs of the test above fill a chunk
+        peaks = []
+        for trials in (step, 20 * step):
+            cfg = SimConfig(rate_margin=0.2, trials=trials, seed=42, **fields)
+            tracemalloc.start()
+            try:
+                run(channel, policy, cfg)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0]
+
 
 # Seeds of one to three 32-bit words and one of five, more than
 # SeedSequence's pool of four, and trial windows on both sides of t = 2^32,
@@ -916,6 +956,22 @@ class TestTrialStreams:
                 rng = _rng_stream(seed, 1, int(t))
                 assert pick == rng.integers(k), (k, t)
                 assert np.array_equal(row, rng.random(8)), (k, t)
+
+    @pytest.mark.parametrize("seed", STREAM_SEEDS)
+    @pytest.mark.parametrize("lo, hi", STREAM_WINDOWS)
+    def test_rows_keep_their_own_positions(self, seed, lo, hi):
+        # One call with bounds mixed by row: k = 1 draws no word, 95 one, and
+        # 3 * 2^30 one or, for about a quarter of its rows, a redraw; each
+        # row's next read must start after its own draws.
+        trials = np.arange(lo, hi)
+        bounds = np.array([1, 95, 3 * 2 ** 30])[trials % 3]
+        streams = TrialStreams(seed, (1,), trials, 9)
+        picks = streams.integers(bounds)
+        uniforms = streams.random(8)
+        for t, k, pick, row in zip(trials, bounds, picks, uniforms):
+            rng = _rng_stream(seed, 1, int(t))
+            assert pick == rng.integers(k), (k, t)
+            assert np.array_equal(row, rng.random(8)), (k, t)
 
     @pytest.mark.parametrize("mode", ["no-disc", "one-round"])
     def test_benchmark_runs_build_no_trial_generator(self, mode, monkeypatch):
@@ -1051,7 +1107,7 @@ class TestOneRoundDiscussion:
         b = np.diff(tables.bin_starts).argmax()
         members = tables.by_bin[tables.bin_starts[b]:tables.bin_starts[b + 1]]
         test = _typicality(tables.p_yr_xs, cfg.n, cfg.epsilon)
-        candidates = test.candidates(tables.all_yr[members])
+        candidates = _indicators(tables.all_yr[members], test.a_size)
         xs_seqs = np.random.default_rng(0).integers(0, 4, size=(2000, cfg.n))
         tracemalloc.start()
         try:
