@@ -11,8 +11,8 @@ Modules:
 * ``cli``: the ``statekey`` command-line tool.
 """
 
-from .channel import (AuxiliaryEncoderPolicy, InputPolicy, JointPmf,
-                      StateChannel, augment_receiver,
+from .channel import (AuxiliaryEncoderPolicy, BudgetError, InputPolicy,
+                      JointPmf, StateChannel, augment_receiver,
                       conditional_mutual_information, entropy_bits,
                       induce_input_joint, induce_joint, marginalize,
                       mutual_information)
@@ -25,8 +25,8 @@ from .gaussian import (AuxRateResult, GapReport, GaussianAuxParams,
                        GaussianParams, capacity_discussion, gap_analysis,
                        lb_no_discussion, rate_aux_surface, rho_star,
                        ub_no_discussion)
-from .sim import (BinningCodebook, BudgetError, CodebookRates, SimConfig,
-                  SimReport, build_codebook, decode, encode, exact_leakage,
+from .sim import (BinningCodebook, CodebookRates, SimConfig, SimReport,
+                  build_codebook, decode, encode, exact_leakage,
                   run_no_discussion, run_one_round_discussion)
 
 __version__ = "0.1.0"

@@ -15,7 +15,8 @@ differences together with their partials.  The batch kernels
 ``aux_mi_terms`` and ``aux_mi_partials`` are the only entry points to the
 triple and its partials: ``aux_mi_partials`` takes the partials from the
 terms ``aux_mi_terms`` returns with the triple, and ``policy_mi_triple``
-is ``aux_mi_terms`` on a batch of one policy.
+is ``aux_mi_terms`` on a batch of one policy.  ``dmc`` and ``sim`` share
+the ``BudgetError`` and the seeded random stream ``_rng_stream`` defined here.
 """
 
 from __future__ import annotations
@@ -48,6 +49,14 @@ def check_integer(name: str, value, minimum: int) -> None:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
             or value < minimum:
         raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+class BudgetError(RuntimeError):
+    """A search, enumeration or codebook would exceed its size budget."""
+
+
+def _rng_stream(seed: int, *key: int) -> np.random.Generator:
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
 
 
 def _check_entries(name: str, arr: np.ndarray) -> None:

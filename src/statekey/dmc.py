@@ -38,10 +38,9 @@ from functools import partial
 
 import numpy as np
 
-from .channel import (AuxiliaryEncoderPolicy, InputPolicy, StateChannel,
-                      aux_mi_partials, aux_mi_terms, check_integer,
-                      policy_mi_triple)
-from .sim import BudgetError, _rng_stream
+from .channel import (AuxiliaryEncoderPolicy, BudgetError, InputPolicy,
+                      StateChannel, _rng_stream, aux_mi_partials, aux_mi_terms,
+                      check_integer, policy_mi_triple)
 
 LN2 = math.log(2.0)
 
@@ -83,11 +82,8 @@ _STRUCTURED_SEEDS_MAX = 69
 class OptimizerConfig:
     """Search budget of the auxiliary-policy searches.
 
-    Every evaluator takes one, so all have the same call shape, but only
-    ``lower_bound_no_discussion`` and ``secret_message_lower_bound`` read
-    it, and ``lower_bound_discussion`` when it runs the first of these
-    itself (``no_discussion`` None); the concave input-policy maximizations
-    have no search budget.
+    ``lower_bound_no_discussion`` and ``secret_message_lower_bound`` take
+    one; the concave input-policy maximizations have no search budget.
 
     ``domain`` selects the auxiliary-policy search space: ``general_u``
     optimizes p(u|s) jointly with p(x|u,s); ``restricted_u`` ties the
@@ -199,14 +195,21 @@ def _check_aux_budget(channel: StateChannel, cfg: OptimizerConfig,
 
     A batch holds the seeds of a pass, scored once for every objective, or
     the step candidates of every pass's and objective's restarts; a policy
-    has |U||S|(|X| + 1) float64 entries.  The planned work of each objective
-    counts the entries of the seeds and, for the whole iteration cap, of its
-    candidates, over all passes.
+    has |U||S|(|X| + 1) float64 entries.  Before the seeds exist, a pass's
+    ``_grid_aux_seeds`` makes resolution lattice draws per policy row and
+    holds 8 + max(8, |X|) bytes per draw: the int64 draws, and their int64
+    bounds or an x-row draw's |X| one-hot flags.  The planned work of each
+    objective counts the entries of the seeds and, for the whole iteration
+    cap, of its candidates, over all passes.
     """
     entries = u_size * channel.s_size * (channel.x_size + 1)
     seeds = _STRUCTURED_SEEDS_MAX + 3 * cfg.restarts
     candidates = cfg.restarts * len(_STEP_MULTIPLIERS)
-    need = 8 * max(seeds, passes * objectives * candidates) * entries
+    u_rows = channel.s_size if passes == 2 else 1
+    draws = 3 * cfg.restarts * (u_rows + u_size * channel.s_size) \
+        * cfg.grid_resolution
+    need = max(8 * max(seeds, passes * objectives * candidates) * entries,
+               (8 + max(8, channel.x_size)) * draws)
     work = passes * (seeds + _ITERATIONS_PER_STEP * cfg.local_steps
                      * candidates) * entries
     if need > _AUX_BATCH_BYTES or work > _AUX_WORK_ENTRIES:
@@ -214,8 +217,8 @@ def _check_aux_budget(channel: StateChannel, cfg: OptimizerConfig,
             f"the auxiliary-policy search needs a {need / 2**20:.0f} MiB batch "
             f"and plans {work:.3g} policy entries per objective at "
             f"|U|={u_size}, over the limits of {_AUX_BATCH_BYTES // 2**20} MiB "
-            f"and {_AUX_WORK_ENTRIES:.3g}; lower u_size_max, restarts or "
-            f"local_steps")
+            f"and {_AUX_WORK_ENTRIES:.3g}; lower u_size_max, restarts, "
+            f"grid_resolution or local_steps")
 
 
 def _structured_aux_seeds(channel, u_size, restricted, rng):
@@ -605,15 +608,13 @@ def _uniform_input(channel: StateChannel) -> np.ndarray:
     return np.full((channel.s_size, channel.x_size), 1.0 / channel.x_size)
 
 
-def upper_bound_discussion(channel: StateChannel,
-                           cfg: OptimizerConfig) -> BoundResult:
+def upper_bound_discussion(channel: StateChannel) -> BoundResult:
     """max over p(x|s) of I(X,S;Yr|Ye) on the channel's own joint kernel.
 
     No coupling minimization: with a discussion channel available the key
     capacity depends on the joint output law, not only its marginals.  The
     objective is concave in p(x|s), so one ascent from the uniform policy
     solves it; ``certificate_gap_bits`` bounds how far short it stopped.
-    ``cfg`` is not read.
     """
     p, v, gap = _ascend_input(channel.state_pmf, channel.kernel, True,
                               _uniform_input(channel))
@@ -621,33 +622,29 @@ def upper_bound_discussion(channel: StateChannel,
                        diagnostics={"certificate_gap_bits": gap})
 
 
-def lower_bound_discussion(channel: StateChannel, cfg: OptimizerConfig,
-                           no_discussion: BoundResult | None = None
-                           ) -> BoundResult:
+def lower_bound_discussion(channel: StateChannel,
+                           no_discussion: BoundResult) -> BoundResult:
     """Achievable key rate with one round of public discussion.
 
     Returns max(max_{p(x|s)} [I(X,S;Yr) - I(Ye;Yr)], no-discussion bound);
     diagnostics record which branch won (``discussion_branch`` is 1.0 when
     the one-round discussion expression attained the max, within 1e-12).
     The first branch is concave in p(x|s) (see ``_input_value_grad``) and is
-    solved by one multiplicative ascent from the uniform policy, which reads
-    nothing of ``cfg``.  ``no_discussion`` takes the result of
-    ``lower_bound_no_discussion`` for the same channel and config when the
-    caller already has it; otherwise that search runs here.
+    solved by one multiplicative ascent from the uniform policy; the second
+    is ``no_discussion``, ``lower_bound_no_discussion`` of the same channel.
     """
     p, branch1, _ = _ascend_input(channel.state_pmf, channel.kernel, False,
                                   _uniform_input(channel))
-    base = no_discussion if no_discussion is not None \
-        else lower_bound_no_discussion(channel, cfg)
     # On a tie branch 1 wins.  Both values come from different summation
     # routes, so equal rates in exact arithmetic may differ in the last bits.
-    diag = dict(base.diagnostics)
-    if branch1 >= base.value_bits - 1e-12:
-        diag.update(discussion_branch=1.0, no_discussion_value=base.value_bits)
+    diag = dict(no_discussion.diagnostics)
+    if branch1 >= no_discussion.value_bits - 1e-12:
+        diag.update(discussion_branch=1.0,
+                    no_discussion_value=no_discussion.value_bits)
         return BoundResult(value_bits=max(0.0, branch1),
                            argmax_policy=InputPolicy(p), diagnostics=diag)
     diag.update(discussion_branch=0.0, discussion_value=branch1)
-    return replace(base, diagnostics=diag)
+    return replace(no_discussion, diagnostics=diag)
 
 
 # ---------------------------------------------------------------------------
@@ -706,8 +703,7 @@ def _check_coupling_budget(channel: StateChannel) -> None:
                           f"over the limit of {_COUPLING_BYTES / 2**20:.0f} MiB")
 
 
-def upper_bound_no_discussion(channel: StateChannel,
-                              cfg: OptimizerConfig) -> BoundResult:
+def upper_bound_no_discussion(channel: StateChannel) -> BoundResult:
     """min over output couplings of max over p(x|s) of I(X,S;Yr|Ye).
 
     For a fixed input law the objective is I(X,S;Yr,Ye) - I(X,S;Ye): the
@@ -724,8 +720,7 @@ def upper_bound_no_discussion(channel: StateChannel,
     reaches 0, stops decreasing, or after ``_COUPLING_ROUNDS`` rounds.
     Every coupling visited is valid, so the lowest value seen is a true
     upper bound up to inner-ascent tolerance; its certificate gap is
-    reported.  ``cfg`` is not read: the solver is deterministic and has no
-    search budget.  A channel over the coupling byte budget raises
+    reported.  A channel over the coupling byte budget raises
     ``BudgetError`` first.
     """
     _check_coupling_budget(channel)
@@ -766,27 +761,24 @@ def upper_bound_no_discussion(channel: StateChannel,
 # factorization test (discussion capacity)
 # ---------------------------------------------------------------------------
 
-def discussion_capacity_if_markov(channel: StateChannel, cfg: OptimizerConfig,
-                                  upper: BoundResult | None = None
-                                  ) -> BoundResult | None:
+def discussion_capacity_if_markov(channel: StateChannel,
+                                  upper: BoundResult) -> BoundResult | None:
     """Exact discussion capacity when the outputs are conditionally independent.
 
     If the kernel factorizes as p(yr|x,s) * p(ye|x,s) (within 1e-10), the
     discussion bounds coincide and the returned value is the capacity
     (diagnostics carry ``is_capacity`` = 1.0).  Returns None when the kernel
-    does not factorize.  ``upper`` takes the result of
-    ``upper_bound_discussion`` for the same channel and config when the
-    caller already has it; otherwise that bound is computed here.
+    does not factorize.  ``upper`` is the result of
+    ``upper_bound_discussion`` for the same channel.
     """
     product = np.einsum("xsr,xse->xsre", channel.receiver_kernel(),
                         channel.eavesdropper_kernel())
     residual = float(np.abs(channel.kernel - product).max())
     if residual > 1e-10:
         return None
-    result = upper if upper is not None else upper_bound_discussion(channel, cfg)
-    diag = dict(result.diagnostics)
+    diag = dict(upper.diagnostics)
     diag.update(is_capacity=1.0, factorization_residual=residual)
-    return replace(result, diagnostics=diag)
+    return replace(upper, diagnostics=diag)
 
 
 def evaluate_bounds(channel: StateChannel, cfg: OptimizerConfig) -> dict:
@@ -798,11 +790,10 @@ def evaluate_bounds(channel: StateChannel, cfg: OptimizerConfig) -> dict:
     key, message = _search_aux(channel, cfg, (True, False))
     lb = _search_result(channel, True, *key)
     msg = _search_result(channel, False, *message)
-    ub = upper_bound_no_discussion(channel, cfg)
-    lbd = lower_bound_discussion(channel, cfg, no_discussion=lb)
-    ubd = upper_bound_discussion(channel, cfg)
+    ub = upper_bound_no_discussion(channel)
+    lbd = lower_bound_discussion(channel, lb)
+    ubd = upper_bound_discussion(channel)
     return {"lower_bound_no_discussion": lb, "secret_message_lower_bound": msg,
             "upper_bound_no_discussion": ub, "lower_bound_discussion": lbd,
             "upper_bound_discussion": ubd,
-            "discussion_capacity": discussion_capacity_if_markov(channel, cfg,
-                                                                 upper=ubd)}
+            "discussion_capacity": discussion_capacity_if_markov(channel, ubd)}

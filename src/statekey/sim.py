@@ -84,10 +84,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import (AuxiliaryEncoderPolicy, InputPolicy, StateChannel,
-                      _entropy, check_integer, entropy_bits,
-                      induce_input_joint, mi_bits, mutual_information,
-                      policy_mi_triple)
+from .channel import (AuxiliaryEncoderPolicy, BudgetError, InputPolicy,
+                      StateChannel, _entropy, _rng_stream, check_integer,
+                      entropy_bits, induce_input_joint, mi_bits,
+                      mutual_information, policy_mi_triple)
 
 MAX_CODEBOOK = 2 ** 20
 # The exact-leakage budget, shared by both modes.  The sim-nodisc
@@ -105,10 +105,6 @@ _TRIAL_CHUNK_BYTES = 256 * 2 ** 10
 # scattered back to every fixed row.
 _PAIR_BYTES = 11
 _TINY = np.finfo(float).tiny
-
-
-class BudgetError(RuntimeError):
-    """An enumeration or codebook size limit was exceeded."""
 
 
 @dataclass(frozen=True)
@@ -223,10 +219,6 @@ class SimReport:
     encode_failure_rate: float
     leakage_method: str
     diagnostics: dict = field(default_factory=dict)
-
-
-def _rng_stream(seed: int, *key: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
 
 
 # ---------------------------------------------------------------------------

@@ -143,7 +143,7 @@ def test_criterion_4_dmc_oracle_equivalence(degraded_channel):
     assert oracle == pytest.approx(analytic, abs=1e-9)
     cfg = OptimizerConfig(seed=0)
     lb = lower_bound_no_discussion(degraded_channel, cfg)
-    ub = upper_bound_no_discussion(degraded_channel, cfg)
+    ub = upper_bound_no_discussion(degraded_channel)
     elapsed = time.perf_counter() - start
     print(f"criterion 4: oracle {oracle:.7f}, lb {lb.value_bits:.7f}, "
           f"ub {ub.value_bits:.7f}, {elapsed:.1f} s")
@@ -157,9 +157,10 @@ def test_criterion_5_discussion_capacity_equality(tmp_path, capsys):
     start = time.perf_counter()
     channel = factorized_binary(0.1, 0.25)
     cfg = OptimizerConfig(seed=0)
-    low = lower_bound_discussion(channel, cfg)
-    up = upper_bound_discussion(channel, cfg)
-    cap = discussion_capacity_if_markov(channel, cfg)
+    low = lower_bound_discussion(channel,
+                                 lower_bound_no_discussion(channel, cfg))
+    up = upper_bound_discussion(channel)
+    cap = discussion_capacity_if_markov(channel, up)
     assert cap is not None and cap.diagnostics["is_capacity"] == 1.0
     assert abs(low.value_bits - up.value_bits) <= 5e-3
     path = tmp_path / "fact.json"

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from statekey import (AuxiliaryEncoderPolicy, InputPolicy, JointPmf,
-                      OptimizerConfig, StateChannel, augment_receiver,
+                      StateChannel, augment_receiver,
                       conditional_mutual_information, entropy_bits,
                       induce_joint, marginalize, mutual_information,
                       upper_bound_discussion)
@@ -328,9 +328,8 @@ class TestMemoryLayout:
             assert arr.flags.c_contiguous
         assert policy_mi_triple(f_channel, f_policy) == \
             policy_mi_triple(channel, policy)
-        cfg = OptimizerConfig()
-        assert upper_bound_discussion(f_channel, cfg).value_bits == \
-            upper_bound_discussion(channel, cfg).value_bits
+        assert upper_bound_discussion(f_channel).value_bits == \
+            upper_bound_discussion(channel).value_bits
 
 
 def sparse_aux_batch(seed):

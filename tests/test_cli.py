@@ -135,6 +135,19 @@ class TestExitCodes:
         assert main(["bounds-dmc", str(path)]) == 3
         assert "budget exceeded" in capsys.readouterr().err
 
+    def test_grid_budget_exit_code(self, tmp_path, monkeypatch, capsys):
+        # --grid 100000000 would draw 3.4e10 lattice symbols, about 500 GiB:
+        # the search is refused before the first draw.
+        calls = []
+        monkeypatch.setattr(dmc, "_grid_aux_seeds",
+                            lambda *args: calls.append(args))
+        path = tmp_path / "search.json"
+        save_channel(random_channel(np.random.default_rng(3), 2, 2, 3, 2),
+                     str(path))
+        assert main(["bounds-dmc", str(path), "--grid", "100000000"]) == 3
+        assert "grid_resolution" in capsys.readouterr().err
+        assert calls == []
+
     def test_coupling_budget_exit_code(self, degraded_file, monkeypatch,
                                        capsys):
         monkeypatch.setattr(dmc, "_COUPLING_BYTES", 0)
@@ -254,9 +267,9 @@ class TestBoundsCommand:
             "secret_message_lower_bound":
                 dmc.secret_message_lower_bound(channel, cfg),
             "upper_bound_no_discussion":
-                dmc.upper_bound_no_discussion(channel, cfg),
-            "lower_bound_discussion": dmc.lower_bound_discussion(channel, cfg),
-            "upper_bound_discussion": dmc.upper_bound_discussion(channel, cfg),
+                dmc.upper_bound_no_discussion(channel),
+            "lower_bound_discussion": dmc.lower_bound_discussion(channel, lb),
+            "upper_bound_discussion": dmc.upper_bound_discussion(channel),
         }
         path, out = tmp_path / "channel.json", tmp_path / "report.json"
         save_channel(channel, str(path))
@@ -271,7 +284,8 @@ class TestBoundsCommand:
             assert bounds[name].diagnostics == res.diagnostics, name
             assert report[name]["value_bits"] == res.value_bits, name
             assert report[name]["diagnostics"] == res.diagnostics, name
-        cap = dmc.discussion_capacity_if_markov(channel, cfg)
+        cap = dmc.discussion_capacity_if_markov(
+            channel, alone["upper_bound_discussion"])
         assert (cap is not None) == has_capacity
         if has_capacity:
             assert bounds["discussion_capacity"].value_bits == cap.value_bits

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -380,6 +381,24 @@ class TestSearchBudget:
             with pytest.raises(BudgetError, match="88 MiB"):
                 bound(channel, cfg)
 
+    @pytest.mark.parametrize("x_size", [2, 16])
+    def test_batch_bytes_count_the_lattice_draws(self, x_size, monkeypatch):
+        # The general pass draws 3 * restarts * |S| (|U| + 1) * resolution
+        # lattice symbols at once; the budget counts at least 99% of the
+        # bytes that _grid_aux_seeds then holds (|X| = 16 one-hot flags per
+        # x-row draw outweigh its int64 bounds).
+        channel = random_channel(np.random.default_rng(3), x_size, 2, 3, 2)
+        cfg = OptimizerConfig(u_size_max=6, grid_resolution=2000)
+        tracemalloc.start()
+        dmc._grid_aux_seeds(channel, 6, False, 2000, 3 * cfg.restarts,
+                            dmc._rng_stream(0, 12))
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        dmc._check_aux_budget(channel, cfg, 6, 2, 2)
+        monkeypatch.setattr(dmc, "_AUX_BATCH_BYTES", int(0.99 * peak))
+        with pytest.raises(BudgetError, match="grid_resolution"):
+            dmc._check_aux_budget(channel, cfg, 6, 2, 2)
+
     def test_capped_alphabet_fits(self):
         channel = random_channel(np.random.default_rng(0), 16, 16, 2, 2)
         cfg = OptimizerConfig(u_size_max=2, restarts=1, local_steps=1,
@@ -396,12 +415,13 @@ class TestCouplingBudget:
                             lambda *args: calls.append(args))
         # 2x2x3x3 needs 5 arrays of 36 float64 entries, 1,440 bytes.
         channel = random_channel(np.random.default_rng(0), 2, 2, 3, 3)
-        for bound in (upper_bound_no_discussion, dmc.evaluate_bounds):
+        for bound in (upper_bound_no_discussion,
+                      lambda channel: dmc.evaluate_bounds(channel, CFG_SMALL)):
             with pytest.raises(BudgetError, match="coupling upper bound"):
-                bound(channel, CFG_SMALL)
+                bound(channel)
         assert calls == []
         monkeypatch.setattr(dmc, "_COUPLING_BYTES", 1440)
-        upper_bound_no_discussion(channel, CFG_SMALL)
+        upper_bound_no_discussion(channel)
 
 
 class TestSecretMessageLowerBound:
@@ -428,7 +448,7 @@ class TestSecretMessageLowerBound:
 
 class TestUpperBoundNoDiscussion:
     def test_identical_marginals_reach_zero_via_diagonal_coupling(self):
-        res = upper_bound_no_discussion(identical_outputs_channel(), CFG_SMALL)
+        res = upper_bound_no_discussion(identical_outputs_channel())
         assert res.value_bits <= 1e-9
 
     def test_constant_eavesdropper_equals_forward_mi_max(self):
@@ -440,26 +460,26 @@ class TestUpperBoundNoDiscussion:
             for s in range(2):
                 kernel[x, s, :, 0] = pr_t[x ^ s]
         channel = StateChannel.from_arrays([0.5, 0.5], kernel)
-        res = upper_bound_no_discussion(channel, CFG_SMALL)
+        res = upper_bound_no_discussion(channel)
         assert res.value_bits == pytest.approx(1 - h2(0.1), abs=1e-6)
 
     def test_degraded_binary_band(self, degraded_channel):
         lb = lower_bound_no_discussion(degraded_channel, CFG)
-        ub = upper_bound_no_discussion(degraded_channel, CFG)
+        ub = upper_bound_no_discussion(degraded_channel)
         assert ub.value_bits >= lb.value_bits - 1e-9
         assert 0.25 <= lb.value_bits <= 0.26
         assert 0.25 <= ub.value_bits <= 0.26
 
     def test_minimizing_coupling_reproduces_marginals(self, degraded_channel):
-        res = upper_bound_no_discussion(degraded_channel, CFG)
+        res = upper_bound_no_discussion(degraded_channel)
         q = res.coupling.q
         dr = np.abs(q.sum(axis=3) - degraded_channel.receiver_kernel()).max()
         de = np.abs(q.sum(axis=2) - degraded_channel.eavesdropper_kernel()).max()
         assert max(dr, de) <= 1e-10
 
     def test_determinism(self, degraded_channel):
-        a = upper_bound_no_discussion(degraded_channel, CFG_SMALL)
-        b = upper_bound_no_discussion(degraded_channel, CFG_SMALL)
+        a = upper_bound_no_discussion(degraded_channel)
+        b = upper_bound_no_discussion(degraded_channel)
         assert a.value_bits == b.value_bits
         assert np.array_equal(a.coupling.q, b.coupling.q)
 
@@ -478,7 +498,7 @@ class TestUpperBoundNoDiscussion:
             return project(cells, weights, r, c)
 
         monkeypatch.setattr(dmc, "_project_couplings", spy)
-        upper_bound_no_discussion(channel, CFG_SMALL)
+        upper_bound_no_discussion(channel)
         assert supports and all(supports)
 
     @pytest.mark.parametrize("channel, value", [
@@ -487,7 +507,7 @@ class TestUpperBoundNoDiscussion:
          0.18095151684706043),
     ])
     def test_benchmark_channel_values(self, channel, value):
-        res = upper_bound_no_discussion(channel, CFG_SMALL)
+        res = upper_bound_no_discussion(channel)
         assert res.value_bits == pytest.approx(value, abs=1e-12)
 
     @pytest.mark.parametrize("channel, per_solve, total", [
@@ -507,7 +527,7 @@ class TestUpperBoundNoDiscussion:
             return _input_value_grad(*args)
 
         monkeypatch.setattr(dmc, "_input_value_grad", spy)
-        res = upper_bound_no_discussion(channel, CFG_SMALL)
+        res = upper_bound_no_discussion(channel)
         assert 0 < len(calls) <= min(total,
                                      per_solve * res.diagnostics["inner_solves"])
 
@@ -530,7 +550,7 @@ class TestUpperBoundNoDiscussion:
 
         monkeypatch.setattr(dmc, "_input_value_grad", count)
         monkeypatch.setattr(dmc, "_ascend_input", spy)
-        res = upper_bound_no_discussion(channel, CFG_SMALL)
+        res = upper_bound_no_discussion(channel)
         assert len(solves) == res.diagnostics["inner_solves"] == 37
         for p, _, gap, evaluations in solves[1:]:
             assert np.array_equal(p, np.eye(channel.x_size)[[0, 0]])
@@ -566,7 +586,7 @@ class TestUpperBoundNoDiscussion:
         # w = p(s) p(x|s) and m the output mixture.  At a minimizing coupling
         # no feasible direction descends.
         channel = random_channel(np.random.default_rng(k), 2, 3, 2, 2)
-        q = upper_bound_no_discussion(channel, CFG).coupling.q
+        q = upper_bound_no_discussion(channel).coupling.q
         p, _, _ = _ascend_input(
             channel.state_pmf, q, True,
             np.full((channel.s_size, channel.x_size), 1.0 / channel.x_size))
@@ -590,7 +610,7 @@ class TestCertificateGap:
         # maximum over p(x|s), in particular at every deterministic policy.
         channel = random_channel(np.random.default_rng(k), 2, 3, 2, 2)
         for bound in (upper_bound_discussion, upper_bound_no_discussion):
-            res = bound(channel, CFG)
+            res = bound(channel)
             q = channel.kernel if res.coupling is None else res.coupling.q
             gap = res.diagnostics["certificate_gap_bits"]
             assert gap >= 0.0
@@ -627,8 +647,9 @@ class TestCertificateGap:
 
     def test_capacity_result_carries_the_gap(self):
         channel = factorized_binary(0.1, 0.25)
-        cap = discussion_capacity_if_markov(channel, CFG)
-        up = upper_bound_discussion(channel, CFG)
+        cap = discussion_capacity_if_markov(channel,
+                                            upper_bound_discussion(channel))
+        up = upper_bound_discussion(channel)
         assert cap.diagnostics["certificate_gap_bits"] \
             == up.diagnostics["certificate_gap_bits"]
 
@@ -743,7 +764,9 @@ class TestInputAscent:
 
 class TestLowerBoundDiscussion:
     def test_constant_channel_gives_zero(self):
-        res = lower_bound_discussion(constant_channel(), CFG_SMALL)
+        channel = constant_channel()
+        res = lower_bound_discussion(
+            channel, lower_bound_no_discussion(channel, CFG_SMALL))
         assert res.value_bits == pytest.approx(0.0, abs=1e-9)
 
     def test_independent_eavesdropper_recovers_forward_mi(self):
@@ -755,7 +778,8 @@ class TestLowerBoundDiscussion:
             for s in range(2):
                 kernel[x, s] = np.outer(pr_t[x ^ s], [0.5, 0.5])
         channel = StateChannel.from_arrays([0.5, 0.5], kernel)
-        res = lower_bound_discussion(channel, CFG_SMALL)
+        res = lower_bound_discussion(
+            channel, lower_bound_no_discussion(channel, CFG_SMALL))
         assert res.value_bits == pytest.approx(1 - h2(0.1), abs=1e-6)
         assert res.diagnostics["discussion_branch"] == 1.0
 
@@ -763,23 +787,25 @@ class TestLowerBoundDiscussion:
         # Branch 1's ascent drives p(x=1|s=1) down to 5e-324 on this channel,
         # where p(a) p(b) underflows inside the MI kernel.
         channel = random_channel(np.random.default_rng(1034), 2, 2, 2, 2)
-        low = lower_bound_discussion(channel, CFG)
+        low = lower_bound_discussion(channel,
+                                     lower_bound_no_discussion(channel, CFG))
         assert math.isfinite(low.value_bits)
-        assert low.value_bits <= upper_bound_discussion(channel, CFG).value_bits
+        assert low.value_bits <= upper_bound_discussion(channel).value_bits
 
     def test_dominates_no_discussion_bound(self):
         rng = np.random.default_rng(57)
         for trial in range(8):
             channel = random_channel(rng)
             cfg = OptimizerConfig(restarts=4, local_steps=30, seed=trial)
-            disc = lower_bound_discussion(channel, cfg)
+            disc = lower_bound_discussion(
+                channel, lower_bound_no_discussion(channel, cfg))
             base = lower_bound_no_discussion(channel, cfg)
             assert disc.value_bits >= base.value_bits - 1e-9
 
 
 class TestUpperBoundDiscussion:
     def test_constant_channel_gives_zero(self):
-        res = upper_bound_discussion(constant_channel(), CFG_SMALL)
+        res = upper_bound_discussion(constant_channel())
         assert res.value_bits == pytest.approx(0.0, abs=1e-10)
 
     def test_equal_outputs_give_zero(self):
@@ -791,7 +817,7 @@ class TestUpperBoundDiscussion:
                 for y in range(2):
                     kernel[x, s, y, y] = pr_t[x ^ s, y]
         channel = StateChannel.from_arrays([0.5, 0.5], kernel)
-        res = upper_bound_discussion(channel, CFG_SMALL)
+        res = upper_bound_discussion(channel)
         assert res.value_bits == pytest.approx(0.0, abs=1e-10)
 
     def test_dominates_discussion_lower_bound_on_random_channels(self):
@@ -799,28 +825,34 @@ class TestUpperBoundDiscussion:
         for trial in range(20):
             channel = random_channel(rng)
             cfg = OptimizerConfig(restarts=4, local_steps=30, seed=trial)
-            up = upper_bound_discussion(channel, cfg)
-            low = lower_bound_discussion(channel, cfg)
+            up = upper_bound_discussion(channel)
+            low = lower_bound_discussion(
+                channel, lower_bound_no_discussion(channel, cfg))
             assert up.value_bits >= low.value_bits - 1e-6
 
 
 class TestDiscussionCapacity:
     def test_factorized_kernel_is_flagged_capacity(self):
         channel = factorized_binary(0.1, 0.25)
-        cap = discussion_capacity_if_markov(channel, CFG)
+        cap = discussion_capacity_if_markov(channel,
+                                            upper_bound_discussion(channel))
         assert cap is not None
         assert cap.diagnostics["is_capacity"] == 1.0
-        up = upper_bound_discussion(channel, CFG)
-        low = lower_bound_discussion(channel, CFG)
+        up = upper_bound_discussion(channel)
+        low = lower_bound_discussion(channel,
+                                     lower_bound_no_discussion(channel, CFG))
         assert cap.value_bits == pytest.approx(up.value_bits, abs=1e-9)
         assert cap.value_bits == pytest.approx(low.value_bits, abs=5e-3)
 
     def test_correlated_noise_is_not_applicable(self):
+        channel = constant_channel(correlated=True)
         assert discussion_capacity_if_markov(
-            constant_channel(correlated=True), CFG_SMALL) is None
+            channel, upper_bound_discussion(channel)) is None
 
     def test_constant_independent_channel_is_capacity_zero(self):
-        cap = discussion_capacity_if_markov(constant_channel(), CFG_SMALL)
+        channel = constant_channel()
+        cap = discussion_capacity_if_markov(channel,
+                                            upper_bound_discussion(channel))
         assert cap is not None
         assert cap.value_bits == pytest.approx(0.0, abs=1e-10)
 
@@ -833,9 +865,9 @@ class TestOrderingSuite:
             cfg = OptimizerConfig(restarts=4, local_steps=30,
                                   grid_resolution=3, seed=trial)
             lb = lower_bound_no_discussion(channel, cfg)
-            ub = upper_bound_no_discussion(channel, cfg)
-            lbd = lower_bound_discussion(channel, cfg)
-            ubd = upper_bound_discussion(channel, cfg)
+            ub = upper_bound_no_discussion(channel)
+            lbd = lower_bound_discussion(channel, lb)
+            ubd = upper_bound_discussion(channel)
             assert lb.value_bits <= ub.value_bits + 5e-3
             assert lbd.value_bits <= ubd.value_bits + 5e-3
             assert lbd.value_bits >= lb.value_bits - 1e-12
