@@ -2,8 +2,8 @@
 
 Modules:
 
-* ``channel``: finite-alphabet probability objects and exact information
-  measures (bits).
+* ``channel``: finite-alphabet channel and policy objects, and the exact
+  mutual-information kernels (bits) the evaluators and the simulator share.
 * ``dmc``: numerical bound evaluators over encoder policies and output
   couplings.
 * ``gaussian``: closed-form bounds for the additive Gaussian model.
@@ -12,10 +12,7 @@ Modules:
 """
 
 from .channel import (AuxiliaryEncoderPolicy, BudgetError, InputPolicy,
-                      JointPmf, StateChannel, augment_receiver,
-                      conditional_mutual_information, entropy_bits,
-                      induce_input_joint, induce_joint, marginalize,
-                      mutual_information)
+                      StateChannel, augment_receiver)
 from .dmc import (BoundResult, CouplingFamily, OptimizerConfig,
                   aux_policy_rate, discussion_capacity_if_markov,
                   evaluate_bounds, lower_bound_discussion,

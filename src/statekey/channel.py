@@ -6,12 +6,14 @@ input), S (transmitter-known state), Yr (receiver output) and Ye
 validated at construction and stored as read-only C-ordered copies, so
 every operation here is a pure function of immutable inputs.
 
-All information quantities are in bits (base-2 logarithms).  The kernel
-``mi_bits`` and the triple (I(U;Yr), I(U;Ye), I(U;S)) of auxiliary policies
-(``aux_mi_terms``) are the package's only implementations of mutual
-information; every other MI is computed by them, except the concave
-input-policy objectives of ``dmc``, which one kernel evaluates as entropy
-differences together with their partials.  The batch kernels
+All information quantities are in bits (base-2 logarithms) and are taken
+from arrays indexed by integer axes; there are no variable labels.  The
+kernel ``mi_bits``, the triple (I(U;Yr), I(U;Ye), I(U;S)) of auxiliary
+policies (``aux_mi_terms``) and the plug-in entropy ``_entropy`` are the
+package's only implementations of mutual information and entropy; every
+other quantity is computed by them, except the concave input-policy
+objectives of ``dmc``, which one kernel evaluates as entropy differences
+together with their partials.  The batch kernels
 ``aux_mi_terms`` and ``aux_mi_partials`` are the only entry points to the
 triple and its partials: ``aux_mi_partials`` takes the partials from the
 terms ``aux_mi_terms`` returns with the triple, and ``policy_mi_triple``
@@ -22,11 +24,8 @@ the ``BudgetError`` and the seeded random stream ``_rng_stream`` defined here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
-
-VARIABLES = ("U", "X", "S", "Yr", "Ye")
 
 # Construction-time mass tolerance; identity checks elsewhere use 1e-9.
 MASS_TOL = 1e-12
@@ -134,29 +133,6 @@ class StateChannel:
 
 
 @dataclass(frozen=True)
-class JointPmf:
-    """Dense joint pmf over an ordered subset of the model variables."""
-
-    axis_labels: tuple
-    probs: np.ndarray
-
-    def __post_init__(self):
-        labels = tuple(self.axis_labels)
-        if len(set(labels)) != len(labels):
-            raise ValueError(f"axis labels must be distinct, got {labels}")
-        unknown = [l for l in labels if l not in VARIABLES]
-        if unknown:
-            raise ValueError(f"unknown axis labels {unknown}; expected members of {VARIABLES}")
-        probs = _frozen_array(self.probs)
-        if probs.ndim != len(labels):
-            raise ValueError(
-                f"probs has {probs.ndim} axes but {len(labels)} labels were given")
-        _check_pmf("joint pmf", probs)
-        object.__setattr__(self, "axis_labels", labels)
-        object.__setattr__(self, "probs", probs)
-
-
-@dataclass(frozen=True)
 class AuxiliaryEncoderPolicy:
     """Encoder randomization (p(u|s), p(x|u,s)) for the auxiliary-codebook scheme.
 
@@ -222,65 +198,10 @@ def check_alphabets(channel: StateChannel,
             f"channel (s={channel.s_size}, x={channel.x_size})")
 
 
-def induce_joint(channel: StateChannel, policy: AuxiliaryEncoderPolicy) -> JointPmf:
-    """Joint law of (U, X, S, Yr, Ye) under ``policy`` driving ``channel``.
-
-    probs[u, x, s, yr, ye] = p(s) p(u|s) p(x|u,s) p(yr,ye|x,s), which builds the
-    Markov chain u -> (x, s) -> (yr, ye) by construction.
-    """
-    check_alphabets(channel, policy)
-    probs = np.einsum("s,su,usx,xsre->uxsre",
-                      channel.state_pmf, policy.u_given_s, policy.x_given_us,
-                      channel.kernel)
-    return JointPmf(("U", "X", "S", "Yr", "Ye"), probs)
-
-
-def induce_input_joint(channel: StateChannel, policy: InputPolicy) -> JointPmf:
-    """Joint law of (X, S, Yr, Ye) under a direct input distribution p(x|s)."""
-    check_alphabets(channel, policy)
-    probs = np.einsum("s,sx,xsre->xsre",
-                      channel.state_pmf, policy.x_given_s, channel.kernel)
-    return JointPmf(("X", "S", "Yr", "Ye"), probs)
-
-
-def marginalize(joint: JointPmf, keep: Sequence[str]) -> JointPmf:
-    """Sum out every axis not in ``keep``; result axes follow the order of ``keep``."""
-    keep = list(keep)
-    for label in keep:
-        if label not in joint.axis_labels:
-            raise ValueError(f"label {label!r} not among axes {joint.axis_labels}")
-    if len(set(keep)) != len(keep):
-        raise ValueError("keep list contains duplicates")
-    drop = tuple(i for i, l in enumerate(joint.axis_labels) if l not in keep)
-    reduced = joint.probs.sum(axis=drop) if drop else joint.probs
-    kept_order = [l for l in joint.axis_labels if l in keep]
-    perm = [kept_order.index(l) for l in keep]
-    return JointPmf(tuple(keep), np.transpose(reduced, perm) if keep else reduced)
-
-
 def _entropy(probs: np.ndarray) -> float:
     p = probs[probs > 0]
     # 0.0 - x rather than -x, so a point mass gives 0.0, not -0.0.
     return 0.0 - float((p * np.log2(p)).sum())
-
-
-def entropy_bits(joint: JointPmf, group: Sequence[str]) -> float:
-    """H(group) in bits, with the convention 0 log 0 = 0."""
-    return _entropy(marginalize(joint, list(group)).probs)
-
-
-def _check_groups(joint: JointPmf, *groups: Sequence[str]) -> None:
-    seen = set()
-    for g in groups:
-        gset = set(g)
-        if len(gset) != len(list(g)):
-            raise ValueError(f"group {list(g)} contains duplicates")
-        if gset & seen:
-            raise ValueError(f"groups overlap on {sorted(gset & seen)}")
-        for label in g:
-            if label not in joint.axis_labels:
-                raise ValueError(f"label {label!r} not among axes {joint.axis_labels}")
-        seen |= gset
 
 
 def _log_ratio(joint: np.ndarray, pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
@@ -314,32 +235,6 @@ def mi_bits(joint: np.ndarray) -> np.ndarray:
                        joint.sum(axis=-2, keepdims=True))
     terms *= joint
     return np.maximum(0.0, terms.reshape(*terms.shape[:-2], -1).sum(axis=-1))
-
-
-def _group_table(joint: JointPmf, *groups: Sequence[str]) -> np.ndarray:
-    """Marginal over the concatenated groups, with one flat axis per group."""
-    probs = marginalize(joint, [l for g in groups for l in g]).probs
-    ends = np.cumsum([0] + [len(g) for g in groups])
-    return probs.reshape([int(np.prod(probs.shape[i:j]))
-                          for i, j in zip(ends, ends[1:])])
-
-
-def mutual_information(joint: JointPmf, group_a: Sequence[str],
-                       group_b: Sequence[str]) -> float:
-    """I(A;B) in bits by exact summation, clipped to be nonnegative."""
-    _check_groups(joint, group_a, group_b)
-    return float(mi_bits(_group_table(joint, group_a, group_b)))
-
-
-def conditional_mutual_information(joint: JointPmf, group_a: Sequence[str],
-                                   group_b: Sequence[str],
-                                   cond: Sequence[str]) -> float:
-    """I(A;B|C) = sum_c p(c) I(A;B|C=c) in bits, clipped to be nonnegative."""
-    _check_groups(joint, group_a, group_b, cond)
-    table = _group_table(joint, cond, group_a, group_b)
-    p_c = table.sum(axis=(1, 2))
-    seen = p_c > 0
-    return float(p_c[seen] @ mi_bits(table[seen] / p_c[seen, None, None]))
 
 
 def aux_mi_terms(state_pmf: np.ndarray, kernel: np.ndarray, yr_size: int,

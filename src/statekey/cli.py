@@ -18,7 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from . import dmc, gaussian, sim
-from .channel import AuxiliaryEncoderPolicy, InputPolicy, StateChannel
+from .channel import (AuxiliaryEncoderPolicy, BudgetError, InputPolicy,
+                      StateChannel)
 
 SCHEMA_VERSION = 1
 # Sweep points of the gaussian command; the figure panels use 81.
@@ -383,7 +384,7 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except sim.BudgetError as exc:
+    except BudgetError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 3
 

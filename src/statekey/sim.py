@@ -85,9 +85,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import (AuxiliaryEncoderPolicy, BudgetError, InputPolicy,
-                      StateChannel, _entropy, _rng_stream, check_integer,
-                      entropy_bits, induce_input_joint, mi_bits,
-                      mutual_information, policy_mi_triple)
+                      StateChannel, _entropy, _rng_stream, check_alphabets,
+                      check_integer, mi_bits, policy_mi_triple)
 
 MAX_CODEBOOK = 2 ** 20
 # The exact-leakage budget, shared by both modes.  The sim-nodisc
@@ -948,11 +947,14 @@ class _OneRoundTables:
 
 def _one_round_tables(channel: StateChannel, policy: InputPolicy,
                       cfg: SimConfig) -> _OneRoundTables:
-    joint = induce_input_joint(channel, policy)
-    h_yr_given_xs = (entropy_bits(joint, ["X", "S", "Yr"])
-                     - entropy_bits(joint, ["X", "S"]))
-    i_xs = mutual_information(joint, ["Yr"], ["X", "S"])
-    i_e = mutual_information(joint, ["Yr"], ["Ye"])
+    check_alphabets(channel, policy)
+    p = np.einsum("s,sx,xsre->xsre", channel.state_pmf, policy.x_given_s,
+                  channel.kernel)                              # p(x,s,yr,ye)
+    p_xsr = p.sum(axis=3)
+    h_yr_given_xs = _entropy(p_xsr) - _entropy(p.sum(axis=(2, 3)))
+    i_xs = float(mi_bits(np.ascontiguousarray(
+        p_xsr.transpose(2, 0, 1)).reshape(channel.yr_size, -1)))
+    i_e = float(mi_bits(p.sum(axis=(0, 1))))
     n = cfg.n
     outputs = channel.yr_size ** n
     # The bins are cut to the typical set below, at most |Yr|^n sequences,
@@ -967,7 +969,7 @@ def _one_round_tables(channel: StateChannel, policy: InputPolicy,
     _check_leakage_cost(outputs, n, 1, channel.ye_size, outputs + num_subbins
                         * (min(num_bins, outputs) + 1) * channel.ye_size ** n)
     all_yr = _enumerate_sequences(channel.yr_size, cfg.n)
-    p_yr = joint.probs.sum(axis=(0, 1, 3))
+    p_yr = p.sum(axis=(0, 1, 3))
     # The marginal test: each sequence against one all-zero row, in pieces
     # that keep the candidate matrices within the chunk budget.
     test = _typicality(p_yr[:, None], n, cfg.epsilon)

@@ -102,6 +102,32 @@ def copy_encoder_policy(s_size: int = 1) -> AuxiliaryEncoderPolicy:
     return AuxiliaryEncoderPolicy(2, u_given_s, x_given_us)
 
 
+# Axes of ``joint_uxsre``.
+U, X, S, YR, YE = range(5)
+
+
+def joint_uxsre(channel: StateChannel,
+                policy: AuxiliaryEncoderPolicy) -> np.ndarray:
+    """p(u, x, s, yr, ye) = p(s) p(u|s) p(x|u,s) p(yr, ye|x, s)."""
+    return np.einsum("s,su,usx,xsre->uxsre", channel.state_pmf,
+                     policy.u_given_s, policy.x_given_us, channel.kernel)
+
+
+def entropy_ref(p: np.ndarray, axes) -> float:
+    """H of the marginal of ``p`` on ``axes``, in bits."""
+    q = np.atleast_1d(p.sum(axis=tuple(set(range(p.ndim)) - set(axes))))
+    q = q[q > 0]
+    return float(-(q * np.log2(q)).sum())
+
+
+def cmi_ref(p: np.ndarray, a, b, c=()) -> float:
+    """I(A;B|C) = H(A,C) + H(B,C) - H(A,B,C) - H(C) of the axis groups of
+    ``p``: the suite's oracle, by entropy sums alone."""
+    a, b, c = tuple(a), tuple(b), tuple(c)
+    return (entropy_ref(p, a + c) + entropy_ref(p, b + c)
+            - entropy_ref(p, a + b + c) - entropy_ref(p, c))
+
+
 def uniform_input_policy(channel: StateChannel) -> InputPolicy:
     return InputPolicy(np.full((channel.s_size, channel.x_size),
                                1.0 / channel.x_size))

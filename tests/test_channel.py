@@ -1,19 +1,18 @@
-"""Probability-object validation and exact information-measure algebra."""
+"""Probability-object validation and the exact information kernels."""
 
 import math
 
 import numpy as np
 import pytest
 
-from statekey import (AuxiliaryEncoderPolicy, InputPolicy, JointPmf,
-                      StateChannel, augment_receiver,
-                      conditional_mutual_information, entropy_bits,
-                      induce_joint, marginalize, mutual_information,
+from statekey import (AuxiliaryEncoderPolicy, InputPolicy, SimConfig,
+                      StateChannel, augment_receiver, run_one_round_discussion,
                       upper_bound_discussion)
-from statekey.channel import (_NORMAL_MIN, _log_ratio, aux_mi_partials,
-                              aux_mi_terms, mi_bits, policy_mi_triple)
-from conftest import (bsc_matrix, factorized_binary, random_aux_policy,
-                      random_channel)
+from statekey.channel import (_NORMAL_MIN, _entropy, _log_ratio,
+                              aux_mi_partials, aux_mi_terms, mi_bits,
+                              policy_mi_triple)
+from conftest import (S, X, YE, YR, bsc_matrix, cmi_ref, factorized_binary,
+                      joint_uxsre, random_aux_policy, random_channel)
 
 
 def h2(p):
@@ -45,20 +44,6 @@ class TestConstructionValidation:
         with pytest.raises(ValueError):
             StateChannel.from_arrays([0.5, 0.5], kernel)
 
-    def test_joint_mass_and_negativity_rejected(self):
-        with pytest.raises(ValueError):
-            JointPmf(("X", "S"), [[0.5, 0.5], [0.5, 0.5]])
-        with pytest.raises(ValueError):
-            JointPmf(("X", "S"), [[0.7, 0.5], [0.3, -0.5]])
-
-    def test_duplicate_axis_labels_rejected(self):
-        with pytest.raises(ValueError):
-            JointPmf(("X", "X"), np.full((2, 2), 0.25))
-
-    def test_unknown_axis_label_rejected(self):
-        with pytest.raises(ValueError):
-            JointPmf(("X", "Z"), np.full((2, 2), 0.25))
-
     def test_policy_rows_validated(self):
         with pytest.raises(ValueError):
             AuxiliaryEncoderPolicy(2, [[0.7, 0.7]], np.full((2, 1, 2), 0.5))
@@ -89,79 +74,29 @@ class TestConstructionValidation:
             StateChannel.from_arrays([0.5 + 1e-6, 0.5], np.full((2, 2, 2, 2), 0.25))
 
 
-class TestInduceJoint:
-    def test_deterministic_composition_is_diagonal(self):
-        channel = two_state_identity_channel()
-        u_given_s = np.eye(2)
-        x_given_us = np.zeros((2, 2, 2))
-        for u in range(2):
-            for s in range(2):
-                x_given_us[u, s, s] = 1.0
-        policy = AuxiliaryEncoderPolicy(2, u_given_s, x_given_us)
-        joint = induce_joint(channel, policy)
-        for s in range(2):
-            assert joint.probs[s, s, s, s, s] == pytest.approx(0.5, abs=1e-15)
-        assert joint.probs.sum() == pytest.approx(1.0, abs=1e-12)
-        assert np.count_nonzero(joint.probs) == 2
-
-    def test_mass_preserved_on_random_inputs(self):
-        rng = np.random.default_rng(5)
-        for _ in range(10):
-            channel = random_channel(rng, yr_size=3, ye_size=2)
-            policy = random_aux_policy(rng, channel)
-            joint = induce_joint(channel, policy)
-            assert abs(joint.probs.sum() - 1.0) <= 1e-12
-
-    def test_all_uniform_binary_gives_constant_tensor(self):
-        kernel = np.full((2, 2, 2, 2), 0.25)
-        channel = StateChannel.from_arrays([0.5, 0.5], kernel)
-        policy = AuxiliaryEncoderPolicy(2, np.full((2, 2), 0.5),
-                                        np.full((2, 2, 2), 0.5))
-        joint = induce_joint(channel, policy)
-        assert np.allclose(joint.probs, 1.0 / 32.0, atol=1e-15)
-
+class TestAlphabetCheck:
     def test_shape_mismatch_raises(self):
         channel = two_state_identity_channel()
         policy = AuxiliaryEncoderPolicy(2, [[0.5, 0.5]], [[[1.0, 0.0]],
                                                           [[0.0, 1.0]]])
         with pytest.raises(ValueError):
-            induce_joint(channel, policy)
+            policy_mi_triple(channel, policy)
 
-
-class TestMarginalize:
-    def setup_method(self):
-        rng = np.random.default_rng(11)
-        self.channel = random_channel(rng)
-        self.policy = random_aux_policy(rng, self.channel)
-        self.joint = induce_joint(self.channel, self.policy)
-
-    def test_marginal_to_state_recovers_state_pmf(self):
-        m = marginalize(self.joint, ["S"])
-        assert np.abs(m.probs - self.channel.state_pmf).max() <= 1e-12
-
-    def test_keep_all_is_identity(self):
-        m = marginalize(self.joint, list(self.joint.axis_labels))
-        assert m.axis_labels == self.joint.axis_labels
-        assert np.array_equal(m.probs, self.joint.probs)
-
-    def test_keep_empty_gives_scalar_one(self):
-        m = marginalize(self.joint, [])
-        assert m.probs.shape == ()
-        assert float(m.probs) == pytest.approx(1.0, abs=1e-12)
-
-    def test_unknown_label_raises(self):
-        with pytest.raises(ValueError):
-            marginalize(self.joint, ["Q"])
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 2)])
+    def test_one_round_rejects_other_input_alphabets(self, shape):
+        # A binary two-state channel with a 3-input or a 3-state p(x|s).
+        policy = InputPolicy(np.full(shape, 1.0 / shape[1]))
+        cfg = SimConfig(n=2, epsilon=0.3, rate_margin=0.1, trials=10, seed=0)
+        with pytest.raises(ValueError, match="policy alphabets"):
+            run_one_round_discussion(factorized_binary(), policy, cfg)
 
 
 class TestMutualInformation:
     def test_independent_pair_is_zero(self):
-        joint = JointPmf(("X", "Yr"), np.full((2, 2), 0.25))
-        assert mutual_information(joint, ["X"], ["Yr"]) == pytest.approx(0.0, abs=1e-12)
+        assert mi_bits(np.full((2, 2), 0.25)) == pytest.approx(0.0, abs=1e-12)
 
     def test_perfectly_correlated_pair_is_one_bit(self):
-        joint = JointPmf(("X", "Yr"), np.diag([0.5, 0.5]))
-        assert mutual_information(joint, ["X"], ["Yr"]) == pytest.approx(1.0, abs=1e-12)
+        assert mi_bits(np.diag([0.5, 0.5])) == pytest.approx(1.0, abs=1e-12)
 
     def test_symmetric_binary_channel_value(self):
         # Uniform input through BSC(0.1).  Oracle: direct evaluation of the
@@ -174,15 +109,9 @@ class TestMutualInformation:
                 p = joint_mat[x, y]
                 direct += p * math.log2(p / (0.5 * joint_mat.sum(axis=0)[y]))
         assert direct == pytest.approx(1 - h2(flip), abs=1e-12)
-        joint = JointPmf(("X", "Yr"), joint_mat)
-        value = mutual_information(joint, ["X"], ["Yr"])
+        value = float(mi_bits(joint_mat))
         assert value == pytest.approx(direct, abs=1e-12)
         assert value == pytest.approx(0.53100, abs=5e-6)
-
-    def test_overlapping_groups_rejected(self):
-        joint = JointPmf(("X", "Yr"), np.full((2, 2), 0.25))
-        with pytest.raises(ValueError):
-            mutual_information(joint, ["X"], ["X"])
 
     def test_subnormal_cell_gives_a_finite_value(self):
         # p(a) p(b) = 0.5 * 5e-324 underflows to 0 in float64.
@@ -192,54 +121,53 @@ class TestMutualInformation:
     def test_symmetry(self):
         rng = np.random.default_rng(3)
         for _ in range(5):
-            probs = rng.dirichlet(np.ones(8)).reshape(2, 2, 2)
-            joint = JointPmf(("X", "S", "Yr"), probs)
-            ab = mutual_information(joint, ["X"], ["S", "Yr"])
-            ba = mutual_information(joint, ["S", "Yr"], ["X"])
-            assert ab == pytest.approx(ba, abs=1e-12)
+            probs = rng.dirichlet(np.ones(8)).reshape(2, 4)
+            assert mi_bits(probs) == pytest.approx(mi_bits(probs.T), abs=1e-12)
+
+
+def conditional_mi(table):
+    """sum_c p(c) I(A;B|C=c) of a (c, a, b) table, by ``mi_bits`` on the
+    batch of conditional tables."""
+    p_c = table.sum(axis=(1, 2))
+    seen = p_c > 0
+    return float(p_c[seen] @ mi_bits(table[seen] / p_c[seen, None, None]))
 
 
 class TestConditionalMutualInformation:
+    # A batch of mi_bits rows weighted by p(c) is I(A;B|C), checked against
+    # the entropy-sum oracle.
     def test_irrelevant_conditioning(self):
         # C independent of (A, B): I(A;B|C) equals I(A;B).
         rng = np.random.default_rng(7)
         ab = rng.dirichlet(np.ones(4)).reshape(2, 2)
-        probs = ab[:, :, None] * np.array([0.3, 0.7])[None, None, :]
-        joint = JointPmf(("X", "Yr", "S"), probs)
-        cmi = conditional_mutual_information(joint, ["X"], ["Yr"], ["S"])
-        mi = mutual_information(joint, ["X"], ["Yr"])
-        assert cmi == pytest.approx(mi, abs=1e-12)
+        table = np.array([0.3, 0.7])[:, None, None] * ab
+        assert conditional_mi(table) == pytest.approx(float(mi_bits(ab)),
+                                                      abs=1e-12)
 
     def test_conditioning_on_duplicate_of_b_is_zero(self):
         # B duplicated on two axes: I(A; B | B-copy) = 0.
-        probs = np.zeros((2, 2, 2))
         rng = np.random.default_rng(9)
         ab = rng.dirichlet(np.ones(4)).reshape(2, 2)
-        for a in range(2):
-            for b in range(2):
-                probs[a, b, b] = ab[a, b]
-        joint = JointPmf(("X", "Yr", "Ye"), probs)
-        assert conditional_mutual_information(
-            joint, ["X"], ["Yr"], ["Ye"]) == pytest.approx(0.0, abs=1e-12)
+        table = np.zeros((2, 2, 2))
+        for b in range(2):
+            table[b, :, b] = ab[:, b]
+        assert conditional_mi(table) == pytest.approx(0.0, abs=1e-12)
 
     def test_fully_determined_given_c(self):
         # A = B = C uniform binary: I(A;B|C) = 0.
-        probs = np.zeros((2, 2, 2))
-        probs[0, 0, 0] = probs[1, 1, 1] = 0.5
-        joint = JointPmf(("U", "X", "S"), probs)
-        assert conditional_mutual_information(
-            joint, ["U"], ["X"], ["S"]) == pytest.approx(0.0, abs=1e-12)
+        table = np.zeros((2, 2, 2))
+        table[0, 0, 0] = table[1, 1, 1] = 0.5
+        assert conditional_mi(table) == pytest.approx(0.0, abs=1e-12)
 
-    def test_chain_identity_on_random_joints(self):
-        # I(A;B|C) = I(A;B,C) - I(A;C) within 1e-9.
+    def test_matches_the_entropy_oracle_on_random_joints(self):
         rng = np.random.default_rng(13)
-        for _ in range(20):
-            probs = rng.dirichlet(np.ones(24)).reshape(2, 3, 4)
-            joint = JointPmf(("U", "Yr", "Ye"), probs)
-            lhs = conditional_mutual_information(joint, ["U"], ["Yr"], ["Ye"])
-            rhs = (mutual_information(joint, ["U"], ["Yr", "Ye"])
-                   - mutual_information(joint, ["U"], ["Ye"]))
-            assert lhs == pytest.approx(rhs, abs=1e-9)
+        for k in range(20):
+            table = rng.dirichlet(np.ones(24)).reshape(4, 2, 3)
+            if k % 2:
+                table[rng.random(table.shape) < 0.3] = 0.0
+                table /= table.sum()
+            assert conditional_mi(table) == pytest.approx(
+                cmi_ref(table, [1], [2], [0]), abs=1e-12)
 
 
 class TestDataProcessingAndChainRule:
@@ -248,9 +176,9 @@ class TestDataProcessingAndChainRule:
         for _ in range(10):
             channel = random_channel(rng)
             policy = random_aux_policy(rng, channel)
-            joint = induce_joint(channel, policy)
-            i_u = mutual_information(joint, ["U"], ["Yr"])
-            i_xs = mutual_information(joint, ["X", "S"], ["Yr"])
+            p_xsr = joint_uxsre(channel, policy).sum(axis=(0, 4))
+            i_u = policy_mi_triple(channel, policy)[0]
+            i_xs = float(mi_bits(p_xsr.reshape(-1, channel.yr_size)))
             assert i_u <= i_xs + 1e-9
 
     def test_factorized_kernel_chain_identity(self):
@@ -260,13 +188,12 @@ class TestDataProcessingAndChainRule:
         channel = factorized_binary(0.12, 0.3)
         for _ in range(5):
             policy = random_aux_policy(rng, channel)
-            joint = induce_joint(channel, policy)
-            assert conditional_mutual_information(
-                joint, ["Yr"], ["Ye"], ["X", "S"]) <= 1e-10
-            lhs = conditional_mutual_information(joint, ["X", "S"], ["Yr"], ["Ye"])
-            rhs = (mutual_information(joint, ["X", "S", "Ye"], ["Yr"])
-                   - mutual_information(joint, ["Ye"], ["Yr"]))
-            assert lhs == pytest.approx(rhs, abs=1e-9)
+            p = joint_uxsre(channel, policy)
+            assert cmi_ref(p, [YR], [YE], [X, S]) <= 1e-10
+            p_xser = p.sum(axis=0).transpose(0, 1, 3, 2)
+            rhs = (mi_bits(p_xser.reshape(-1, channel.yr_size))
+                   - mi_bits(p_xser.sum(axis=(0, 1))))
+            assert cmi_ref(p, [X, S], [YR], [YE]) == pytest.approx(rhs, abs=1e-9)
 
 
 class TestAugmentReceiver:
@@ -297,11 +224,8 @@ class TestAugmentReceiver:
         channel = random_channel(rng)
         aug = augment_receiver(channel, "full_state")
         for _ in range(25):
-            policy = random_aux_policy(rng, channel)
-            joint = induce_joint(aug, policy)
-            slack = (mutual_information(joint, ["U"], ["Yr"])
-                     - mutual_information(joint, ["U"], ["S"]))
-            assert slack >= -1e-9
+            i_yr, _, i_s = policy_mi_triple(aug, random_aux_policy(rng, channel))
+            assert i_yr - i_s >= -1e-9
 
     def test_unknown_mode_rejected(self):
         rng = np.random.default_rng(37)
@@ -462,7 +386,6 @@ class TestAuxKernel:
 
 class TestEntropySign:
     def test_point_mass_has_positive_zero_entropy(self):
-        joint = JointPmf(("S", "X"), np.array([[1.0, 0.0], [0.0, 0.0]]))
-        for group in (["S"], ["S", "X"]):
-            h = entropy_bits(joint, group)
+        for probs in ([1.0, 0.0], [[1.0, 0.0], [0.0, 0.0]]):
+            h = _entropy(np.array(probs))
             assert h == 0.0 and math.copysign(1.0, h) == 1.0

@@ -10,17 +10,16 @@ import pytest
 
 from statekey import (AuxiliaryEncoderPolicy, BudgetError, CouplingFamily,
                       OptimizerConfig, StateChannel, augment_receiver,
-                      aux_policy_rate, dmc,
-                      discussion_capacity_if_markov, induce_joint,
+                      aux_policy_rate, dmc, discussion_capacity_if_markov,
                       lower_bound_discussion, lower_bound_no_discussion,
-                      mutual_information, secret_message_lower_bound,
-                      upper_bound_discussion, upper_bound_no_discussion)
+                      secret_message_lower_bound, upper_bound_discussion,
+                      upper_bound_no_discussion)
 from statekey.dmc import (LN2, _ASCENT_MAX_ITER, _ASCENT_TOL, _ascend_input,
                           _cell_entropy, _certified_value, _fw_gap,
                           _input_value_grad)
-from conftest import (bsc_matrix, constant_channel, degraded_binary_wiretap,
-                      factorized_binary, identical_outputs_channel,
-                      random_channel)
+from conftest import (S, U, YE, YR, bsc_matrix, cmi_ref, constant_channel,
+                      degraded_binary_wiretap, factorized_binary,
+                      identical_outputs_channel, joint_uxsre, random_channel)
 
 
 def h2(p):
@@ -39,6 +38,19 @@ def constant_u_policy(channel):
     return AuxiliaryEncoderPolicy(
         2, u_given_s, np.full((2, channel.s_size, channel.x_size),
                               1.0 / channel.x_size))
+
+
+def branch_one_value(res):
+    """max I(X,S;Yr) - I(Yr;Ye) of a ``lower_bound_discussion`` result,
+    whichever branch won."""
+    if res.diagnostics["discussion_branch"] == 1.0:
+        return res.value_bits
+    return res.diagnostics["discussion_value"]
+
+
+def certified_ceiling(up):
+    """What an ``upper_bound_discussion`` result certifies its maximum below."""
+    return up.value_bits + up.diagnostics["certificate_gap_bits"]
 
 
 def vertices(channel):
@@ -63,11 +75,9 @@ class TestLowerBoundNoDiscussion:
 
     def test_argmax_policy_is_feasible_and_consistent(self, degraded_channel):
         res = lower_bound_no_discussion(degraded_channel, CFG)
-        joint = induce_joint(degraded_channel, res.argmax_policy)
-        value = (mutual_information(joint, ["U"], ["Yr"])
-                 - mutual_information(joint, ["U"], ["Ye"]))
-        slack = (mutual_information(joint, ["U"], ["Yr"])
-                 - mutual_information(joint, ["U"], ["S"]))
+        p = joint_uxsre(degraded_channel, res.argmax_policy)
+        value = cmi_ref(p, [U], [YR]) - cmi_ref(p, [U], [YE])
+        slack = cmi_ref(p, [U], [YR]) - cmi_ref(p, [U], [S])
         assert value == pytest.approx(res.value_bits, abs=1e-12)
         assert slack >= -1e-9
 
@@ -797,10 +807,14 @@ class TestLowerBoundDiscussion:
         for trial in range(8):
             channel = random_channel(rng)
             cfg = OptimizerConfig(restarts=4, local_steps=30, seed=trial)
-            disc = lower_bound_discussion(
-                channel, lower_bound_no_discussion(channel, cfg))
             base = lower_bound_no_discussion(channel, cfg)
+            disc = lower_bound_discussion(channel, base)
             assert disc.value_bits >= base.value_bits - 1e-9
+            # The line above holds by construction; this one does not.  At
+            # every p(x|s) branch 1 is H(Yr|Ye) - H(Yr|X,S), at most the
+            # upper bound's objective H(Yr|Ye) - H(Yr|X,S,Ye).
+            assert branch_one_value(disc) <= \
+                certified_ceiling(upper_bound_discussion(channel)) + 1e-12
 
 
 class TestUpperBoundDiscussion:
@@ -871,6 +885,7 @@ class TestOrderingSuite:
             assert lb.value_bits <= ub.value_bits + 5e-3
             assert lbd.value_bits <= ubd.value_bits + 5e-3
             assert lbd.value_bits >= lb.value_bits - 1e-12
+            assert branch_one_value(lbd) <= certified_ceiling(ubd) + 1e-12
 
 
 class TestSymmetricSideInformation:

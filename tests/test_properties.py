@@ -15,12 +15,13 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from statekey import (AuxiliaryEncoderPolicy, BoundResult, StateChannel,
-                      entropy_bits, induce_joint, lower_bound_discussion)
+                      lower_bound_discussion)
 from statekey.channel import (aux_mi_partials, aux_mi_terms, mi_bits,
                               policy_mi_triple)
 from statekey.dmc import _cell_entropy, _input_value_grad, _search_score
 from statekey.sim import _typical_pairs
-from conftest import random_aux_policy, random_channel
+from conftest import (S, U, YE, YR, cmi_ref, joint_uxsre, random_aux_policy,
+                      random_channel)
 
 PROPERTY = settings(derandomize=True, max_examples=100, deadline=None)
 
@@ -67,11 +68,9 @@ def relabel(channel, policy, axis, perm):
 @case_args
 def test_triple_matches_the_entropy_identity(sizes, seed, deterministic):
     channel, policy = draw_case(sizes, seed, deterministic)
-    joint = induce_joint(channel, policy)
-    for value, other in zip(policy_mi_triple(channel, policy), ("Yr", "Ye", "S")):
-        identity = (entropy_bits(joint, ["U"]) + entropy_bits(joint, [other])
-                    - entropy_bits(joint, ["U", other]))
-        assert value == pytest.approx(identity, abs=1e-12)
+    p = joint_uxsre(channel, policy)
+    for value, other in zip(policy_mi_triple(channel, policy), (YR, YE, S)):
+        assert value == pytest.approx(cmi_ref(p, [U], [other]), abs=1e-12)
 
 
 @case_args
