@@ -11,8 +11,9 @@ from statekey import (AuxiliaryEncoderPolicy, InputPolicy, SimConfig,
 from statekey.channel import (_NORMAL_MIN, _entropy, _log_ratio,
                               aux_mi_partials, aux_mi_terms, mi_bits,
                               policy_mi_triple)
-from conftest import (S, X, YE, YR, bsc_matrix, cmi_ref, factorized_binary,
-                      joint_uxsre, random_aux_policy, random_channel)
+from conftest import (S, X, YE, YR, bsc_matrix, cmi_ref, entropy_ref,
+                      factorized_binary, joint_uxsre, random_aux_policy,
+                      random_channel)
 
 
 def h2(p):
@@ -72,6 +73,55 @@ class TestConstructionValidation:
         # Slightly-off mass must be rejected, not rescaled.
         with pytest.raises(ValueError):
             StateChannel.from_arrays([0.5 + 1e-6, 0.5], np.full((2, 2, 2, 2), 0.25))
+
+
+class TestOracle:
+    # The suite's reference joint and entropy sums, from conftest.
+    def test_deterministic_composition_is_diagonal(self):
+        channel = two_state_identity_channel()
+        u_given_s = np.eye(2)
+        x_given_us = np.zeros((2, 2, 2))
+        for u in range(2):
+            for s in range(2):
+                x_given_us[u, s, s] = 1.0
+        policy = AuxiliaryEncoderPolicy(2, u_given_s, x_given_us)
+        p = joint_uxsre(channel, policy)
+        for s in range(2):
+            assert p[s, s, s, s, s] == pytest.approx(0.5, abs=1e-15)
+        assert p.sum() == pytest.approx(1.0, abs=1e-12)
+        assert np.count_nonzero(p) == 2
+
+    def test_mass_preserved_on_random_inputs(self):
+        rng = np.random.default_rng(5)
+        for _ in range(10):
+            channel = random_channel(rng, yr_size=3, ye_size=2)
+            policy = random_aux_policy(rng, channel)
+            assert abs(joint_uxsre(channel, policy).sum() - 1.0) <= 1e-12
+
+    def test_all_uniform_binary_gives_constant_tensor(self):
+        kernel = np.full((2, 2, 2, 2), 0.25)
+        channel = StateChannel.from_arrays([0.5, 0.5], kernel)
+        policy = AuxiliaryEncoderPolicy(2, np.full((2, 2), 0.5),
+                                        np.full((2, 2, 2), 0.5))
+        assert np.allclose(joint_uxsre(channel, policy), 1.0 / 32.0,
+                           atol=1e-15)
+
+    def test_state_marginal_entropy(self):
+        # H(S) is the entropy of the state pmf; no axes at all give 0 bits.
+        rng = np.random.default_rng(11)
+        channel = random_channel(rng, s_size=3)
+        p = joint_uxsre(channel, random_aux_policy(rng, channel))
+        h_s = -sum(q * math.log2(q) for q in channel.state_pmf)
+        assert entropy_ref(p, [S]) == pytest.approx(h_s, abs=1e-12)
+        assert entropy_ref(p, []) == pytest.approx(0.0, abs=1e-15)
+
+    def test_symmetric_binary_channel_value(self):
+        # Uniform input through BSC(0.1), alone and beside an independent C.
+        ab = 0.5 * bsc_matrix(0.1)
+        abc = ab[:, :, None] * np.array([0.3, 0.7])
+        assert cmi_ref(ab, [0], [1]) == pytest.approx(1 - h2(0.1), abs=1e-12)
+        assert cmi_ref(abc, [0], [1], [2]) == pytest.approx(1 - h2(0.1),
+                                                            abs=1e-12)
 
 
 class TestAlphabetCheck:

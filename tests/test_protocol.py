@@ -20,10 +20,11 @@ from statekey.sim import (SimReport, TrialStreams, _cdf_columns, _draw,
                           _rng_stream, _trial_draws, _typicality,
                           is_jointly_typical, one_round_exact_leakage,
                           transmit)
-from conftest import (bsc_matrix, copy_encoder_policy, degraded_binary_wiretap,
+from conftest import (S, X, YE, YR, bsc_matrix, cmi_ref, copy_encoder_policy,
+                      degraded_binary_wiretap, entropy_ref,
                       erasure_eavesdropper_channel, factorized_binary,
-                      identity_channel, random_aux_policy, random_channel,
-                      uniform_input_policy)
+                      identity_channel, joint_uxsre, random_aux_policy,
+                      random_channel, uniform_input_policy)
 
 COPY_POLICY = copy_encoder_policy()
 
@@ -990,6 +991,77 @@ class TestTrialStreams:
                                      SimConfig(n=8, epsilon=0.4, rate_margin=0.2,
                                                trials=10_000, seed=42))
         assert calls == [(42, 0)]
+
+
+def one_round_rate_case(seed, deterministic):
+    """A random 3-input, 2-state, 3-output channel and a random or
+    deterministic p(x|s)."""
+    rng = np.random.default_rng(seed)
+    channel = random_channel(rng, x_size=3, yr_size=3)
+    if deterministic:
+        x_given_s = np.eye(3)[rng.integers(3, size=channel.s_size)]
+    else:
+        x_given_s = rng.dirichlet(np.ones(3), size=channel.s_size)
+    return channel, InputPolicy(x_given_s)
+
+
+def one_round_oracle(channel, policy):
+    """H(Yr|X,S), I(Yr;X,S) and I(Yr;Ye) of ``policy`` by entropy sums."""
+    constant_u = AuxiliaryEncoderPolicy(1, np.ones((channel.s_size, 1)),
+                                        policy.x_given_s[None])
+    p = joint_uxsre(channel, constant_u)
+    return (entropy_ref(p, [X, S, YR]) - entropy_ref(p, [X, S]),
+            cmi_ref(p, [YR], [X, S]), cmi_ref(p, [YR], [YE]))
+
+
+class TestOneRoundRates:
+    # The bin and sub-bin counts of a one-round run come from H(Yr|X,S),
+    # I(Yr;X,S) and I(Yr;Ye); each is checked against the entropy-sum oracle.
+    # Epsilon 1 makes all 27 sequences typical, so the typical set does not
+    # cap the bin count.
+    @pytest.mark.parametrize("deterministic", [False, True],
+                             ids=["random", "deterministic"])
+    def test_key_rate_matches_the_oracle(self, deterministic):
+        positive = 0
+        for seed in range(10):
+            channel, policy = one_round_rate_case(seed, deterministic)
+            cfg = SimConfig(n=3, epsilon=1.0, rate_margin=0.02, trials=1,
+                            seed=seed)
+            tables = _one_round_tables(channel, policy, cfg)
+            _, i_xs, i_e = one_round_oracle(channel, policy)
+            exponent = i_xs - i_e - cfg.rate_margin
+            assert tables.key_rate_target == pytest.approx(max(0.0, exponent),
+                                                           abs=1e-12)
+            assert tables.num_subbins == (
+                math.ceil(2.0 ** (cfg.n * exponent)) if exponent > 0 else 1)
+            positive += exponent > 0
+        assert positive >= 3
+
+    @pytest.mark.parametrize("deterministic", [False, True],
+                             ids=["random", "deterministic"])
+    def test_bin_count_matches_the_oracle(self, deterministic):
+        for seed in range(10):
+            channel, policy = one_round_rate_case(seed, deterministic)
+            cfg = SimConfig(n=3, epsilon=1.0, rate_margin=0.02, trials=1,
+                            seed=seed)
+            tables = _one_round_tables(channel, policy, cfg)
+            h_yr, _, _ = one_round_oracle(channel, policy)
+            assert np.all(tables.bin_of < tables.num_bins)
+            assert tables.num_bins == math.ceil(
+                2.0 ** (cfg.n * (h_yr + cfg.rate_margin)))
+            assert tables.num_bins < 27
+
+    @pytest.mark.parametrize("channel", [factorized_binary(0.0, 0.3),
+                                         identity_channel()],
+                             ids=["state", "no-state"])
+    def test_output_fixed_by_the_input_takes_the_margin_alone(self, channel):
+        # H(Yr|X,S) is exactly 0, so n * margin = 1 gives exactly 2 bins;
+        # an entropy of 1e-16 would give 3.
+        cfg = SimConfig(n=4, epsilon=0.3, rate_margin=0.25, trials=1, seed=0)
+        tables = _one_round_tables(channel, uniform_input_policy(channel), cfg)
+        assert one_round_oracle(channel, uniform_input_policy(channel))[0] \
+            == pytest.approx(0.0, abs=1e-15)
+        assert tables.num_bins == 2
 
 
 class TestOneRoundDiscussion:
