@@ -22,8 +22,8 @@ from .gaussian import (AuxRateResult, GapReport, GaussianAuxParams,
                        GaussianParams, capacity_discussion, gap_analysis,
                        lb_no_discussion, rate_aux_surface, rho_star,
                        ub_no_discussion)
-from .sim import (BinningCodebook, CodebookRates, SimConfig, SimReport,
-                  build_codebook, decode, encode, exact_leakage,
-                  run_no_discussion, run_one_round_discussion)
+from .sim import (BinningCodebook, SimConfig, SimReport, build_codebook,
+                  decode, encode, exact_leakage, run_no_discussion,
+                  run_one_round_discussion)
 
 __version__ = "0.1.0"

@@ -15,24 +15,25 @@ Two modes are implemented at tiny block lengths:
 
 Typicality is the strong (empirical-count) kind: every cell of the joint
 empirical distribution must lie within ``epsilon`` of the model pmf, and
-cells with zero model probability must be unoccupied.  ``_typicality``
-prepares the test once per (pmf, n, epsilon): it checks the count bands once,
+cells with zero model probability must be unoccupied.  ``_Typicality``
+prepares the test of one (pmf, n, epsilon): it checks the count bands once,
 then holds a batch of candidate rows against a batch of fixed rows with one
 0/1 product for all zero cells, one count per fixed row for a column with one
-positive cell, and one product for each other cell whose band can fail.  The
-encoder, the exact leakage, the one-round typical set and reconstruction (where
-ambiguity is an error) and ``is_jointly_typical`` all use it.  The no-discussion
-decoder is bin-wise maximum likelihood under the single-letter law
-p(yr | u): it reads no ``epsilon``, and a tie between bins counts as an
+positive cell, and one product for each other cell whose band can fail.  A
+run builds each of its tests once, in its run tables: the encoder's, the
+one-round typical set's and the reconstruction's (where ambiguity is an
+error); the exact leakage builds its own.  The no-discussion decoder is
+bin-wise maximum likelihood under the single-letter law p(yr | u): it reads
+no ``epsilon``, ``decode`` returns keys, and a tie between bins counts as an
 error.  When the encoder finds no typical codeword it falls back to a
 uniformly random codeword (counted in ``encode_failure_rate``); the
 exact-leakage enumeration applies the same fallback law.  Exact leakage
 applies each codeword's Kronecker product one mode at a time, never forming
 it: about count · n · max(|S|, |Ye|)^n multiply-adds, in chunks of codewords.
 Leakage is always exact, in both modes.  A run whose leakage would take more
-than ``MAX_LEAKAGE_MULADDS`` multiply-adds, or hold more than
-``MAX_LEAKAGE_BYTES`` of weights and key × view table, raises
-``BudgetError`` before its first trial.
+than ``MAX_LEAKAGE_MULADDS`` multiply-adds, or whose leakage arrays or
+encoder and decoder tables would hold more than ``MAX_LEAKAGE_BYTES``,
+raises ``BudgetError`` before its first trial.
 
 Every operation is a pure function of (inputs, seed): replays are
 bit-identical, and trial t owns the random stream ``_rng_stream(seed, 1, t)``.
@@ -63,16 +64,16 @@ a few floats per (trial, codeword) pair in the decoder, at most
 test, and the raw words and uniforms.
 
 Each chunk runs in one call (``_no_disc_chunk``, ``_one_round_chunk``) that
-returns only counts, so no array of a chunk is alive while the next one
-builds its stream words.  When the loop bodies held their arrays until the
-next chunk replaced them, a no-discussion run of one chunk peaked 30 %
-below a run of 20 on the benchmark configuration (0.67 against 0.87 MB,
-traced): the second chunk, not the number of trials, set the peak.  A chunk
-is sized to its largest per-trial temporary: two floats per stream word,
-the decoder's floats per codeword (budgeted as four), or the channel draw's
-n |Yr| |Ye| floats.  One-round reconstruction splits each public bin's
-members and trials to the same budget.  Run memory therefore does not grow
-with the number of trials.
+returns only counts to ``_sum_chunks``, so no array of a chunk is alive
+while the next one builds its stream words.  When the loop bodies held their
+arrays until the next chunk replaced them, a no-discussion run of one chunk
+peaked 30 % below a run of 20 on the benchmark configuration (0.67 against
+0.87 MB, traced): the second chunk, not the number of trials, set the peak.
+A chunk is sized to its largest per-trial temporary: two floats per stream
+word, the decoder's floats per codeword (budgeted as four), or the channel
+draw's n |Yr| |Ye| floats.  One-round reconstruction splits each public
+bin's members and trials to the same budget.  Run memory therefore does not
+grow with the number of trials.
 """
 
 from __future__ import annotations
@@ -129,32 +130,26 @@ class SimConfig:
 
 
 @dataclass(frozen=True)
-class CodebookRates:
-    total_rate: float
-    key_rate: float
-    per_bin_rate: float
-
-
-@dataclass(frozen=True)
 class BinningCodebook:
     """u-sequence codebook with its random bin structure.
 
-    ``sequences`` has shape (count, n); ``bin_of`` maps sequence index to bin
-    index.  Rates are bits per symbol with total_rate = key_rate + per_bin_rate.
+    ``sequences`` has shape (count, n), both positive; ``bin_of`` maps
+    sequence index to bin index.  The rates are bits per symbol, derived
+    from the sizes: total_rate = key_rate + per_bin_rate.
     """
 
     sequences: np.ndarray
     bin_of: np.ndarray
     num_bins: int
-    rates: CodebookRates
 
     def __post_init__(self):
         seqs = np.array(self.sequences, dtype=np.int64, copy=True)
         bins = np.array(self.bin_of, dtype=np.int64, copy=True)
-        if seqs.ndim != 2 or bins.shape != (seqs.shape[0],):
-            raise ValueError("sequences must be (count, n) and bin_of (count,)")
+        if seqs.ndim != 2 or not seqs.size or bins.shape != (seqs.shape[0],):
+            raise ValueError("sequences must be a nonempty (count, n) and "
+                             "bin_of (count,)")
         check_integer("num_bins", self.num_bins, 1)
-        if bins.size and (bins.min() < 0 or bins.max() >= self.num_bins):
+        if bins.min() < 0 or bins.max() >= self.num_bins:
             raise ValueError("bin indices out of range")
         if seqs.shape[0] >= self.num_bins and np.unique(bins).size != self.num_bins:
             raise ValueError("every bin must be nonempty when count >= num_bins")
@@ -171,14 +166,23 @@ class BinningCodebook:
     def n(self) -> int:
         return self.sequences.shape[1]
 
+    @property
+    def total_rate(self) -> float:
+        return math.log2(self.count) / self.n
+
+    @property
+    def key_rate(self) -> float:
+        return math.log2(self.num_bins) / self.n
+
+    @property
+    def per_bin_rate(self) -> float:
+        return self.total_rate - self.key_rate
+
     def with_singleton_bins(self) -> "BinningCodebook":
         """View of the same codebook keyed by the codeword index itself."""
-        total = math.log2(max(1, self.count)) / self.n
-        return BinningCodebook(
-            sequences=self.sequences,
-            bin_of=np.arange(self.count),
-            num_bins=max(1, self.count),
-            rates=CodebookRates(total, total, 0.0))
+        return BinningCodebook(sequences=self.sequences,
+                               bin_of=np.arange(self.count),
+                               num_bins=self.count)
 
 
 @dataclass(frozen=True)
@@ -190,15 +194,6 @@ class EncodeResult:
     index: np.ndarray       # (trials,)
     x_seq: np.ndarray       # (trials, n)
     typical: np.ndarray     # (trials,) bool
-
-
-@dataclass(frozen=True)
-class DecodeResult:
-    """Per trial: the decoded key and the most likely codeword in its bin;
-    both are -1 where decoding failed."""
-
-    index: np.ndarray       # (trials,)
-    key: np.ndarray         # (trials,)
 
 
 @dataclass(frozen=True)
@@ -407,6 +402,18 @@ def _chunk_rows(row_bytes: int) -> int:
     return max(1, _TRIAL_CHUNK_BYTES // max(1, row_bytes))
 
 
+def _sum_chunks(chunk, trials: int, row_bytes: int) -> list:
+    """The counts ``chunk(t)`` returns, summed one by one over consecutive
+    ranges t of ``_chunk_rows(row_bytes)`` of the trials 0, ..., trials - 1:
+    none of a chunk's arrays is alive while the next one runs."""
+    step, totals = _chunk_rows(row_bytes), None
+    for lo in range(0, trials, step):
+        counts = chunk(np.arange(lo, min(lo + step, trials)))
+        totals = counts if totals is None else [a + b for a, b in
+                                                zip(totals, counts)]
+    return totals
+
+
 def _sequences(alphabet: int, n: int, lo: int, hi: int) -> np.ndarray:
     """Sequences lo, ..., hi - 1 of alphabet^n in lexicographic order (the
     order of ``itertools.product``), shape (hi - lo, n)."""
@@ -416,7 +423,7 @@ def _sequences(alphabet: int, n: int, lo: int, hi: int) -> np.ndarray:
 
 class _Typicality:
     """Strong typicality against pmf[a, b] at block length n and slack eps,
-    prepared once per (pmf, n, eps) by ``_typicality``.
+    prepared once; a run keeps its tests in its run tables.
 
     A cell's count c passes if |c / n - pmf| <= eps + 1e-12, and only c = 0
     if pmf is 0, so each cell admits an interval [lo, hi] (empty if
@@ -436,6 +443,7 @@ class _Typicality:
     """
 
     def __init__(self, pmf: np.ndarray, n: int, eps: float):
+        pmf = np.asarray(pmf, dtype=float)
         flat = pmf.ravel()
         c = np.arange(n + 1)[:, None]
         admitted = (np.abs(c / n - flat) <= eps + 1e-12) & ((flat > 0) | (c == 0))
@@ -459,7 +467,7 @@ class _Typicality:
         cells = {}                  # b -> [(a, lo, hi)], the pair-wise cells
         for a, b in zip(*np.nonzero(bounded & ~single)):
             cells.setdefault(int(b), []).append((int(a), lo[a, b], hi[a, b]))
-        # One prepared test serves every caller, so nothing in it may change.
+        # One prepared test serves every chunk, so nothing in it may change.
         self.cells = tuple((b, tuple(c)) for b, c in cells.items())
         for table in (self.zero, self.zero_at, self.row_cols, self.row_lo,
                       self.row_hi):
@@ -509,25 +517,11 @@ def _indicators(rows: np.ndarray, size: int) -> np.ndarray:
     return (rows[:, None, :] == np.arange(size)[:, None]).astype(float)
 
 
-@functools.lru_cache(maxsize=16)
-def _prepared_typicality(pmf_bytes: bytes, shape: tuple, n: int,
-                         eps: float) -> _Typicality:
-    """``_typicality``'s cache, keyed by the bytes of the pmf."""
-    return _Typicality(np.frombuffer(pmf_bytes).reshape(shape), n, eps)
-
-
-def _typicality(pmf: np.ndarray, n: int, eps: float) -> _Typicality:
-    """The prepared typicality test of (pmf, n, eps), built on its first use
-    and shared by every later call with equal arguments."""
-    pmf = np.ascontiguousarray(pmf, dtype=float)
-    return _prepared_typicality(pmf.tobytes(), pmf.shape, n, float(eps))
-
-
 def _typical_pairs(rows: np.ndarray, fixed: np.ndarray, pmf: np.ndarray,
                    eps: float) -> np.ndarray:
     """(trials, m) strong typicality of each rows[i] (m, n) against each
     fixed[t] (trials, n) under pmf[a, b], in one call of ``_Typicality``."""
-    test = _typicality(pmf, rows.shape[1], eps)
+    test = _Typicality(pmf, rows.shape[1], eps)
     return test.pairs(_indicators(rows, test.a_size), fixed)
 
 
@@ -610,11 +604,7 @@ def build_codebook(channel: StateChannel, policy: AuxiliaryEncoderPolicy,
     sequences = rng.choice(policy.u_size, size=(count, n), p=p_u)
     bin_of = np.empty(count, dtype=np.int64)
     bin_of[rng.permutation(count)] = np.arange(count) % bins
-    total_rate = math.log2(count) / n
-    key_rate = math.log2(bins) / n
-    return BinningCodebook(
-        sequences=sequences, bin_of=bin_of, num_bins=bins,
-        rates=CodebookRates(total_rate, key_rate, total_rate - key_rate))
+    return BinningCodebook(sequences=sequences, bin_of=bin_of, num_bins=bins)
 
 
 @dataclass(frozen=True)
@@ -625,13 +615,13 @@ class _NoDiscTables:
     The cdf tables are ``_cdf_columns``, read by ``_draw``: p(s) has one
     cell (0), p(x | u, s) one per (u, s) coded u * |S| + s, and the kernel
     one per (x, s), see ``_kernel_columns``.  ``codewords`` are the
-    codebook's candidates for the encoder's typicality test.  The decoder's
+    codebook's candidates for the encoder's test ``typical``.  The decoder's
     terms hold n |Yr| floats per codeword c: row i |Yr| + y is
     log p(y | u_ci), with 0 in place of -inf where p(u_ci, y) = 0, and
     ``yr_zero`` marks those cells with 1.0 (None when the law has none).
     """
 
-    p_us: np.ndarray            # p(u, s), the encoder's typicality pmf
+    typical: _Typicality        # strong typicality against p(u, s)
     codewords: np.ndarray       # (count, u, n), _indicators of the codebook
     x_cols: np.ndarray          # cdf columns of p(x | u, s), (x - 1, u * s)
     state_cols: np.ndarray      # cdf columns of p(s), shape (s - 1, 1)
@@ -641,19 +631,26 @@ class _NoDiscTables:
 
 
 def _no_disc_tables(channel: StateChannel, policy: AuxiliaryEncoderPolicy,
-                    codebook: BinningCodebook) -> _NoDiscTables:
+                    codebook: BinningCodebook, epsilon: float) -> _NoDiscTables:
+    """The run tables; BudgetError if they would exceed MAX_LEAKAGE_BYTES."""
     joint = _joint_u_yr(channel, policy)
     p_u = np.maximum(joint.sum(axis=1, keepdims=True), _TINY)
     with np.errstate(divide="ignore"):
         log_yr_given_u = np.log(joint / p_u)
     zero = np.isneginf(log_yr_given_u)
+    held = 8 * codebook.count * codebook.n * (
+        policy.u_size + channel.yr_size * (1 + bool(zero.any())))
+    if held > MAX_LEAKAGE_BYTES:
+        raise BudgetError(
+            f"the encoder and decoder tables need {held} bytes (limit "
+            f"{MAX_LEAKAGE_BYTES}); reduce n or increase rate_margin")
 
     def terms(table):           # (u, yr) -> (n * yr, count)
         return np.ascontiguousarray(
             table[codebook.sequences].reshape(codebook.count, -1).T)
 
     return _NoDiscTables(
-        p_us=_joint_u_s(channel, policy),
+        typical=_Typicality(_joint_u_s(channel, policy), codebook.n, epsilon),
         codewords=_indicators(codebook.sequences, policy.u_size),
         x_cols=_cdf_columns(policy.x_given_us.reshape(-1, channel.x_size)),
         state_cols=_cdf_columns(channel.state_pmf[None]),
@@ -663,7 +660,7 @@ def _no_disc_tables(channel: StateChannel, policy: AuxiliaryEncoderPolicy,
 
 
 def encode(codebook: BinningCodebook, tables: _NoDiscTables, s_seqs,
-           epsilon: float, streams: TrialStreams) -> EncodeResult:
+           streams: TrialStreams) -> EncodeResult:
     """Per trial, pick a codeword jointly typical with s^n, then sample x^n.
 
     ``s_seqs`` is (trials, n), and row t of ``streams`` is trial t's stream.
@@ -671,16 +668,15 @@ def encode(codebook: BinningCodebook, tables: _NoDiscTables, s_seqs,
     qualifies (an encode failure, reported in ``typical`` and not raised) it
     is drawn uniformly from the whole codebook.  Each stream draws its pick,
     then the n uniforms of x^n; x_i is drawn by ``_draw`` from the cell
-    u_i * |S| + s_i of ``tables.x_cols``.  The typicality test reads the
-    codewords from ``tables``, which must be built for this codebook.
+    u_i * |S| + s_i of ``tables.x_cols``.  The typicality test and the
+    codewords are read from ``tables``, which must be built for this codebook.
     """
     s_seqs = np.asarray(s_seqs, dtype=np.int64)
     if s_seqs.shape != (len(streams), codebook.n):
         raise ValueError(f"s_seqs must have shape ({len(streams)}, {codebook.n})")
     if tables.codewords.shape[::2] != codebook.sequences.shape:
         raise ValueError("tables were built for another codebook")
-    mask = _typicality(tables.p_us, codebook.n, epsilon).pairs(tables.codewords,
-                                                               s_seqs)
+    mask = tables.typical.pairs(tables.codewords, s_seqs)
     sizes = mask.sum(axis=1)
     picks = streams.integers(np.where(sizes > 0, sizes, codebook.count))
     uniforms = streams.random(codebook.n)
@@ -688,21 +684,20 @@ def encode(codebook: BinningCodebook, tables: _NoDiscTables, s_seqs,
     # The pick-th typical codeword is where the running count passes pick.
     nth = (mask.cumsum(axis=1) > picks[:, None]).argmax(axis=1)
     index = np.where(typical, nth, picks)
-    cells = codebook.sequences[index] * tables.p_us.shape[1] + s_seqs
+    cells = codebook.sequences[index] * tables.typical.b_size + s_seqs
     return EncodeResult(index=index, x_seq=_draw(tables.x_cols, cells, uniforms),
                         typical=typical)
 
 
 def decode(codebook: BinningCodebook, tables: _NoDiscTables,
-           yr_seqs) -> DecodeResult:
+           yr_seqs) -> np.ndarray:
     """Maximum-likelihood key per trial: the bin whose codewords best
     explain the row of ``yr_seqs`` (shape (trials, n)).
 
     Each codeword u^n scores prod_i p(yr_i | u_i) under the single-letter law
     p(u, yr); the scores are summed per bin, in codeword order, and the bin
-    with the largest sum is the key.  ``index`` is the most likely codeword
-    inside that bin.  A tie for the top bin sum, or zero likelihood for
-    every codeword, is a decode failure (key and index -1).
+    with the largest sum is the key.  A tie for the top bin sum, or zero
+    likelihood for every codeword, is a decode failure (key -1).
 
     The log-likelihoods of all (trial, codeword) pairs are one matrix
     product: the trials' yr^n one-hot, (trials, n |Yr|) with a 1 at column
@@ -739,9 +734,7 @@ def decode(codebook: BinningCodebook, tables: _NoDiscTables,
     # after rounding; a bin that close to the top is a tie, not a loss.
     best = bin_sums[np.arange(trials), key][:, None]
     ok = live & (np.count_nonzero(bin_sums >= best * (1.0 - 1e-12), axis=1) == 1)
-    in_bin = np.where(codebook.bin_of == key[:, None], log_lik, -np.inf)
-    return DecodeResult(index=np.where(ok, in_bin.argmax(axis=1), -1),
-                        key=np.where(ok, key, -1))
+    return np.where(ok, key, -1)
 
 
 def transmit(channel: StateChannel, kernel_cols: np.ndarray, x_seqs, s_seqs,
@@ -757,7 +750,8 @@ def transmit(channel: StateChannel, kernel_cols: np.ndarray, x_seqs, s_seqs,
 def _check_leakage_cost(rows: int, n: int, a: int, c: int, floats: int) -> None:
     """Refuse an exact leakage over budget: ``_add_kron_rows`` over ``rows``
     rows of n (a, c) factors takes about rows · n · max(a, c)^n multiply-adds,
-    and ``floats`` counts the weights and the key × view table it holds."""
+    and ``floats`` counts the arrays it holds: the weights, the key × view
+    table and any candidate indicators."""
     muladds, held = rows * n * max(a, c) ** n, 8 * floats
     if muladds > MAX_LEAKAGE_MULADDS or held > MAX_LEAKAGE_BYTES:
         raise BudgetError(
@@ -804,7 +798,8 @@ def exact_leakage(codebook: BinningCodebook, channel: StateChannel,
     c adds v_c (M_c1 ⊗ ... ⊗ M_cn) to its bin, with v_c[s^n] = p(s^n) w(s^n, c)
     and M_ci[s, ye] = p(ye | u_ci, s), applied mode by mode in about
     count · n · max(|S|, |Ye|)^n multiply-adds, plus count · |S|^n floats
-    for v.  This is the module's ground-truth secrecy oracle.  A constant
+    for v and count · |U| · n for the codeword indicators of the typicality
+    test.  This is the module's ground-truth secrecy oracle.  A constant
     view (one ye symbol whatever x and s are) leaks nothing and costs
     nothing; any other raises ``BudgetError`` over the leakage budget,
     before any work.
@@ -814,15 +809,14 @@ def exact_leakage(codebook: BinningCodebook, channel: StateChannel,
         return 0.0
     n = codebook.n
     _check_leakage_cost(codebook.count, n, channel.s_size, channel.ye_size,
-                        codebook.count * channel.s_size ** n
+                        codebook.count * (channel.s_size ** n + policy.u_size * n)
                         + codebook.num_bins * channel.ye_size ** n)
-    p_us = _joint_u_s(channel, policy)
     p_ye_us = np.einsum("usx,xse->use", policy.x_given_us,   # x summed out
                         p_ye_xs)
     states = channel.s_size ** n
     weights = np.empty((codebook.count, states))
     log_ps = np.log(np.maximum(channel.state_pmf, 1e-300))
-    test = _typicality(p_us, n, cfg.epsilon)
+    test = _Typicality(_joint_u_s(channel, policy), n, cfg.epsilon)
     codewords = _indicators(codebook.sequences, test.a_size)
     step = _chunk_rows(8 * max(codebook.count, n))   # a float share per pair
     for lo in range(0, states, step):
@@ -851,12 +845,11 @@ def _no_disc_chunk(channel: StateChannel, codebook: BinningCodebook,
     n = cfg.n
     streams = TrialStreams(cfg.seed, (1,), trials, 3 * n + 1)
     s_seqs = _draw(tables.state_cols, 0, streams.random(n))
-    enc = encode(codebook, tables, s_seqs, cfg.epsilon, streams)
+    enc = encode(codebook, tables, s_seqs, streams)
     yr_seqs, _ = transmit(channel, tables.kernel_cols, enc.x_seq, s_seqs,
                           streams.random(n))
     keys = codebook.bin_of[enc.index]
-    dec = decode(codebook, tables, yr_seqs)
-    return (int(np.count_nonzero(dec.key != keys)),
+    return (int(np.count_nonzero(decode(codebook, tables, yr_seqs) != keys)),
             int(np.count_nonzero(~enc.typical)),
             np.bincount(keys, minlength=codebook.num_bins))
 
@@ -871,26 +864,18 @@ def run_no_discussion(channel: StateChannel, policy: AuxiliaryEncoderPolicy,
     (3n + 1 per trial), the decoder's four floats per codeword, or the
     channel draw's n |Yr| |Ye| floats.
     Disagreement counts decode failures (tied bins, or no codeword with
-    nonzero likelihood) as well as key mismatches.  Exact leakage is
-    computed right after the codebook, so a run over the leakage budget
-    raises ``BudgetError`` before its first trial.
+    nonzero likelihood) as well as key mismatches.  The exact leakage and
+    the run tables' byte check follow the codebook, so a run over either
+    budget raises ``BudgetError`` before its first trial.
     """
     codebook = build_codebook(channel, policy, cfg)
     leakage = exact_leakage(codebook, channel, policy, cfg)
-    tables = _no_disc_tables(channel, policy, codebook)
+    tables = _no_disc_tables(channel, policy, codebook, cfg.epsilon)
     n = cfg.n
-    disagreements = 0
-    encode_failures = 0
-    key_counts = np.zeros(codebook.num_bins, dtype=np.int64)
-    step = _chunk_rows(8 * max(2 * (3 * n + 1), 4 * codebook.count,
-                               n * channel.yr_size * channel.ye_size))
-    for lo in range(0, cfg.trials, step):
-        missed, failed, keys = _no_disc_chunk(
-            channel, codebook, tables, cfg,
-            np.arange(lo, min(lo + step, cfg.trials)))
-        disagreements += missed
-        encode_failures += failed
-        key_counts += keys
+    disagreements, encode_failures, key_counts = _sum_chunks(
+        functools.partial(_no_disc_chunk, channel, codebook, tables, cfg),
+        cfg.trials, 8 * max(2 * (3 * n + 1), 4 * codebook.count,
+                            n * channel.yr_size * channel.ye_size))
     achieved = _entropy(key_counts / cfg.trials) / cfg.n
     return SimReport(
         disagreement_prob=disagreements / cfg.trials,
@@ -901,8 +886,8 @@ def run_no_discussion(channel: StateChannel, policy: AuxiliaryEncoderPolicy,
         diagnostics={
             "num_sequences": float(codebook.count),
             "num_bins": float(codebook.num_bins),
-            "total_rate": codebook.rates.total_rate,
-            "key_rate": codebook.rates.key_rate,
+            "total_rate": codebook.total_rate,
+            "key_rate": codebook.key_rate,
             "trials": float(cfg.trials),
         })
 
@@ -938,7 +923,7 @@ class _OneRoundTables:
     sub_of: np.ndarray          # key sub-bin per sequence
     num_bins: int
     num_subbins: int
-    p_yr_xs: np.ndarray         # p(yr, (x, s)) single-letter
+    recon: _Typicality          # strong typicality against p(yr, (x, s))
     state_cols: np.ndarray      # cdf columns of p(s), shape (s - 1, 1)
     x_cols: np.ndarray          # cdf columns of p(x | s), shape (x - 1, s)
     kernel_cols: np.ndarray     # see _kernel_columns
@@ -972,7 +957,7 @@ def _one_round_tables(channel: StateChannel, policy: InputPolicy,
     p_yr = p.sum(axis=(0, 1, 3))
     # The marginal test: each sequence against one all-zero row, in pieces
     # that keep the candidate matrices within the chunk budget.
-    test = _typicality(p_yr[:, None], n, cfg.epsilon)
+    test = _Typicality(p_yr[:, None], n, cfg.epsilon)
     step = _chunk_rows(8 * channel.yr_size * n)
     typ_idx = np.flatnonzero(np.concatenate([
         test.pairs(_indicators(all_yr[lo:lo + step], test.a_size),
@@ -993,7 +978,7 @@ def _one_round_tables(channel: StateChannel, policy: InputPolicy,
                            by_bin=np.argsort(bin_of, kind="stable"),
                            bin_starts=bin_starts, sub_of=sub_of,
                            num_bins=num_bins, num_subbins=num_subbins,
-                           p_yr_xs=p_yr_xs,
+                           recon=_Typicality(p_yr_xs, n, cfg.epsilon),
                            state_cols=_cdf_columns(channel.state_pmf[None]),
                            x_cols=_cdf_columns(policy.x_given_s),
                            kernel_cols=_kernel_columns(channel),
@@ -1001,10 +986,10 @@ def _one_round_tables(channel: StateChannel, policy: InputPolicy,
 
 
 def _reconstruct(tables: _OneRoundTables, xs_seqs: np.ndarray,
-                 published: np.ndarray, epsilon: float) -> np.ndarray:
+                 published: np.ndarray) -> np.ndarray:
     """Per trial, the unique member of its published bin jointly typical
-    with its (x, s) pairs, coded x * |S| + s in ``xs_seqs`` (trials, n);
-    -1 where no member or several are.
+    with its (x, s) pairs, coded x * |S| + s in ``xs_seqs`` (trials, n),
+    under the test ``tables.recon``; -1 where no member or several are.
 
     One stable argsort groups the trials by bin, and ``tables.by_bin``
     holds each bin's members.  A bin's members go in pieces whose candidate
@@ -1013,21 +998,20 @@ def _reconstruct(tables: _OneRoundTables, xs_seqs: np.ndarray,
     the hit members' indices add up over the pieces, so a lone hit's sum is
     that member.
     """
-    test = _typicality(tables.p_yr_xs, xs_seqs.shape[1], epsilon)
     hits = np.zeros(len(published), dtype=np.int64)
     hit_sum = np.zeros(len(published), dtype=np.int64)
     order = np.argsort(published, kind="stable")
     bins, starts = np.unique(published[order], return_index=True)
-    member_step = _chunk_rows(8 * test.a_size * xs_seqs.shape[1])
+    member_step = _chunk_rows(8 * tables.recon.a_size * xs_seqs.shape[1])
     for b, start, end in zip(bins, starts, [*starts[1:], len(order)]):
         members = tables.by_bin[tables.bin_starts[b]:tables.bin_starts[b + 1]]
         for lo in range(0, len(members), member_step):
             piece = members[lo:lo + member_step]
-            cand = _indicators(tables.all_yr[piece], test.a_size)
+            cand = _indicators(tables.all_yr[piece], tables.recon.a_size)
             step = _chunk_rows(_PAIR_BYTES * len(piece))
             for first in range(start, end, step):
                 trials = order[first:min(first + step, end)]
-                ok = test.pairs(cand, xs_seqs[trials])
+                ok = tables.recon.pairs(cand, xs_seqs[trials])
                 hits[trials] += ok.sum(axis=1)
                 hit_sum[trials] += ok @ piece
     return np.where(hits == 1, hit_sum, -1)
@@ -1072,7 +1056,7 @@ def _one_round_chunk(channel: StateChannel, tables: _OneRoundTables,
     yr_index = yr_seqs @ channel.yr_size ** np.arange(n - 1, -1, -1)
     receiver_keys = tables.sub_of[yr_index]
     recon = _reconstruct(tables, x_seqs * channel.s_size + s_seqs,
-                         tables.bin_of[yr_index], cfg.epsilon)
+                         tables.bin_of[yr_index])
     found = recon >= 0
     failures = int(np.count_nonzero(~found))
     return (failures + int(np.count_nonzero(
@@ -1098,18 +1082,9 @@ def run_one_round_discussion(channel: StateChannel, policy: InputPolicy,
     """
     tables = _one_round_tables(channel, policy, cfg)
     n = cfg.n
-    disagreements = 0
-    recon_failures = 0
-    unique_correct = 0
-    key_counts = np.zeros(tables.num_subbins, dtype=np.int64)
-    step = _chunk_rows(8 * n * max(channel.yr_size * channel.ye_size, 6))
-    for lo in range(0, cfg.trials, step):
-        missed, failed, correct, keys = _one_round_chunk(
-            channel, tables, cfg, np.arange(lo, min(lo + step, cfg.trials)))
-        disagreements += missed
-        recon_failures += failed
-        unique_correct += correct
-        key_counts += keys
+    disagreements, recon_failures, unique_correct, key_counts = _sum_chunks(
+        functools.partial(_one_round_chunk, channel, tables, cfg), cfg.trials,
+        8 * n * max(channel.yr_size * channel.ye_size, 6))
     unique_lookups = cfg.trials - recon_failures
     leakage = one_round_exact_leakage(tables, channel, policy, cfg)
     achieved = _entropy(key_counts / cfg.trials) / n

@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from statekey import SimConfig, build_codebook, cli, dmc, exact_leakage
+from statekey import (SimConfig, StateChannel, build_codebook, cli, dmc,
+                      exact_leakage, sim)
 from statekey.cli import (CliInputError, channel_from_dict, channel_to_dict,
                           db_to_linear, default_aux_policy, load_channel, main,
                           save_channel)
@@ -17,6 +18,21 @@ from conftest import (constant_channel, copy_encoder_policy,
 
 def h2(p):
     return -p * math.log2(p) - (1 - p) * math.log2(1 - p)
+
+
+def modular_files(tmp_path, x_size, ye_size, u_size):
+    """Channel and policy files: no state, yr = x, ye = x mod ye_size, and a
+    uniform u sent as x = u mod x_size."""
+    kernel = np.zeros((x_size, 1, x_size, ye_size))
+    xs = np.arange(x_size)
+    kernel[xs, 0, xs, xs % ye_size] = 1.0
+    x_given_us = np.zeros((u_size, 1, x_size))
+    x_given_us[np.arange(u_size), 0, np.arange(u_size) % x_size] = 1.0
+    channel, policy = tmp_path / "modular.json", tmp_path / "policy.json"
+    save_channel(StateChannel.from_arrays([1.0], kernel), str(channel))
+    policy.write_text(json.dumps({"u_given_s": [[1 / u_size] * u_size],
+                                  "x_given_us": x_given_us.tolist()}))
+    return str(channel), str(policy)
 
 
 @pytest.fixture
@@ -127,6 +143,29 @@ class TestExitCodes:
         assert rc == 3
         err = capsys.readouterr().err
         assert "budget" in err.lower() and "multiply-adds" in err
+
+    @pytest.mark.parametrize("sizes, n, margin, refusal", [
+        # 456,420 codewords over 256 symbols, whose indicators (count * |U|
+        # * n floats) would take 6.96 GiB in the exact leakage, which is
+        # within its multiply-adds.
+        ((8, 2, 256), 8, 0.65, "exact leakage"),
+        # A constant view leaks 0 with no enumeration, but the run tables
+        # of 131,072 codewords would take 400 MiB, 320 of them indicators.
+        # (At margin 0.01, 912,839 codewords would take 2.18 GiB of
+        # indicators; the codebook draw alone then takes about 1.5 s.)
+        ((2, 1, 16), 20, 0.15, "encoder and decoder tables"),
+    ], ids=["octal", "constant-view"])
+    def test_codeword_tables_over_budget_exit_code(self, tmp_path, monkeypatch,
+                                                  capsys, sizes, n, margin,
+                                                  refusal):
+        calls = []
+        monkeypatch.setattr(sim, "_indicators", lambda *args: calls.append(args))
+        channel, policy = modular_files(tmp_path, *sizes)
+        assert main(["simulate", channel, "--n", str(n), "--margin",
+                     str(margin), "--trials", "5", "--policy-file",
+                     policy]) == 3
+        assert refusal in capsys.readouterr().err
+        assert calls == []
 
     def test_search_budget_exit_code(self, tmp_path, capsys):
         path = tmp_path / "large.json"

@@ -10,14 +10,14 @@ import pytest
 
 import statekey.sim as sim_module
 from statekey import (AuxiliaryEncoderPolicy, BinningCodebook, BudgetError,
-                      CodebookRates, InputPolicy, SimConfig, StateChannel,
-                      build_codebook, decode, encode, exact_leakage,
-                      run_no_discussion, run_one_round_discussion)
+                      InputPolicy, SimConfig, StateChannel, build_codebook,
+                      decode, encode, exact_leakage, run_no_discussion,
+                      run_one_round_discussion)
 from statekey.channel import mi_bits
 from statekey.sim import (SimReport, TrialStreams, _cdf_columns, _draw,
                           _entropy, _indicators, _kernel_columns,
                           _no_disc_tables, _one_round_tables, _reconstruct,
-                          _rng_stream, _trial_draws, _typicality,
+                          _rng_stream, _trial_draws, _typical_pairs,
                           is_jointly_typical, one_round_exact_leakage,
                           transmit)
 from conftest import (S, X, YE, YR, bsc_matrix, cmi_ref, copy_encoder_policy,
@@ -91,8 +91,8 @@ def reference_exact_leakage(codebook, channel, policy, cfg):
     table = np.zeros((codebook.num_bins, channel.ye_size ** n))
     for s_tuple in product(range(channel.s_size), repeat=n):
         s_seq = np.array(s_tuple)
-        mask = np.array([is_jointly_typical(u, s_seq, p_us, cfg.epsilon)
-                         for u in codebook.sequences])
+        mask = _typical_pairs(codebook.sequences, s_seq[None], p_us,
+                              cfg.epsilon)[0]
         weights = mask / mask.sum() if mask.any() \
             else np.full(codebook.count, 1.0 / codebook.count)
         for c in np.flatnonzero(weights):
@@ -122,6 +122,13 @@ def typical_rows(rows, fixed, pmf, eps):
     emp = counts / rows.shape[1]
     return ((np.abs(emp - pmf) <= eps + 1e-12).all(axis=(1, 2))
             & (counts[:, pmf <= 0] == 0).all(axis=1))
+
+
+def yr_xs_law(channel, policy):
+    """p(yr, (x, s)) of a one-round run, (x, s) coded x * |S| + s: the law of
+    the sender's reconstruction test."""
+    return np.einsum("s,sx,xsr->rxs", channel.state_pmf, policy.x_given_s,
+                     channel.receiver_kernel()).reshape(channel.yr_size, -1)
 
 
 def draw(cdf_rows, rng):
@@ -183,8 +190,8 @@ def reference_run_no_discussion(channel, policy, cfg, events):
         encode_failure_rate=failures / cfg.trials, leakage_method="exact",
         diagnostics={"num_sequences": float(cb.count),
                      "num_bins": float(cb.num_bins),
-                     "total_rate": cb.rates.total_rate,
-                     "key_rate": cb.rates.key_rate,
+                     "total_rate": cb.total_rate,
+                     "key_rate": cb.key_rate,
                      "trials": float(cfg.trials)})
 
 
@@ -201,6 +208,7 @@ def reference_run_one_round(channel, policy, cfg, events):
     kernel_cdf = np.cumsum(channel.kernel.reshape(
         channel.x_size, channel.s_size, -1), axis=2)
     powers = channel.yr_size ** np.arange(n - 1, -1, -1)
+    law = yr_xs_law(channel, policy)
     key_counts = np.zeros(tables.num_subbins)
     disagreements = failures = correct = 0
     for t in range(cfg.trials):
@@ -217,7 +225,7 @@ def reference_run_one_round(channel, policy, cfg, events):
         members = np.flatnonzero(tables.bin_of == published)
         hits = members[typical_rows(tables.all_yr[members],
                                     x_seq * channel.s_size + s_seq,
-                                    tables.p_yr_xs, cfg.epsilon)]
+                                    law, cfg.epsilon)]
         if hits.size != 1:
             failures += 1
             disagreements += 1
@@ -250,7 +258,7 @@ def random_leakage_case(seed, s_size, ye_size, n, singleton):
     bins = count if singleton else 2
     cb = BinningCodebook(sequences=rng.integers(0, 2, size=(count, n)),
                          bin_of=rng.permutation(np.arange(count) % bins),
-                         num_bins=bins, rates=CodebookRates(1.0, 0.5, 0.5))
+                         num_bins=bins)
     # Wide enough that most state sequences have typical codewords, narrow
     # enough that some fall back to the whole codebook.
     cfg = SimConfig(n=n, epsilon=float(rng.uniform(0.25, 0.6)),
@@ -312,9 +320,9 @@ class TestBuildCodebook:
         sizes = np.bincount(cb.bin_of, minlength=cb.num_bins)
         assert sizes.sum() == 2 ** 7
         assert sizes.min() == sizes.max() == 2 ** 4
-        assert cb.rates.total_rate == pytest.approx(7 / 8)
-        assert cb.rates.key_rate == pytest.approx(3 / 8)
-        assert cb.rates.per_bin_rate == pytest.approx(4 / 8)
+        assert cb.total_rate == pytest.approx(7 / 8)
+        assert cb.key_rate == pytest.approx(3 / 8)
+        assert cb.per_bin_rate == pytest.approx(4 / 8)
 
     def test_zero_eavesdropper_information_gives_singleton_bins(self):
         cfg = SimConfig(n=8, epsilon=0.2, rate_margin=0.125, trials=1, seed=1)
@@ -328,20 +336,33 @@ class TestBuildCodebook:
         cfg = SimConfig(n=6, epsilon=0.25, rate_margin=0.2, trials=50, seed=3)
         cb = build_codebook(channel, COPY_POLICY, cfg)
         assert cb.num_bins == 1
-        assert cb.rates.key_rate == 0.0
+        assert cb.key_rate == 0.0
         report = run_no_discussion(channel, COPY_POLICY, cfg)
         assert report.leakage_bits_per_symbol == pytest.approx(0.0, abs=1e-12)
 
     def test_codebook_validation(self):
-        rates = CodebookRates(0.5, 0.25, 0.25)
         seqs = np.zeros((2, 4), dtype=int)
         for bins, num_bins in (([0, 0], 0), ([0, 1], 2.5), ([0, 0], True),
                                ([0, 2], 2), ([0, 0], 2)):
             with pytest.raises(ValueError):
                 BinningCodebook(sequences=seqs, bin_of=np.array(bins),
-                                num_bins=num_bins, rates=rates)
+                                num_bins=num_bins)
+        for empty in (np.zeros((0, 4), dtype=int), np.zeros((2, 0), dtype=int)):
+            with pytest.raises(ValueError, match="nonempty"):
+                BinningCodebook(sequences=empty, bin_of=np.zeros(len(empty)),
+                                num_bins=1)
         BinningCodebook(sequences=seqs, bin_of=np.array([1, 0]),
-                        num_bins=np.int64(2), rates=rates)
+                        num_bins=np.int64(2))
+
+    def test_rates_are_derived_from_the_sizes(self):
+        cb = BinningCodebook(sequences=np.zeros((3, 4), dtype=int),
+                             bin_of=np.array([0, 1, 0]), num_bins=2)
+        assert cb.total_rate == math.log2(3) / 4
+        assert cb.key_rate == 0.25
+        assert cb.per_bin_rate == math.log2(3) / 4 - 0.25
+        singleton = cb.with_singleton_bins()
+        assert (singleton.total_rate, singleton.key_rate,
+                singleton.per_bin_rate) == (math.log2(3) / 4,) * 2 + (0.0,)
 
     def test_oversized_codebook_rejected(self):
         cfg = SimConfig(n=24, epsilon=0.2, rate_margin=0.01, trials=1, seed=0)
@@ -350,8 +371,8 @@ class TestBuildCodebook:
 
     def test_rate_identity_and_nonempty_bins(self, degraded_channel):
         cb = build_codebook(degraded_channel, COPY_POLICY, BENCH6)
-        assert cb.rates.total_rate == pytest.approx(
-            cb.rates.key_rate + cb.rates.per_bin_rate, abs=1e-12)
+        assert cb.total_rate == pytest.approx(
+            cb.key_rate + cb.per_bin_rate, abs=1e-12)
         assert np.unique(cb.bin_of).size == cb.num_bins
 
 
@@ -420,32 +441,29 @@ class TestEncode:
         seqs = np.array([[(code >> i) & 1 for i in range(n)]
                          for code in range(2 ** n)])
         cb = BinningCodebook(sequences=seqs, bin_of=np.arange(2 ** n),
-                             num_bins=2 ** n,
-                             rates=CodebookRates(1.0, 1.0, 0.0))
+                             num_bins=2 ** n)
         rng = _rng_stream(5, 9)
         # Epsilon beyond 0.5 makes the cell band vacuous, so only the
         # zero-cell rule binds and exactly u = s survives.
         s_seqs = rng.integers(0, 2, size=(20, n))
-        enc = encode(cb, _no_disc_tables(channel, policy, cb), s_seqs, 0.6,
+        enc = encode(cb, _no_disc_tables(channel, policy, cb, 0.6), s_seqs,
                      TrialStreams(5, (9,), range(20), n + 1))
         assert enc.typical.all()
         assert np.array_equal(cb.sequences[enc.index], s_seqs)
 
     def test_empty_typical_set_returns_failure(self, degraded_channel):
         cb = BinningCodebook(sequences=np.zeros((3, 6), dtype=int),
-                             bin_of=np.arange(3), num_bins=3,
-                             rates=CodebookRates(math.log2(3) / 6,
-                                                 math.log2(3) / 6, 0.0))
+                             bin_of=np.arange(3), num_bins=3)
         # All-zero codewords are never typical for a uniform u-marginal.
-        enc = encode(cb, _no_disc_tables(degraded_channel, COPY_POLICY, cb),
-                     np.zeros((1, 6), dtype=int), 0.25,
+        tables = _no_disc_tables(degraded_channel, COPY_POLICY, cb, 0.25)
+        enc = encode(cb, tables, np.zeros((1, 6), dtype=int),
                      TrialStreams(1, (1,), [0], 7))
         assert not enc.typical[0]
 
     def test_selection_uniform_over_candidates(self, degraded_channel):
         cb = build_codebook(degraded_channel, COPY_POLICY, BENCH6)
-        tables = _no_disc_tables(degraded_channel, COPY_POLICY, cb)
-        enc = encode(cb, tables, np.zeros((4000, 6), dtype=int), 0.25,
+        tables = _no_disc_tables(degraded_channel, COPY_POLICY, cb, 0.25)
+        enc = encode(cb, tables, np.zeros((4000, 6), dtype=int),
                      TrialStreams(2, (2,), range(4000), 7))
         assert enc.typical.all()
         picks = np.bincount(enc.index, minlength=cb.count)
@@ -461,27 +479,23 @@ class TestDecode:
         cb = build_codebook(channel, COPY_POLICY, cfg)
         assert np.unique(cb.sequences, axis=0).shape[0] == cb.count
         rng = _rng_stream(3, 3)
-        tables = _no_disc_tables(channel, COPY_POLICY, cb)
+        tables = _no_disc_tables(channel, COPY_POLICY, cb, 0.5)
         s_seqs = np.zeros((20, 6), dtype=int)
-        enc = encode(cb, tables, s_seqs, 0.5, TrialStreams(3, (3,), range(20), 7))
+        enc = encode(cb, tables, s_seqs, TrialStreams(3, (3,), range(20), 7))
         yr_seqs, _ = transmit(channel, tables.kernel_cols, enc.x_seq, s_seqs,
                               rng.random((20, 6)))
-        dec = decode(cb, tables, yr_seqs)
-        assert (dec.key >= 0).all()
-        assert np.array_equal(dec.index, enc.index)
-        assert np.array_equal(dec.key, cb.bin_of[enc.index])
+        keys = decode(cb, tables, yr_seqs)
+        assert (keys >= 0).all()
+        assert np.array_equal(keys, cb.bin_of[enc.index])
 
     def test_ambiguity_is_failure(self):
         channel = identity_channel()
         seqs = np.array([[0, 1, 0, 1], [0, 1, 0, 1], [1, 0, 1, 0]])
         cb = BinningCodebook(sequences=seqs, bin_of=np.array([0, 1, 0]),
-                             num_bins=2,
-                             rates=CodebookRates(0.25 * math.log2(3), 0.25,
-                                                 0.25 * math.log2(3) - 0.25))
-        tables = _no_disc_tables(channel, COPY_POLICY, cb)
-        dec = decode(cb, tables, np.array([[0, 1, 0, 1], [1, 0, 1, 0]]))
-        assert dec.key[0] == dec.index[0] == -1
-        assert dec.key[1] == 0 and dec.index[1] == 2
+                             num_bins=2)
+        tables = _no_disc_tables(channel, COPY_POLICY, cb, 0.3)
+        keys = decode(cb, tables, np.array([[0, 1, 0, 1], [1, 0, 1, 0]]))
+        assert keys.tolist() == [-1, 0]
 
     def test_key_is_the_bin_with_the_largest_likelihood_sum(self):
         # yr = BSC(0.3)(u).  For yr = 0000 the lone codeword 0000 scores
@@ -491,23 +505,21 @@ class TestDecode:
         seqs = np.array([[0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0],
                          [0, 1, 0, 0]])
         cb = BinningCodebook(sequences=seqs, bin_of=np.array([0, 1, 1, 1]),
-                             num_bins=2,
-                             rates=CodebookRates(0.5, 0.25, 0.25))
-        dec = decode(cb, _no_disc_tables(channel, COPY_POLICY, cb),
-                     np.zeros((1, 4), dtype=int))
-        assert dec.key[0] == 1
-        assert dec.index[0] in (1, 2, 3)
+                             num_bins=2)
+        keys = decode(cb, _no_disc_tables(channel, COPY_POLICY, cb, 0.3),
+                      np.zeros((1, 4), dtype=int))
+        assert keys[0] == 1
 
     def test_symbols_outside_the_alphabet_are_rejected(self):
         channel = identity_channel()
         cb = BinningCodebook(sequences=np.array([[0, 1, 0, 1]]), bin_of=[0],
-                             num_bins=1, rates=CodebookRates(0.0, 0.0, 0.0))
-        tables = _no_disc_tables(channel, COPY_POLICY, cb)
+                             num_bins=1)
+        tables = _no_disc_tables(channel, COPY_POLICY, cb, 0.3)
         for yr in ([0, 1, 2, 1], [0, -1, 0, 1]):
             with pytest.raises(ValueError, match=r"in \[0, 2\)"):
                 decode(cb, tables, np.array([yr]))
         other = BinningCodebook(sequences=np.zeros((2, 4), int), bin_of=[0, 0],
-                                num_bins=1, rates=CodebookRates(0.25, 0.0, 0.25))
+                                num_bins=1)
         with pytest.raises(ValueError, match="another codebook"):
             decode(other, tables, np.zeros((1, 4), int))
 
@@ -515,10 +527,10 @@ class TestDecode:
         channel = identity_channel()
         seqs = np.array([[0, 0, 0, 0], [1, 1, 1, 1]])
         cb = BinningCodebook(sequences=seqs, bin_of=np.array([0, 1]),
-                             num_bins=2, rates=CodebookRates(0.25, 0.25, 0.0))
-        dec = decode(cb, _no_disc_tables(channel, COPY_POLICY, cb),
-                     np.array([[0, 1, 0, 1]]))
-        assert dec.key[0] == dec.index[0] == -1
+                             num_bins=2)
+        keys = decode(cb, _no_disc_tables(channel, COPY_POLICY, cb, 0.3),
+                      np.array([[0, 1, 0, 1]]))
+        assert keys[0] == -1
 
 
 # The largest uniform a stream draws: (2^53 - 1) 2^-53.
@@ -547,9 +559,9 @@ class TestDraws:
         channel = short_mass_channel((0.5, 0.5 - 5e-13))
         cfg = SimConfig(n=4, epsilon=0.3, rate_margin=0.2, trials=1, seed=0)
         cb = BinningCodebook(sequences=np.zeros((1, 4), int), bin_of=[0],
-                             num_bins=1, rates=CodebookRates(0.0, 0.0, 0.0))
+                             num_bins=1)
         uniforms = np.array([[0.0, 0.5, 0.5 + 2.0 ** -53, LAST_UNIFORM]])
-        for tables in (_no_disc_tables(channel, xor_policy(), cb),
+        for tables in (_no_disc_tables(channel, xor_policy(), cb, cfg.epsilon),
                        _one_round_tables(channel, uniform_input_policy(channel),
                                          cfg)):
             assert _draw(tables.state_cols, 0, uniforms).tolist() == [[0, 0, 1, 1]]
@@ -574,8 +586,7 @@ class TestExactLeakage:
         cb = build_codebook(degraded_channel, COPY_POLICY, BENCH6)
         collapsed = BinningCodebook(
             sequences=cb.sequences, bin_of=np.zeros(cb.count, dtype=int),
-            num_bins=1, rates=CodebookRates(cb.rates.total_rate, 0.0,
-                                            cb.rates.total_rate))
+            num_bins=1)
         assert exact_leakage(collapsed, degraded_channel, COPY_POLICY,
                              BENCH6) == pytest.approx(0.0, abs=1e-12)
 
@@ -620,7 +631,7 @@ class TestExactLeakage:
                             seed=seed)
             cb = build_codebook(degraded_channel, COPY_POLICY, cfg)
             leak = exact_leakage(cb, degraded_channel, COPY_POLICY, cfg)
-            assert -1e-9 <= leak <= cb.rates.key_rate + 1e-9
+            assert -1e-9 <= leak <= cb.key_rate + 1e-9
 
     @pytest.mark.parametrize("singleton", [True, False])
     @pytest.mark.parametrize("sizes", LEAKAGE_SIZES)
@@ -677,11 +688,11 @@ class TestExactLeakage:
         channel, policy = degraded_channel, COPY_POLICY
         cb = build_codebook(channel, policy, cfg)
         exact = exact_leakage(cb, channel, policy, cfg) * cfg.n
-        tables = _no_disc_tables(channel, policy, cb)
+        tables = _no_disc_tables(channel, policy, cb, cfg.epsilon)
         streams = TrialStreams(cfg.seed, (1,), np.arange(cfg.trials),
                                3 * cfg.n + 1)
         s_seqs = _draw(tables.state_cols, 0, streams.random(cfg.n))
-        enc = encode(cb, tables, s_seqs, cfg.epsilon, streams)
+        enc = encode(cb, tables, s_seqs, streams)
         _, ye_seqs = transmit(channel, tables.kernel_cols, enc.x_seq, s_seqs,
                               streams.random(cfg.n))
         pairs = np.zeros((cb.num_bins, channel.ye_size ** cfg.n))
@@ -716,7 +727,7 @@ class TestRunNoDiscussion:
         target = rate - BENCH6.rate_margin
         assert target <= rate - BENCH6.rate_margin + 1e-12
         # The realized key rate only exceeds the target through ceil rounding.
-        assert cb.rates.key_rate <= max(0.0, target) + 1.0 / BENCH6.n
+        assert cb.key_rate <= max(0.0, target) + 1.0 / BENCH6.n
 
     def test_margin_backoff_never_hurts_agreement(self, degraded_channel):
         margins = (0.1, 0.175, 0.25, 0.325, 0.4)
@@ -868,6 +879,30 @@ class TestBatchedTrialLoops:
                 reference_run_one_round(channel, policy, cfg, events), cfg
         assert events == {"encode fallback", "decode tie", "zero likelihood",
                           "empty public bin", "overflow bin"}
+
+    @pytest.mark.parametrize("mode", ["no-disc", "one-round"])
+    def test_typicality_tests_are_built_once_per_run(self, mode, monkeypatch):
+        # A run builds its tests with its tables, whatever the chunking: the
+        # encoder's and the exact leakage's, or the one-round typical set's
+        # and the reconstruction's.  A test built per chunk would count 2
+        # more per chunk, and one trial per chunk makes 100 chunks.
+        channel, policy, run, fields = benchmark_simulation(mode)
+        cfg = SimConfig(rate_margin=0.2, trials=100, seed=42, **fields)
+        builds = []
+
+        class CountedTypicality(sim_module._Typicality):
+            def __init__(self, *args):
+                builds[-1] += 1
+                super().__init__(*args)
+
+        monkeypatch.setattr(sim_module, "_Typicality", CountedTypicality)
+        reports = []
+        for chunk_bytes in (sim_module._TRIAL_CHUNK_BYTES, 1):
+            monkeypatch.setattr(sim_module, "_TRIAL_CHUNK_BYTES", chunk_bytes)
+            builds.append(0)
+            reports.append(run(channel, policy, cfg))
+        assert builds == [2, 2]
+        assert reports[0] == reports[1]
 
     @pytest.mark.parametrize("mode", ["no-disc", "one-round"])
     def test_run_memory_does_not_grow_with_trials(self, mode):
@@ -1132,8 +1167,10 @@ class TestOneRoundDiscussion:
         # is empty and every sequence is in the overflow bin; no cell band
         # holds an integer count there either.
         channel = RECONSTRUCT_CHANNELS[name]
+        policy = uniform_input_policy(channel)
         cfg = SimConfig(n=n, epsilon=epsilon, rate_margin=0.2, trials=1, seed=7)
-        tables = _one_round_tables(channel, uniform_input_policy(channel), cfg)
+        tables = _one_round_tables(channel, policy, cfg)
+        law = yr_xs_law(channel, policy)
         rng = np.random.default_rng(n)
         s_seqs = rng.integers(0, 2, size=(80, n))
         x_seqs = rng.integers(0, 2, size=(80, n))
@@ -1152,15 +1189,14 @@ class TestOneRoundDiscussion:
         expected = []
         for xs_seq, b in zip(xs_seqs, published):
             members = np.flatnonzero(tables.bin_of == b)
-            typical = [is_jointly_typical(tables.all_yr[m], xs_seq,
-                                          tables.p_yr_xs, epsilon)
-                       for m in members]
+            typical = _typical_pairs(tables.all_yr[members], xs_seq[None], law,
+                                     epsilon)[0]
             # The oracle is checked against explicit cell counts.
-            assert typical == list(typical_rows(tables.all_yr[members], xs_seq,
-                                                tables.p_yr_xs, epsilon))
+            assert np.array_equal(typical, typical_rows(
+                tables.all_yr[members], xs_seq, law, epsilon))
             hits = members[typical]
             expected.append(hits[0] if len(hits) == 1 else -1)
-        found = _reconstruct(tables, xs_seqs, published, epsilon)
+        found = _reconstruct(tables, xs_seqs, published)
         assert np.array_equal(found, expected)
         assert (published == tables.num_bins).any()
         if epsilon == 0.01:
@@ -1178,7 +1214,7 @@ class TestOneRoundDiscussion:
         tables = _one_round_tables(channel, uniform_input_policy(channel), cfg)
         b = np.diff(tables.bin_starts).argmax()
         members = tables.by_bin[tables.bin_starts[b]:tables.bin_starts[b + 1]]
-        test = _typicality(tables.p_yr_xs, cfg.n, cfg.epsilon)
+        test = tables.recon
         candidates = _indicators(tables.all_yr[members], test.a_size)
         xs_seqs = np.random.default_rng(0).integers(0, 4, size=(2000, cfg.n))
         tracemalloc.start()
