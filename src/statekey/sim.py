@@ -578,15 +578,13 @@ def _kernel_columns(channel: StateChannel) -> np.ndarray:
                                                -1))
 
 
-def build_codebook(channel: StateChannel, policy: AuxiliaryEncoderPolicy,
-                   cfg: SimConfig) -> BinningCodebook:
-    """Draw the i.i.d. u-sequence codebook and randomly partition it into bins.
+def _codebook_size(channel, policy, cfg) -> tuple[int, int]:
+    """(count, bins) of ``build_codebook``, computed before any draw.
 
-    The sequence count is ceil(2^(n (I(U;Yr) - margin))) and the bin count
-    ceil(2^(n (I(U;Yr) - I(U;Ye) - margin))), so each bin holds about
-    2^(n I(U;Ye)) sequences.  A nonpositive key exponent collapses to a single
-    bin (key rate 0); the simulator still runs and reports zero leakage then.
-    The sequences and the partition are drawn from ``_rng_stream(cfg.seed, 0)``.
+    The sequence count is ceil(2^(n (I(U;Yr) - margin))), BudgetError over
+    MAX_CODEBOOK, and the bin count ceil(2^(n (I(U;Yr) - I(U;Ye) -
+    margin))), so each bin holds about 2^(n I(U;Ye)) sequences.  A
+    nonpositive key exponent collapses to a single bin (key rate 0).
     """
     i_uyr, i_uye, _ = policy_mi_triple(channel, policy)
     n = cfg.n
@@ -597,14 +595,43 @@ def build_codebook(channel: StateChannel, policy: AuxiliaryEncoderPolicy,
             "reduce n or increase rate_margin")
     count = max(1, count)
     bins = max(1, math.ceil(2.0 ** (n * (i_uyr - i_uye - cfg.rate_margin))))
-    bins = min(bins, count)
+    return count, min(bins, count)
+
+
+def build_codebook(channel: StateChannel, policy: AuxiliaryEncoderPolicy,
+                   cfg: SimConfig) -> BinningCodebook:
+    """Draw the i.i.d. u-sequence codebook and randomly partition it into bins.
+
+    Its sizes are ``_codebook_size``'s; with a single bin the simulator
+    still runs and reports zero leakage.  The sequences and the partition
+    are drawn from ``_rng_stream(cfg.seed, 0)``.
+    """
+    count, bins = _codebook_size(channel, policy, cfg)
     p_u = np.einsum("s,su->u", channel.state_pmf, policy.u_given_s)
     p_u = p_u / p_u.sum()
     rng = _rng_stream(cfg.seed, 0)
-    sequences = rng.choice(policy.u_size, size=(count, n), p=p_u)
+    sequences = rng.choice(policy.u_size, size=(count, cfg.n), p=p_u)
     bin_of = np.empty(count, dtype=np.int64)
     bin_of[rng.permutation(count)] = np.arange(count) % bins
     return BinningCodebook(sequences=sequences, bin_of=bin_of, num_bins=bins)
+
+
+def _check_table_bytes(channel, policy, count, n) -> np.ndarray:
+    """log p(yr | u), -inf where p(u, yr) = 0, unless the run tables of
+    ``count`` codewords of length n would exceed MAX_LEAKAGE_BYTES
+    (BudgetError): the codeword indicators, count · |U| · n floats, and the
+    decoder's terms, count · n · |Yr|, twice when p(u, yr) has zero cells."""
+    joint = _joint_u_yr(channel, policy)
+    p_u = np.maximum(joint.sum(axis=1, keepdims=True), _TINY)
+    with np.errstate(divide="ignore"):
+        log_yr_given_u = np.log(joint / p_u)
+    held = 8 * count * n * (policy.u_size + channel.yr_size
+                            * (1 + bool(np.isneginf(log_yr_given_u).any())))
+    if held > MAX_LEAKAGE_BYTES:
+        raise BudgetError(
+            f"the encoder and decoder tables need {held} bytes (limit "
+            f"{MAX_LEAKAGE_BYTES}); reduce n or increase rate_margin")
+    return log_yr_given_u
 
 
 @dataclass(frozen=True)
@@ -631,19 +658,15 @@ class _NoDiscTables:
 
 
 def _no_disc_tables(channel: StateChannel, policy: AuxiliaryEncoderPolicy,
-                    codebook: BinningCodebook, epsilon: float) -> _NoDiscTables:
-    """The run tables; BudgetError if they would exceed MAX_LEAKAGE_BYTES."""
-    joint = _joint_u_yr(channel, policy)
-    p_u = np.maximum(joint.sum(axis=1, keepdims=True), _TINY)
-    with np.errstate(divide="ignore"):
-        log_yr_given_u = np.log(joint / p_u)
+                    codebook: BinningCodebook, epsilon: float,
+                    log_yr_given_u: np.ndarray | None = None) -> _NoDiscTables:
+    """The run tables; BudgetError if they would exceed MAX_LEAKAGE_BYTES.
+    A given ``log_yr_given_u`` is ``_check_table_bytes``'s for this
+    codebook's size."""
+    if log_yr_given_u is None:
+        log_yr_given_u = _check_table_bytes(channel, policy, codebook.count,
+                                            codebook.n)
     zero = np.isneginf(log_yr_given_u)
-    held = 8 * codebook.count * codebook.n * (
-        policy.u_size + channel.yr_size * (1 + bool(zero.any())))
-    if held > MAX_LEAKAGE_BYTES:
-        raise BudgetError(
-            f"the encoder and decoder tables need {held} bytes (limit "
-            f"{MAX_LEAKAGE_BYTES}); reduce n or increase rate_margin")
 
     def terms(table):           # (u, yr) -> (n * yr, count)
         return np.ascontiguousarray(
@@ -788,6 +811,18 @@ def _leakage_bits(table: np.ndarray, n: int) -> float:
     return float(mi_bits(table)) / n
 
 
+def _check_exact_leakage(channel, policy, count, bins, n) -> bool:
+    """False for a constant view, which costs nothing; else True, after
+    ``_check_leakage_cost`` on the exact leakage of ``count`` codewords of
+    length n in ``bins`` bins."""
+    if np.count_nonzero(channel.eavesdropper_kernel().any(axis=(0, 1))) == 1:
+        return False
+    _check_leakage_cost(count, n, channel.s_size, channel.ye_size,
+                        count * (channel.s_size ** n + policy.u_size * n)
+                        + bins * channel.ye_size ** n)
+    return True
+
+
 def exact_leakage(codebook: BinningCodebook, channel: StateChannel,
                   policy: AuxiliaryEncoderPolicy, cfg: SimConfig) -> float:
     """Exact I(K; Ye^n) / n in bits per symbol for the binned key.
@@ -804,15 +839,12 @@ def exact_leakage(codebook: BinningCodebook, channel: StateChannel,
     nothing; any other raises ``BudgetError`` over the leakage budget,
     before any work.
     """
-    p_ye_xs = channel.eavesdropper_kernel()
-    if np.count_nonzero(p_ye_xs.any(axis=(0, 1))) == 1:
-        return 0.0
     n = codebook.n
-    _check_leakage_cost(codebook.count, n, channel.s_size, channel.ye_size,
-                        codebook.count * (channel.s_size ** n + policy.u_size * n)
-                        + codebook.num_bins * channel.ye_size ** n)
+    if not _check_exact_leakage(channel, policy, codebook.count,
+                                codebook.num_bins, n):
+        return 0.0
     p_ye_us = np.einsum("usx,xse->use", policy.x_given_us,   # x summed out
-                        p_ye_xs)
+                        channel.eavesdropper_kernel())
     states = channel.s_size ** n
     weights = np.empty((codebook.count, states))
     log_ps = np.log(np.maximum(channel.state_pmf, 1e-300))
@@ -865,12 +897,16 @@ def run_no_discussion(channel: StateChannel, policy: AuxiliaryEncoderPolicy,
     channel draw's n |Yr| |Ye| floats.
     Disagreement counts decode failures (tied bins, or no codeword with
     nonzero likelihood) as well as key mismatches.  The exact leakage and
-    the run tables' byte check follow the codebook, so a run over either
-    budget raises ``BudgetError`` before its first trial.
+    the run tables' byte check need only the codebook's sizes, so a run
+    over either budget raises ``BudgetError`` before the codebook is drawn.
     """
+    count, bins = _codebook_size(channel, policy, cfg)
+    _check_exact_leakage(channel, policy, count, bins, cfg.n)
+    log_yr_given_u = _check_table_bytes(channel, policy, count, cfg.n)
     codebook = build_codebook(channel, policy, cfg)
     leakage = exact_leakage(codebook, channel, policy, cfg)
-    tables = _no_disc_tables(channel, policy, codebook, cfg.epsilon)
+    tables = _no_disc_tables(channel, policy, codebook, cfg.epsilon,
+                             log_yr_given_u)
     n = cfg.n
     disagreements, encode_failures, key_counts = _sum_chunks(
         functools.partial(_no_disc_chunk, channel, codebook, tables, cfg),

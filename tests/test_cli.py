@@ -152,20 +152,23 @@ class TestExitCodes:
         # A constant view leaks 0 with no enumeration, but the run tables
         # of 131,072 codewords would take 400 MiB, 320 of them indicators.
         # (At margin 0.01, 912,839 codewords would take 2.18 GiB of
-        # indicators; the codebook draw alone then takes about 1.5 s.)
+        # indicators.)
         ((2, 1, 16), 20, 0.15, "encoder and decoder tables"),
     ], ids=["octal", "constant-view"])
     def test_codeword_tables_over_budget_exit_code(self, tmp_path, monkeypatch,
                                                   capsys, sizes, n, margin,
                                                   refusal):
-        calls = []
+        # Both budgets follow from the codeword count, so the run is refused
+        # before the codebook's stream is opened and its sequences drawn.
+        calls, streams = [], []
         monkeypatch.setattr(sim, "_indicators", lambda *args: calls.append(args))
+        monkeypatch.setattr(sim, "_rng_stream", lambda *key: streams.append(key))
         channel, policy = modular_files(tmp_path, *sizes)
         assert main(["simulate", channel, "--n", str(n), "--margin",
                      str(margin), "--trials", "5", "--policy-file",
                      policy]) == 3
         assert refusal in capsys.readouterr().err
-        assert calls == []
+        assert calls == [] and streams == []
 
     def test_search_budget_exit_code(self, tmp_path, capsys):
         path = tmp_path / "large.json"
