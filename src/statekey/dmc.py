@@ -671,6 +671,12 @@ def _maximal_cell(r: np.ndarray, c: np.ndarray) -> np.ndarray:
     return q
 
 
+def _maximal_couplings(r: np.ndarray, c: np.ndarray,
+                       shape: tuple[int, ...]) -> np.ndarray:
+    """The diagonal-first cell of every (x, s), reshaped to ``shape``."""
+    return np.stack([_maximal_cell(a, b) for a, b in zip(r, c)]).reshape(shape)
+
+
 def _project_couplings(cells: np.ndarray, weights: np.ndarray,
                        r: np.ndarray, c: np.ndarray, t: float) -> np.ndarray:
     """One Csiszar-Tusnady step on every coupling cell, over-relaxed by t.
@@ -682,17 +688,24 @@ def _project_couplings(cells: np.ndarray, weights: np.ndarray,
     the base is m bit for bit (x**0.0 and x**1.0 are exact): the plain
     step, the minimizer of sum_k w_k D(cells_k || m).  At t > 1 the base
     lies past m on the log-linear path from the cell, as in over-relaxed
-    Blahut-Arimoto steps (Matz-Duhamel, ITW 2004).  Cells of zero weight
-    are projected too, since the ascent's partials at inputs of probability
-    zero read them.  A cell whose scaling misses its marginals is kept, as
-    is one whose scale overflows on a subnormal row or column sum.  Beside
-    ``cells`` the step holds two kernel-sized arrays: the base, built in
-    place, and the result.
+    Blahut-Arimoto steps (Matz-Duhamel, ITW 2004); where it underflows to 0
+    on the cell's support, m stands in, so the base keeps the support of
+    the plain step's.  Cells of zero weight are projected too, since the
+    ascent's partials at inputs of probability zero read them.  A cell
+    whose scaling misses its marginals is kept, as is one whose scale
+    overflows on a subnormal row or column sum.  Beside ``cells`` the step
+    holds two kernel-sized arrays: the base, built in place, and the
+    result.
     """
     m = np.einsum("k,kre->re", weights, cells)
+    support = cells > 0
     q = np.zeros_like(cells)
-    np.power(cells, 1.0 - t, out=q, where=cells > 0)
-    q *= m ** t
+    # As (m cells^((1-t)/t))^t: the factor m^t underflows below m = 1e-180
+    # or so, where the base itself is still a normal float.
+    np.power(cells, (1.0 - t) / t, out=q, where=support)
+    q *= m
+    np.power(q, t, out=q)
+    np.copyto(q, m, where=support & (q == 0))
     rows = q.sum(axis=2)
     # Scale buffers, reused: where a row or column sum is 0 the stale scale
     # multiplies a row or column of zeros, as the first sweep's 0 would.
@@ -733,9 +746,12 @@ def upper_bound_no_discussion(channel: StateChannel) -> BoundResult:
     a Csiszar-Tusnady step in the coupling, over-relaxed by t =
     _RELAXATION (``_project_couplings``: Sinkhorn scaling of all (x, s)
     cells at once, zero-weight ones included).  The first round that fails
-    to lower the value by 1e-12 returns to the best (coupling, p) seen, and
-    plain t = 1 steps go on from there until a round again fails to: the
-    relaxed rounds only shorten the route to where the plain rule stops.
+    to lower the value by 1e-12 returns to the best (coupling, p) the
+    alternation has seen, never the diagonal-first candidate, whose zeros
+    a step could not leave, and plain t = 1 steps go on from there until a
+    round again fails to.  The relaxed route usually ends lower in fewer
+    rounds, but it ends at another point than the plain one, and where
+    both stop on a slow stretch it can end higher; both are upper bounds.
     The alternation also stops when the value reaches 0, or after
     ``_COUPLING_ROUNDS`` rounds in all.  Every coupling visited is valid,
     so the lowest value seen is a true upper bound up to inner-ascent
@@ -749,14 +765,13 @@ def upper_bound_no_discussion(channel: StateChannel) -> BoundResult:
     ny, ne = channel.yr_size, channel.ye_size
     r = pr.reshape(-1, ny)
     c = pe.reshape(-1, ne)
-    best_q = np.stack([_maximal_cell(a, b) for a, b in zip(r, c)]).reshape(
-        channel.kernel.shape)
-    p, v, gap = _ascend_input(channel.state_pmf, best_q, True,
-                              _uniform_input(channel))
-    best_v, best_p, best_gap = max(0.0, v), p, gap
+    p0, v0, gap0 = _ascend_input(
+        channel.state_pmf, _maximal_couplings(r, c, channel.kernel.shape),
+        True, _uniform_input(channel))
+    v0, p, best_v = max(0.0, v0), p0, np.inf
     solves, last, t = 1, np.inf, _RELAXATION
     cells = r[:, :, None] * c[:, None, :]
-    while best_v > 0.0 and solves <= _COUPLING_ROUNDS:
+    while min(v0, best_v) > 0.0 and solves <= _COUPLING_ROUNDS:
         q = cells.reshape(channel.kernel.shape)
         p, v, gap = _ascend_input(channel.state_pmf, q, True, p)
         v = max(0.0, v)
@@ -771,6 +786,9 @@ def upper_bound_no_discussion(channel: StateChannel) -> BoundResult:
             last = v
         weights = (channel.state_pmf[None, :] * p.T).ravel()
         cells = _project_couplings(cells, weights, r, c, t)
+    if not best_v < v0:
+        best_v, best_p, best_gap = v0, p0, gap0
+        best_q = _maximal_couplings(r, c, channel.kernel.shape)
     return BoundResult(
         value_bits=best_v, argmax_policy=InputPolicy(best_p),
         diagnostics={"inner_solves": float(solves),

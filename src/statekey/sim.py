@@ -578,7 +578,8 @@ def _kernel_columns(channel: StateChannel) -> np.ndarray:
                                                -1))
 
 
-def _codebook_size(channel, policy, cfg) -> tuple[int, int]:
+def _codebook_size(channel: StateChannel, policy: AuxiliaryEncoderPolicy,
+                   cfg: SimConfig) -> tuple[int, int]:
     """(count, bins) of ``build_codebook``, computed before any draw.
 
     The sequence count is ceil(2^(n (I(U;Yr) - margin))), BudgetError over
@@ -616,22 +617,28 @@ def build_codebook(channel: StateChannel, policy: AuxiliaryEncoderPolicy,
     return BinningCodebook(sequences=sequences, bin_of=bin_of, num_bins=bins)
 
 
-def _check_table_bytes(channel, policy, count, n) -> np.ndarray:
-    """log p(yr | u), -inf where p(u, yr) = 0, unless the run tables of
-    ``count`` codewords of length n would exceed MAX_LEAKAGE_BYTES
-    (BudgetError): the codeword indicators, count · |U| · n floats, and the
-    decoder's terms, count · n · |Yr|, twice when p(u, yr) has zero cells."""
+def _decoder_law(channel: StateChannel,
+                 policy: AuxiliaryEncoderPolicy) -> np.ndarray:
+    """log p(yr | u), shape (u, yr), -inf where p(u, yr) = 0."""
     joint = _joint_u_yr(channel, policy)
     p_u = np.maximum(joint.sum(axis=1, keepdims=True), _TINY)
     with np.errstate(divide="ignore"):
-        log_yr_given_u = np.log(joint / p_u)
-    held = 8 * count * n * (policy.u_size + channel.yr_size
-                            * (1 + bool(np.isneginf(log_yr_given_u).any())))
+        return np.log(joint / p_u)
+
+
+def _check_table_bytes(log_yr_given_u: np.ndarray, count: int,
+                       n: int) -> None:
+    """BudgetError if the run tables of ``count`` codewords of length n
+    would exceed MAX_LEAKAGE_BYTES: the codeword indicators, count · |U| · n
+    floats, and the decoder's terms, count · n · |Yr|, twice when the
+    decoder law (``_decoder_law``) has zero cells."""
+    u_size, yr_size = log_yr_given_u.shape
+    held = 8 * count * n * (
+        u_size + yr_size * (1 + bool(np.isneginf(log_yr_given_u).any())))
     if held > MAX_LEAKAGE_BYTES:
         raise BudgetError(
             f"the encoder and decoder tables need {held} bytes (limit "
             f"{MAX_LEAKAGE_BYTES}); reduce n or increase rate_margin")
-    return log_yr_given_u
 
 
 @dataclass(frozen=True)
@@ -659,13 +666,10 @@ class _NoDiscTables:
 
 def _no_disc_tables(channel: StateChannel, policy: AuxiliaryEncoderPolicy,
                     codebook: BinningCodebook, epsilon: float,
-                    log_yr_given_u: np.ndarray | None = None) -> _NoDiscTables:
-    """The run tables; BudgetError if they would exceed MAX_LEAKAGE_BYTES.
-    A given ``log_yr_given_u`` is ``_check_table_bytes``'s for this
-    codebook's size."""
-    if log_yr_given_u is None:
-        log_yr_given_u = _check_table_bytes(channel, policy, codebook.count,
-                                            codebook.n)
+                    log_yr_given_u: np.ndarray) -> _NoDiscTables:
+    """The run tables for the decoder law ``log_yr_given_u``, the policy's
+    ``_decoder_law``; BudgetError if they would exceed MAX_LEAKAGE_BYTES."""
+    _check_table_bytes(log_yr_given_u, codebook.count, codebook.n)
     zero = np.isneginf(log_yr_given_u)
 
     def terms(table):           # (u, yr) -> (n * yr, count)
@@ -811,7 +815,9 @@ def _leakage_bits(table: np.ndarray, n: int) -> float:
     return float(mi_bits(table)) / n
 
 
-def _check_exact_leakage(channel, policy, count, bins, n) -> bool:
+def _check_exact_leakage(channel: StateChannel,
+                         policy: AuxiliaryEncoderPolicy, count: int,
+                         bins: int, n: int) -> bool:
     """False for a constant view, which costs nothing; else True, after
     ``_check_leakage_cost`` on the exact leakage of ``count`` codewords of
     length n in ``bins`` bins."""
@@ -902,7 +908,8 @@ def run_no_discussion(channel: StateChannel, policy: AuxiliaryEncoderPolicy,
     """
     count, bins = _codebook_size(channel, policy, cfg)
     _check_exact_leakage(channel, policy, count, bins, cfg.n)
-    log_yr_given_u = _check_table_bytes(channel, policy, count, cfg.n)
+    log_yr_given_u = _decoder_law(channel, policy)
+    _check_table_bytes(log_yr_given_u, count, cfg.n)
     codebook = build_codebook(channel, policy, cfg)
     leakage = exact_leakage(codebook, channel, policy, cfg)
     tables = _no_disc_tables(channel, policy, codebook, cfg.epsilon,

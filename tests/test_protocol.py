@@ -14,10 +14,11 @@ from statekey import (AuxiliaryEncoderPolicy, BinningCodebook, BudgetError,
                       decode, encode, exact_leakage, run_no_discussion,
                       run_one_round_discussion)
 from statekey.channel import mi_bits
-from statekey.sim import (SimReport, TrialStreams, _cdf_columns, _draw,
-                          _entropy, _indicators, _kernel_columns,
-                          _no_disc_tables, _one_round_tables, _reconstruct,
-                          _rng_stream, _trial_draws, _typical_pairs,
+from statekey.sim import (SimReport, TrialStreams, _cdf_columns,
+                          _decoder_law, _draw, _entropy, _indicators,
+                          _kernel_columns, _no_disc_tables,
+                          _one_round_tables, _reconstruct, _rng_stream,
+                          _trial_draws, _typical_pairs,
                           is_jointly_typical, one_round_exact_leakage,
                           transmit)
 from conftest import (S, X, YE, YR, bsc_matrix, cmi_ref, copy_encoder_policy,
@@ -72,6 +73,12 @@ def partly_deterministic_channel():
 RECONSTRUCT_CHANNELS = {"one-cell": factorized_binary(0.0, 0.3),
                         "two-cell": factorized_binary(0.1, 0.25),
                         "both": partly_deterministic_channel()}
+
+
+def no_disc_tables(channel, policy, codebook, epsilon):
+    """The run tables of ``run_no_discussion`` for this codebook."""
+    return _no_disc_tables(channel, policy, codebook, epsilon,
+                           _decoder_law(channel, policy))
 
 
 def kron_law(rows):
@@ -446,7 +453,7 @@ class TestEncode:
         # Epsilon beyond 0.5 makes the cell band vacuous, so only the
         # zero-cell rule binds and exactly u = s survives.
         s_seqs = rng.integers(0, 2, size=(20, n))
-        enc = encode(cb, _no_disc_tables(channel, policy, cb, 0.6), s_seqs,
+        enc = encode(cb, no_disc_tables(channel, policy, cb, 0.6), s_seqs,
                      TrialStreams(5, (9,), range(20), n + 1))
         assert enc.typical.all()
         assert np.array_equal(cb.sequences[enc.index], s_seqs)
@@ -455,14 +462,14 @@ class TestEncode:
         cb = BinningCodebook(sequences=np.zeros((3, 6), dtype=int),
                              bin_of=np.arange(3), num_bins=3)
         # All-zero codewords are never typical for a uniform u-marginal.
-        tables = _no_disc_tables(degraded_channel, COPY_POLICY, cb, 0.25)
+        tables = no_disc_tables(degraded_channel, COPY_POLICY, cb, 0.25)
         enc = encode(cb, tables, np.zeros((1, 6), dtype=int),
                      TrialStreams(1, (1,), [0], 7))
         assert not enc.typical[0]
 
     def test_selection_uniform_over_candidates(self, degraded_channel):
         cb = build_codebook(degraded_channel, COPY_POLICY, BENCH6)
-        tables = _no_disc_tables(degraded_channel, COPY_POLICY, cb, 0.25)
+        tables = no_disc_tables(degraded_channel, COPY_POLICY, cb, 0.25)
         enc = encode(cb, tables, np.zeros((4000, 6), dtype=int),
                      TrialStreams(2, (2,), range(4000), 7))
         assert enc.typical.all()
@@ -479,7 +486,7 @@ class TestDecode:
         cb = build_codebook(channel, COPY_POLICY, cfg)
         assert np.unique(cb.sequences, axis=0).shape[0] == cb.count
         rng = _rng_stream(3, 3)
-        tables = _no_disc_tables(channel, COPY_POLICY, cb, 0.5)
+        tables = no_disc_tables(channel, COPY_POLICY, cb, 0.5)
         s_seqs = np.zeros((20, 6), dtype=int)
         enc = encode(cb, tables, s_seqs, TrialStreams(3, (3,), range(20), 7))
         yr_seqs, _ = transmit(channel, tables.kernel_cols, enc.x_seq, s_seqs,
@@ -493,7 +500,7 @@ class TestDecode:
         seqs = np.array([[0, 1, 0, 1], [0, 1, 0, 1], [1, 0, 1, 0]])
         cb = BinningCodebook(sequences=seqs, bin_of=np.array([0, 1, 0]),
                              num_bins=2)
-        tables = _no_disc_tables(channel, COPY_POLICY, cb, 0.3)
+        tables = no_disc_tables(channel, COPY_POLICY, cb, 0.3)
         keys = decode(cb, tables, np.array([[0, 1, 0, 1], [1, 0, 1, 0]]))
         assert keys.tolist() == [-1, 0]
 
@@ -506,7 +513,7 @@ class TestDecode:
                          [0, 1, 0, 0]])
         cb = BinningCodebook(sequences=seqs, bin_of=np.array([0, 1, 1, 1]),
                              num_bins=2)
-        keys = decode(cb, _no_disc_tables(channel, COPY_POLICY, cb, 0.3),
+        keys = decode(cb, no_disc_tables(channel, COPY_POLICY, cb, 0.3),
                       np.zeros((1, 4), dtype=int))
         assert keys[0] == 1
 
@@ -514,7 +521,7 @@ class TestDecode:
         channel = identity_channel()
         cb = BinningCodebook(sequences=np.array([[0, 1, 0, 1]]), bin_of=[0],
                              num_bins=1)
-        tables = _no_disc_tables(channel, COPY_POLICY, cb, 0.3)
+        tables = no_disc_tables(channel, COPY_POLICY, cb, 0.3)
         for yr in ([0, 1, 2, 1], [0, -1, 0, 1]):
             with pytest.raises(ValueError, match=r"in \[0, 2\)"):
                 decode(cb, tables, np.array([yr]))
@@ -528,7 +535,7 @@ class TestDecode:
         seqs = np.array([[0, 0, 0, 0], [1, 1, 1, 1]])
         cb = BinningCodebook(sequences=seqs, bin_of=np.array([0, 1]),
                              num_bins=2)
-        keys = decode(cb, _no_disc_tables(channel, COPY_POLICY, cb, 0.3),
+        keys = decode(cb, no_disc_tables(channel, COPY_POLICY, cb, 0.3),
                       np.array([[0, 1, 0, 1]]))
         assert keys[0] == -1
 
@@ -561,7 +568,7 @@ class TestDraws:
         cb = BinningCodebook(sequences=np.zeros((1, 4), int), bin_of=[0],
                              num_bins=1)
         uniforms = np.array([[0.0, 0.5, 0.5 + 2.0 ** -53, LAST_UNIFORM]])
-        for tables in (_no_disc_tables(channel, xor_policy(), cb, cfg.epsilon),
+        for tables in (no_disc_tables(channel, xor_policy(), cb, cfg.epsilon),
                        _one_round_tables(channel, uniform_input_policy(channel),
                                          cfg)):
             assert _draw(tables.state_cols, 0, uniforms).tolist() == [[0, 0, 1, 1]]
@@ -688,7 +695,7 @@ class TestExactLeakage:
         channel, policy = degraded_channel, COPY_POLICY
         cb = build_codebook(channel, policy, cfg)
         exact = exact_leakage(cb, channel, policy, cfg) * cfg.n
-        tables = _no_disc_tables(channel, policy, cb, cfg.epsilon)
+        tables = no_disc_tables(channel, policy, cb, cfg.epsilon)
         streams = TrialStreams(cfg.seed, (1,), np.arange(cfg.trials),
                                3 * cfg.n + 1)
         s_seqs = _draw(tables.state_cols, 0, streams.random(cfg.n))
