@@ -655,26 +655,23 @@ def lower_bound_discussion(channel: StateChannel,
 # coupling saddle point (no-discussion upper bound)
 # ---------------------------------------------------------------------------
 
-def _maximal_cell(r: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Diagonal-first coupling; exactly diagonal when the marginals agree."""
-    n = min(len(r), len(c))
-    q = np.zeros((len(r), len(c)))
-    diag = np.minimum(r[:n], c[:n])
-    q[np.arange(n), np.arange(n)] = diag
-    res_r = r.copy()
-    res_r[:n] -= diag
-    res_c = c.copy()
-    res_c[:n] -= diag
-    eps = res_r.sum()
-    if eps > 1e-15:
-        q += np.outer(res_r, res_c) / eps
-    return q
-
-
 def _maximal_couplings(r: np.ndarray, c: np.ndarray,
                        shape: tuple[int, ...]) -> np.ndarray:
-    """The diagonal-first cell of every (x, s), reshaped to ``shape``."""
-    return np.stack([_maximal_cell(a, b) for a, b in zip(r, c)]).reshape(shape)
+    """The diagonal-first coupling of every (x, s), reshaped to ``shape``:
+    each row pair (r_k, c_k) puts min(r_k, c_k) on the diagonal and the
+    outer product of the residuals, over their mass, everywhere (none when
+    that mass is at most 1e-15), so it is exactly diagonal when the
+    marginals agree."""
+    n = min(r.shape[1], c.shape[1])
+    diag = np.minimum(r[:, :n], c[:, :n])
+    res_r, res_c = r.copy(), c.copy()
+    res_r[:, :n] -= diag
+    res_c[:, :n] -= diag
+    mass = res_r.sum(axis=1)
+    q = res_r[:, :, None] * res_c[:, None, :] / np.where(
+        mass > 1e-15, mass, np.inf)[:, None, None]
+    q[:, np.arange(n), np.arange(n)] += diag
+    return q.reshape(shape)
 
 
 def _project_couplings(cells: np.ndarray, weights: np.ndarray,

@@ -58,7 +58,9 @@ categorical draw (s, x and the channel's (yr, ye)) is ``_draw`` on a cdf
 table stored by column: one comparison per inner threshold on a (trials, n)
 array, so a draw never leaves the alphabet.  The decoder scores every
 (trial, codeword) pair with one matrix product of the trials' yr^n one-hot
-and the codewords' log-likelihood terms, built once per run.  A chunk holds
+and the codewords' log-likelihood terms, built once per run, where the
+finite floor ``_LOG_ZERO`` stands for log 0: a codeword of zero likelihood
+scores at or below it.  A chunk holds
 a few floats per (trial, codeword) pair in the decoder, at most
 ``_PAIR_BYTES`` (11) bytes per (trial, candidate) pair in the typicality
 test, and the raw words and uniforms.
@@ -105,6 +107,11 @@ _TRIAL_CHUNK_BYTES = 256 * 2 ** 10
 # scattered back to every fixed row.
 _PAIR_BYTES = 11
 _TINY = np.finfo(float).tiny
+# The decoder's log-likelihood of a cell of probability 0.  A sum of n <= 24
+# log-likelihoods of positive cells lies above -745 n, and the one-hot
+# product adds 0 times the floor as 0, so a codeword scores at or below the
+# floor exactly when it crosses a zero cell.
+_LOG_ZERO = -1e300
 
 
 @dataclass(frozen=True)
@@ -517,35 +524,9 @@ def _indicators(rows: np.ndarray, size: int) -> np.ndarray:
     return (rows[:, None, :] == np.arange(size)[:, None]).astype(float)
 
 
-def _typical_pairs(rows: np.ndarray, fixed: np.ndarray, pmf: np.ndarray,
-                   eps: float) -> np.ndarray:
-    """(trials, m) strong typicality of each rows[i] (m, n) against each
-    fixed[t] (trials, n) under pmf[a, b], in one call of ``_Typicality``."""
-    test = _Typicality(pmf, rows.shape[1], eps)
-    return test.pairs(_indicators(rows, test.a_size), fixed)
-
-
-def is_jointly_typical(a_seq, b_seq, pmf: np.ndarray, eps: float) -> bool:
-    """Strong joint typicality against pmf[a, b] of two nonempty 1-D sequences
-    of equal length, with integer symbols inside pmf.shape (else ValueError)."""
-    seqs = np.asarray(a_seq), np.asarray(b_seq)
-    if seqs[0].ndim != 1 or seqs[0].shape != seqs[1].shape or not seqs[0].size:
-        raise ValueError("sequences must be nonempty, 1-D and of equal length")
-    for seq, size in zip(seqs, np.shape(pmf)):
-        if seq.dtype.kind not in "iu" or seq.min() < 0 or seq.max() >= size:
-            raise ValueError(f"symbols must be integers in [0, {size})")
-    return bool(_typical_pairs(seqs[0][None], seqs[1][None], pmf, eps)[0, 0])
-
-
 def _joint_u_s(channel: StateChannel, policy: AuxiliaryEncoderPolicy) -> np.ndarray:
     """p(u, s), shape (u, s)."""
     return (channel.state_pmf[:, None] * policy.u_given_s).T
-
-
-def _joint_u_yr(channel: StateChannel, policy: AuxiliaryEncoderPolicy) -> np.ndarray:
-    """p(u, yr), shape (u, yr)."""
-    return np.einsum("us,usx,xsr->ur", _joint_u_s(channel, policy),
-                     policy.x_given_us, channel.receiver_kernel())
 
 
 def _cdf_columns(pmf_rows: np.ndarray) -> np.ndarray:
@@ -619,22 +600,20 @@ def build_codebook(channel: StateChannel, policy: AuxiliaryEncoderPolicy,
 
 def _decoder_law(channel: StateChannel,
                  policy: AuxiliaryEncoderPolicy) -> np.ndarray:
-    """log p(yr | u), shape (u, yr), -inf where p(u, yr) = 0."""
-    joint = _joint_u_yr(channel, policy)
+    """log p(yr | u) from p(u, yr), shape (u, yr), ``_LOG_ZERO`` where
+    p(u, yr) = 0."""
+    joint = np.einsum("us,usx,xsr->ur", _joint_u_s(channel, policy),
+                      policy.x_given_us, channel.receiver_kernel())
     p_u = np.maximum(joint.sum(axis=1, keepdims=True), _TINY)
     with np.errstate(divide="ignore"):
-        return np.log(joint / p_u)
+        return np.maximum(np.log(joint / p_u), _LOG_ZERO)
 
 
-def _check_table_bytes(log_yr_given_u: np.ndarray, count: int,
-                       n: int) -> None:
+def _check_table_bytes(count: int, n: int, u_size: int, yr_size: int) -> None:
     """BudgetError if the run tables of ``count`` codewords of length n
     would exceed MAX_LEAKAGE_BYTES: the codeword indicators, count · |U| · n
-    floats, and the decoder's terms, count · n · |Yr|, twice when the
-    decoder law (``_decoder_law``) has zero cells."""
-    u_size, yr_size = log_yr_given_u.shape
-    held = 8 * count * n * (
-        u_size + yr_size * (1 + bool(np.isneginf(log_yr_given_u).any())))
+    floats, and the decoder's terms, count · n · |Yr|."""
+    held = 8 * count * n * (u_size + yr_size)
     if held > MAX_LEAKAGE_BYTES:
         raise BudgetError(
             f"the encoder and decoder tables need {held} bytes (limit "
@@ -651,8 +630,7 @@ class _NoDiscTables:
     one per (x, s), see ``_kernel_columns``.  ``codewords`` are the
     codebook's candidates for the encoder's test ``typical``.  The decoder's
     terms hold n |Yr| floats per codeword c: row i |Yr| + y is
-    log p(y | u_ci), with 0 in place of -inf where p(u_ci, y) = 0, and
-    ``yr_zero`` marks those cells with 1.0 (None when the law has none).
+    log p(y | u_ci), ``_LOG_ZERO`` where p(u_ci, y) = 0.
     """
 
     typical: _Typicality        # strong typicality against p(u, s)
@@ -661,29 +639,23 @@ class _NoDiscTables:
     state_cols: np.ndarray      # cdf columns of p(s), shape (s - 1, 1)
     kernel_cols: np.ndarray     # see _kernel_columns
     yr_terms: np.ndarray        # (n * yr, count), log p(y | u_ci)
-    yr_zero: np.ndarray | None  # (n * yr, count), 1.0 where p(u_ci, y) = 0
 
 
 def _no_disc_tables(channel: StateChannel, policy: AuxiliaryEncoderPolicy,
-                    codebook: BinningCodebook, epsilon: float,
-                    log_yr_given_u: np.ndarray) -> _NoDiscTables:
-    """The run tables for the decoder law ``log_yr_given_u``, the policy's
-    ``_decoder_law``; BudgetError if they would exceed MAX_LEAKAGE_BYTES."""
-    _check_table_bytes(log_yr_given_u, codebook.count, codebook.n)
-    zero = np.isneginf(log_yr_given_u)
-
-    def terms(table):           # (u, yr) -> (n * yr, count)
-        return np.ascontiguousarray(
-            table[codebook.sequences].reshape(codebook.count, -1).T)
-
+                    codebook: BinningCodebook, epsilon: float) -> _NoDiscTables:
+    """The run tables, with the policy's ``_decoder_law``; BudgetError if
+    they would exceed MAX_LEAKAGE_BYTES."""
+    count, n = codebook.sequences.shape
+    _check_table_bytes(count, n, policy.u_size, channel.yr_size)
+    log_yr_given_u = _decoder_law(channel, policy)
     return _NoDiscTables(
-        typical=_Typicality(_joint_u_s(channel, policy), codebook.n, epsilon),
+        typical=_Typicality(_joint_u_s(channel, policy), n, epsilon),
         codewords=_indicators(codebook.sequences, policy.u_size),
         x_cols=_cdf_columns(policy.x_given_us.reshape(-1, channel.x_size)),
         state_cols=_cdf_columns(channel.state_pmf[None]),
         kernel_cols=_kernel_columns(channel),
-        yr_terms=terms(np.where(zero, 0.0, log_yr_given_u)),
-        yr_zero=terms(zero.astype(float)) if zero.any() else None)
+        yr_terms=np.ascontiguousarray(
+            log_yr_given_u[codebook.sequences].reshape(count, -1).T))
 
 
 def encode(codebook: BinningCodebook, tables: _NoDiscTables, s_seqs,
@@ -729,8 +701,8 @@ def decode(codebook: BinningCodebook, tables: _NoDiscTables,
     The log-likelihoods of all (trial, codeword) pairs are one matrix
     product: the trials' yr^n one-hot, (trials, n |Yr|) with a 1 at column
     i |Yr| + yr_i, times ``tables.yr_terms``, which must be built for this
-    codebook.  A second product with ``tables.yr_zero`` marks the codewords
-    of zero likelihood; it is skipped when the law has no zero cell.
+    codebook.  A codeword of zero likelihood scores at or below
+    ``_LOG_ZERO``.
     """
     yr_seqs = np.asarray(yr_seqs, dtype=np.int64)
     if yr_seqs.ndim != 2 or yr_seqs.shape[1] != codebook.n:
@@ -746,10 +718,8 @@ def decode(codebook: BinningCodebook, tables: _NoDiscTables,
     onehot[np.arange(trials)[:, None],
            yr_size * np.arange(codebook.n) + yr_seqs] = 1.0
     log_lik = onehot @ tables.yr_terms
-    if tables.yr_zero is not None:
-        log_lik[onehot @ tables.yr_zero > 0] = -np.inf
     top = log_lik.max(axis=1)
-    live = top > -np.inf
+    live = top > _LOG_ZERO
     scores = np.exp(log_lik - np.where(live, top, 0.0)[:, None])
     bins = codebook.num_bins
     offsets = (np.arange(trials) * bins)[:, None]
@@ -908,12 +878,10 @@ def run_no_discussion(channel: StateChannel, policy: AuxiliaryEncoderPolicy,
     """
     count, bins = _codebook_size(channel, policy, cfg)
     _check_exact_leakage(channel, policy, count, bins, cfg.n)
-    log_yr_given_u = _decoder_law(channel, policy)
-    _check_table_bytes(log_yr_given_u, count, cfg.n)
+    _check_table_bytes(count, cfg.n, policy.u_size, channel.yr_size)
     codebook = build_codebook(channel, policy, cfg)
     leakage = exact_leakage(codebook, channel, policy, cfg)
-    tables = _no_disc_tables(channel, policy, codebook, cfg.epsilon,
-                             log_yr_given_u)
+    tables = _no_disc_tables(channel, policy, codebook, cfg.epsilon)
     n = cfg.n
     disagreements, encode_failures, key_counts = _sum_chunks(
         functools.partial(_no_disc_chunk, channel, codebook, tables, cfg),
@@ -980,8 +948,10 @@ def _one_round_tables(channel: StateChannel, policy: InputPolicy,
                   channel.kernel)                              # p(x,s,yr,ye)
     p_xsr = p.sum(axis=3)
     h_yr_given_xs = _entropy(p_xsr) - _entropy(p.sum(axis=(2, 3)))
-    i_xs = float(mi_bits(np.ascontiguousarray(
-        p_xsr.transpose(2, 0, 1)).reshape(channel.yr_size, -1)))
+    # p(yr, (x, s)), (x, s) coded x * |S| + s: the reconstruction's law.
+    p_yr_xs = np.ascontiguousarray(p_xsr.transpose(2, 0, 1)).reshape(
+        channel.yr_size, -1)
+    i_xs = float(mi_bits(p_yr_xs))
     i_e = float(mi_bits(p.sum(axis=(0, 1))))
     n = cfg.n
     outputs = channel.yr_size ** n
@@ -1015,8 +985,6 @@ def _one_round_tables(channel: StateChannel, policy: InputPolicy,
     sub_of[ranked] = rounds % num_subbins
     bin_starts = np.concatenate(
         ([0], np.cumsum(np.bincount(bin_of, minlength=num_bins + 1))))
-    p_yr_xs = np.einsum("s,sx,xsr->rxs", channel.state_pmf, policy.x_given_s,
-                        channel.receiver_kernel()).reshape(channel.yr_size, -1)
     return _OneRoundTables(all_yr=all_yr, bin_of=bin_of,
                            by_bin=np.argsort(bin_of, kind="stable"),
                            bin_starts=bin_starts, sub_of=sub_of,

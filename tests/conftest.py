@@ -85,6 +85,20 @@ def random_channel(rng: np.random.Generator, x_size=2, s_size=2, yr_size=2,
                                     kernel.reshape(x_size, s_size, yr_size, ye_size))
 
 
+def sparse_channel(rng: np.random.Generator, x_size: int, s_size: int,
+                   yr_size: int, ye_size: int) -> StateChannel:
+    """A random channel with about half its kernel entries zero."""
+    kernel = rng.dirichlet(np.ones(yr_size * ye_size), size=(x_size, s_size))
+    kernel *= rng.random(kernel.shape) < 0.5
+    for x, s in np.ndindex(x_size, s_size):
+        if not kernel[x, s].any():
+            kernel[x, s, rng.integers(yr_size * ye_size)] = 1.0
+    kernel /= kernel.sum(axis=2, keepdims=True)
+    return StateChannel.from_arrays(
+        rng.dirichlet(np.ones(s_size)),
+        kernel.reshape(x_size, s_size, yr_size, ye_size))
+
+
 def random_aux_policy(rng: np.random.Generator, channel: StateChannel,
                       u_size: int = 3) -> AuxiliaryEncoderPolicy:
     u_given_s = rng.dirichlet(np.ones(u_size), size=channel.s_size)

@@ -150,7 +150,7 @@ class TestExitCodes:
         # within its multiply-adds.
         ((8, 2, 256), 8, 0.65, "exact leakage"),
         # A constant view leaks 0 with no enumeration, but the run tables
-        # of 131,072 codewords would take 400 MiB, 320 of them indicators.
+        # of 131,072 codewords would take 360 MiB, 320 of them indicators.
         # (At margin 0.01, 912,839 codewords would take 2.18 GiB of
         # indicators.)
         ((2, 1, 16), 20, 0.15, "encoder and decoder tables"),

@@ -20,7 +20,8 @@ from statekey.dmc import (LN2, _ASCENT_MAX_ITER, _ASCENT_TOL, _ascend_input,
 from conftest import (S, U, YE, YR, bsc_matrix, cmi_ref, constant_channel,
                       degraded_binary_wiretap, erasure_eavesdropper_channel,
                       factorized_binary, identical_outputs_channel,
-                      identity_channel, joint_uxsre, random_channel)
+                      identity_channel, joint_uxsre, random_channel,
+                      sparse_channel)
 
 
 def h2(p):
@@ -569,6 +570,29 @@ class TestUpperBoundNoDiscussion:
             assert evaluations == 1 and gap == 0.0
         assert res.diagnostics["certificate_gap_bits"] == 0.0
 
+    @pytest.mark.parametrize("channel", [
+        degraded_binary_wiretap(), factorized_binary(),
+        identical_outputs_channel(), constant_channel(),
+        constant_channel(correlated=True), identity_channel(),
+        erasure_eavesdropper_channel(),
+        *(random_channel(np.random.default_rng(k), *sizes) for k, sizes in
+          enumerate([(2, 2, 3, 2), (3, 2, 2, 3), (2, 3, 4, 1), (1, 2, 3, 3)])),
+    ], ids=["degraded", "factorized", "identical", "constant", "correlated",
+            "identity", "erasure", "random-2232", "random-3223",
+            "random-2341", "random-1233"])
+    def test_diagonal_first_couplings_equal_the_per_cell_reference(
+            self, channel):
+        # One vectorized pass over every (x, s) cell, bit for bit the cells
+        # built one at a time, and a coupling of the cell's marginals.
+        r = channel.receiver_kernel().reshape(-1, channel.yr_size)
+        c = channel.eavesdropper_kernel().reshape(-1, channel.ye_size)
+        q = dmc._maximal_couplings(r, c, channel.kernel.shape)
+        assert np.array_equal(q, np.stack([maximal_cell(a, b) for a, b in
+                                           zip(r, c)]).reshape(q.shape))
+        assert np.abs(q.sum(axis=3) - channel.receiver_kernel()).max() <= 1e-15
+        assert np.abs(q.sum(axis=2) - channel.eavesdropper_kernel()).max() \
+            <= 1e-15
+
     def test_projection_moves_zero_weight_cells(self):
         # At a vertex the other inputs have weight 0, and the ascent's
         # partials read their cells: those move too, on their own marginals,
@@ -616,6 +640,22 @@ class TestUpperBoundNoDiscussion:
                 assert slope >= -1e-5, (x, s, slope)
 
 
+def maximal_cell(r, c):
+    """The diagonal-first coupling of one (x, s) cell, built entry by entry:
+    min(r_i, c_i) on the diagonal, then the residuals' outer product over
+    their mass when that mass is above 1e-15."""
+    q = np.zeros((len(r), len(c)))
+    res_r, res_c = r.copy(), c.copy()
+    for i in range(min(len(r), len(c))):
+        q[i, i] = min(r[i], c[i])
+        res_r[i] -= q[i, i]
+        res_c[i] -= q[i, i]
+    mass = res_r.sum()
+    if mass > 1e-15:
+        q += np.outer(res_r, res_c) / mass
+    return q
+
+
 def plain_alternation(channel):
     """The coupling bound as plain Csiszar-Tusnady steps compute it: each
     cell the Sinkhorn scaling of the output mixture on its support, stopping
@@ -624,7 +664,7 @@ def plain_alternation(channel):
     state = channel.state_pmf
     r = channel.receiver_kernel().reshape(-1, channel.yr_size)
     c = channel.eavesdropper_kernel().reshape(-1, channel.ye_size)
-    q = np.stack([dmc._maximal_cell(a, b) for a, b in zip(r, c)]).reshape(
+    q = np.stack([maximal_cell(a, b) for a, b in zip(r, c)]).reshape(
         channel.kernel.shape)
     p, v, gap = _ascend_input(state, q, True, np.full(
         (channel.s_size, channel.x_size), 1.0 / channel.x_size))
@@ -885,19 +925,6 @@ class TestCertificateGap:
         up = upper_bound_discussion(channel)
         assert cap.diagnostics["certificate_gap_bits"] \
             == up.diagnostics["certificate_gap_bits"]
-
-
-def sparse_channel(rng, x_size, s_size, yr_size, ye_size):
-    """A random channel with about half its kernel entries zero."""
-    kernel = rng.dirichlet(np.ones(yr_size * ye_size), size=(x_size, s_size))
-    kernel *= rng.random(kernel.shape) < 0.5
-    for x, s in np.ndindex(x_size, s_size):
-        if not kernel[x, s].any():
-            kernel[x, s, rng.integers(yr_size * ye_size)] = 1.0
-    kernel /= kernel.sum(axis=2, keepdims=True)
-    return StateChannel.from_arrays(
-        rng.dirichlet(np.ones(s_size)),
-        kernel.reshape(x_size, s_size, yr_size, ye_size))
 
 
 def ladder_candidate(p, d, eta):

@@ -19,7 +19,7 @@ from statekey import (AuxiliaryEncoderPolicy, BoundResult, StateChannel,
 from statekey.channel import (aux_mi_partials, aux_mi_terms, mi_bits,
                               policy_mi_triple)
 from statekey.dmc import _cell_entropy, _input_value_grad, _search_score
-from statekey.sim import _typical_pairs
+from statekey.sim import _indicators, _Typicality
 from conftest import (S, U, YE, YR, cmi_ref, joint_uxsre, random_aux_policy,
                       random_channel)
 
@@ -261,7 +261,7 @@ def typical_by_definition(rows, fixed, pmf, eps):
        st.integers(0, 2**32 - 1), st.sampled_from(["boundary", "none", "any"]))
 def test_typical_pairs_match_the_count_definition(a_size, b_size, n, seed,
                                                   eps_kind):
-    """``_typical_pairs`` against the per-pair definition, on pmfs with zero
+    """``_Typicality.pairs`` against the per-pair definition, on pmfs with zero
     cells.  ``boundary`` puts eps on |c / n - p| of one cell, up to
     rounding, where a count one off the admitted interval decides; ``none``
     leaves a positive cell no admitted count unless p is on the 1/n grid.
@@ -302,5 +302,5 @@ def test_typical_pairs_match_the_count_definition(a_size, b_size, n, seed,
         eps = 1e-13
     else:
         eps = rng.uniform(0.0, 0.6)
-    assert np.array_equal(_typical_pairs(rows, fixed, pmf, eps),
-                          typical_by_definition(rows, fixed, pmf, eps))
+    typical = _Typicality(pmf, n, eps).pairs(_indicators(rows, a_size), fixed)
+    assert np.array_equal(typical, typical_by_definition(rows, fixed, pmf, eps))

@@ -14,18 +14,16 @@ from statekey import (AuxiliaryEncoderPolicy, BinningCodebook, BudgetError,
                       decode, encode, exact_leakage, run_no_discussion,
                       run_one_round_discussion)
 from statekey.channel import mi_bits
-from statekey.sim import (SimReport, TrialStreams, _cdf_columns,
-                          _decoder_law, _draw, _entropy, _indicators,
-                          _kernel_columns, _no_disc_tables,
-                          _one_round_tables, _reconstruct, _rng_stream,
-                          _trial_draws, _typical_pairs,
-                          is_jointly_typical, one_round_exact_leakage,
-                          transmit)
+from statekey.sim import (SimReport, TrialStreams, _cdf_columns, _draw,
+                          _entropy, _indicators, _kernel_columns,
+                          _no_disc_tables, _one_round_tables, _reconstruct,
+                          _rng_stream, _trial_draws, _Typicality,
+                          one_round_exact_leakage, transmit)
 from conftest import (S, X, YE, YR, bsc_matrix, cmi_ref, copy_encoder_policy,
                       degraded_binary_wiretap, entropy_ref,
                       erasure_eavesdropper_channel, factorized_binary,
                       identity_channel, joint_uxsre, random_aux_policy,
-                      random_channel, uniform_input_policy)
+                      random_channel, sparse_channel, uniform_input_policy)
 
 COPY_POLICY = copy_encoder_policy()
 
@@ -75,12 +73,6 @@ RECONSTRUCT_CHANNELS = {"one-cell": factorized_binary(0.0, 0.3),
                         "both": partly_deterministic_channel()}
 
 
-def no_disc_tables(channel, policy, codebook, epsilon):
-    """The run tables of ``run_no_discussion`` for this codebook."""
-    return _no_disc_tables(channel, policy, codebook, epsilon,
-                           _decoder_law(channel, policy))
-
-
 def kron_law(rows):
     """Flat law of independent symbols by explicit Kronecker products."""
     vec = np.ones(1)
@@ -95,11 +87,12 @@ def reference_exact_leakage(codebook, channel, policy, cfg):
     p_us = (channel.state_pmf[:, None] * policy.u_given_s).T
     p_ye_us = np.einsum("usx,xse->use", policy.x_given_us,
                         channel.eavesdropper_kernel())
+    test = _Typicality(p_us, n, cfg.epsilon)
+    codewords = _indicators(codebook.sequences, policy.u_size)
     table = np.zeros((codebook.num_bins, channel.ye_size ** n))
     for s_tuple in product(range(channel.s_size), repeat=n):
         s_seq = np.array(s_tuple)
-        mask = _typical_pairs(codebook.sequences, s_seq[None], p_us,
-                              cfg.epsilon)[0]
+        mask = test.pairs(codewords, s_seq[None])[0]
         weights = mask / mask.sum() if mask.any() \
             else np.full(codebook.count, 1.0 / codebook.count)
         for c in np.flatnonzero(weights):
@@ -403,40 +396,27 @@ class TestTypicality:
     def test_enumerated_acceptance_set_matches_direct_count_oracle(self, case):
         pmf, eps, s_seqs = TYPICALITY_CASES[case]
         n = s_seqs.shape[1]
+        u_seqs = np.array([[(code >> i) & 1 for i in range(n)]
+                           for code in range(2 ** n)])
+        typical = _Typicality(pmf, n, eps).pairs(_indicators(u_seqs, 2), s_seqs)
         hits = 0
-        for s_seq in s_seqs:
-            for code in range(2 ** n):
-                u_seq = np.array([(code >> i) & 1 for i in range(n)])
+        for t, s_seq in enumerate(s_seqs):
+            for code, u_seq in enumerate(u_seqs):
                 counts = np.zeros((2, 2))
                 for a, b in zip(u_seq, s_seq):
                     counts[a, b] += 1
                 expected = bool((np.abs(counts / n - pmf) <= eps + 1e-12).all()
                                 and (counts[pmf == 0] == 0).all())
-                assert is_jointly_typical(u_seq, s_seq, pmf, eps) == expected
+                assert typical[t, code] == expected
                 hits += expected
         assert 0 < hits < len(s_seqs) * 2 ** n
 
     def test_zero_probability_cells_must_be_empty(self):
         pmf = np.array([[0.5, 0.0], [0.0, 0.5]])
-        assert is_jointly_typical([0, 1, 0, 1], [0, 1, 0, 1], pmf, 0.3)
-        assert not is_jointly_typical([0, 1, 0, 1], [0, 1, 0, 0], pmf, 0.3)
-
-    def test_unequal_lengths_are_rejected(self):
-        pmf = np.full((2, 2), 0.25)
-        with pytest.raises(ValueError, match="equal length"):
-            is_jointly_typical([0, 1, 0, 1], [0], pmf, 0.3)
-
-    def test_sequences_that_are_not_one_dimensional_are_rejected(self):
-        pmf = np.full((2, 2), 0.25)
-        with pytest.raises(ValueError, match="1-D"):
-            is_jointly_typical([[0, 1], [0, 1]], [[0, 1], [1, 0]], pmf, 0.3)
-
-    def test_symbols_outside_the_alphabet_are_rejected(self):
-        pmf = np.full((2, 2), 0.25)
-        for a_seq, b_seq in (([0, 2, 0, 1], [0, 1, 0, 1]),
-                             ([0, 1, 0, 1], [0, 1, -1, 1])):
-            with pytest.raises(ValueError, match=r"in \[0, 2\)"):
-                is_jointly_typical(a_seq, b_seq, pmf, 0.3)
+        typical = _Typicality(pmf, 4, 0.3).pairs(
+            _indicators(np.array([[0, 1, 0, 1]]), 2),
+            np.array([[0, 1, 0, 1], [0, 1, 0, 0]]))
+        assert typical[:, 0].tolist() == [True, False]
 
 
 class TestEncode:
@@ -453,7 +433,7 @@ class TestEncode:
         # Epsilon beyond 0.5 makes the cell band vacuous, so only the
         # zero-cell rule binds and exactly u = s survives.
         s_seqs = rng.integers(0, 2, size=(20, n))
-        enc = encode(cb, no_disc_tables(channel, policy, cb, 0.6), s_seqs,
+        enc = encode(cb, _no_disc_tables(channel, policy, cb, 0.6), s_seqs,
                      TrialStreams(5, (9,), range(20), n + 1))
         assert enc.typical.all()
         assert np.array_equal(cb.sequences[enc.index], s_seqs)
@@ -462,14 +442,14 @@ class TestEncode:
         cb = BinningCodebook(sequences=np.zeros((3, 6), dtype=int),
                              bin_of=np.arange(3), num_bins=3)
         # All-zero codewords are never typical for a uniform u-marginal.
-        tables = no_disc_tables(degraded_channel, COPY_POLICY, cb, 0.25)
+        tables = _no_disc_tables(degraded_channel, COPY_POLICY, cb, 0.25)
         enc = encode(cb, tables, np.zeros((1, 6), dtype=int),
                      TrialStreams(1, (1,), [0], 7))
         assert not enc.typical[0]
 
     def test_selection_uniform_over_candidates(self, degraded_channel):
         cb = build_codebook(degraded_channel, COPY_POLICY, BENCH6)
-        tables = no_disc_tables(degraded_channel, COPY_POLICY, cb, 0.25)
+        tables = _no_disc_tables(degraded_channel, COPY_POLICY, cb, 0.25)
         enc = encode(cb, tables, np.zeros((4000, 6), dtype=int),
                      TrialStreams(2, (2,), range(4000), 7))
         assert enc.typical.all()
@@ -486,7 +466,7 @@ class TestDecode:
         cb = build_codebook(channel, COPY_POLICY, cfg)
         assert np.unique(cb.sequences, axis=0).shape[0] == cb.count
         rng = _rng_stream(3, 3)
-        tables = no_disc_tables(channel, COPY_POLICY, cb, 0.5)
+        tables = _no_disc_tables(channel, COPY_POLICY, cb, 0.5)
         s_seqs = np.zeros((20, 6), dtype=int)
         enc = encode(cb, tables, s_seqs, TrialStreams(3, (3,), range(20), 7))
         yr_seqs, _ = transmit(channel, tables.kernel_cols, enc.x_seq, s_seqs,
@@ -500,7 +480,7 @@ class TestDecode:
         seqs = np.array([[0, 1, 0, 1], [0, 1, 0, 1], [1, 0, 1, 0]])
         cb = BinningCodebook(sequences=seqs, bin_of=np.array([0, 1, 0]),
                              num_bins=2)
-        tables = no_disc_tables(channel, COPY_POLICY, cb, 0.3)
+        tables = _no_disc_tables(channel, COPY_POLICY, cb, 0.3)
         keys = decode(cb, tables, np.array([[0, 1, 0, 1], [1, 0, 1, 0]]))
         assert keys.tolist() == [-1, 0]
 
@@ -513,7 +493,7 @@ class TestDecode:
                          [0, 1, 0, 0]])
         cb = BinningCodebook(sequences=seqs, bin_of=np.array([0, 1, 1, 1]),
                              num_bins=2)
-        keys = decode(cb, no_disc_tables(channel, COPY_POLICY, cb, 0.3),
+        keys = decode(cb, _no_disc_tables(channel, COPY_POLICY, cb, 0.3),
                       np.zeros((1, 4), dtype=int))
         assert keys[0] == 1
 
@@ -521,7 +501,7 @@ class TestDecode:
         channel = identity_channel()
         cb = BinningCodebook(sequences=np.array([[0, 1, 0, 1]]), bin_of=[0],
                              num_bins=1)
-        tables = no_disc_tables(channel, COPY_POLICY, cb, 0.3)
+        tables = _no_disc_tables(channel, COPY_POLICY, cb, 0.3)
         for yr in ([0, 1, 2, 1], [0, -1, 0, 1]):
             with pytest.raises(ValueError, match=r"in \[0, 2\)"):
                 decode(cb, tables, np.array([yr]))
@@ -535,7 +515,7 @@ class TestDecode:
         seqs = np.array([[0, 0, 0, 0], [1, 1, 1, 1]])
         cb = BinningCodebook(sequences=seqs, bin_of=np.array([0, 1]),
                              num_bins=2)
-        keys = decode(cb, no_disc_tables(channel, COPY_POLICY, cb, 0.3),
+        keys = decode(cb, _no_disc_tables(channel, COPY_POLICY, cb, 0.3),
                       np.array([[0, 1, 0, 1]]))
         assert keys[0] == -1
 
@@ -568,7 +548,7 @@ class TestDraws:
         cb = BinningCodebook(sequences=np.zeros((1, 4), int), bin_of=[0],
                              num_bins=1)
         uniforms = np.array([[0.0, 0.5, 0.5 + 2.0 ** -53, LAST_UNIFORM]])
-        for tables in (no_disc_tables(channel, xor_policy(), cb, cfg.epsilon),
+        for tables in (_no_disc_tables(channel, xor_policy(), cb, cfg.epsilon),
                        _one_round_tables(channel, uniform_input_policy(channel),
                                          cfg)):
             assert _draw(tables.state_cols, 0, uniforms).tolist() == [[0, 0, 1, 1]]
@@ -695,7 +675,7 @@ class TestExactLeakage:
         channel, policy = degraded_channel, COPY_POLICY
         cb = build_codebook(channel, policy, cfg)
         exact = exact_leakage(cb, channel, policy, cfg) * cfg.n
-        tables = no_disc_tables(channel, policy, cb, cfg.epsilon)
+        tables = _no_disc_tables(channel, policy, cb, cfg.epsilon)
         streams = TrialStreams(cfg.seed, (1,), np.arange(cfg.trials),
                                3 * cfg.n + 1)
         s_seqs = _draw(tables.state_cols, 0, streams.random(cfg.n))
@@ -757,15 +737,36 @@ class TestRunNoDiscussion:
         assert report.achieved_key_rate == 0.15812219450886827
 
     def test_single_letter_tables_built_once_per_run(self, monkeypatch):
-        # The decoder's law p(u, yr) is one of the single-letter tables;
+        # The decoder's law p(yr | u) is one of the single-letter tables;
         # building it once per trial would count 50 here.
         calls = []
-        joint_u_yr = sim_module._joint_u_yr
-        monkeypatch.setattr(sim_module, "_joint_u_yr",
-                            lambda *args: calls.append(args) or joint_u_yr(*args))
+        decoder_law = sim_module._decoder_law
+        monkeypatch.setattr(sim_module, "_decoder_law",
+                            lambda *args: calls.append(args) or decoder_law(*args))
         cfg = SimConfig(n=6, epsilon=0.15, rate_margin=0.2, trials=50, seed=42)
         run_no_discussion(factorized_binary(), xor_policy(), cfg)
         assert len(calls) == 1
+
+    def test_table_budget_counts_one_decoder_table(self, monkeypatch):
+        # p(u, yr) of the copy policy on the noiseless receiver is diagonal,
+        # half of it zero cells, and the view is constant, so only the run
+        # tables' check reads MAX_LEAKAGE_BYTES: count n (|U| + |Yr|)
+        # floats, one decoder term per (codeword, position, yr), zero
+        # cells included.  One byte less refuses the run before any table.
+        channel = identity_channel()
+        cfg = SimConfig(n=6, epsilon=0.5, rate_margin=0.35, trials=20, seed=2)
+        count = build_codebook(channel, COPY_POLICY, cfg).count
+        limit = 8 * count * cfg.n * (2 + 2)
+        monkeypatch.setattr(sim_module, "MAX_LEAKAGE_BYTES", limit)
+        report = run_no_discussion(channel, COPY_POLICY, cfg)
+        assert report.diagnostics["num_sequences"] == count
+        calls = []
+        monkeypatch.setattr(sim_module, "MAX_LEAKAGE_BYTES", limit - 1)
+        monkeypatch.setattr(sim_module, "_indicators",
+                            lambda *args: calls.append(args))
+        with pytest.raises(BudgetError, match="encoder and decoder tables"):
+            run_no_discussion(channel, COPY_POLICY, cfg)
+        assert calls == []
 
     def test_leakage_is_exact_at_block_length_twelve(self):
         # The no-discussion benchmark configuration at n = 12.  The value
@@ -798,6 +799,25 @@ class TestRunNoDiscussion:
         assert calls == []
 
 
+def zero_cell_case(seed, sizes, u_size):
+    """A ``sparse_channel`` of the given sizes and a policy with zeros in
+    u_given_s and a deterministic x_given_us, at n = 8: p(u, yr) has zero
+    cells, and a fallback codeword u_i that p(u | s_i) excludes can have
+    zero likelihood."""
+    rng = np.random.default_rng(seed)
+    channel = sparse_channel(rng, *sizes)
+    u_given_s = rng.dirichlet(np.ones(u_size), size=channel.s_size)
+    u_given_s[rng.random(u_given_s.shape) < 0.4] = 0.0
+    u_given_s[np.arange(channel.s_size),
+              rng.integers(u_size, size=channel.s_size)] += 0.1
+    x_given_us = np.eye(channel.x_size)[
+        rng.integers(channel.x_size, size=(u_size, channel.s_size))]
+    policy = AuxiliaryEncoderPolicy(
+        u_size, u_given_s / u_given_s.sum(axis=1, keepdims=True), x_given_us)
+    return channel, policy, SimConfig(n=8, epsilon=0.3, rate_margin=0.02,
+                                      trials=200, seed=seed)
+
+
 def no_disc_grid():
     """(channel, policy, config) cases for the no-discussion equivalence."""
     rng = np.random.default_rng(5)
@@ -806,9 +826,10 @@ def no_disc_grid():
         # The encode fallback fires on 47 % of trials.
         (factorized_binary(), xor_policy(),
          SimConfig(n=6, epsilon=0.15, rate_margin=0.2, trials=300, seed=42)),
-        # A noiseless receiver: duplicate codewords in two bins tie, and a
-        # yr^n that is no codeword has zero likelihood everywhere; the
-        # leakage of its 256 codewords at n = 10 is exact, like every other.
+        # A noiseless receiver: duplicate codewords in two bins tie, and
+        # p(u, yr) is diagonal, so every codeword but the sent one's copies
+        # crosses a zero cell; the leakage of its 256 codewords at n = 10 is
+        # exact, like every other.
         (factorized_binary(0.0, 0.3), xor_policy(),
          SimConfig(n=10, epsilon=0.2, rate_margin=0.2, trials=200, seed=1)),
         (degraded_binary_wiretap(), COPY_POLICY, BENCH6),
@@ -819,6 +840,12 @@ def no_disc_grid():
          SimConfig(n=6, epsilon=0.3, rate_margin=0.4, trials=200, seed=4)),
         (channel, random_aux_policy(rng, channel, u_size=2),
          SimConfig(n=5, epsilon=0.3, rate_margin=0.02, trials=200, seed=3)),
+        # Zero cells in p(u, yr) from sparse kernels and deterministic
+        # x_given_us: 46, 13 and 40 codewords; each case meets a tie and a
+        # trial whose codewords all have zero likelihood.
+        zero_cell_case(0, (3, 3, 4, 2), 3),
+        zero_cell_case(22, (3, 2, 3, 2), 2),
+        zero_cell_case(2, (2, 2, 3, 2), 3),
     ]
 
 
@@ -877,10 +904,18 @@ class TestBatchedTrialLoops:
                                                          monkeypatch):
         if chunk_bytes is not None:
             monkeypatch.setattr(sim_module, "_TRIAL_CHUNK_BYTES", chunk_bytes)
-        events = set()
+        cases = []
         for channel, policy, cfg in no_disc_grid():
+            cases.append(set())
             assert run_no_discussion(channel, policy, cfg) == \
-                reference_run_no_discussion(channel, policy, cfg, events), cfg
+                reference_run_no_discussion(channel, policy, cfg,
+                                            cases[-1]), cfg
+        # The decoder scores a codeword that crosses a zero cell of p(u, yr)
+        # at or below _LOG_ZERO, the reference loop at -inf; the state echo
+        # and the three zero-cell cases each take both of these branches.
+        for event in ("zero likelihood", "decode tie"):
+            assert sum(event in case for case in cases) >= 4, event
+        events = set().union(*cases)
         for channel, policy, cfg in one_round_grid():
             assert run_one_round_discussion(channel, policy, cfg) == \
                 reference_run_one_round(channel, policy, cfg, events), cfg
@@ -1196,8 +1231,9 @@ class TestOneRoundDiscussion:
         expected = []
         for xs_seq, b in zip(xs_seqs, published):
             members = np.flatnonzero(tables.bin_of == b)
-            typical = _typical_pairs(tables.all_yr[members], xs_seq[None], law,
-                                     epsilon)[0]
+            typical = _Typicality(law, n, epsilon).pairs(
+                _indicators(tables.all_yr[members], channel.yr_size),
+                xs_seq[None])[0]
             # The oracle is checked against explicit cell counts.
             assert np.array_equal(typical, typical_rows(
                 tables.all_yr[members], xs_seq, law, epsilon))
