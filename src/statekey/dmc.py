@@ -21,6 +21,11 @@ each is solved by one multiplicative-update ascent from the uniform policy.
 The ascent stops when its Frank-Wolfe gap proves that no step can gain
 _ASCENT_TOL, or when it stalls at a maximum on the simplex boundary; a
 maximum at a vertex (a deterministic policy) is certified in one evaluation.
+Its backtracking ladder skips the rungs that concavity proves futile: the
+objective is 1-homogeneous in p(s) p(x|s), so a candidate's value is at
+most its inner product with the current partials, a bound that shrinks with
+the step size, and once a rejected step's bound is within _ASCENT_TOL / 2 of
+the value no smaller step is evaluated.
 The no-discussion upper bound also minimizes over output couplings with
 fixed marginals, where the objective is convex: it alternates the ascent,
 warm-started from the last maximizer, with an over-relaxed Csiszar-Tusnady
@@ -473,8 +478,9 @@ def lower_bound_no_discussion(channel: StateChannel,
 
     Maximizes I(U;Yr) - I(U;Ye) over encoder policies subject to the covering
     constraint I(U;Yr) - I(U;S) >= 0; candidates violating the constraint by
-    more than ``_STEP_TOLERANCE`` (1e-9 bits) are discarded, so the reported
-    value is always achievable.
+    more than ``_STEP_TOLERANCE`` (1e-9 bits) are discarded.  The reported
+    policy's ``constraint_slack_bits`` may therefore lie in [-1e-9, 0), where
+    the value is not proven achievable (ROADMAP item 3).
     """
     (found,) = _search_aux(channel, cfg, (True,))
     return _search_result(channel, True, *found)
@@ -485,8 +491,10 @@ def secret_message_lower_bound(channel: StateChannel,
     """Best found secret-message rate I(U;Yr) - max(I(U;S), I(U;Ye)).
 
     Provided for comparison with the key-rate bound; the key can depend on
-    the state sequence while a message cannot, so this bound is never larger
-    on the constrained region.
+    the state sequence while a message cannot, so the optimum of this bound
+    is never larger on the constrained region.  Both are best-found values,
+    and the message search can find more than the key-rate search does
+    (ROADMAP items 2 and 3).
     """
     (found,) = _search_aux(channel, cfg, (False,))
     return _search_result(channel, False, *found)
@@ -564,6 +572,14 @@ def _ascend_input(state_pmf: np.ndarray, q: np.ndarray, given_ye: bool,
     _ASCENT_TOL; or, stalled at a maximum on the simplex boundary where the
     gap shrinks slowly, when no step down to eta = 1e-12 gains, after five
     steps in a row gain less than 1e-12, or after _ASCENT_MAX_ITER steps.
+    Once a step's first candidate is rejected, each further rung is bounded
+    before it is evaluated, and the ladder ends at the first rung whose
+    bound sum_s p(s) sum_x cand(x|s) d[s, x], d the partials at p, is
+    within _ASCENT_TOL / 2 of the value.  The objective is concave and
+    1-homogeneous in w = p(s) p(x|s), so that bound (the supporting
+    hyperplane of ``_fw_gap``) caps the candidate's value; it grows with
+    eta, since the tilted mean of d does, so no smaller rung could gain
+    _ASCENT_TOL either, and the result is the one the whole ladder gives.
     Maxima at a vertex (every row one-hot) take one evaluation to certify:
     a vertex ``p0`` with gap at most _ASCENT_TOL / 2 is returned as it is,
     and a stalled ascent returns the argmax vertex of its p when that
@@ -585,19 +601,25 @@ def _ascend_input(state_pmf: np.ndarray, q: np.ndarray, given_ye: bool,
             return p, value, gap
         if stall >= 5 or step == _ASCENT_MAX_ITER:
             break
+        accepted = rejected = False
         while eta >= 1e-12:
             logp = np.log(np.maximum(p, 1e-300)) + eta * grad * LN2
             logp -= logp.max(axis=1, keepdims=True)
             cand = np.exp(logp)
             cand /= cand.sum(axis=1, keepdims=True)
+            if rejected and state_pmf @ (cand * grad).sum(axis=1) - value \
+                    <= _ASCENT_TOL / 2:
+                break
             cand_value, cand_grad = _input_value_grad(cand, state_pmf, q, h_cell)
             if cand_value > value + _ASCENT_TOL:
                 gain = cand_value - value
                 p, value, grad = cand, cand_value, cand_grad
                 eta = min(eta * 1.5, 64.0)
+                accepted = True
                 break
             eta *= 0.5
-        else:
+            rejected = True
+        if not accepted:
             break
         stall = stall + 1 if gain < 1e-12 else 0
     top = np.eye(p.shape[1])[p.argmax(axis=1)]

@@ -74,7 +74,10 @@ def rho_star(gp: GaussianParams) -> float:
 
 
 def lb_no_discussion(gp: GaussianParams) -> float:
-    """Achievable key rate without discussion, at alpha = 1 and rho = rho_star."""
+    """The paper's no-discussion key-rate expression, at alpha = 1 and
+    rho = rho_star.  ``rho_star`` drops a term of the covering constraint,
+    which fails at that point, so this is not an achievable rate of the
+    scheme (ROADMAP item 9)."""
     _require_p_ge_1(gp)
     r = rho_star(gp)
     v = gp.p + gp.q + 2.0 * r * math.sqrt(gp.p * gp.q)
@@ -109,7 +112,8 @@ def rate_aux_surface(gp: GaussianParams, aux: GaussianAuxParams) -> AuxRateResul
     At alpha = 1 and rho = rho_star(gp) the value coincides with
     lb_no_discussion(gp).  Note that rho_star solves the relaxed constraint
     (the one with the 2*rho*sqrt(p*q) term dropped from the denominator), so
-    the strict slack reported here can be slightly negative at that point.
+    the strict slack reported here is negative at that point: at all 507
+    points of the grid of ROADMAP item 9, down to -0.106.
     """
     p, q, delta = gp.p, gp.q, gp.delta
     al, rho = aux.alpha, aux.rho

@@ -8,9 +8,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from statekey import (AuxiliaryEncoderPolicy, BudgetError, CouplingFamily,
-                      OptimizerConfig, StateChannel, augment_receiver,
-                      aux_policy_rate, dmc, discussion_capacity_if_markov,
+from statekey import (AuxiliaryEncoderPolicy, BoundResult, BudgetError,
+                      CouplingFamily, OptimizerConfig, StateChannel,
+                      augment_receiver, aux_policy_rate, dmc,
+                      discussion_capacity_if_markov,
                       lower_bound_discussion, lower_bound_no_discussion,
                       secret_message_lower_bound, upper_bound_discussion,
                       upper_bound_no_discussion)
@@ -522,16 +523,24 @@ class TestUpperBoundNoDiscussion:
         res = upper_bound_no_discussion(channel)
         assert res.value_bits == pytest.approx(value, abs=1e-12)
 
-    @pytest.mark.parametrize("channel, per_solve, total", [
-        (factorized_binary(), 2, np.inf),
-        (random_channel(np.random.default_rng(3), 2, 2, 3, 2), np.inf, 200),
-    ])
-    def test_input_evaluations(self, channel, per_solve, total, monkeypatch):
-        # An ascent that stops on its Frank-Wolfe gap skips the 40-odd
-        # evaluations of a backtracking ladder that can accept nothing: each
-        # inner solve on the factorized channel then needs at most two.  On
-        # the random channel every maximum is a vertex, which a warm start
-        # certifies in one evaluation (903 evaluations without that check).
+    @pytest.mark.parametrize("channel, per_solve, totals", [
+        (factorized_binary(), 2, (np.inf, 1, 1)),
+        (random_channel(np.random.default_rng(3), 2, 2, 3, 2), np.inf,
+         (70, 30, 30)),
+    ], ids=["factorized", "dmc-search"])
+    def test_input_evaluations(self, channel, per_solve, totals, monkeypatch):
+        # Totals for the coupling bound, upper_bound_discussion and branch 1
+        # of lower_bound_discussion.  An ascent that stops on its
+        # Frank-Wolfe gap skips the 40-odd evaluations of a backtracking
+        # ladder that can accept nothing: each inner solve on the factorized
+        # channel then needs at most two, and each discussion ascent one.
+        # On the random channel every coupling maximum is a vertex, which a
+        # warm start certifies in one evaluation (903 evaluations without
+        # that check); the first solve stalls short of its certificate, and
+        # its ladders end at the first rung concavity proves futile (68
+        # evaluations in all, 113 when every rung was evaluated).  The
+        # discussion ascents stall too: 25 and 27 evaluations, 68 each when
+        # every rung was evaluated.
         calls = []
 
         def spy(*args):
@@ -540,8 +549,14 @@ class TestUpperBoundNoDiscussion:
 
         monkeypatch.setattr(dmc, "_input_value_grad", spy)
         res = upper_bound_no_discussion(channel)
-        assert 0 < len(calls) <= min(total,
+        assert 0 < len(calls) <= min(totals[0],
                                      per_solve * res.diagnostics["inner_solves"])
+        calls.clear()
+        upper_bound_discussion(channel)
+        assert 0 < len(calls) <= totals[1]
+        calls.clear()
+        lower_bound_discussion(channel, BoundResult(0.0, None))
+        assert 0 < len(calls) <= totals[2]
 
     def test_warm_starts_certify_the_vertex_in_one_evaluation(self,
                                                               monkeypatch):
@@ -961,7 +976,85 @@ def ladder_ascent(state_pmf, q, given_ye, p0):
     return p, value
 
 
+def every_rung_ascent(state_pmf, q, given_ye, p0):
+    """``_ascend_input`` as it was before its ladder ended at the first
+    futile rung: the same gap stop and vertex checks, but every ladder
+    candidate down to eta = 1e-12 is evaluated.  Evaluations go through
+    ``dmc._input_value_grad``, so a spy there counts them."""
+    h_cell = _cell_entropy(q, given_ye)
+    if np.all((p0 == 0.0) | (p0 == 1.0)):
+        value, gap = _certified_value(p0, state_pmf, q, h_cell)
+        if gap <= _ASCENT_TOL / 2:
+            return p0, value, gap
+    p = (1.0 - 1e-3) * p0 + 1e-3 / p0.shape[1]
+    p /= p.sum(axis=1, keepdims=True)
+    value, grad = dmc._input_value_grad(p, state_pmf, q, h_cell)
+    eta, stall = 1.0, 0
+    for step in itertools.count():
+        gap = _fw_gap(p, state_pmf, grad)
+        if gap <= _ASCENT_TOL / 2:
+            return p, value, gap
+        if stall >= 5 or step == _ASCENT_MAX_ITER:
+            break
+        while eta >= 1e-12:
+            cand = ladder_candidate(p, grad, eta)
+            cand_value, cand_grad = dmc._input_value_grad(cand, state_pmf, q,
+                                                          h_cell)
+            if cand_value > value + _ASCENT_TOL:
+                gain = cand_value - value
+                p, value, grad = cand, cand_value, cand_grad
+                eta = min(eta * 1.5, 64.0)
+                break
+            eta *= 0.5
+        else:
+            break
+        stall = stall + 1 if gain < 1e-12 else 0
+    top = np.eye(p.shape[1])[p.argmax(axis=1)]
+    top_value, top_gap = _certified_value(top, state_pmf, q, h_cell)
+    if top_value >= value and top_value + top_gap < value + gap:
+        return top, top_value, top_gap
+    return p, value, gap
+
+
 class TestInputAscent:
+    def test_futile_rungs_are_skipped_without_changing_a_bit(self,
+                                                             monkeypatch):
+        # The objective is concave and 1-homogeneous in w = p(s) p(x|s), so
+        # a candidate's value is at most sum_s p(s) sum_x cand(x|s) d[s, x],
+        # d the partials at p; that bound grows with eta (the tilted mean of
+        # d does), so once a rung's bound is within _ASCENT_TOL / 2 of the
+        # value, no smaller eta can be accepted and the ladder ends there.
+        calls = []
+
+        def spy(*args):
+            calls.append(None)
+            return _input_value_grad(*args)
+
+        monkeypatch.setattr(dmc, "_input_value_grad", spy)
+        evaluations = {"every rung": 0, "skipping": 0}
+        for k in range(60):
+            rng = np.random.default_rng(k)
+            sizes = rng.integers(1, 5, size=4)
+            channel = (sparse_channel if k % 2 else random_channel)(rng, *sizes)
+            product = np.einsum("xsr,xse->xsre", channel.receiver_kernel(),
+                                channel.eavesdropper_kernel())
+            for q, given_ye in ((channel.kernel, True), (channel.kernel, False),
+                                (product, True)):
+                for p0 in (np.full((channel.s_size, channel.x_size),
+                                   1.0 / channel.x_size),
+                           np.eye(channel.x_size)[[0] * channel.s_size]):
+                    results = {}
+                    for name, ascend in (("every rung", every_rung_ascent),
+                                         ("skipping", _ascend_input)):
+                        before = len(calls)
+                        p, value, gap = ascend(channel.state_pmf, q, given_ye,
+                                               p0)
+                        results[name] = (p.tobytes(), value, gap)
+                        evaluations[name] += len(calls) - before
+                    assert results["skipping"] == results["every rung"], \
+                        (k, given_ye)
+        assert evaluations["skipping"] < evaluations["every rung"]
+
     def test_gap_stop_keeps_the_ladder_result(self):
         # By concavity value + gap bounds every point, in particular every
         # step of the backtracking ladder (eta = 64 * 2^-k down to 1e-12) at
