@@ -22,7 +22,7 @@ then holds a batch of candidate rows against a batch of fixed rows with one
 positive cell, and one product for each other cell whose band can fail.  A
 run builds each of its tests once, in its run tables: the encoder's, the
 one-round typical set's and the reconstruction's (where ambiguity is an
-error); the exact leakage builds its own.  The no-discussion decoder is
+error); the exact leakage reads the encoder's.  The no-discussion decoder is
 bin-wise maximum likelihood under the single-letter law p(yr | u): it reads
 no ``epsilon``, ``decode`` returns keys, and a tie between bins counts as an
 error.  When the encoder finds no typical codeword it falls back to a
@@ -585,10 +585,13 @@ def build_codebook(channel: StateChannel, policy: AuxiliaryEncoderPolicy,
     """Draw the i.i.d. u-sequence codebook and randomly partition it into bins.
 
     Its sizes are ``_codebook_size``'s; with a single bin the simulator
-    still runs and reports zero leakage.  The sequences and the partition
-    are drawn from ``_rng_stream(cfg.seed, 0)``.
+    still runs and reports zero leakage.  A codebook whose exact leakage or
+    run tables would be over budget raises ``BudgetError`` before the
+    sequences and the partition are drawn from ``_rng_stream(cfg.seed, 0)``.
     """
     count, bins = _codebook_size(channel, policy, cfg)
+    _check_exact_leakage(channel, policy, count, bins, cfg.n)
+    _check_table_bytes(count, cfg.n, policy.u_size, channel.yr_size)
     p_u = np.einsum("s,su->u", channel.state_pmf, policy.u_given_s)
     p_u = p_u / p_u.sum()
     rng = _rng_stream(cfg.seed, 0)
@@ -643,10 +646,8 @@ class _NoDiscTables:
 
 def _no_disc_tables(channel: StateChannel, policy: AuxiliaryEncoderPolicy,
                     codebook: BinningCodebook, epsilon: float) -> _NoDiscTables:
-    """The run tables, with the policy's ``_decoder_law``; BudgetError if
-    they would exceed MAX_LEAKAGE_BYTES."""
+    """The run tables, whose bytes ``build_codebook`` checks."""
     count, n = codebook.sequences.shape
-    _check_table_bytes(count, n, policy.u_size, channel.yr_size)
     log_yr_given_u = _decoder_law(channel, policy)
     return _NoDiscTables(
         typical=_Typicality(_joint_u_s(channel, policy), n, epsilon),
@@ -800,7 +801,7 @@ def _check_exact_leakage(channel: StateChannel,
 
 
 def exact_leakage(codebook: BinningCodebook, channel: StateChannel,
-                  policy: AuxiliaryEncoderPolicy, cfg: SimConfig) -> float:
+                  policy: AuxiliaryEncoderPolicy, tables: _NoDiscTables) -> float:
     """Exact I(K; Ye^n) / n in bits per symbol for the binned key.
 
     The joint law of (K, Ye^n) follows the i.i.d. state, the encoder's
@@ -809,13 +810,16 @@ def exact_leakage(codebook: BinningCodebook, channel: StateChannel,
     c adds v_c (M_c1 ⊗ ... ⊗ M_cn) to its bin, with v_c[s^n] = p(s^n) w(s^n, c)
     and M_ci[s, ye] = p(ye | u_ci, s), applied mode by mode in about
     count · n · max(|S|, |Ye|)^n multiply-adds, plus count · |S|^n floats
-    for v and count · |U| · n for the codeword indicators of the typicality
-    test.  This is the module's ground-truth secrecy oracle.  A constant
+    for v.  It scores the run's encoder: the typicality test and codeword
+    indicators are read from ``tables``, which must be built for this
+    codebook.  This is the module's ground-truth secrecy oracle.  A constant
     view (one ye symbol whatever x and s are) leaks nothing and costs
     nothing; any other raises ``BudgetError`` over the leakage budget,
     before any work.
     """
     n = codebook.n
+    if tables.codewords.shape[::2] != codebook.sequences.shape:
+        raise ValueError("tables were built for another codebook")
     if not _check_exact_leakage(channel, policy, codebook.count,
                                 codebook.num_bins, n):
         return 0.0
@@ -824,13 +828,11 @@ def exact_leakage(codebook: BinningCodebook, channel: StateChannel,
     states = channel.s_size ** n
     weights = np.empty((codebook.count, states))
     log_ps = np.log(np.maximum(channel.state_pmf, 1e-300))
-    test = _Typicality(_joint_u_s(channel, policy), n, cfg.epsilon)
-    codewords = _indicators(codebook.sequences, test.a_size)
     step = _chunk_rows(8 * max(codebook.count, n))   # a float share per pair
     for lo in range(0, states, step):
         s_seqs = _sequences(channel.s_size, n, lo, min(lo + step, states))
         prob_s = np.exp(log_ps[s_seqs].sum(axis=1))
-        mask = test.pairs(codewords, s_seqs)
+        mask = tables.typical.pairs(tables.codewords, s_seqs)
         k = mask.sum(axis=1, keepdims=True)
         share = np.where(k > 0, mask / np.maximum(k, 1), 1.0 / codebook.count)
         weights[:, lo:lo + len(s_seqs)] = (prob_s[:, None] * share).T
@@ -872,16 +874,13 @@ def run_no_discussion(channel: StateChannel, policy: AuxiliaryEncoderPolicy,
     (3n + 1 per trial), the decoder's four floats per codeword, or the
     channel draw's n |Yr| |Ye| floats.
     Disagreement counts decode failures (tied bins, or no codeword with
-    nonzero likelihood) as well as key mismatches.  The exact leakage and
-    the run tables' byte check need only the codebook's sizes, so a run
-    over either budget raises ``BudgetError`` before the codebook is drawn.
+    nonzero likelihood) as well as key mismatches.  ``build_codebook``
+    checks both budgets before its draw, and the exact leakage reads the
+    run tables the trials use.
     """
-    count, bins = _codebook_size(channel, policy, cfg)
-    _check_exact_leakage(channel, policy, count, bins, cfg.n)
-    _check_table_bytes(count, cfg.n, policy.u_size, channel.yr_size)
     codebook = build_codebook(channel, policy, cfg)
-    leakage = exact_leakage(codebook, channel, policy, cfg)
     tables = _no_disc_tables(channel, policy, codebook, cfg.epsilon)
+    leakage = exact_leakage(codebook, channel, policy, tables)
     n = cfg.n
     disagreements, encode_failures, key_counts = _sum_chunks(
         functools.partial(_no_disc_chunk, channel, codebook, tables, cfg),
@@ -924,7 +923,7 @@ class _OneRoundTables:
     ``bin_of``, made once per run, serves every reconstruction.  The cdf
     tables are ``_cdf_columns``, read by ``_draw``: p(s) has one cell (0),
     p(x | s) one per s, and the kernel one per (x, s), see
-    ``_kernel_columns``.
+    ``_kernel_columns``.  The exact leakage reads only these tables.
     """
 
     all_yr: np.ndarray          # (|Yr|^n, n)
@@ -938,6 +937,7 @@ class _OneRoundTables:
     state_cols: np.ndarray      # cdf columns of p(s), shape (s - 1, 1)
     x_cols: np.ndarray          # cdf columns of p(x | s), shape (x - 1, s)
     kernel_cols: np.ndarray     # see _kernel_columns
+    yr_ye: np.ndarray           # p(yr, ye), x and s summed out
     key_rate_target: float
 
 
@@ -993,6 +993,8 @@ def _one_round_tables(channel: StateChannel, policy: InputPolicy,
                            state_cols=_cdf_columns(channel.state_pmf[None]),
                            x_cols=_cdf_columns(policy.x_given_s),
                            kernel_cols=_kernel_columns(channel),
+                           yr_ye=np.einsum("s,sx,xsre->re", channel.state_pmf,
+                                           policy.x_given_s, channel.kernel),
                            key_rate_target=max(0.0, key_exponent))
 
 
@@ -1028,22 +1030,19 @@ def _reconstruct(tables: _OneRoundTables, xs_seqs: np.ndarray,
     return np.where(hits == 1, hit_sum, -1)
 
 
-def one_round_exact_leakage(tables: _OneRoundTables, channel: StateChannel,
-                            policy: InputPolicy, cfg: SimConfig) -> float:
+def one_round_exact_leakage(tables: _OneRoundTables) -> float:
     """Exact I(K; Ye^n, public bin) / n for the one-round scheme.
 
-    Uses the factorization of (Yr^n, Ye^n) into an i.i.d. per-symbol joint
-    (x and s are marginalized per symbol), so the mode products run over the
-    |Yr|^n output sequences, a cost ``_one_round_tables`` has checked.
+    Uses the factorization of (Yr^n, Ye^n) into the i.i.d. per-symbol joint
+    ``tables.yr_ye``, so the mode products run over the |Yr|^n output
+    sequences, a cost ``_one_round_tables`` has checked.
     """
-    n = cfg.n
-    m = np.einsum("s,sx,xsre->re", channel.state_pmf, policy.x_given_s,
-                  channel.kernel)
+    rows, n = tables.all_yr.shape
     # Rows (sub, bin): the key indexes blocks of rows, the view is (bin, ye^n).
     views = tables.num_bins + 1
-    table = np.zeros((tables.num_subbins * views, channel.ye_size ** n))
+    table = np.zeros((tables.num_subbins * views, tables.yr_ye.shape[1] ** n))
     _add_kron_rows(table, tables.sub_of * views + tables.bin_of,
-                   np.ones((len(tables.all_yr), 1)), m[:, None, :], tables.all_yr)
+                   np.ones((rows, 1)), tables.yr_ye[:, None], tables.all_yr)
     return _leakage_bits(table.reshape(tables.num_subbins, -1), n)
 
 
@@ -1097,7 +1096,7 @@ def run_one_round_discussion(channel: StateChannel, policy: InputPolicy,
         functools.partial(_one_round_chunk, channel, tables, cfg), cfg.trials,
         8 * n * max(channel.yr_size * channel.ye_size, 6))
     unique_lookups = cfg.trials - recon_failures
-    leakage = one_round_exact_leakage(tables, channel, policy, cfg)
+    leakage = one_round_exact_leakage(tables)
     achieved = _entropy(key_counts / cfg.trials) / n
     return SimReport(
         disagreement_prob=disagreements / cfg.trials,

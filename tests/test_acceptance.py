@@ -21,6 +21,7 @@ from statekey import (GaussianParams, OptimizerConfig, SimConfig,
                       upper_bound_discussion, upper_bound_no_discussion,
                       build_codebook, exact_leakage)
 from statekey.cli import main, save_channel
+from statekey.sim import _no_disc_tables
 from conftest import (copy_encoder_policy, degraded_binary_wiretap,
                       factorized_binary, uniform_input_policy)
 
@@ -181,9 +182,11 @@ def test_criterion_6_leakage_binned_vs_unbinned(degraded_channel):
     policy = copy_encoder_policy()
     cfg = SimConfig(n=6, epsilon=0.25, rate_margin=0.2, trials=100, seed=42)
     cb = build_codebook(degraded_channel, policy, cfg)
-    binned = exact_leakage(cb, degraded_channel, policy, cfg)
+    # The singleton-bin view keeps the codewords, so the run tables serve it.
+    tables = _no_disc_tables(degraded_channel, policy, cb, cfg.epsilon)
+    binned = exact_leakage(cb, degraded_channel, policy, tables)
     unbinned = exact_leakage(cb.with_singleton_bins(), degraded_channel,
-                             policy, cfg)
+                             policy, tables)
     elapsed = time.perf_counter() - start
     print(f"criterion 6 (leakage): binned {binned:.5f} < unbinned "
           f"{unbinned:.5f} bits/symbol, {elapsed:.1f} s")

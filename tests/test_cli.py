@@ -468,8 +468,10 @@ class TestSimulateCommand:
                          .split(" = ")[1])
         channel = degraded_binary_wiretap()
         cfg = SimConfig(n=6, epsilon=0.25, rate_margin=0.2, trials=50, seed=42)
-        cb = build_codebook(channel, default_aux_policy(channel), cfg)
-        oracle = exact_leakage(cb, channel, default_aux_policy(channel), cfg)
+        policy = default_aux_policy(channel)
+        cb = build_codebook(channel, policy, cfg)
+        oracle = exact_leakage(cb, channel, policy, sim._no_disc_tables(
+            channel, policy, cb, cfg.epsilon))
         assert reported == pytest.approx(oracle, abs=1e-12)
 
     def test_policy_file_is_honored(self, degraded_file, tmp_path, capsys):

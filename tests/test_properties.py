@@ -1,8 +1,8 @@
 """Property tests of the MI triple (I(U;Yr), I(U;Ye), I(U;S)) on one policy,
 of the closed-form partials of the auxiliary-policy search score, of the
 concavity in p(x|s) that lets each input-policy maximum be solved from one
-start, of the partials of the input-policy kernel, and of the simulator's
-batched strong-typicality kernel.
+start, of the partials of the input-policy kernel, of the simulator's
+batched strong-typicality kernel, and of its exact leakage in both modes.
 
 Hypothesis draws small alphabets and a numpy seed for the channel and the
 policy; ``derandomize=True`` makes every run draw the same examples.
@@ -14,12 +14,14 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from statekey import (AuxiliaryEncoderPolicy, BoundResult, StateChannel,
+from statekey import (AuxiliaryEncoderPolicy, BinningCodebook, BoundResult,
+                      InputPolicy, SimConfig, StateChannel, exact_leakage,
                       lower_bound_discussion)
 from statekey.channel import (aux_mi_partials, aux_mi_terms, mi_bits,
                               policy_mi_triple)
 from statekey.dmc import _cell_entropy, _input_value_grad, _search_score
-from statekey.sim import _indicators, _Typicality
+from statekey.sim import (_indicators, _no_disc_tables, _one_round_tables,
+                          _Typicality, one_round_exact_leakage)
 from conftest import (S, U, YE, YR, cmi_ref, joint_uxsre, random_aux_policy,
                       random_channel)
 
@@ -304,3 +306,50 @@ def test_typical_pairs_match_the_count_definition(a_size, b_size, n, seed,
         eps = rng.uniform(0.0, 0.6)
     typical = _Typicality(pmf, n, eps).pairs(_indicators(rows, a_size), fixed)
     assert np.array_equal(typical, typical_by_definition(rows, fixed, pmf, eps))
+
+
+# |U|, |X|, |S|, |Yr|, |Ye| of the leakage properties: no alphabet of size 1,
+# which would make most leakages 0.
+LEAKAGE_SIZES = st.tuples(*[st.integers(2, 3)] * 5)
+
+
+@PROPERTY
+@given(LEAKAGE_SIZES, st.integers(2, 4), st.integers(0, 2**32 - 1))
+def test_no_discussion_leakage_ignores_ye_labels(sizes, n, seed):
+    """Permuting the eavesdropper's symbols permutes the columns of the
+    (key, ye^n) table, so ``exact_leakage`` of one codebook of 3-6 codewords
+    in two bins is unchanged; epsilon is drawn so that some state sequences
+    fall back to the whole codebook."""
+    channel, policy = draw_case(sizes, seed, False)
+    rng = np.random.default_rng(seed + 1)
+    count = int(rng.integers(3, 7))
+    cb = BinningCodebook(sequences=rng.integers(0, policy.u_size, (count, n)),
+                         bin_of=rng.permutation(np.arange(count) % 2),
+                         num_bins=2)
+    epsilon = rng.uniform(0.25, 0.6)
+    values = [exact_leakage(cb, *case, _no_disc_tables(*case, cb, epsilon))
+              for case in (
+                  (channel, policy),
+                  relabel(channel, policy, "Ye", rng.permutation(sizes[4])))]
+    assert values[1] == pytest.approx(values[0], abs=1e-12)
+
+
+@PROPERTY
+@given(LEAKAGE_SIZES, st.integers(2, 5), st.integers(0, 2**32 - 1))
+def test_one_round_leakage_ignores_ye_labels(sizes, n, seed):
+    """The same for ``one_round_exact_leakage``, on channels with peaked
+    (Dirichlet 0.3) kernels, where about half the runs have more than one
+    key sub-bin.  The sub-bin count reads I(Yr;Ye), whose last bits the
+    relabelling may change, so only runs that keep it are compared."""
+    _, x_size, s_size, yr_size, ye_size = sizes
+    rng = np.random.default_rng(seed)
+    kernel = rng.dirichlet(np.full(yr_size * ye_size, 0.3), size=(
+        x_size, s_size)).reshape(x_size, s_size, yr_size, ye_size)
+    state = rng.dirichlet(np.ones(s_size))
+    policy = InputPolicy(rng.dirichlet(np.ones(x_size), size=s_size))
+    cfg = SimConfig(n=n, epsilon=0.3, rate_margin=0.01, trials=1, seed=seed)
+    tables = [_one_round_tables(StateChannel.from_arrays(state, k), policy, cfg)
+              for k in (kernel, kernel[..., rng.permutation(ye_size)])]
+    assume(tables[0].num_subbins == tables[1].num_subbins)
+    assert one_round_exact_leakage(tables[1]) == pytest.approx(
+        one_round_exact_leakage(tables[0]), abs=1e-12)

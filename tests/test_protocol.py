@@ -81,6 +81,12 @@ def kron_law(rows):
     return vec
 
 
+def run_leakage(codebook, channel, policy, cfg):
+    """``exact_leakage`` of the codebook with the run tables of ``cfg``."""
+    return exact_leakage(codebook, channel, policy, _no_disc_tables(
+        channel, policy, codebook, cfg.epsilon))
+
+
 def reference_exact_leakage(codebook, channel, policy, cfg):
     """I(K; Ye^n) / n by enumerating every (state sequence, codeword) pair."""
     n = codebook.n
@@ -185,7 +191,7 @@ def reference_run_no_discussion(channel, policy, cfg, events):
             disagreements += 1
     return SimReport(
         disagreement_prob=disagreements / cfg.trials,
-        leakage_bits_per_symbol=exact_leakage(cb, channel, policy, cfg),
+        leakage_bits_per_symbol=run_leakage(cb, channel, policy, cfg),
         achieved_key_rate=_entropy(key_counts / cfg.trials) / n,
         encode_failure_rate=failures / cfg.trials, leakage_method="exact",
         diagnostics={"num_sequences": float(cb.count),
@@ -234,8 +240,7 @@ def reference_run_one_round(channel, policy, cfg, events):
         disagreements += int(tables.sub_of[hits[0]] != key)
     return SimReport(
         disagreement_prob=disagreements / cfg.trials,
-        leakage_bits_per_symbol=one_round_exact_leakage(tables, channel,
-                                                        policy, cfg),
+        leakage_bits_per_symbol=one_round_exact_leakage(tables),
         achieved_key_rate=_entropy(key_counts / cfg.trials) / n,
         encode_failure_rate=failures / cfg.trials, leakage_method="exact",
         diagnostics={
@@ -574,21 +579,21 @@ class TestExactLeakage:
         collapsed = BinningCodebook(
             sequences=cb.sequences, bin_of=np.zeros(cb.count, dtype=int),
             num_bins=1)
-        assert exact_leakage(collapsed, degraded_channel, COPY_POLICY,
-                             BENCH6) == pytest.approx(0.0, abs=1e-12)
+        assert run_leakage(collapsed, degraded_channel, COPY_POLICY,
+                           BENCH6) == pytest.approx(0.0, abs=1e-12)
 
     def test_constant_eavesdropper_leaks_nothing(self):
         channel = identity_channel()
         cfg = SimConfig(n=6, epsilon=0.5, rate_margin=0.35, trials=1, seed=2)
         cb = build_codebook(channel, COPY_POLICY, cfg)
-        assert exact_leakage(cb, channel, COPY_POLICY,
-                             cfg) == pytest.approx(0.0, abs=1e-12)
+        assert run_leakage(cb, channel, COPY_POLICY,
+                           cfg) == pytest.approx(0.0, abs=1e-12)
 
     def test_binning_reduces_leakage_on_pinned_benchmark(self, degraded_channel):
         cb = build_codebook(degraded_channel, COPY_POLICY, BENCH6)
-        binned = exact_leakage(cb, degraded_channel, COPY_POLICY, BENCH6)
-        unbinned = exact_leakage(cb.with_singleton_bins(), degraded_channel,
-                                 COPY_POLICY, BENCH6)
+        binned = run_leakage(cb, degraded_channel, COPY_POLICY, BENCH6)
+        unbinned = run_leakage(cb.with_singleton_bins(), degraded_channel,
+                               COPY_POLICY, BENCH6)
         # Frozen from the seeded oracle run (seed 42, epsilon 0.25).
         assert binned == pytest.approx(0.04042732274101755, abs=1e-9)
         assert unbinned == pytest.approx(0.10197708716288477, abs=1e-9)
@@ -601,23 +606,43 @@ class TestExactLeakage:
         cfg = SimConfig(n=10, epsilon=0.15, rate_margin=0.2, trials=1, seed=42)
         channel, policy = factorized_binary(), xor_policy()
         cb = build_codebook(channel, policy, cfg)
-        assert exact_leakage(cb, channel, policy, cfg) == 0.05153055257201311
+        assert run_leakage(cb, channel, policy, cfg) == 0.05153055257201311
 
     def test_budget_guard(self):
-        # |S| = |Ye| = 2 at n = 24 puts the enumeration far beyond the cap.
+        # |S| = |Ye| = 2 at n = 24 puts the enumeration far beyond the cap,
+        # so build_codebook refuses before its draw.  exact_leakage checks
+        # the cost too: a codebook built directly, or viewed with singleton
+        # bins, was never budgeted by a draw.
         channel = factorized_binary(0.1, 0.25)
         policy = copy_encoder_policy(s_size=2)
         big = SimConfig(n=24, epsilon=0.25, rate_margin=0.9, trials=1, seed=0)
-        cb = build_codebook(channel, policy, big)
         with pytest.raises(BudgetError, match="multiply-adds"):
-            exact_leakage(cb, channel, policy, big)
+            build_codebook(channel, policy, big)
+        cb = BinningCodebook(sequences=np.zeros((4, 24), int),
+                             bin_of=np.arange(4), num_bins=4)
+        with pytest.raises(BudgetError, match="multiply-adds"):
+            run_leakage(cb, channel, policy, big)
+
+    def test_tables_of_another_codebook_are_rejected(self, degraded_channel):
+        # Like encode and decode, the leakage reads the encoder's test and
+        # codewords from run tables that must belong to its codebook.
+        cb = build_codebook(degraded_channel, COPY_POLICY, BENCH6)
+        tables = _no_disc_tables(degraded_channel, COPY_POLICY, cb, 0.25)
+        other = BinningCodebook(sequences=cb.sequences[1:],
+                                bin_of=np.arange(cb.count - 1),
+                                num_bins=cb.count - 1)
+        with pytest.raises(ValueError, match="another codebook"):
+            encode(other, tables, np.zeros((1, 6), dtype=int),
+                   TrialStreams(1, (1,), [0], 7))
+        with pytest.raises(ValueError, match="another codebook"):
+            exact_leakage(other, degraded_channel, COPY_POLICY, tables)
 
     def test_leakage_never_exceeds_key_entropy(self, degraded_channel):
         for seed in (1, 2, 3):
             cfg = SimConfig(n=6, epsilon=0.25, rate_margin=0.2, trials=10,
                             seed=seed)
             cb = build_codebook(degraded_channel, COPY_POLICY, cfg)
-            leak = exact_leakage(cb, degraded_channel, COPY_POLICY, cfg)
+            leak = run_leakage(cb, degraded_channel, COPY_POLICY, cfg)
             assert -1e-9 <= leak <= cb.key_rate + 1e-9
 
     @pytest.mark.parametrize("singleton", [True, False])
@@ -625,13 +650,13 @@ class TestExactLeakage:
     def test_mode_products_match_kronecker_enumeration(self, sizes, singleton):
         seed = LEAKAGE_SIZES.index(sizes)
         cb, channel, policy, cfg = random_leakage_case(seed, *sizes, singleton)
-        assert exact_leakage(cb, channel, policy, cfg) == pytest.approx(
+        assert run_leakage(cb, channel, policy, cfg) == pytest.approx(
             reference_exact_leakage(cb, channel, policy, cfg), abs=1e-12)
 
     @pytest.mark.parametrize("sizes", ONE_ROUND_SIZES)
     def test_one_round_mode_products_match_kronecker_enumeration(self, sizes):
         tables, channel, policy, cfg = random_one_round_case(0, *sizes)
-        assert one_round_exact_leakage(tables, channel, policy, cfg) == \
+        assert one_round_exact_leakage(tables) == \
             pytest.approx(reference_one_round_leakage(tables, channel, policy,
                                                       cfg.n), abs=1e-12)
 
@@ -639,11 +664,11 @@ class TestExactLeakage:
         # Budgets of a few bytes put every codeword row, and every state
         # sequence of the typicality pass, in a chunk of its own.
         case = random_leakage_case(3, 3, 3, 4, False)
-        one_round = random_one_round_case(0, 3, 5)
-        whole = exact_leakage(*case), one_round_exact_leakage(*one_round)
+        one_round = random_one_round_case(0, 3, 5)[0]
+        whole = run_leakage(*case), one_round_exact_leakage(one_round)
         monkeypatch.setattr(sim_module, "_KRON_CHUNK_BYTES", 4)
         monkeypatch.setattr(sim_module, "_TRIAL_CHUNK_BYTES", 4)
-        assert (exact_leakage(*case), one_round_exact_leakage(*one_round)) == whole
+        assert (run_leakage(*case), one_round_exact_leakage(one_round)) == whole
 
     @pytest.mark.parametrize("n", [10, 11])
     def test_one_round_leakage_peaks_near_its_table(self, n):
@@ -658,7 +683,7 @@ class TestExactLeakage:
             * channel.ye_size ** n
         tracemalloc.start()
         try:
-            one_round_exact_leakage(tables, channel, policy, cfg)
+            one_round_exact_leakage(tables)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -674,8 +699,8 @@ class TestExactLeakage:
                         seed=42)
         channel, policy = degraded_channel, COPY_POLICY
         cb = build_codebook(channel, policy, cfg)
-        exact = exact_leakage(cb, channel, policy, cfg) * cfg.n
         tables = _no_disc_tables(channel, policy, cb, cfg.epsilon)
+        exact = exact_leakage(cb, channel, policy, tables) * cfg.n
         streams = TrialStreams(cfg.seed, (1,), np.arange(cfg.trials),
                                3 * cfg.n + 1)
         s_seqs = _draw(tables.state_cols, 0, streams.random(cfg.n))
@@ -746,6 +771,23 @@ class TestRunNoDiscussion:
         cfg = SimConfig(n=6, epsilon=0.15, rate_margin=0.2, trials=50, seed=42)
         run_no_discussion(factorized_binary(), xor_policy(), cfg)
         assert len(calls) == 1
+
+    def test_run_is_sized_budgeted_and_indexed_once(self, monkeypatch):
+        # build_codebook sizes the codebook (one MI triple) and checks the
+        # table bytes once, and the exact leakage reads the encoder's
+        # codeword indicators instead of building its own.
+        calls = {name: 0 for name in ("policy_mi_triple", "_check_table_bytes",
+                                      "_indicators")}
+        for name in calls:
+            def counted(*args, name=name, fn=getattr(sim_module, name)):
+                calls[name] += 1
+                return fn(*args)
+            monkeypatch.setattr(sim_module, name, counted)
+        cfg = SimConfig(n=10, epsilon=0.15, rate_margin=0.2, trials=100,
+                        seed=42)
+        report = run_no_discussion(factorized_binary(), xor_policy(), cfg)
+        assert report.leakage_bits_per_symbol > 0
+        assert calls == dict.fromkeys(calls, 1)
 
     def test_table_budget_counts_one_decoder_table(self, monkeypatch):
         # p(u, yr) of the copy policy on the noiseless receiver is diagonal,
@@ -925,9 +967,10 @@ class TestBatchedTrialLoops:
     @pytest.mark.parametrize("mode", ["no-disc", "one-round"])
     def test_typicality_tests_are_built_once_per_run(self, mode, monkeypatch):
         # A run builds its tests with its tables, whatever the chunking: the
-        # encoder's and the exact leakage's, or the one-round typical set's
-        # and the reconstruction's.  A test built per chunk would count 2
-        # more per chunk, and one trial per chunk makes 100 chunks.
+        # encoder's, which the exact leakage reads too, or the one-round
+        # typical set's and the reconstruction's.  A test built per chunk
+        # would count more per chunk, and one trial per chunk makes 100
+        # chunks.
         channel, policy, run, fields = benchmark_simulation(mode)
         cfg = SimConfig(rate_margin=0.2, trials=100, seed=42, **fields)
         builds = []
@@ -943,7 +986,8 @@ class TestBatchedTrialLoops:
             monkeypatch.setattr(sim_module, "_TRIAL_CHUNK_BYTES", chunk_bytes)
             builds.append(0)
             reports.append(run(channel, policy, cfg))
-        assert builds == [2, 2]
+        tests = 1 if mode == "no-disc" else 2
+        assert builds == [tests, tests]
         assert reports[0] == reports[1]
 
     @pytest.mark.parametrize("mode", ["no-disc", "one-round"])
