@@ -48,8 +48,10 @@ whatever the chunking:
 
 No generator is built per trial.  ``TrialStreams`` reads the streams of a
 chunk of trials in lockstep from ``_trial_draws``, which computes their raw
-words bit for bit with integer arithmetic on arrays over the chunk; only a
-pick that Lemire's rejection rule refuses sends its trial back to
+words bit for bit: the 128-bit PCG64 states of the whole chunk come from one
+float64 product of 16-bit limbs whose every partial sum is an integer below
+2^53, so it is exact in any summation order (see the stream comments).  Only
+a pick that Lemire's rejection rule refuses sends its trial back to
 ``_rng_stream``.
 
 The trial loops run on chunks of trials: ``encode``, ``transmit``,
@@ -73,9 +75,10 @@ peaked 30 % below a run of 20 on the benchmark configuration (0.67 against
 0.87 MB, traced): the second chunk, not the number of trials, set the peak.
 A chunk is sized to its largest per-trial temporary: two floats per stream
 word, the decoder's floats per codeword (budgeted as four), or the channel
-draw's n |Yr| |Ye| floats.  One-round reconstruction splits each public
-bin's members and trials to the same budget.  Run memory therefore does not
-grow with the number of trials.
+draw's n |Yr| |Ye| floats.  The stream budget keeps each block of the limb
+product under 16,384 floats, on OpenBLAS's single-threaded path.  One-round
+reconstruction splits each public bin's members and trials to the same
+budget.  Run memory therefore does not grow with the number of trials.
 """
 
 from __future__ import annotations
@@ -232,8 +235,21 @@ class SimReport:
 # HMC-CS-2014-0905).  Only the trial index, the last word or two of the
 # entropy, differs between the streams of a run.  So numpy supplies the pool
 # of SeedSequence(seed, spawn_key=key) once per (seed, key), and mixing in
-# each trial's index, the seed of PCG64 and its outputs are integer
-# arithmetic on arrays over trials.
+# each trial's index is uint32 arithmetic on arrays over trials.
+#
+# The state behind PCG64's j-th output is S_j = P_j initstate + Q_j inc
+# (mod 2^128) for constants P_j and Q_j.  ``_limb_product`` takes every S_j
+# of a chunk from one float64 matrix product: the 16 limbs of 16 bits of
+# (initstate, inc) times a table of the constants' limbs in four blocks,
+# A = (C0 + 2^16 C1) 2^-32, B = C2 + 2^16 C3, C = C4 + 2^16 C5 and
+# D = C6 + 2^16 C7, where C_p sums the limb products at bit 16p.  A table
+# entry is below 2^32, so each of a block's 16 terms is a non-negative
+# integer (times 2^-32 in A) below 2^48, and a whole block sums to at most
+# (2^20 + 14) (2^16 - 1)^2 < 2^52.  Every partial sum is then an integer
+# below 2^53 and exact: the product is exact in any summation order, with or
+# without FMA, and under any BLAS thread count.  Then S_j's low word is
+# 2^32 (A + B) mod 2^64, its carry floor((floor(A) + B) 2^-32), and its high
+# word 2^32 D + C + carry mod 2^64.
 
 _M32 = 0xFFFFFFFF
 _SS_INIT_A, _SS_MULT_A = 0x43B0D7E5, 0x931E8875
@@ -284,42 +300,62 @@ _STATE_CONSTS = np.array(list(itertools.islice(
     _hash_constants(_SS_INIT_B, _SS_MULT_B), 8)), dtype=np.uint32).T
 
 
+def _limb_table(jumps) -> np.ndarray:
+    """The table, shape (4, 16, k), of the jump constants (P_j, Q_j), j < k,
+    such that 16-bit limbs of (initstate, inc) times block b give the
+    C_{2b} + 2^16 C_{2b+1} of each S_j, block 0 scaled by 2^-32."""
+    table = np.zeros((4, 16, len(jumps)))
+    for j, consts in enumerate(jumps):
+        for col, const in enumerate(consts):
+            for a in range(8):
+                for p in range(a, 8):
+                    table[p // 2, 8 * col + a, j] += (
+                        const >> 16 * (p - a) & 0xFFFF) << 16 * (p % 2)
+    table[0] *= 2.0 ** -32
+    table.setflags(write=False)
+    return table
+
+
 @functools.lru_cache(maxsize=16)
-def _pcg_jumps(k: int) -> tuple[np.ndarray, ...]:
-    """(hi, lo) words of P_j and Q_j, j < k, such that the state behind
-    PCG64's j-th output is P_j * initstate + Q_j * inc (mod 2^128).
+def _jump_table(k: int) -> np.ndarray:
+    """``_limb_table`` of PCG64's first k outputs.
 
     Seeding leaves the state A (initstate + inc) + inc, and each output
     first steps it to A state + inc.
     """
-    mod = 2 ** 128
-    p, q = _PCG_MULT, _PCG_MULT + 1
-    jumps = []
+    p, q, jumps = _PCG_MULT, _PCG_MULT + 1, []
     for _ in range(k):
-        p, q = p * _PCG_MULT % mod, (q * _PCG_MULT + 1) % mod
-        jumps.append((p >> 64, p & 2 ** 64 - 1, q >> 64, q & 2 ** 64 - 1))
-    out = np.array(jumps, dtype=np.uint64).T.copy()
-    out.setflags(write=False)
-    return tuple(out)
+        p, q = p * _PCG_MULT % 2 ** 128, (q * _PCG_MULT + 1) % 2 ** 128
+        jumps.append((p, q))
+    return _limb_table(jumps)
 
 
-def _mul128(a_hi, a_lo, b_hi, b_lo):
-    """(a * b) mod 2^128 on (hi, lo) uint64 words, broadcast."""
-    a1, a0 = a_lo >> 32, a_lo & _M32
-    b1, b0 = b_lo >> 32, b_lo & _M32
-    cross1, cross2 = a1 * b0, a0 * b1
-    carry = a0 * b0
-    carry >>= 32
-    hi = a1 * b1
-    for cross in (cross1, cross2):
-        carry += cross & _M32
-        cross >>= 32
-        hi += cross
-    carry >>= 32
-    hi += carry
-    hi += np.multiply(a_lo, b_hi, out=carry)
-    hi += np.multiply(a_hi, b_lo, out=carry)
-    return hi, np.multiply(a_lo, b_lo, out=carry)
+def _limb_product(words: np.ndarray, table: np.ndarray):
+    """(hi, lo) uint64 words of P_j initstate + Q_j inc mod 2^128, shape
+    (rows, k), from ``table`` and rows of little-endian uint64 words
+    (initstate low, high, inc low, high)."""
+    # One array holds all four blocks.  At a full trial chunk it is past
+    # glibc's initial 128 KiB mmap threshold, and its first release raises
+    # that threshold and the heap-trim threshold above a chunk's
+    # temporaries, which are then no longer returned to the system and
+    # faulted back in by every chunk.
+    a, b, c, d = words.view("<u2").astype(float) @ table
+    lo = b.astype(np.int64).view(np.uint64)
+    lo <<= 32
+    hi = d.astype(np.int64).view(np.uint64)
+    hi <<= 32
+    part = np.multiply(a, 2.0 ** 32, out=d.view(np.uint64), casting="unsafe")
+    lo += part
+    # The carry out of lo, floor((a + b) 2^-32): b is an integer, so it is
+    # floor((floor(a) + b) 2^-32), and floor(a) + b < 2^53 is exact.
+    np.floor(a, out=a)
+    a += b
+    a *= 2.0 ** -32
+    np.floor(a, out=a)
+    c += a
+    np.copyto(part, c, casting="unsafe")
+    hi += part
+    return hi, lo
 
 
 def _trial_draws(seed: int, key: tuple, trials, k: int) -> np.ndarray:
@@ -334,16 +370,15 @@ def _trial_draws(seed: int, key: tuple, trials, k: int) -> np.ndarray:
         pool = np.where((high > 0)[:, None],
                         _mix(pool, _hashmix(high.astype(np.uint32)[:, None],
                                             t_consts[1])), pool)
+    # The seed's uint32 words, reordered so that a row reads as little-endian
+    # uint64 words (initstate low, high, initseq low, high); then
+    # inc = 2 initseq + 1 replaces initseq.
     state = _hashmix(pool[:, [0, 1, 2, 3, 0, 1, 2, 3]], _STATE_CONSTS)
-    seeds = state[:, 0::2].astype(np.uint64) | state[:, 1::2].astype(np.uint64) << 32
-    init_hi, init_lo, seq_hi, seq_lo = (seeds[:, i:i + 1] for i in range(4))
-    inc_hi, inc_lo = seq_hi << 1 | seq_lo >> 63, seq_lo << 1 | 1
-    p_hi, p_lo, q_hi, q_lo = _pcg_jumps(k)
-    hi, lo = _mul128(init_hi, init_lo, p_hi, p_lo)
-    inc_part_hi, inc_part_lo = _mul128(inc_hi, inc_lo, q_hi, q_lo)
-    lo += inc_part_lo
-    hi += inc_part_hi
-    hi += lo < inc_part_lo
+    words = np.ascontiguousarray(state[:, [2, 3, 0, 1, 6, 7, 4, 5]],
+                                 dtype="<u4").view("<u8")
+    words[:, 3] = words[:, 3] << 1 | words[:, 2] >> 63
+    words[:, 2] = words[:, 2] << 1 | 1
+    hi, lo = _limb_product(words, _jump_table(k))
     # XSL-RR: the xor of the halves, rotated right by the top six bits.
     rot = hi >> 58
     hi ^= lo

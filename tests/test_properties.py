@@ -2,7 +2,8 @@
 of the closed-form partials of the auxiliary-policy search score, of the
 concavity in p(x|s) that lets each input-policy maximum be solved from one
 start, of the partials of the input-policy kernel, of the simulator's
-batched strong-typicality kernel, and of its exact leakage in both modes.
+batched strong-typicality kernel, of the exact 128-bit limb product behind
+its PCG64 stream words, and of its exact leakage in both modes.
 
 Hypothesis draws small alphabets and a numpy seed for the channel and the
 policy; ``derandomize=True`` makes every run draw the same examples.
@@ -20,8 +21,9 @@ from statekey import (AuxiliaryEncoderPolicy, BinningCodebook, BoundResult,
 from statekey.channel import (aux_mi_partials, aux_mi_terms, mi_bits,
                               policy_mi_triple)
 from statekey.dmc import _cell_entropy, _input_value_grad, _search_score
-from statekey.sim import (_indicators, _no_disc_tables, _one_round_tables,
-                          _Typicality, one_round_exact_leakage)
+from statekey.sim import (_indicators, _limb_product, _limb_table,
+                          _no_disc_tables, _one_round_tables, _Typicality,
+                          one_round_exact_leakage)
 from conftest import (S, U, YE, YR, cmi_ref, joint_uxsre, random_aux_policy,
                       random_channel)
 
@@ -306,6 +308,32 @@ def test_typical_pairs_match_the_count_definition(a_size, b_size, n, seed,
         eps = rng.uniform(0.0, 0.6)
     typical = _Typicality(pmf, n, eps).pairs(_indicators(rows, a_size), fixed)
     assert np.array_equal(typical, typical_by_definition(rows, fixed, pmf, eps))
+
+
+WORD = st.integers(0, 2 ** 128 - 1)
+ALL_ONES = 2 ** 128 - 1
+
+
+@PROPERTY
+@given(st.lists(st.tuples(WORD, WORD), min_size=1, max_size=6),
+       st.lists(st.tuples(WORD, WORD), min_size=1, max_size=6))
+def test_limb_product_is_exact(states, jumps):
+    """``_limb_product``'s (hi, lo) against (P * init + Q * inc) mod 2^128 in
+    Python ints.  An all-ones (init, inc) row and (P, Q) column join every
+    example: theirs is the largest block sum, (2^20 + 14) (2^16 - 1)^2, just
+    below 2^52."""
+    states = [*states, (ALL_ONES, ALL_ONES)]
+    jumps = [*jumps, (ALL_ONES, ALL_ONES)]
+    words = np.array([[v >> shift & 2 ** 64 - 1 for v in row
+                       for shift in (0, 64)] for row in states], dtype="<u8")
+    table = _limb_table(jumps)
+    largest = (words.view("<u2").astype(float) @ table).max()
+    assert largest == (2 ** 20 + 14) * (2 ** 16 - 1) ** 2
+    hi, lo = _limb_product(words, table)
+    for r, (init, inc) in enumerate(states):
+        for j, (p, q) in enumerate(jumps):
+            exact = (p * init + q * inc) % 2 ** 128
+            assert int(hi[r, j]) << 64 | int(lo[r, j]) == exact, (r, j)
 
 
 # |U|, |X|, |S|, |Yr|, |Ye| of the leakage properties: no alphabet of size 1,

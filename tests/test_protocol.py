@@ -1055,14 +1055,34 @@ STREAM_SEEDS = [0, 1, 42, 2 ** 32 - 1, 2 ** 32 + 5, 2 ** 70 + 3, 2 ** 130 + 7]
 STREAM_WINDOWS = [(0, 700), (2 ** 32 - 3, 2 ** 32 + 3)]
 
 
+def assert_draws_equal_generators(seed, trials, widths=(1, 2, 24, 31, 97)):
+    """``_trial_draws`` at each width against the first words of each
+    trial's own generator, one call per width."""
+    expected = np.array(
+        [_rng_stream(seed, 1, int(t)).bit_generator.random_raw(max(widths))
+         for t in trials], dtype=np.uint64).reshape(len(trials), max(widths))
+    for k in widths:
+        assert np.array_equal(_trial_draws(seed, (1,), trials, k),
+                              expected[:, :k]), k
+
+
 class TestTrialStreams:
     @pytest.mark.parametrize("seed", STREAM_SEEDS)
     @pytest.mark.parametrize("lo, hi", STREAM_WINDOWS)
     def test_draws_equal_each_trials_generator(self, seed, lo, hi):
-        trials = np.arange(lo, hi)
-        expected = [_rng_stream(seed, 1, int(t)).bit_generator.random_raw(31)
-                    for t in trials]
-        assert np.array_equal(_trial_draws(seed, (1,), trials, 31), expected)
+        assert_draws_equal_generators(seed, np.arange(lo, hi))
+
+    @pytest.mark.parametrize("seed", STREAM_SEEDS)
+    def test_draws_at_random_trials_and_at_none(self, seed):
+        rng = np.random.default_rng(seed % 2 ** 32)
+        assert_draws_equal_generators(seed, rng.integers(0, 2 ** 62, 64))
+        assert_draws_equal_generators(seed, np.arange(0))
+
+    def test_draws_of_a_threaded_product(self):
+        # 4,000 trials x 31 words: each block of the limb product takes
+        # 124,000 x 16 multiply-adds, past OpenBLAS's threading threshold of
+        # 65,536 x 4 (a trial chunk of a run stays at or below it).
+        assert_draws_equal_generators(42, np.arange(4000), widths=(31,))
 
     @pytest.mark.parametrize("seed", STREAM_SEEDS)
     @pytest.mark.parametrize("lo, hi", STREAM_WINDOWS)
