@@ -22,18 +22,26 @@ then holds a batch of candidate rows against a batch of fixed rows with one
 positive cell, and one product for each other cell whose band can fail.  A
 run builds each of its tests once, in its run tables: the encoder's, the
 one-round typical set's and the reconstruction's (where ambiguity is an
-error); the exact leakage reads the encoder's.  The no-discussion decoder is
+error).  Wherever the exact leakage enumerates the state sequences (the
+eavesdropper's view is not constant), the no-discussion run tables also hold
+the encoder's test of every s^n against every codeword, made once: the
+encoder and the exact leakage read its rows.  The no-discussion decoder is
 bin-wise maximum likelihood under the single-letter law p(yr | u): it reads
 no ``epsilon``, ``decode`` returns keys, and a tie between bins counts as an
-error.  When the encoder finds no typical codeword it falls back to a
-uniformly random codeword (counted in ``encode_failure_rate``); the
-exact-leakage enumeration applies the same fallback law.  Exact leakage
-applies each codeword's Kronecker product one mode at a time, never forming
-it: about count · n · max(|S|, |Ye|)^n multiply-adds, in chunks of codewords.
-Leakage is always exact, in both modes.  A run whose leakage would take more
-than ``MAX_LEAKAGE_MULADDS`` multiply-adds, or whose leakage arrays or
-encoder and decoder tables would hold more than ``MAX_LEAKAGE_BYTES``,
-raises ``BudgetError`` before its first trial.
+error.  A run with no more receiver sequences |Yr|^n than trials (and at
+most ``MAX_CODEBOOK``) decodes each yr^n once, before its trials, which look
+their keys up; any other run decodes per trial.  The per-trial kernels
+themselves fill both tables, a chunk of sequences at a time.  When the
+encoder finds no typical codeword it falls back to a uniformly random
+codeword (counted in ``encode_failure_rate``); the exact-leakage enumeration
+applies the same fallback law.  Exact leakage applies each codeword's
+Kronecker product one mode at a time, never forming it: about count · n ·
+max(|S|, |Ye|)^n multiply-adds, in chunks of codewords.  Leakage is always
+exact, in both modes.  A run whose leakage would take more than
+``MAX_LEAKAGE_MULADDS`` multiply-adds, or whose leakage arrays (the
+state-sequence table among them) or encoder and decoder tables would hold
+more than ``MAX_LEAKAGE_BYTES``, raises ``BudgetError`` before its first
+trial.
 
 Every operation is a pure function of (inputs, seed): replays are
 bit-identical, and trial t owns the random stream ``_rng_stream(seed, 1, t)``.
@@ -74,9 +82,10 @@ arrays until the next chunk replaced them, a no-discussion run of one chunk
 peaked 30 % below a run of 20 on the benchmark configuration (0.67 against
 0.87 MB, traced): the second chunk, not the number of trials, set the peak.
 A chunk is sized to its largest per-trial temporary: two floats per stream
-word, the decoder's floats per codeword (budgeted as four), or the channel
-draw's n |Yr| |Ye| floats.  The stream budget keeps each block of the limb
-product under 16,384 floats, on OpenBLAS's single-threaded path.  One-round
+word, or the decoder's floats per codeword (budgeted as four) in a
+no-discussion run; a channel draw holds only (trials, n) arrays, one per cdf
+column.  The stream budget keeps each block of the limb product under
+16,384 floats, on OpenBLAS's single-threaded path.  One-round
 reconstruction splits each public bin's members and trials to the same
 budget.  Run memory therefore does not grow with the number of trials.
 """
@@ -96,7 +105,7 @@ from .channel import (AuxiliaryEncoderPolicy, BudgetError, InputPolicy,
 
 MAX_CODEBOOK = 2 ** 20
 # The exact-leakage budget, shared by both modes.  The sim-nodisc
-# configuration at n = 18 needs 3.0e8 multiply-adds and 138 MiB.
+# configuration at n = 18 needs 3.0e8 multiply-adds and 154 MiB.
 MAX_LEAKAGE_MULADDS = 2 ** 30
 MAX_LEAKAGE_BYTES = 192 * 2 ** 20
 _KRON_CHUNK_BYTES = 8 * 2 ** 20
@@ -463,6 +472,24 @@ def _sequences(alphabet: int, n: int, lo: int, hi: int) -> np.ndarray:
     return np.arange(lo, hi)[:, None] // powers % alphabet
 
 
+def _index(seqs: np.ndarray, alphabet: int) -> np.ndarray:
+    """The index of each row of ``seqs`` in the order of ``_sequences``."""
+    return seqs @ alphabet ** np.arange(seqs.shape[1] - 1, -1, -1)
+
+
+def _enumerated(fn, alphabet: int, n: int, row_bytes: int) -> np.ndarray:
+    """``fn`` of every sequence of alphabet^n, applied to consecutive chunks
+    of ``_chunk_rows(row_bytes)`` sequences and concatenated in order."""
+    total, step = alphabet ** n, _chunk_rows(row_bytes)
+    return np.concatenate([fn(_sequences(alphabet, n, lo, min(lo + step, total)))
+                           for lo in range(0, total, step)])
+
+
+def _check_symbols(name: str, seqs: np.ndarray, size: int) -> None:
+    if seqs.size and (seqs.min() < 0 or seqs.max() >= size):
+        raise ValueError(f"{name} symbols must be integers in [0, {size})")
+
+
 class _Typicality:
     """Strong typicality against pmf[a, b] at block length n and slack eps,
     prepared once; a run keeps its tests in its run tables.
@@ -666,13 +693,19 @@ class _NoDiscTables:
     The cdf tables are ``_cdf_columns``, read by ``_draw``: p(s) has one
     cell (0), p(x | u, s) one per (u, s) coded u * |S| + s, and the kernel
     one per (x, s), see ``_kernel_columns``.  ``codewords`` are the
-    codebook's candidates for the encoder's test ``typical``.  The decoder's
-    terms hold n |Yr| floats per codeword c: row i |Yr| + y is
-    log p(y | u_ci), ``_LOG_ZERO`` where p(u_ci, y) = 0.
+    codebook's candidates for the encoder's test ``typical``.
+    ``state_typical`` holds that test of every state sequence, in the order
+    of ``_sequences``, against every codeword, filled by ``typical.pairs``
+    in the chunks of ``exact_leakage``; it is None where the eavesdropper's
+    view is constant, since the exact leakage then enumerates nothing and
+    the encoder tests each chunk of trials itself.  The decoder's terms hold
+    n |Yr| floats per codeword c: row i |Yr| + y is log p(y | u_ci),
+    ``_LOG_ZERO`` where p(u_ci, y) = 0.
     """
 
     typical: _Typicality        # strong typicality against p(u, s)
     codewords: np.ndarray       # (count, u, n), _indicators of the codebook
+    state_typical: np.ndarray | None    # (s^n, count) bool, or None
     x_cols: np.ndarray          # cdf columns of p(x | u, s), (x - 1, u * s)
     state_cols: np.ndarray      # cdf columns of p(s), shape (s - 1, 1)
     kernel_cols: np.ndarray     # see _kernel_columns
@@ -681,12 +714,20 @@ class _NoDiscTables:
 
 def _no_disc_tables(channel: StateChannel, policy: AuxiliaryEncoderPolicy,
                     codebook: BinningCodebook, epsilon: float) -> _NoDiscTables:
-    """The run tables, whose bytes ``build_codebook`` checks."""
+    """The run tables, whose bytes ``build_codebook`` checks.  The state
+    table is built only after ``_check_exact_leakage`` of this codebook,
+    which counts its bytes too, so a codebook that no draw budgeted is
+    refused before any of its rows."""
     count, n = codebook.sequences.shape
     log_yr_given_u = _decoder_law(channel, policy)
+    typical = _Typicality(_joint_u_s(channel, policy), n, epsilon)
+    codewords = _indicators(codebook.sequences, policy.u_size)
     return _NoDiscTables(
-        typical=_Typicality(_joint_u_s(channel, policy), n, epsilon),
-        codewords=_indicators(codebook.sequences, policy.u_size),
+        typical=typical, codewords=codewords,
+        state_typical=_enumerated(functools.partial(typical.pairs, codewords),
+                                  channel.s_size, n, 8 * max(count, n))
+        if _check_exact_leakage(channel, policy, count, codebook.num_bins, n)
+        else None,
         x_cols=_cdf_columns(policy.x_given_us.reshape(-1, channel.x_size)),
         state_cols=_cdf_columns(channel.state_pmf[None]),
         kernel_cols=_kernel_columns(channel),
@@ -703,15 +744,22 @@ def encode(codebook: BinningCodebook, tables: _NoDiscTables, s_seqs,
     qualifies (an encode failure, reported in ``typical`` and not raised) it
     is drawn uniformly from the whole codebook.  Each stream draws its pick,
     then the n uniforms of x^n; x_i is drawn by ``_draw`` from the cell
-    u_i * |S| + s_i of ``tables.x_cols``.  The typicality test and the
-    codewords are read from ``tables``, which must be built for this codebook.
+    u_i * |S| + s_i of ``tables.x_cols``.  The typical candidates of each
+    s^n are its row of ``tables.state_typical``, or, where the run tables
+    hold no such table, one ``pairs`` test of the codewords against the
+    whole chunk; ``tables`` must be built for this codebook.  A state symbol
+    outside [0, |S|) raises ``ValueError``.
     """
     s_seqs = np.asarray(s_seqs, dtype=np.int64)
     if s_seqs.shape != (len(streams), codebook.n):
         raise ValueError(f"s_seqs must have shape ({len(streams)}, {codebook.n})")
     if tables.codewords.shape[::2] != codebook.sequences.shape:
         raise ValueError("tables were built for another codebook")
-    mask = tables.typical.pairs(tables.codewords, s_seqs)
+    s_size = tables.typical.b_size
+    _check_symbols("s", s_seqs, s_size)
+    mask = tables.typical.pairs(tables.codewords, s_seqs) \
+        if tables.state_typical is None \
+        else tables.state_typical[_index(s_seqs, s_size)]
     sizes = mask.sum(axis=1)
     picks = streams.integers(np.where(sizes > 0, sizes, codebook.count))
     uniforms = streams.random(codebook.n)
@@ -719,7 +767,7 @@ def encode(codebook: BinningCodebook, tables: _NoDiscTables, s_seqs,
     # The pick-th typical codeword is where the running count passes pick.
     nth = (mask.cumsum(axis=1) > picks[:, None]).argmax(axis=1)
     index = np.where(typical, nth, picks)
-    cells = codebook.sequences[index] * tables.typical.b_size + s_seqs
+    cells = codebook.sequences[index] * s_size + s_seqs
     return EncodeResult(index=index, x_seq=_draw(tables.x_cols, cells, uniforms),
                         typical=typical)
 
@@ -747,8 +795,7 @@ def decode(codebook: BinningCodebook, tables: _NoDiscTables,
     if count != codebook.count or width % codebook.n:
         raise ValueError("tables were built for another codebook")
     yr_size = width // codebook.n
-    if yr_seqs.size and (yr_seqs.min() < 0 or yr_seqs.max() >= yr_size):
-        raise ValueError(f"yr symbols must be integers in [0, {yr_size})")
+    _check_symbols("yr", yr_seqs, yr_size)
     trials = len(yr_seqs)
     onehot = np.zeros((trials, width))
     onehot[np.arange(trials)[:, None],
@@ -780,12 +827,12 @@ def transmit(channel: StateChannel, kernel_cols: np.ndarray, x_seqs, s_seqs,
     return pair // channel.ye_size, pair % channel.ye_size
 
 
-def _check_leakage_cost(rows: int, n: int, a: int, c: int, floats: int) -> None:
+def _check_leakage_cost(rows: int, n: int, a: int, c: int, held: int) -> None:
     """Refuse an exact leakage over budget: ``_add_kron_rows`` over ``rows``
     rows of n (a, c) factors takes about rows · n · max(a, c)^n multiply-adds,
-    and ``floats`` counts the arrays it holds: the weights, the key × view
-    table and any candidate indicators."""
-    muladds, held = rows * n * max(a, c) ** n, 8 * floats
+    and ``held`` counts the bytes of the arrays it holds: the weights, the
+    key × view table and any candidate indicators or state table."""
+    muladds = rows * n * max(a, c) ** n
     if muladds > MAX_LEAKAGE_MULADDS or held > MAX_LEAKAGE_BYTES:
         raise BudgetError(
             f"exact leakage needs {muladds} multiply-adds and {held} bytes "
@@ -826,12 +873,15 @@ def _check_exact_leakage(channel: StateChannel,
                          bins: int, n: int) -> bool:
     """False for a constant view, which costs nothing; else True, after
     ``_check_leakage_cost`` on the exact leakage of ``count`` codewords of
-    length n in ``bins`` bins."""
+    length n in ``bins`` bins: its float weights, codeword indicators and
+    key × view table, and the run tables' state table of one byte per
+    (state sequence, codeword) pair."""
     if np.count_nonzero(channel.eavesdropper_kernel().any(axis=(0, 1))) == 1:
         return False
+    states = channel.s_size ** n
     _check_leakage_cost(count, n, channel.s_size, channel.ye_size,
-                        count * (channel.s_size ** n + policy.u_size * n)
-                        + bins * channel.ye_size ** n)
+                        count * (9 * states + 8 * policy.u_size * n)
+                        + 8 * bins * channel.ye_size ** n)
     return True
 
 
@@ -845,12 +895,12 @@ def exact_leakage(codebook: BinningCodebook, channel: StateChannel,
     c adds v_c (M_c1 ⊗ ... ⊗ M_cn) to its bin, with v_c[s^n] = p(s^n) w(s^n, c)
     and M_ci[s, ye] = p(ye | u_ci, s), applied mode by mode in about
     count · n · max(|S|, |Ye|)^n multiply-adds, plus count · |S|^n floats
-    for v.  It scores the run's encoder: the typicality test and codeword
-    indicators are read from ``tables``, which must be built for this
-    codebook.  This is the module's ground-truth secrecy oracle.  A constant
-    view (one ye symbol whatever x and s are) leaks nothing and costs
-    nothing; any other raises ``BudgetError`` over the leakage budget,
-    before any work.
+    for v.  It scores the run's encoder: w takes the typical codewords of
+    each s^n from its row of ``tables.state_typical``, read in chunks of
+    state sequences, and ``tables`` must be built for this codebook.  This
+    is the module's ground-truth secrecy oracle.  A constant view (one ye
+    symbol whatever x and s are) leaks nothing and costs nothing; any other
+    raises ``BudgetError`` over the leakage budget, before any work.
     """
     n = codebook.n
     if tables.codewords.shape[::2] != codebook.sequences.shape:
@@ -867,7 +917,7 @@ def exact_leakage(codebook: BinningCodebook, channel: StateChannel,
     for lo in range(0, states, step):
         s_seqs = _sequences(channel.s_size, n, lo, min(lo + step, states))
         prob_s = np.exp(log_ps[s_seqs].sum(axis=1))
-        mask = tables.typical.pairs(tables.codewords, s_seqs)
+        mask = tables.state_typical[lo:lo + step]
         k = mask.sum(axis=1, keepdims=True)
         share = np.where(k > 0, mask / np.maximum(k, 1), 1.0 / codebook.count)
         weights[:, lo:lo + len(s_seqs)] = (prob_s[:, None] * share).T
@@ -877,15 +927,17 @@ def exact_leakage(codebook: BinningCodebook, channel: StateChannel,
 
 
 def _no_disc_chunk(channel: StateChannel, codebook: BinningCodebook,
-                   tables: _NoDiscTables, cfg: SimConfig,
+                   tables: _NoDiscTables, key_of_yr: np.ndarray | None,
+                   cfg: SimConfig,
                    trials: np.ndarray) -> tuple[int, int, np.ndarray]:
     """The no-discussion trials ``trials``, read through one
     ``TrialStreams``: their disagreements, encode failures and key counts.
 
-    The streams draw s^n, one batched typicality test covers every
-    (codeword, s^n) pair, each stream then draws its pick and the uniforms
-    of x^n and of the channel, and ``encode``, ``transmit`` and ``decode``
-    run on all the trials at once.  Nothing else outlives the call.
+    The streams draw s^n, each stream then draws its pick and the uniforms
+    of x^n and of the channel, and ``encode`` and ``transmit`` run on all
+    the trials at once.  The decoded keys are ``key_of_yr`` at each yr^n's
+    index, or, without that table, one ``decode`` of the chunk.  Nothing
+    else outlives the call.
     """
     n = cfg.n
     streams = TrialStreams(cfg.seed, (1,), trials, 3 * n + 1)
@@ -894,7 +946,9 @@ def _no_disc_chunk(channel: StateChannel, codebook: BinningCodebook,
     yr_seqs, _ = transmit(channel, tables.kernel_cols, enc.x_seq, s_seqs,
                           streams.random(n))
     keys = codebook.bin_of[enc.index]
-    return (int(np.count_nonzero(decode(codebook, tables, yr_seqs) != keys)),
+    decoded = decode(codebook, tables, yr_seqs) if key_of_yr is None \
+        else key_of_yr[_index(yr_seqs, channel.yr_size)]
+    return (int(np.count_nonzero(decoded != keys)),
             int(np.count_nonzero(~enc.typical)),
             np.bincount(keys, minlength=codebook.num_bins))
 
@@ -906,21 +960,28 @@ def run_no_discussion(channel: StateChannel, policy: AuxiliaryEncoderPolicy,
     Trials run in chunks, one ``_no_disc_chunk`` call each, so no array of
     one chunk is alive while the next builds its stream words.  A chunk is
     sized to its largest per-trial temporary: two floats per stream word
-    (3n + 1 per trial), the decoder's four floats per codeword, or the
-    channel draw's n |Yr| |Ye| floats.
+    (3n + 1 per trial) or the decoder's four floats per codeword.
     Disagreement counts decode failures (tied bins, or no codeword with
     nonzero likelihood) as well as key mismatches.  ``build_codebook``
     checks both budgets before its draw, and the exact leakage reads the
     run tables the trials use.
+
+    When |Yr|^n is at most the number of trials and ``MAX_CODEBOOK``, every
+    yr^n is decoded once, in chunks of the decoder's budget, before the
+    trials: that key table holds at most 8 MiB, and it never decodes more
+    rows than the trials would.  The trials then read their keys from it.
+    Otherwise each chunk decodes its own trials.
     """
     codebook = build_codebook(channel, policy, cfg)
     tables = _no_disc_tables(channel, policy, codebook, cfg.epsilon)
     leakage = exact_leakage(codebook, channel, policy, tables)
-    n = cfg.n
+    n, decoder_bytes = cfg.n, 32 * codebook.count
+    key_of_yr = _enumerated(functools.partial(decode, codebook, tables),
+                            channel.yr_size, n, decoder_bytes) \
+        if channel.yr_size ** n <= min(cfg.trials, MAX_CODEBOOK) else None
     disagreements, encode_failures, key_counts = _sum_chunks(
-        functools.partial(_no_disc_chunk, channel, codebook, tables, cfg),
-        cfg.trials, 8 * max(2 * (3 * n + 1), 4 * codebook.count,
-                            n * channel.yr_size * channel.ye_size))
+        functools.partial(_no_disc_chunk, channel, codebook, tables, key_of_yr,
+                          cfg), cfg.trials, max(16 * (3 * n + 1), decoder_bytes))
     achieved = _entropy(key_counts / cfg.trials) / cfg.n
     return SimReport(
         disagreement_prob=disagreements / cfg.trials,
@@ -999,18 +1060,18 @@ def _one_round_tables(channel: StateChannel, policy: InputPolicy,
         if key_exponent > 0 else 1
     # Fail before any enumeration, on at most this many bins: the rows of
     # one_round_exact_leakage are the |Yr|^n sequences, with one weight each.
-    _check_leakage_cost(outputs, n, 1, channel.ye_size, outputs + num_subbins
-                        * (min(num_bins, outputs) + 1) * channel.ye_size ** n)
+    _check_leakage_cost(outputs, n, 1, channel.ye_size, 8 * (
+        outputs + num_subbins * (min(num_bins, outputs) + 1)
+        * channel.ye_size ** n))
     all_yr = _enumerate_sequences(channel.yr_size, cfg.n)
     p_yr = p.sum(axis=(0, 1, 3))
     # The marginal test: each sequence against one all-zero row, in pieces
     # that keep the candidate matrices within the chunk budget.
     test = _Typicality(p_yr[:, None], n, cfg.epsilon)
-    step = _chunk_rows(8 * channel.yr_size * n)
-    typ_idx = np.flatnonzero(np.concatenate([
-        test.pairs(_indicators(all_yr[lo:lo + step], test.a_size),
-                   np.zeros((1, n), dtype=np.int64))[0]
-        for lo in range(0, outputs, step)]))
+    typ_idx = np.flatnonzero(_enumerated(
+        lambda seqs: test.pairs(_indicators(seqs, test.a_size),
+                                np.zeros((1, n), dtype=np.int64))[0],
+        channel.yr_size, n, 8 * channel.yr_size * n))
     num_bins = min(num_bins, max(1, typ_idx.size))
     ranked = typ_idx[_rng_stream(cfg.seed, 0).permutation(typ_idx.size)]
     bin_of = np.full(all_yr.shape[0], num_bins, dtype=np.int64)   # overflow bin
@@ -1098,7 +1159,7 @@ def _one_round_chunk(channel: StateChannel, tables: _OneRoundTables,
     x_seqs = _draw(tables.x_cols, s_seqs, uniforms[:, n:2 * n])
     yr_seqs, _ = transmit(channel, tables.kernel_cols, x_seqs, s_seqs,
                           uniforms[:, 2 * n:])
-    yr_index = yr_seqs @ channel.yr_size ** np.arange(n - 1, -1, -1)
+    yr_index = _index(yr_seqs, channel.yr_size)
     receiver_keys = tables.sub_of[yr_index]
     recon = _reconstruct(tables, x_seqs * channel.s_size + s_seqs,
                          tables.bin_of[yr_index])
@@ -1122,14 +1183,13 @@ def run_one_round_discussion(channel: StateChannel, policy: InputPolicy,
     through ``encode_failure_rate``.  Trials run in chunks, one
     ``_one_round_chunk`` call each, so no array of one chunk is alive while
     the next builds its stream words.  A chunk is sized to two floats per
-    stream word (3n per trial) or the channel draw's n |Yr| |Ye| floats;
-    ``_reconstruct`` splits its own work.
+    stream word (3n per trial); ``_reconstruct`` splits its own work.
     """
     tables = _one_round_tables(channel, policy, cfg)
     n = cfg.n
     disagreements, recon_failures, unique_correct, key_counts = _sum_chunks(
         functools.partial(_one_round_chunk, channel, tables, cfg), cfg.trials,
-        8 * n * max(channel.yr_size * channel.ye_size, 6))
+        48 * n)
     unique_lookups = cfg.trials - recon_failures
     leakage = one_round_exact_leakage(tables)
     achieved = _entropy(key_counts / cfg.trials) / n

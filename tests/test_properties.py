@@ -2,28 +2,32 @@
 of the closed-form partials of the auxiliary-policy search score, of the
 concavity in p(x|s) that lets each input-policy maximum be solved from one
 start, of the partials of the input-policy kernel, of the simulator's
-batched strong-typicality kernel, of the exact 128-bit limb product behind
-its PCG64 stream words, and of its exact leakage in both modes.
+batched strong-typicality kernel and of the no-discussion run's state and
+key tables built from it and from the decoder, of the exact 128-bit limb
+product behind its PCG64 stream words, and of its exact leakage in both
+modes.
 
 Hypothesis draws small alphabets and a numpy seed for the channel and the
 policy; ``derandomize=True`` makes every run draw the same examples.
 """
 
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import statekey.sim as sim
 from statekey import (AuxiliaryEncoderPolicy, BinningCodebook, BoundResult,
-                      InputPolicy, SimConfig, StateChannel, exact_leakage,
-                      lower_bound_discussion)
+                      InputPolicy, SimConfig, StateChannel, decode,
+                      exact_leakage, lower_bound_discussion, run_no_discussion)
 from statekey.channel import (aux_mi_partials, aux_mi_terms, mi_bits,
                               policy_mi_triple)
 from statekey.dmc import _cell_entropy, _input_value_grad, _search_score
 from statekey.sim import (_indicators, _limb_product, _limb_table,
-                          _no_disc_tables, _one_round_tables, _Typicality,
-                          one_round_exact_leakage)
+                          _no_disc_tables, _one_round_tables, _sequences,
+                          _Typicality, one_round_exact_leakage)
 from conftest import (S, U, YE, YR, cmi_ref, joint_uxsre, random_aux_policy,
                       random_channel)
 
@@ -308,6 +312,49 @@ def test_typical_pairs_match_the_count_definition(a_size, b_size, n, seed,
         eps = rng.uniform(0.0, 0.6)
     typical = _Typicality(pmf, n, eps).pairs(_indicators(rows, a_size), fixed)
     assert np.array_equal(typical, typical_by_definition(rows, fixed, pmf, eps))
+
+
+@PROPERTY
+@given(SIZES, st.integers(2, 5), st.integers(0, 2**32 - 1), st.booleans())
+def test_run_tables_equal_the_kernels_on_each_sequence(sizes, n, seed,
+                                                       deterministic):
+    """The state and key tables a no-discussion run reads, row by row: each
+    row of ``state_typical`` is ``pairs`` of the codewords against that s^n
+    alone, and each entry of the key table is ``decode`` of that yr^n alone.
+    The run's codebook holds one codeword twice, in two bins, so some yr^n
+    tie; deterministic policies give p(u, yr) zero cells.  With as many
+    trials as receiver sequences the run builds its key table; an
+    alphabet of size 1 for S or Ye makes the view constant, and then the
+    run has no state table."""
+    channel, policy = draw_case(sizes, seed, deterministic)
+    rng = np.random.default_rng(seed + 2)
+    count = int(rng.integers(2, 7))
+    seqs = rng.integers(0, policy.u_size, size=(count, n))
+    seqs[1] = seqs[0]
+    cb = BinningCodebook(sequences=seqs, bin_of=np.arange(count) % 2,
+                         num_bins=2)
+    cfg = SimConfig(n=n, epsilon=rng.uniform(0.1, 0.6), rate_margin=0.1,
+                    trials=channel.yr_size ** n, seed=seed)
+    seen, chunk = [], sim._no_disc_chunk
+    with mock.patch.object(sim, "build_codebook", lambda *args: cb), \
+            mock.patch.object(sim, "_no_disc_chunk",
+                              lambda *args: seen.append(args[2:4])
+                              or chunk(*args)):
+        run_no_discussion(channel, policy, cfg)
+    tables, key_of_yr = seen[0]
+    view = np.count_nonzero(channel.eavesdropper_kernel().any(axis=(0, 1)))
+    states = channel.s_size ** n
+    if view == 1:
+        assert tables.state_typical is None
+    else:
+        assert tables.state_typical.shape == (states, count)
+        for i in range(states):
+            assert np.array_equal(tables.state_typical[i], tables.typical.pairs(
+                tables.codewords, _sequences(channel.s_size, n, i, i + 1))[0])
+    assert key_of_yr.shape == (cfg.trials,)
+    for i in range(cfg.trials):
+        assert key_of_yr[i] == decode(cb, tables, _sequences(
+            channel.yr_size, n, i, i + 1))[0]
 
 
 WORD = st.integers(0, 2 ** 128 - 1)

@@ -463,6 +463,24 @@ class TestEncode:
         assert eligible.sum() == 4
         assert picks[eligible].min() > 4000 / 4 * 0.8
 
+    def test_symbols_outside_the_alphabet_are_rejected(self):
+        # On the sim-nodisc tables, with their state table and without it:
+        # s = 2 or -1 would draw x^n from another (u, s) cell, or read
+        # another state sequence's row of the table.
+        cfg = SimConfig(n=10, epsilon=0.15, rate_margin=0.2, trials=1, seed=42)
+        channel, policy = factorized_binary(), xor_policy()
+        cb = build_codebook(channel, policy, cfg)
+        tables = _no_disc_tables(channel, policy, cb, cfg.epsilon)
+        assert tables.state_typical is not None
+        for run_tables in (tables, dataclasses.replace(tables,
+                                                       state_typical=None)):
+            for bad in (2, -1, 5):
+                s_seqs = np.zeros((3, 10), dtype=int)
+                s_seqs[1, 4] = bad
+                with pytest.raises(ValueError, match=r"s symbols .* \[0, 2\)"):
+                    encode(cb, run_tables, s_seqs,
+                           TrialStreams(1, (1,), range(3), 31))
+
 
 class TestDecode:
     def test_noiseless_channel_decodes_exactly(self):
@@ -908,6 +926,31 @@ def one_round_grid():
     ]
 
 
+def per_trial_chunk(channel, codebook, tables, key_of_yr, cfg, trials):
+    """``_no_disc_chunk`` as it was before the run tables held a state
+    table and a key table: the encoder tests the chunk's s^n against the
+    codewords, and the chunk decodes its own yr^n.  Both tables are
+    ignored."""
+    n = cfg.n
+    streams = TrialStreams(cfg.seed, (1,), trials, 3 * n + 1)
+    s_seqs = _draw(tables.state_cols, 0, streams.random(n))
+    mask = tables.typical.pairs(tables.codewords, s_seqs)
+    sizes = mask.sum(axis=1)
+    picks = streams.integers(np.where(sizes > 0, sizes, codebook.count))
+    uniforms = streams.random(n)
+    typical = sizes > 0
+    nth = (mask.cumsum(axis=1) > picks[:, None]).argmax(axis=1)
+    index = np.where(typical, nth, picks)
+    x_seqs = _draw(tables.x_cols, codebook.sequences[index]
+                   * channel.s_size + s_seqs, uniforms)
+    yr_seqs, _ = transmit(channel, tables.kernel_cols, x_seqs, s_seqs,
+                          streams.random(n))
+    keys = codebook.bin_of[index]
+    return (int(np.count_nonzero(decode(codebook, tables, yr_seqs) != keys)),
+            int(np.count_nonzero(~typical)),
+            np.bincount(keys, minlength=codebook.num_bins))
+
+
 def benchmark_simulation(mode):
     """(channel, policy, run, config fields) of a benchmark simulation."""
     if mode == "no-disc":
@@ -963,6 +1006,57 @@ class TestBatchedTrialLoops:
                 reference_run_one_round(channel, policy, cfg, events), cfg
         assert events == {"encode fallback", "decode tie", "zero likelihood",
                           "empty public bin", "overflow bin"}
+
+    def test_run_tables_give_the_per_trial_chunks_report(self, monkeypatch):
+        # Each grid case against the same run with the per-trial chunk, on
+        # both sides of both rules: a state table wherever the view is not
+        # constant (the state echo's is), a key table wherever |Yr|^n is at
+        # most the trials (the sim-nodisc configuration, with 1,024 receiver
+        # sequences, gets one at 1,024 trials and not at 1,023).
+        cases = [*no_disc_grid(),
+                 (state_echo_channel(), two_state_copy_policy(),
+                  SimConfig(n=6, epsilon=0.3, rate_margin=0.4, trials=63,
+                            seed=4))]
+        for trials in (1023, 1024):
+            cases.append((factorized_binary(), xor_policy(), SimConfig(
+                n=10, epsilon=0.15, rate_margin=0.2, trials=trials, seed=42)))
+        sides = []              # (state table?, key table?) of each run
+        chunk = sim_module._no_disc_chunk
+        for channel, policy, cfg in cases:
+            seen = set()
+            monkeypatch.setattr(
+                sim_module, "_no_disc_chunk",
+                lambda *args: seen.add((args[2].state_typical is not None,
+                                        args[3] is not None))
+                or chunk(*args))
+            report = run_no_discussion(channel, policy, cfg)
+            sides.extend(seen)
+            monkeypatch.setattr(sim_module, "_no_disc_chunk", per_trial_chunk)
+            assert report == run_no_discussion(channel, policy, cfg), cfg
+        assert len(sides) == len(cases)
+        assert set(sides) == set(product([False, True], repeat=2))
+        assert sides[-2:] == [(True, False), (True, True)]
+
+    def test_benchmark_run_tests_and_decodes_each_sequence_once(
+            self, monkeypatch):
+        # The sim-nodisc configuration: every typicality test runs while the
+        # state table is built, over the 1,024 state sequences in order, so
+        # the encoder tests no chunk; and the decoder runs on the 1,024
+        # receiver sequences alone, never on a chunk of trials.
+        tested, decoded = [], []
+        pairs, decode_rows = sim_module._Typicality.pairs, sim_module.decode
+        monkeypatch.setattr(sim_module._Typicality, "pairs",
+                            lambda test, cand, fixed: tested.append(fixed)
+                            or pairs(test, cand, fixed))
+        monkeypatch.setattr(sim_module, "decode",
+                            lambda cb, tables, rows: decoded.append(rows)
+                            or decode_rows(cb, tables, rows))
+        cfg = SimConfig(n=10, epsilon=0.15, rate_margin=0.2, trials=10_000,
+                        seed=42)
+        run_no_discussion(factorized_binary(), xor_policy(), cfg)
+        every = np.array(list(product([0, 1], repeat=10)))
+        assert np.array_equal(np.concatenate(tested), every)
+        assert np.array_equal(np.concatenate(decoded), every)
 
     @pytest.mark.parametrize("mode", ["no-disc", "one-round"])
     def test_typicality_tests_are_built_once_per_run(self, mode, monkeypatch):
@@ -1046,6 +1140,33 @@ class TestBatchedTrialLoops:
             finally:
                 tracemalloc.stop()
         assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0]
+
+    @pytest.mark.parametrize("mode", ["no-disc", "one-round"])
+    def test_chunks_do_not_grow_with_the_output_alphabets(self, mode,
+                                                          monkeypatch):
+        # A channel draw holds (trials, n) arrays, one per cdf column,
+        # whatever |Yr| |Ye| is: a channel of 4 x 4 outputs runs the trial
+        # chunks of one of 2 x 2 (a one-codeword codebook in no-discussion
+        # mode, so the stream words size both).
+        sizes, steps = [], []
+        trial_draws = sim_module._trial_draws
+        monkeypatch.setattr(sim_module, "_trial_draws",
+                            lambda *args: sizes.append(len(args[2]))
+                            or trial_draws(*args))
+        for outputs in (2, 4):
+            channel = random_channel(np.random.default_rng(11), 2, 2, outputs,
+                                     outputs)
+            if mode == "no-disc":
+                run_no_discussion(channel, xor_policy(), SimConfig(
+                    n=10, epsilon=0.15, rate_margin=0.2, trials=2000, seed=42))
+            else:
+                run_one_round_discussion(
+                    channel, uniform_input_policy(channel),
+                    SimConfig(n=6, epsilon=0.4, rate_margin=0.2, trials=2000,
+                              seed=42))
+            steps.append(sizes[0])
+            sizes.clear()
+        assert steps[0] == steps[1]
 
 
 # Seeds of one to three 32-bit words and one of five, more than
