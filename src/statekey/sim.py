@@ -16,19 +16,22 @@ Two modes are implemented at tiny block lengths:
 Typicality is the strong (empirical-count) kind: every cell of the joint
 empirical distribution must lie within ``epsilon`` of the model pmf, and
 cells with zero model probability must be unoccupied.  ``_Typicality``
-prepares the test of one (pmf, n, epsilon): it checks the count bands once,
-then holds a batch of candidate rows against a batch of fixed rows with one
-0/1 product for all zero cells, one count per fixed row for a column with one
-positive cell, and one product for each other cell whose band can fail.  A
-run builds each of its tests once, in its run tables: the encoder's, the
-one-round typical set's and the reconstruction's (where ambiguity is an
-error).  Wherever the exact leakage enumerates the state sequences (the
-eavesdropper's view is not constant), the no-discussion run tables also hold
-the encoder's test of every s^n against every codeword, made once: the
-encoder and the exact leakage read its rows.  The no-discussion decoder is
-bin-wise maximum likelihood under the single-letter law p(yr | u): it reads
-no ``epsilon``, ``decode`` returns keys, and a tie between bins counts as an
-error.  A run with no more receiver sequences |Yr|^n than trials (and at
+prepares the test of one (pmf, n, epsilon): it checks the count bands once.
+Its ``fixed_side`` then takes a batch of fixed rows once, with one count per
+row for each column with one positive cell and the rows' 0/1 zero-cell rows,
+and its ``hold`` holds a batch of candidate rows against prepared rows with
+one 0/1 product for all zero cells and one product for each other cell whose
+band can fail.  A run builds each of its tests once, in its run tables: the
+encoder's, the one-round typical set's and the reconstruction's (where
+ambiguity is an error).  The one-round run tables also hold the candidate
+rows of every receiver sequence, grouped by public bin, and a chunk of
+trials prepares its fixed side once for all its bins.  Wherever the exact
+leakage enumerates the state sequences (the eavesdropper's view is not
+constant), the no-discussion run tables also hold the encoder's test of
+every s^n against every codeword, made once: the encoder and the exact
+leakage read its rows.  The no-discussion decoder is bin-wise maximum
+likelihood under the single-letter law p(yr | u): it reads no ``epsilon``,
+``decode`` returns keys, and a tie between bins counts as an error.  A run with no more receiver sequences |Yr|^n than trials (and at
 most ``MAX_CODEBOOK``) decodes each yr^n once, before its trials, which look
 their keys up; any other run decodes per trial.  The per-trial kernels
 themselves fill both tables, a chunk of sequences at a time.  When the
@@ -39,9 +42,9 @@ Kronecker product one mode at a time, never forming it: about count · n ·
 max(|S|, |Ye|)^n multiply-adds, in chunks of codewords.  Leakage is always
 exact, in both modes.  A run whose leakage would take more than
 ``MAX_LEAKAGE_MULADDS`` multiply-adds, or whose leakage arrays (the
-state-sequence table among them) or encoder and decoder tables would hold
-more than ``MAX_LEAKAGE_BYTES``, raises ``BudgetError`` before its first
-trial.
+state-sequence table and the one-round candidate rows among them) or encoder
+and decoder tables would hold more than ``MAX_LEAKAGE_BYTES``, raises
+``BudgetError`` before its first trial.
 
 Every operation is a pure function of (inputs, seed): replays are
 bit-identical, and trial t owns the random stream ``_rng_stream(seed, 1, t)``.
@@ -62,16 +65,19 @@ float64 product of 16-bit limbs whose every partial sum is an integer below
 a pick that Lemire's rejection rule refuses sends its trial back to
 ``_rng_stream``.
 
-The trial loops run on chunks of trials: ``encode``, ``transmit``,
-``decode`` and the typicality kernel take a leading trial axis.  Every
-categorical draw (s, x and the channel's (yr, ye)) is ``_draw`` on a cdf
-table stored by column: one comparison per inner threshold on a (trials, n)
-array, so a draw never leaves the alphabet.  The decoder scores every
-(trial, codeword) pair with one matrix product of the trials' yr^n one-hot
-and the codewords' log-likelihood terms, built once per run, where the
-finite floor ``_LOG_ZERO`` stands for log 0: a codeword of zero likelihood
-scores at or below it.  A chunk holds
-a few floats per (trial, codeword) pair in the decoder, at most
+The trial loops run on chunks of trials: ``encode``, ``decode`` and the
+typicality kernel take a leading trial axis.  Every categorical draw (s, x
+and the receiver's yr) is ``_draw`` on a cdf table stored by column: one
+comparison per inner threshold on a (trials, n) array, so a draw never
+leaves the alphabet.  No trial needs the eavesdropper's output, so none
+draws it: the receiver's thresholds are every |Ye|-th threshold of the joint
+(yr, ye) cdf, and they draw yr exactly as the joint draw would, from the
+same uniform.  The decoder scores every (trial, codeword) pair with one
+matrix product of the trials' yr^n one-hot and the codewords'
+log-likelihood terms, built once per run, where the finite floor
+``_LOG_ZERO`` stands for log 0: a codeword of zero likelihood scores at or
+below it.  A chunk holds a few floats per (trial, codeword) pair in the
+decoder, at most
 ``_PAIR_BYTES`` (11) bytes per (trial, candidate) pair in the typicality
 test, and the raw words and uniforms.
 
@@ -82,12 +88,12 @@ arrays until the next chunk replaced them, a no-discussion run of one chunk
 peaked 30 % below a run of 20 on the benchmark configuration (0.67 against
 0.87 MB, traced): the second chunk, not the number of trials, set the peak.
 A chunk is sized to its largest per-trial temporary: two floats per stream
-word, or the decoder's floats per codeword (budgeted as four) in a
-no-discussion run; a channel draw holds only (trials, n) arrays, one per cdf
-column.  The stream budget keeps each block of the limb product under
-16,384 floats, on OpenBLAS's single-threaded path.  One-round
-reconstruction splits each public bin's members and trials to the same
-budget.  Run memory therefore does not grow with the number of trials.
+word, one float per (position, receiver symbol) (the decoder's one-hot, or
+the reconstruction's zero-cell rows), or, in a no-discussion run, the
+decoder's floats per codeword (budgeted as four); a channel draw holds only
+(trials, n) arrays, one per cdf column.  The stream budget keeps each block
+of the limb product under 16,384 floats, on OpenBLAS's single-threaded
+path.  Run memory therefore does not grow with the number of trials.
 """
 
 from __future__ import annotations
@@ -508,7 +514,12 @@ class _Typicality:
     * every other positive cell whose band is not [0, n]: one product per
       cell, compared only at the ends of the band that a count can cross.
 
-    At most ``_PAIR_BYTES`` are alive per (fixed, candidate) pair.
+    ``pairs`` is two steps: ``fixed_side`` tests the fixed rows' own counts
+    and gathers the zero-cell rows of those that pass, and ``hold`` takes
+    the products against the candidates.  A caller that holds one batch of
+    fixed rows against several batches of candidates prepares it once and
+    slices the prepared rows.  At most ``_PAIR_BYTES`` are alive per
+    (fixed, candidate) pair.
     """
 
     def __init__(self, pmf: np.ndarray, n: int, eps: float):
@@ -543,8 +554,10 @@ class _Typicality:
             if table is not None:
                 table.setflags(write=False)
 
-    def pairs(self, cand: np.ndarray, fixed: np.ndarray) -> np.ndarray:
-        """(trials, m) typicality of each candidate against each fixed[t]."""
+    def fixed_side(self, fixed: np.ndarray):
+        """(live, rows, zero_rows) of the fixed rows (trials, n): which pass
+        their single-cell bands, those rows in order, and their 0/1 rows of
+        zero cells, (rows, |A| n) floats (None without zero cells)."""
         trials = len(fixed)
         live = np.ones(trials, dtype=bool)
         if self.row_cols.size:
@@ -556,13 +569,21 @@ class _Typicality:
             if self.row_lo.any():
                 live &= (tally >= self.row_lo).all(axis=1)
         rows = fixed if live.all() else fixed[live]
-        counts = np.empty((len(rows), len(cand)))   # one buffer for every product
         if self.zero is None:
+            return live, rows, None
+        return live, rows, self.zero[rows[:, None, :] + self.zero_at].reshape(
+            len(rows), self.a_size * self.n)
+
+    def hold(self, cand: np.ndarray, rows: np.ndarray,
+             zero_rows: np.ndarray | None) -> np.ndarray:
+        """(rows, m) typicality of each candidate against rows that passed
+        their single-cell bands, with their ``fixed_side`` zero rows."""
+        counts = np.empty((len(rows), len(cand)))   # one buffer for every product
+        if zero_rows is None:
             ok = np.ones(counts.shape, dtype=bool)
         else:
-            width = self.a_size * self.n
-            np.matmul(self.zero[rows[:, None, :] + self.zero_at].reshape(
-                len(rows), width), cand.reshape(len(cand), width).T, out=counts)
+            np.matmul(zero_rows, cand.reshape(len(cand), zero_rows.shape[1]).T,
+                      out=counts)
             ok = counts == 0
         for b, cells in self.cells:
             is_b = (rows == b).astype(float)
@@ -572,9 +593,15 @@ class _Typicality:
                     ok &= counts >= lo
                 if hi < self.n:
                     ok &= counts <= hi
-        if len(rows) == trials:
+        return ok
+
+    def pairs(self, cand: np.ndarray, fixed: np.ndarray) -> np.ndarray:
+        """(trials, m) typicality of each candidate against each fixed[t]."""
+        live, *side = self.fixed_side(fixed)
+        ok = self.hold(cand, *side)
+        if len(ok) == len(fixed):
             return ok
-        out = np.zeros((trials, len(cand)), dtype=bool)
+        out = np.zeros((len(fixed), len(cand)), dtype=bool)
         out[live] = ok
         return out
 
@@ -615,10 +642,18 @@ def _draw(cols: np.ndarray, cells, uniforms: np.ndarray) -> np.ndarray:
 
 
 def _kernel_columns(channel: StateChannel) -> np.ndarray:
-    """``_cdf_columns`` of the kernel over (yr, ye) pairs, one cell per
-    (x, s) coded x * |S| + s: shape (|Yr| |Ye| - 1, |X| |S|)."""
+    """The receiver's cdf columns of the kernel, one cell per (x, s) coded
+    x * |S| + s: rows |Ye| - 1, 2 |Ye| - 1, ... of the ``_cdf_columns`` over
+    (yr, ye) pairs, shape (|Yr| - 1, |X| |S|).
+
+    A cumsum of non-negative floats never decreases, so the count of these
+    thresholds below a uniform is the joint draw's pair // |Ye| exactly:
+    ``_draw`` on them gives yr bit for bit as the joint draw would, from the
+    same uniform.
+    """
+    ye = channel.ye_size
     return _cdf_columns(channel.kernel.reshape(channel.x_size * channel.s_size,
-                                               -1))
+                                               -1))[ye - 1::ye]
 
 
 def _codebook_size(channel: StateChannel, policy: AuxiliaryEncoderPolicy,
@@ -691,8 +726,8 @@ class _NoDiscTables:
     run by ``_no_disc_tables``.
 
     The cdf tables are ``_cdf_columns``, read by ``_draw``: p(s) has one
-    cell (0), p(x | u, s) one per (u, s) coded u * |S| + s, and the kernel
-    one per (x, s), see ``_kernel_columns``.  ``codewords`` are the
+    cell (0), p(x | u, s) one per (u, s) coded u * |S| + s, and the kernel's
+    receiver side one per (x, s), see ``_kernel_columns``.  ``codewords`` are the
     codebook's candidates for the encoder's test ``typical``.
     ``state_typical`` holds that test of every state sequence, in the order
     of ``_sequences``, against every codeword, filled by ``typical.pairs``
@@ -817,16 +852,6 @@ def decode(codebook: BinningCodebook, tables: _NoDiscTables,
     return np.where(ok, key, -1)
 
 
-def transmit(channel: StateChannel, kernel_cols: np.ndarray, x_seqs, s_seqs,
-             uniforms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sample (yr, ye) per symbol from the memoryless kernel, one uniform
-    per symbol, by ``_draw`` from the cell x * |S| + s of ``kernel_cols``
-    (``_kernel_columns(channel)``).  Any leading (trial) axes are kept."""
-    pair = _draw(kernel_cols, np.asarray(x_seqs) * channel.s_size + s_seqs,
-                 uniforms)
-    return pair // channel.ye_size, pair % channel.ye_size
-
-
 def _check_leakage_cost(rows: int, n: int, a: int, c: int, held: int) -> None:
     """Refuse an exact leakage over budget: ``_add_kron_rows`` over ``rows``
     rows of n (a, c) factors takes about rows · n · max(a, c)^n multiply-adds,
@@ -934,17 +959,18 @@ def _no_disc_chunk(channel: StateChannel, codebook: BinningCodebook,
     ``TrialStreams``: their disagreements, encode failures and key counts.
 
     The streams draw s^n, each stream then draws its pick and the uniforms
-    of x^n and of the channel, and ``encode`` and ``transmit`` run on all
-    the trials at once.  The decoded keys are ``key_of_yr`` at each yr^n's
-    index, or, without that table, one ``decode`` of the chunk.  Nothing
-    else outlives the call.
+    of x^n and of the channel, and ``encode`` and the draw of yr^n (the
+    eavesdropper's output is never drawn) run on all the trials at once.
+    The decoded keys are ``key_of_yr`` at each yr^n's index, or, without
+    that table, one ``decode`` of the chunk.  Nothing else outlives the
+    call.
     """
     n = cfg.n
     streams = TrialStreams(cfg.seed, (1,), trials, 3 * n + 1)
     s_seqs = _draw(tables.state_cols, 0, streams.random(n))
     enc = encode(codebook, tables, s_seqs, streams)
-    yr_seqs, _ = transmit(channel, tables.kernel_cols, enc.x_seq, s_seqs,
-                          streams.random(n))
+    yr_seqs = _draw(tables.kernel_cols, enc.x_seq * channel.s_size + s_seqs,
+                    streams.random(n))
     keys = codebook.bin_of[enc.index]
     decoded = decode(codebook, tables, yr_seqs) if key_of_yr is None \
         else key_of_yr[_index(yr_seqs, channel.yr_size)]
@@ -955,12 +981,13 @@ def _no_disc_chunk(channel: StateChannel, codebook: BinningCodebook,
 
 def run_no_discussion(channel: StateChannel, policy: AuxiliaryEncoderPolicy,
                       cfg: SimConfig) -> SimReport:
-    """Monte Carlo episodes of {draw state, encode, transmit, decode}.
+    """Monte Carlo episodes of {draw state, encode, send, decode}.
 
     Trials run in chunks, one ``_no_disc_chunk`` call each, so no array of
     one chunk is alive while the next builds its stream words.  A chunk is
     sized to its largest per-trial temporary: two floats per stream word
-    (3n + 1 per trial) or the decoder's four floats per codeword.
+    (3n + 1 per trial), the decoder's four floats per codeword, or its
+    one-hot's n |Yr| floats.
     Disagreement counts decode failures (tied bins, or no codeword with
     nonzero likelihood) as well as key mismatches.  ``build_codebook``
     checks both budgets before its draw, and the exact leakage reads the
@@ -981,7 +1008,8 @@ def run_no_discussion(channel: StateChannel, policy: AuxiliaryEncoderPolicy,
         if channel.yr_size ** n <= min(cfg.trials, MAX_CODEBOOK) else None
     disagreements, encode_failures, key_counts = _sum_chunks(
         functools.partial(_no_disc_chunk, channel, codebook, tables, key_of_yr,
-                          cfg), cfg.trials, max(16 * (3 * n + 1), decoder_bytes))
+                          cfg), cfg.trials, max(16 * (3 * n + 1), decoder_bytes,
+                                 8 * n * channel.yr_size))
     achieved = _entropy(key_counts / cfg.trials) / cfg.n
     return SimReport(
         disagreement_prob=disagreements / cfg.trials,
@@ -1002,30 +1030,27 @@ def run_no_discussion(channel: StateChannel, policy: AuxiliaryEncoderPolicy,
 # one-round discussion scheme
 # ---------------------------------------------------------------------------
 
-def _enumerate_sequences(alphabet: int, n: int) -> np.ndarray:
-    if alphabet ** n > MAX_CODEBOOK:
-        raise BudgetError(
-            f"enumerating {alphabet}^{n} output sequences exceeds the "
-            f"{MAX_CODEBOOK} limit; reduce n")
-    return _sequences(alphabet, n, 0, alphabet ** n)
-
-
 @dataclass(frozen=True)
 class _OneRoundTables:
-    """Receiver-sequence partition and single-letter laws for one-round runs.
+    """Receiver-sequence partition and single-letter laws for one-round runs,
+    built once per run by ``_one_round_tables``.
 
     The members of public bin b, in increasing sequence order, are
-    ``by_bin[bin_starts[b]:bin_starts[b + 1]]``: one stable argsort of
-    ``bin_of``, made once per run, serves every reconstruction.  The cdf
-    tables are ``_cdf_columns``, read by ``_draw``: p(s) has one cell (0),
-    p(x | s) one per s, and the kernel one per (x, s), see
-    ``_kernel_columns``.  The exact leakage reads only these tables.
+    ``by_bin[bin_starts[b]:bin_starts[b + 1]]``, and their candidate rows
+    for the reconstruction's test ``recon`` are the same slice of
+    ``candidates``, the ``_indicators`` of ``all_yr[by_bin]``: one stable
+    argsort of ``bin_of`` and one indicator table, made once per run, serve
+    every reconstruction.  The cdf tables are ``_cdf_columns``, read by
+    ``_draw``: p(s) has one cell (0), p(x | s) one per s, and the kernel's
+    receiver side one per (x, s), see ``_kernel_columns``.  The exact
+    leakage reads only these tables.
     """
 
     all_yr: np.ndarray          # (|Yr|^n, n)
     bin_of: np.ndarray          # public bin per sequence (overflow = num_bins)
     by_bin: np.ndarray          # sequence indices sorted stably by bin
     bin_starts: np.ndarray      # (num_bins + 2,) offsets of each bin in by_bin
+    candidates: np.ndarray      # (|Yr|^n, yr, n), _indicators in by_bin order
     sub_of: np.ndarray          # key sub-bin per sequence
     num_bins: int
     num_subbins: int
@@ -1059,19 +1084,19 @@ def _one_round_tables(channel: StateChannel, policy: InputPolicy,
     num_subbins = max(1, math.ceil(2.0 ** (n * key_exponent))) \
         if key_exponent > 0 else 1
     # Fail before any enumeration, on at most this many bins: the rows of
-    # one_round_exact_leakage are the |Yr|^n sequences, with one weight each.
+    # one_round_exact_leakage are the |Yr|^n sequences, with one weight and
+    # n |Yr| candidate floats each.  So more than MAX_CODEBOOK sequences
+    # (|Yr| n >= 39) always exceed the byte budget.
     _check_leakage_cost(outputs, n, 1, channel.ye_size, 8 * (
-        outputs + num_subbins * (min(num_bins, outputs) + 1)
-        * channel.ye_size ** n))
-    all_yr = _enumerate_sequences(channel.yr_size, cfg.n)
-    p_yr = p.sum(axis=(0, 1, 3))
-    # The marginal test: each sequence against one all-zero row, in pieces
-    # that keep the candidate matrices within the chunk budget.
-    test = _Typicality(p_yr[:, None], n, cfg.epsilon)
-    typ_idx = np.flatnonzero(_enumerated(
-        lambda seqs: test.pairs(_indicators(seqs, test.a_size),
-                                np.zeros((1, n), dtype=np.int64))[0],
-        channel.yr_size, n, 8 * channel.yr_size * n))
+        outputs * (1 + n * channel.yr_size) + num_subbins
+        * (min(num_bins, outputs) + 1) * channel.ye_size ** n))
+    all_yr = _sequences(channel.yr_size, n, 0, outputs)
+    # The marginal test: each sequence as a fixed row against one candidate
+    # of a single symbol, so every positive cell is its column's one, and
+    # the test is the fixed side's count bands and zero-cell product.
+    typ_idx = np.flatnonzero(_Typicality(p.sum(axis=(0, 1, 3))[None], n,
+                                         cfg.epsilon).pairs(np.ones((1, 1, n)),
+                                                            all_yr))
     num_bins = min(num_bins, max(1, typ_idx.size))
     ranked = typ_idx[_rng_stream(cfg.seed, 0).permutation(typ_idx.size)]
     bin_of = np.full(all_yr.shape[0], num_bins, dtype=np.int64)   # overflow bin
@@ -1081,9 +1106,12 @@ def _one_round_tables(channel: StateChannel, policy: InputPolicy,
     sub_of[ranked] = rounds % num_subbins
     bin_starts = np.concatenate(
         ([0], np.cumsum(np.bincount(bin_of, minlength=num_bins + 1))))
-    return _OneRoundTables(all_yr=all_yr, bin_of=bin_of,
-                           by_bin=np.argsort(bin_of, kind="stable"),
-                           bin_starts=bin_starts, sub_of=sub_of,
+    by_bin = np.argsort(bin_of, kind="stable")
+    return _OneRoundTables(all_yr=all_yr, bin_of=bin_of, by_bin=by_bin,
+                           bin_starts=bin_starts,
+                           candidates=_indicators(all_yr[by_bin],
+                                                  channel.yr_size),
+                           sub_of=sub_of,
                            num_bins=num_bins, num_subbins=num_subbins,
                            recon=_Typicality(p_yr_xs, n, cfg.epsilon),
                            state_cols=_cdf_columns(channel.state_pmf[None]),
@@ -1100,30 +1128,35 @@ def _reconstruct(tables: _OneRoundTables, xs_seqs: np.ndarray,
     with its (x, s) pairs, coded x * |S| + s in ``xs_seqs`` (trials, n),
     under the test ``tables.recon``; -1 where no member or several are.
 
-    One stable argsort groups the trials by bin, and ``tables.by_bin``
-    holds each bin's members.  A bin's members go in pieces whose candidate
-    matrices fit the chunk budget, built for that piece alone, and its
-    trials in pieces whose pairs do; per trial, the hits and the sum of
-    the hit members' indices add up over the pieces, so a lone hit's sum is
-    that member.
+    The fixed side of the test is prepared once for the whole chunk, its
+    trials sorted stably by published bin, so the live trials of a bin are
+    one slice of the prepared rows, as its members are one slice of
+    ``tables.candidates``.  A bin's members go in pieces of at most
+    ``_chunk_rows(_PAIR_BYTES)``, and its trials in steps whose pairs fit
+    the chunk budget; per trial, the hit count and the position of a hit
+    (``argmax``) add up over the pieces, so a lone hit's position is that
+    member's.
     """
-    hits = np.zeros(len(published), dtype=np.int64)
-    hit_sum = np.zeros(len(published), dtype=np.int64)
+    test, starts = tables.recon, tables.bin_starts
     order = np.argsort(published, kind="stable")
-    bins, starts = np.unique(published[order], return_index=True)
-    member_step = _chunk_rows(8 * tables.recon.a_size * xs_seqs.shape[1])
-    for b, start, end in zip(bins, starts, [*starts[1:], len(order)]):
-        members = tables.by_bin[tables.bin_starts[b]:tables.bin_starts[b + 1]]
-        for lo in range(0, len(members), member_step):
-            piece = members[lo:lo + member_step]
-            cand = _indicators(tables.all_yr[piece], tables.recon.a_size)
-            step = _chunk_rows(_PAIR_BYTES * len(piece))
-            for first in range(start, end, step):
-                trials = order[first:min(first + step, end)]
-                ok = tables.recon.pairs(cand, xs_seqs[trials])
-                hits[trials] += ok.sum(axis=1)
-                hit_sum[trials] += ok @ piece
-    return np.where(hits == 1, hit_sum, -1)
+    live, rows, zero_rows = test.fixed_side(xs_seqs[order])
+    order = order[live]
+    hits, at = np.zeros((2, len(published)), dtype=np.int64)
+    bins, firsts = np.unique(published[order], return_index=True)
+    member_step = _chunk_rows(_PAIR_BYTES)
+    for b, first, end in zip(bins, firsts, [*firsts[1:], len(order)]):
+        for lo in range(starts[b], starts[b + 1], member_step):
+            cand = tables.candidates[lo:min(lo + member_step, starts[b + 1])]
+            step = _chunk_rows(_PAIR_BYTES * len(cand))
+            for t in range(first, end, step):
+                part = slice(t, min(t + step, end))
+                ok = test.hold(cand, rows[part],
+                               None if zero_rows is None else zero_rows[part])
+                count = np.count_nonzero(ok, axis=1)
+                hits[order[part]] += count
+                at[order[part]] += np.where(count > 0, lo + ok.argmax(axis=1), 0)
+    # Where a trial hits more than once, its positions add up past a bin.
+    return np.where(hits == 1, tables.by_bin.take(at, mode="clip"), -1)
 
 
 def one_round_exact_leakage(tables: _OneRoundTables) -> float:
@@ -1150,15 +1183,17 @@ def _one_round_chunk(channel: StateChannel, tables: _OneRoundTables,
     reconstructions, and key counts.
 
     One ``TrialStreams`` draws the 3n uniforms of every trial, and the rest
-    runs on all the trials at once, the reconstruction once per published
-    bin.  Nothing else outlives the call.
+    runs on all the trials at once: the receiver's draw (the eavesdropper's
+    output is never drawn), and the reconstruction, whose fixed side is
+    prepared once and then held against each published bin.  Nothing else
+    outlives the call.
     """
     n = cfg.n
     uniforms = TrialStreams(cfg.seed, (1,), trials, 3 * n).random(3 * n)
     s_seqs = _draw(tables.state_cols, 0, uniforms[:, :n])
     x_seqs = _draw(tables.x_cols, s_seqs, uniforms[:, n:2 * n])
-    yr_seqs, _ = transmit(channel, tables.kernel_cols, x_seqs, s_seqs,
-                          uniforms[:, 2 * n:])
+    yr_seqs = _draw(tables.kernel_cols, x_seqs * channel.s_size + s_seqs,
+                    uniforms[:, 2 * n:])
     yr_index = _index(yr_seqs, channel.yr_size)
     receiver_keys = tables.sub_of[yr_index]
     recon = _reconstruct(tables, x_seqs * channel.s_size + s_seqs,
@@ -1183,13 +1218,14 @@ def run_one_round_discussion(channel: StateChannel, policy: InputPolicy,
     through ``encode_failure_rate``.  Trials run in chunks, one
     ``_one_round_chunk`` call each, so no array of one chunk is alive while
     the next builds its stream words.  A chunk is sized to two floats per
-    stream word (3n per trial); ``_reconstruct`` splits its own work.
+    stream word (3n per trial) or to the reconstruction's n |Yr| floats of
+    zero-cell rows per trial; ``_reconstruct`` splits its own pairs.
     """
     tables = _one_round_tables(channel, policy, cfg)
     n = cfg.n
     disagreements, recon_failures, unique_correct, key_counts = _sum_chunks(
         functools.partial(_one_round_chunk, channel, tables, cfg), cfg.trials,
-        48 * n)
+        max(48, 8 * channel.yr_size) * n)
     unique_lookups = cfg.trials - recon_failures
     leakage = one_round_exact_leakage(tables)
     achieved = _entropy(key_counts / cfg.trials) / n

@@ -3,9 +3,9 @@ of the closed-form partials of the auxiliary-policy search score, of the
 concavity in p(x|s) that lets each input-policy maximum be solved from one
 start, of the partials of the input-policy kernel, of the simulator's
 batched strong-typicality kernel and of the no-discussion run's state and
-key tables built from it and from the decoder, of the exact 128-bit limb
-product behind its PCG64 stream words, and of its exact leakage in both
-modes.
+key tables built from it and from the decoder, of its receiver-only
+channel draw, of the exact 128-bit limb product behind its PCG64 stream
+words, and of its exact leakage in both modes.
 
 Hypothesis draws small alphabets and a numpy seed for the channel and the
 policy; ``derandomize=True`` makes every run draw the same examples.
@@ -355,6 +355,46 @@ def test_run_tables_equal_the_kernels_on_each_sequence(sizes, n, seed,
     for i in range(cfg.trials):
         assert key_of_yr[i] == decode(cb, tables, _sequences(
             channel.yr_size, n, i, i + 1))[0]
+
+
+LAST_UNIFORM = 1.0 - 2.0 ** -53     # the largest uniform a stream draws
+
+
+@PROPERTY
+@given(st.tuples(*[st.integers(1, 3)] * 2), st.integers(1, 4),
+       st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_receiver_draw_is_the_joint_draw_over_ye(xs_sizes, yr_size, ye_size,
+                                                 seed):
+    """``_draw`` on the receiver's ``_kernel_columns`` gives the joint
+    (yr, ye) draw's pair // |Ye| from the same uniforms, bit for bit.  The
+    kernel has zero cells, some of its rows sum to 1 - 5e-13, and the
+    uniforms include 0, ``LAST_UNIFORM`` and every joint threshold, each
+    exactly and one step either side."""
+    x_size, s_size = xs_sizes
+    cells = x_size * s_size
+    rng = np.random.default_rng(seed)
+    kernel = rng.dirichlet(np.ones(yr_size * ye_size), size=cells)
+    kernel *= rng.random(kernel.shape) < 0.6
+    kernel[~kernel.any(axis=1), 0] = 1.0
+    kernel /= kernel.sum(axis=1, keepdims=True)
+    for c in np.flatnonzero(rng.random(cells) < 0.5):
+        kernel[c, np.flatnonzero(kernel[c] > 1e-12)[-1]] -= 5e-13
+    channel = StateChannel.from_arrays(
+        np.full(s_size, 1 / s_size),
+        kernel.reshape(x_size, s_size, yr_size, ye_size))
+    joint = sim._cdf_columns(channel.kernel.reshape(cells, -1))
+    # Each threshold with its own cell, then 0, LAST_UNIFORM and 50 random
+    # uniforms at random cells.
+    at = np.tile(np.arange(cells), len(joint))
+    extra = np.concatenate([[0.0, LAST_UNIFORM], rng.random(50)])
+    uniforms = np.concatenate([np.nextafter(joint.ravel(), -1.0), joint.ravel(),
+                               np.nextafter(joint.ravel(), 2.0), extra])
+    at = np.concatenate([at, at, at, rng.integers(0, cells, size=len(extra))])
+    inside = (uniforms >= 0.0) & (uniforms <= LAST_UNIFORM)
+    uniforms, at = uniforms[inside], at[inside]
+    receiver = sim._draw(sim._kernel_columns(channel), at, uniforms)
+    assert np.array_equal(receiver, sim._draw(joint, at, uniforms) // ye_size)
+    assert receiver.max(initial=0) < yr_size
 
 
 WORD = st.integers(0, 2 ** 128 - 1)

@@ -18,7 +18,7 @@ from statekey.sim import (SimReport, TrialStreams, _cdf_columns, _draw,
                           _entropy, _indicators, _kernel_columns,
                           _no_disc_tables, _one_round_tables, _reconstruct,
                           _rng_stream, _trial_draws, _Typicality,
-                          one_round_exact_leakage, transmit)
+                          one_round_exact_leakage)
 from conftest import (S, X, YE, YR, bsc_matrix, cmi_ref, copy_encoder_policy,
                       degraded_binary_wiretap, entropy_ref,
                       erasure_eavesdropper_channel, factorized_binary,
@@ -135,6 +135,49 @@ def yr_xs_law(channel, policy):
     the sender's reconstruction test."""
     return np.einsum("s,sx,xsr->rxs", channel.state_pmf, policy.x_given_s,
                      channel.receiver_kernel()).reshape(channel.yr_size, -1)
+
+
+def reconstruct_case(name, n, epsilon):
+    """(tables, xs_seqs, published, expected) of 80 + |bins| reconstruction
+    trials on ``RECONSTRUCT_CHANNELS[name]``, expected from the per-trial
+    oracle: each trial's published bin tested member by member.
+
+    The first 40 trials publish their output's bin, the next 40 any bin,
+    the overflow bin included.  Trials 78 and 79 repeat one (x, s) symbol n
+    times, past its count band: x = s = 0, published with its output 0^n,
+    and x = 0, s = 1.  The last trials repeat x = s = 0 too, one in each bin
+    and the overflow bin."""
+    channel = RECONSTRUCT_CHANNELS[name]
+    policy = uniform_input_policy(channel)
+    cfg = SimConfig(n=n, epsilon=epsilon, rate_margin=0.2, trials=1, seed=7)
+    tables = _one_round_tables(channel, policy, cfg)
+    law = yr_xs_law(channel, policy)
+    rng = np.random.default_rng(n)
+    s_seqs = rng.integers(0, 2, size=(80, n))
+    x_seqs = rng.integers(0, 2, size=(80, n))
+    yr_seqs = _draw(_cdf_columns(channel.receiver_kernel().reshape(4, 2)),
+                    x_seqs * 2 + s_seqs, rng.random((80, n)))
+    xs_seqs = x_seqs * 2 + s_seqs
+    xs_seqs[-2:] = [[0], [1]]
+    published = np.concatenate([
+        tables.bin_of[yr_seqs[:40] @ 2 ** np.arange(n - 1, -1, -1)],
+        rng.integers(0, tables.num_bins + 1, size=40)])
+    published[-2] = tables.bin_of[0]
+    bins = np.arange(tables.num_bins + 1)
+    xs_seqs = np.vstack([xs_seqs, np.zeros((len(bins), n), dtype=int)])
+    published = np.concatenate([published, bins])
+    expected = []
+    for xs_seq, b in zip(xs_seqs, published):
+        members = np.flatnonzero(tables.bin_of == b)
+        typical = _Typicality(law, n, epsilon).pairs(
+            _indicators(tables.all_yr[members], channel.yr_size),
+            xs_seq[None])[0]
+        # The oracle is checked against explicit cell counts.
+        assert np.array_equal(typical, typical_rows(
+            tables.all_yr[members], xs_seq, law, epsilon))
+        hits = members[typical]
+        expected.append(hits[0] if len(hits) == 1 else -1)
+    return tables, xs_seqs, published, np.array(expected)
 
 
 def draw(cdf_rows, rng):
@@ -492,8 +535,8 @@ class TestDecode:
         tables = _no_disc_tables(channel, COPY_POLICY, cb, 0.5)
         s_seqs = np.zeros((20, 6), dtype=int)
         enc = encode(cb, tables, s_seqs, TrialStreams(3, (3,), range(20), 7))
-        yr_seqs, _ = transmit(channel, tables.kernel_cols, enc.x_seq, s_seqs,
-                              rng.random((20, 6)))
+        yr_seqs = _draw(tables.kernel_cols, enc.x_seq * channel.s_size + s_seqs,
+                        rng.random((20, 6)))
         keys = decode(cb, tables, yr_seqs)
         assert (keys >= 0).all()
         assert np.array_equal(keys, cb.bin_of[enc.index])
@@ -557,12 +600,13 @@ def short_mass_channel(state_pmf=(0.5, 0.5)):
 
 class TestDraws:
     def test_a_short_kernel_row_draws_inside_the_alphabet(self):
-        # The row's cdf ends at 1 - 5e-13, below the uniform: the draw is
-        # its last (yr, ye) pair, not the pair index 4 past the alphabet.
+        # The row's cdf ends at 1 - 5e-13, below the uniform: the joint draw
+        # is its last (yr, ye) pair, not the pair index 4 past the alphabet,
+        # and the receiver's draw its last yr, not 2.
         channel = short_mass_channel()
-        yr, ye = transmit(channel, _kernel_columns(channel), np.zeros((1, 1), int),
-                          np.zeros((1, 1), int), np.full((1, 1), LAST_UNIFORM))
-        assert (yr.item(), ye.item()) == (1, 1)
+        joint = _cdf_columns(channel.kernel.reshape(4, 4))
+        assert _draw(joint, 0, LAST_UNIFORM) == 3
+        assert _draw(_kernel_columns(channel), 0, LAST_UNIFORM) == 1
 
     def test_a_short_state_pmf_draws_inside_the_alphabet(self):
         # p(s) sums to 1 - 5e-13; both modes draw s from their run tables.
@@ -723,8 +767,12 @@ class TestExactLeakage:
                                3 * cfg.n + 1)
         s_seqs = _draw(tables.state_cols, 0, streams.random(cfg.n))
         enc = encode(cb, tables, s_seqs, streams)
-        _, ye_seqs = transmit(channel, tables.kernel_cols, enc.x_seq, s_seqs,
-                              streams.random(cfg.n))
+        # The joint (yr, ye) draw of the same uniforms; the trial loops draw
+        # only yr.
+        joint = _cdf_columns(channel.kernel.reshape(
+            channel.x_size * channel.s_size, -1))
+        ye_seqs = _draw(joint, enc.x_seq * channel.s_size + s_seqs,
+                        streams.random(cfg.n)) % channel.ye_size
         pairs = np.zeros((cb.num_bins, channel.ye_size ** cfg.n))
         np.add.at(pairs, (cb.bin_of[enc.index],
                           ye_seqs @ channel.ye_size ** np.arange(cfg.n)), 1)
@@ -943,8 +991,8 @@ def per_trial_chunk(channel, codebook, tables, key_of_yr, cfg, trials):
     index = np.where(typical, nth, picks)
     x_seqs = _draw(tables.x_cols, codebook.sequences[index]
                    * channel.s_size + s_seqs, uniforms)
-    yr_seqs, _ = transmit(channel, tables.kernel_cols, x_seqs, s_seqs,
-                          streams.random(n))
+    yr_seqs = _draw(tables.kernel_cols, x_seqs * channel.s_size + s_seqs,
+                    streams.random(n))
     keys = codebook.bin_of[index]
     return (int(np.count_nonzero(decode(codebook, tables, yr_seqs) != keys)),
             int(np.count_nonzero(~typical)),
@@ -1167,6 +1215,43 @@ class TestBatchedTrialLoops:
             steps.append(sizes[0])
             sizes.clear()
         assert steps[0] == steps[1]
+
+    @pytest.mark.parametrize("mode", ["no-disc", "one-round"])
+    def test_receiver_rows_of_a_chunk_fit_its_budget(self, mode, monkeypatch):
+        # At |Yr| = 16 the chunk rules' 8 n |Yr| bytes per trial outgrow the
+        # stream words' share: a no-discussion chunk that decodes its own
+        # trials holds their (trials, n |Yr|) one-hot, and a one-round chunk
+        # the reconstruction's (trials, |Yr| n) zero-cell rows (a sparse
+        # kernel gives its law zero cells).  Either fills the budget to
+        # within one trial's row, and never past it.
+        held, width = [], 8 * 16
+        if mode == "no-disc":
+            n, decode_rows = 10, sim_module.decode
+            monkeypatch.setattr(sim_module, "decode",
+                                lambda cb, tables, rows: held.append(rows.size)
+                                or decode_rows(cb, tables, rows))
+            run_no_discussion(
+                random_channel(np.random.default_rng(11), 2, 2, 16, 2),
+                xor_policy(), SimConfig(n=n, epsilon=0.15, rate_margin=0.2,
+                                        trials=2000, seed=42))
+            held = [width * size for size in held]
+        else:
+            n, fixed_side = 3, sim_module._Typicality.fixed_side
+
+            def recorded(test, fixed):
+                side = fixed_side(test, fixed)
+                if side[2] is not None:
+                    held.append(side[2].nbytes)
+                return side
+
+            monkeypatch.setattr(sim_module._Typicality, "fixed_side", recorded)
+            channel = sparse_channel(np.random.default_rng(11), 2, 2, 16, 2)
+            run_one_round_discussion(
+                channel, uniform_input_policy(channel),
+                SimConfig(n=n, epsilon=0.4, rate_margin=0.2, trials=2000,
+                          seed=42))
+        budget = sim_module._TRIAL_CHUNK_BYTES
+        assert budget - width * n < max(held) <= budget
 
 
 # Seeds of one to three 32-bit words and one of five, more than
@@ -1393,37 +1478,8 @@ class TestOneRoundDiscussion:
         # At n = 7 and epsilon 0.01 no output sequence is typical, so bin 0
         # is empty and every sequence is in the overflow bin; no cell band
         # holds an integer count there either.
-        channel = RECONSTRUCT_CHANNELS[name]
-        policy = uniform_input_policy(channel)
-        cfg = SimConfig(n=n, epsilon=epsilon, rate_margin=0.2, trials=1, seed=7)
-        tables = _one_round_tables(channel, policy, cfg)
-        law = yr_xs_law(channel, policy)
-        rng = np.random.default_rng(n)
-        s_seqs = rng.integers(0, 2, size=(80, n))
-        x_seqs = rng.integers(0, 2, size=(80, n))
-        yr_seqs = _draw(_cdf_columns(channel.receiver_kernel().reshape(4, 2)),
-                        x_seqs * 2 + s_seqs, rng.random((80, n)))
-        # The first half publishes its output's bin, the second half any bin,
-        # the overflow bin included.  The last two trials repeat one (x, s)
-        # symbol n times, past its count band: x = s = 0, published with its
-        # output 0^n, and x = 0, s = 1.
-        xs_seqs = x_seqs * 2 + s_seqs
-        xs_seqs[-2:] = [[0], [1]]
-        published = np.concatenate([
-            tables.bin_of[yr_seqs[:40] @ 2 ** np.arange(n - 1, -1, -1)],
-            rng.integers(0, tables.num_bins + 1, size=40)])
-        published[-2] = tables.bin_of[0]
-        expected = []
-        for xs_seq, b in zip(xs_seqs, published):
-            members = np.flatnonzero(tables.bin_of == b)
-            typical = _Typicality(law, n, epsilon).pairs(
-                _indicators(tables.all_yr[members], channel.yr_size),
-                xs_seq[None])[0]
-            # The oracle is checked against explicit cell counts.
-            assert np.array_equal(typical, typical_rows(
-                tables.all_yr[members], xs_seq, law, epsilon))
-            hits = members[typical]
-            expected.append(hits[0] if len(hits) == 1 else -1)
+        tables, xs_seqs, published, expected = reconstruct_case(name, n,
+                                                                epsilon)
         found = _reconstruct(tables, xs_seqs, published)
         assert np.array_equal(found, expected)
         assert (published == tables.num_bins).any()
@@ -1432,6 +1488,34 @@ class TestOneRoundDiscussion:
             assert (published == 0).any()
         else:
             assert (found >= 0).any() and (found == -1).any()
+
+    @pytest.mark.parametrize("name", sorted(RECONSTRUCT_CHANNELS))
+    def test_split_reconstruction_equals_the_per_trial_oracle(
+            self, name, monkeypatch):
+        # A budget of five pairs splits every bin of more than five members
+        # into pieces of five, and its trials into steps of one against a
+        # full piece; every live (trial, member) pair is still held once.
+        tables, xs_seqs, published, expected = reconstruct_case(name, 6, 0.3)
+        monkeypatch.setattr(sim_module, "_TRIAL_CHUNK_BYTES",
+                            5 * sim_module._PAIR_BYTES)
+        held, hold = [], sim_module._Typicality.hold
+        monkeypatch.setattr(sim_module._Typicality, "hold",
+                            lambda test, cand, rows, zero_rows: held.append(
+                                (len(cand), len(rows)))
+                            or hold(test, cand, rows, zero_rows))
+        assert np.array_equal(_reconstruct(tables, xs_seqs, published),
+                              expected)
+        live = tables.recon.fixed_side(xs_seqs)[0]
+        sizes = np.diff(tables.bin_starts)
+        assert sum(m * t for m, t in held) == sizes[published[live]].sum()
+        assert max(m * t for m, t in held) <= 5
+        split = published[live][sizes[published[live]] > 5]
+        assert np.bincount(split).max() > 1     # several steps in a split bin
+        # Trials that fail their count bands sit in several bins, the
+        # overflow bin among them, wherever the law has a band to fail.
+        failed = np.unique(published[~live])
+        assert len(failed) > 2 or name == "two-cell"
+        assert (failed == tables.num_bins).any() or name == "two-cell"
 
     @pytest.mark.parametrize("flip", [0.0, 0.02])
     def test_typicality_holds_the_bytes_per_pair_reconstruct_budgets(self, flip):
