@@ -9,32 +9,35 @@ Two modes are implemented at tiny block lengths:
   likelihood of its channel output.
 * ``one_round_discussion``: the sender transmits x ~ p(x|s); the receiver
   publishes the bin index of its output sequence, the sender reconstructs
-  that sequence from (x, s, bin) by unique joint typicality, and both declare
-  the sub-bin index as the key.  Leakage accounting includes the public bin
-  index in the eavesdropper's view.
+  that sequence as the bin's member most likely given (x, s), and both
+  declare the sub-bin index as the key.  Leakage accounting includes the
+  public bin index in the eavesdropper's view.
 
 Typicality is the strong (empirical-count) kind: every cell of the joint
 empirical distribution must lie within ``epsilon`` of the model pmf, and
 cells with zero model probability must be unoccupied.  ``_Typicality``
-prepares the test of one (pmf, n, epsilon): it checks the count bands once.
-Its ``fixed_side`` then takes a batch of fixed rows once, with one count per
-row for each column with one positive cell and the rows' 0/1 zero-cell rows,
-and its ``hold`` holds a batch of candidate rows against prepared rows with
+prepares the test of one (pmf, n, epsilon): it checks the count bands once,
+and its ``pairs`` holds a batch of candidate rows against a batch of fixed
+rows with one count per fixed row for each column with one positive cell,
 one 0/1 product for all zero cells and one product for each other cell whose
 band can fail.  A run builds each of its tests once, in its run tables: the
-encoder's, the one-round typical set's and the reconstruction's (where
-ambiguity is an error).  The one-round run tables also hold the candidate
-rows of every receiver sequence, grouped by public bin, and a chunk of
-trials prepares its fixed side once for all its bins.  Wherever the exact
-leakage enumerates the state sequences (the eavesdropper's view is not
-constant), the no-discussion run tables also hold the encoder's test of
-every s^n against every codeword, made once: the encoder and the exact
-leakage read its rows.  The no-discussion decoder is bin-wise maximum
-likelihood under the single-letter law p(yr | u): it reads no ``epsilon``,
-``decode`` returns keys, and a tie between bins counts as an error.  A run with no more receiver sequences |Yr|^n than trials (and at
-most ``MAX_CODEBOOK``) decodes each yr^n once, before its trials, which look
-their keys up; any other run decodes per trial.  The per-trial kernels
-themselves fill both tables, a chunk of sequences at a time.  When the
+encoder's and the one-round typical set's, to which the public bins are
+cut.  Wherever the exact leakage enumerates the state sequences (the
+eavesdropper's view is not constant), the no-discussion run tables also hold
+the encoder's test of every s^n against every codeword, made once: the
+encoder and the exact leakage read its rows.
+
+Neither decoder reads ``epsilon``; both are maximum likelihood under a
+single-letter law, and a tie at the top counts as an error.  The
+no-discussion receiver takes the key bin whose codewords have the largest
+summed likelihood under p(yr | u), and ``decode`` returns keys.  The
+one-round sender takes the member of the published bin with the largest
+likelihood under p(yr | x, s); the run tables hold every member's
+likelihood terms, grouped by public bin.  A no-discussion run with no more
+receiver sequences |Yr|^n than trials (and at most ``MAX_CODEBOOK``)
+decodes each yr^n once, before its trials, which look their keys up; any
+other run decodes per trial.  The per-trial kernels themselves fill the
+state and key tables, a chunk of sequences at a time.  When the
 encoder finds no typical codeword it falls back to a uniformly random
 codeword (counted in ``encode_failure_rate``); the exact-leakage enumeration
 applies the same fallback law.  Exact leakage applies each codeword's
@@ -42,7 +45,7 @@ Kronecker product one mode at a time, never forming it: about count · n ·
 max(|S|, |Ye|)^n multiply-adds, in chunks of codewords.  Leakage is always
 exact, in both modes.  A run whose leakage would take more than
 ``MAX_LEAKAGE_MULADDS`` multiply-adds, or whose leakage arrays (the
-state-sequence table and the one-round candidate rows among them) or encoder
+state-sequence table and the one-round member terms among them) or encoder
 and decoder tables would hold more than ``MAX_LEAKAGE_BYTES``, raises
 ``BudgetError`` before its first trial.
 
@@ -76,10 +79,10 @@ same uniform.  The decoder scores every (trial, codeword) pair with one
 matrix product of the trials' yr^n one-hot and the codewords'
 log-likelihood terms, built once per run, where the finite floor
 ``_LOG_ZERO`` stands for log 0: a codeword of zero likelihood scores at or
-below it.  A chunk holds a few floats per (trial, codeword) pair in the
-decoder, at most
-``_PAIR_BYTES`` (11) bytes per (trial, candidate) pair in the typicality
-test, and the raw words and uniforms.
+below it.  The one-round reconstruction scores each published bin's
+(trial, member) pairs the same way, from the trials' (x, s) one-hot.  A
+chunk holds a few floats per (trial, codeword) or (trial, member) pair,
+and the raw words and uniforms.
 
 Each chunk runs in one call (``_no_disc_chunk``, ``_one_round_chunk``) that
 returns only counts to ``_sum_chunks``, so no array of a chunk is alive
@@ -88,8 +91,8 @@ arrays until the next chunk replaced them, a no-discussion run of one chunk
 peaked 30 % below a run of 20 on the benchmark configuration (0.67 against
 0.87 MB, traced): the second chunk, not the number of trials, set the peak.
 A chunk is sized to its largest per-trial temporary: two floats per stream
-word, one float per (position, receiver symbol) (the decoder's one-hot, or
-the reconstruction's zero-cell rows), or, in a no-discussion run, the
+word, one float per (position, symbol) of a one-hot (the decoder's yr, or
+the reconstruction's (x, s) pairs), or, in a no-discussion run, the
 decoder's floats per codeword (budgeted as four); a channel draw holds only
 (trials, n) arrays, one per cdf column.  The stream budget keeps each block
 of the limb product under 16,384 floats, on OpenBLAS's single-threaded
@@ -120,10 +123,6 @@ _KRON_CHUNK_BYTES = 8 * 2 ** 20
 # docstring); a larger budget makes the trial loops faster and their traced
 # peak higher.
 _TRIAL_CHUNK_BYTES = 256 * 2 ** 10
-# The most bytes _Typicality.pairs holds per (fixed, candidate) pair: its
-# float count buffer, the running result, and one comparison or the result
-# scattered back to every fixed row.
-_PAIR_BYTES = 11
 _TINY = np.finfo(float).tiny
 # The decoder's log-likelihood of a cell of probability 0.  A sum of n <= 24
 # log-likelihoods of positive cells lies above -745 n, and the one-hot
@@ -514,12 +513,11 @@ class _Typicality:
     * every other positive cell whose band is not [0, n]: one product per
       cell, compared only at the ends of the band that a count can cross.
 
-    ``pairs`` is two steps: ``fixed_side`` tests the fixed rows' own counts
-    and gathers the zero-cell rows of those that pass, and ``hold`` takes
-    the products against the candidates.  A caller that holds one batch of
-    fixed rows against several batches of candidates prepares it once and
-    slices the prepared rows.  At most ``_PAIR_BYTES`` are alive per
-    (fixed, candidate) pair.
+    The encoder, the no-discussion state table and the one-round typical
+    set call ``pairs``; both decoders rank likelihoods instead.  Per
+    (fixed, candidate) pair it holds its float count buffer, the running
+    result, and one comparison or the result scattered back to every fixed
+    row.
     """
 
     def __init__(self, pmf: np.ndarray, n: int, eps: float):
@@ -554,10 +552,8 @@ class _Typicality:
             if table is not None:
                 table.setflags(write=False)
 
-    def fixed_side(self, fixed: np.ndarray):
-        """(live, rows, zero_rows) of the fixed rows (trials, n): which pass
-        their single-cell bands, those rows in order, and their 0/1 rows of
-        zero cells, (rows, |A| n) floats (None without zero cells)."""
+    def pairs(self, cand: np.ndarray, fixed: np.ndarray) -> np.ndarray:
+        """(trials, m) typicality of each candidate against each fixed[t]."""
         trials = len(fixed)
         live = np.ones(trials, dtype=bool)
         if self.row_cols.size:
@@ -569,21 +565,13 @@ class _Typicality:
             if self.row_lo.any():
                 live &= (tally >= self.row_lo).all(axis=1)
         rows = fixed if live.all() else fixed[live]
-        if self.zero is None:
-            return live, rows, None
-        return live, rows, self.zero[rows[:, None, :] + self.zero_at].reshape(
-            len(rows), self.a_size * self.n)
-
-    def hold(self, cand: np.ndarray, rows: np.ndarray,
-             zero_rows: np.ndarray | None) -> np.ndarray:
-        """(rows, m) typicality of each candidate against rows that passed
-        their single-cell bands, with their ``fixed_side`` zero rows."""
         counts = np.empty((len(rows), len(cand)))   # one buffer for every product
-        if zero_rows is None:
+        if self.zero is None:
             ok = np.ones(counts.shape, dtype=bool)
         else:
-            np.matmul(zero_rows, cand.reshape(len(cand), zero_rows.shape[1]).T,
-                      out=counts)
+            width = self.a_size * self.n
+            np.matmul(self.zero[rows[:, None, :] + self.zero_at].reshape(
+                len(rows), width), cand.reshape(len(cand), width).T, out=counts)
             ok = counts == 0
         for b, cells in self.cells:
             is_b = (rows == b).astype(float)
@@ -593,15 +581,9 @@ class _Typicality:
                     ok &= counts >= lo
                 if hi < self.n:
                     ok &= counts <= hi
-        return ok
-
-    def pairs(self, cand: np.ndarray, fixed: np.ndarray) -> np.ndarray:
-        """(trials, m) typicality of each candidate against each fixed[t]."""
-        live, *side = self.fixed_side(fixed)
-        ok = self.hold(cand, *side)
-        if len(ok) == len(fixed):
+        if len(rows) == trials:
             return ok
-        out = np.zeros((len(fixed), len(cand)), dtype=bool)
+        out = np.zeros((trials, len(cand)), dtype=bool)
         out[live] = ok
         return out
 
@@ -611,6 +593,16 @@ def _indicators(rows: np.ndarray, size: int) -> np.ndarray:
     in [0, size) as 0/1 indicators of each symbol, shape (m, size, n), n size
     floats per row."""
     return (rows[:, None, :] == np.arange(size)[:, None]).astype(float)
+
+
+def _onehot(seqs: np.ndarray, size: int) -> np.ndarray:
+    """Rows (m, n) of symbols in [0, size) as (m, n size) 0/1 floats, a 1 at
+    column i size + seqs[:, i]: times a table of n size log-likelihood terms
+    per column, one matrix product sums each row's n terms."""
+    rows, n = seqs.shape
+    onehot = np.zeros((rows, n * size))
+    onehot[np.arange(rows)[:, None], size * np.arange(n) + seqs] = 1.0
+    return onehot
 
 
 def _joint_u_s(channel: StateChannel, policy: AuxiliaryEncoderPolicy) -> np.ndarray:
@@ -698,15 +690,19 @@ def build_codebook(channel: StateChannel, policy: AuxiliaryEncoderPolicy,
     return BinningCodebook(sequences=sequences, bin_of=bin_of, num_bins=bins)
 
 
+def _log_law(joint: np.ndarray) -> np.ndarray:
+    """log p(b | a) from a joint law p(a, b), ``_LOG_ZERO`` where
+    p(a, b) = 0: the likelihood terms of both decoders."""
+    rows = np.maximum(joint.sum(axis=1, keepdims=True), _TINY)
+    with np.errstate(divide="ignore"):
+        return np.maximum(np.log(joint / rows), _LOG_ZERO)
+
+
 def _decoder_law(channel: StateChannel,
                  policy: AuxiliaryEncoderPolicy) -> np.ndarray:
-    """log p(yr | u) from p(u, yr), shape (u, yr), ``_LOG_ZERO`` where
-    p(u, yr) = 0."""
-    joint = np.einsum("us,usx,xsr->ur", _joint_u_s(channel, policy),
-                      policy.x_given_us, channel.receiver_kernel())
-    p_u = np.maximum(joint.sum(axis=1, keepdims=True), _TINY)
-    with np.errstate(divide="ignore"):
-        return np.maximum(np.log(joint / p_u), _LOG_ZERO)
+    """``_log_law`` of p(u, yr): log p(yr | u), shape (u, yr)."""
+    return _log_law(np.einsum("us,usx,xsr->ur", _joint_u_s(channel, policy),
+                              policy.x_given_us, channel.receiver_kernel()))
 
 
 def _check_table_bytes(count: int, n: int, u_size: int, yr_size: int) -> None:
@@ -832,10 +828,7 @@ def decode(codebook: BinningCodebook, tables: _NoDiscTables,
     yr_size = width // codebook.n
     _check_symbols("yr", yr_seqs, yr_size)
     trials = len(yr_seqs)
-    onehot = np.zeros((trials, width))
-    onehot[np.arange(trials)[:, None],
-           yr_size * np.arange(codebook.n) + yr_seqs] = 1.0
-    log_lik = onehot @ tables.yr_terms
+    log_lik = _onehot(yr_seqs, yr_size) @ tables.yr_terms
     top = log_lik.max(axis=1)
     live = top > _LOG_ZERO
     scores = np.exp(log_lik - np.where(live, top, 0.0)[:, None])
@@ -1036,25 +1029,24 @@ class _OneRoundTables:
     built once per run by ``_one_round_tables``.
 
     The members of public bin b, in increasing sequence order, are
-    ``by_bin[bin_starts[b]:bin_starts[b + 1]]``, and their candidate rows
-    for the reconstruction's test ``recon`` are the same slice of
-    ``candidates``, the ``_indicators`` of ``all_yr[by_bin]``: one stable
-    argsort of ``bin_of`` and one indicator table, made once per run, serve
-    every reconstruction.  The cdf tables are ``_cdf_columns``, read by
-    ``_draw``: p(s) has one cell (0), p(x | s) one per s, and the kernel's
-    receiver side one per (x, s), see ``_kernel_columns``.  The exact
-    leakage reads only these tables.
+    ``by_bin[bin_starts[b]:bin_starts[b + 1]]``, and their likelihood terms
+    are the same slice of ``member_terms``: row j holds log p(yr_i | x, s)
+    of member ``by_bin[j]`` at column i |X||S| + x |S| + s, ``_LOG_ZERO``
+    where p(x, s, yr_i) = 0.  One stable argsort of ``bin_of`` and one term
+    table, made once per run, serve every reconstruction.  The cdf tables
+    are ``_cdf_columns``, read by ``_draw``: p(s) has one cell (0), p(x | s)
+    one per s, and the kernel's receiver side one per (x, s), see
+    ``_kernel_columns``.  The exact leakage reads only these tables.
     """
 
     all_yr: np.ndarray          # (|Yr|^n, n)
     bin_of: np.ndarray          # public bin per sequence (overflow = num_bins)
     by_bin: np.ndarray          # sequence indices sorted stably by bin
     bin_starts: np.ndarray      # (num_bins + 2,) offsets of each bin in by_bin
-    candidates: np.ndarray      # (|Yr|^n, yr, n), _indicators in by_bin order
+    member_terms: np.ndarray    # (|Yr|^n, n * x * s), in by_bin order
     sub_of: np.ndarray          # key sub-bin per sequence
     num_bins: int
     num_subbins: int
-    recon: _Typicality          # strong typicality against p(yr, (x, s))
     state_cols: np.ndarray      # cdf columns of p(s), shape (s - 1, 1)
     x_cols: np.ndarray          # cdf columns of p(x | s), shape (x - 1, s)
     kernel_cols: np.ndarray     # see _kernel_columns
@@ -1069,7 +1061,8 @@ def _one_round_tables(channel: StateChannel, policy: InputPolicy,
                   channel.kernel)                              # p(x,s,yr,ye)
     p_xsr = p.sum(axis=3)
     h_yr_given_xs = _entropy(p_xsr) - _entropy(p.sum(axis=(2, 3)))
-    # p(yr, (x, s)), (x, s) coded x * |S| + s: the reconstruction's law.
+    # p(yr, (x, s)), (x, s) coded x * |S| + s; its transpose gives the
+    # reconstruction's likelihood terms.
     p_yr_xs = np.ascontiguousarray(p_xsr.transpose(2, 0, 1)).reshape(
         channel.yr_size, -1)
     i_xs = float(mi_bits(p_yr_xs))
@@ -1085,10 +1078,9 @@ def _one_round_tables(channel: StateChannel, policy: InputPolicy,
         if key_exponent > 0 else 1
     # Fail before any enumeration, on at most this many bins: the rows of
     # one_round_exact_leakage are the |Yr|^n sequences, with one weight and
-    # n |Yr| candidate floats each.  So more than MAX_CODEBOOK sequences
-    # (|Yr| n >= 39) always exceed the byte budget.
+    # n |X| |S| member terms each.
     _check_leakage_cost(outputs, n, 1, channel.ye_size, 8 * (
-        outputs * (1 + n * channel.yr_size) + num_subbins
+        outputs * (1 + n * p_yr_xs.shape[1]) + num_subbins
         * (min(num_bins, outputs) + 1) * channel.ye_size ** n))
     all_yr = _sequences(channel.yr_size, n, 0, outputs)
     # The marginal test: each sequence as a fixed row against one candidate
@@ -1109,11 +1101,10 @@ def _one_round_tables(channel: StateChannel, policy: InputPolicy,
     by_bin = np.argsort(bin_of, kind="stable")
     return _OneRoundTables(all_yr=all_yr, bin_of=bin_of, by_bin=by_bin,
                            bin_starts=bin_starts,
-                           candidates=_indicators(all_yr[by_bin],
-                                                  channel.yr_size),
+                           member_terms=_log_law(p_yr_xs.T).T[
+                               all_yr[by_bin]].reshape(outputs, -1),
                            sub_of=sub_of,
                            num_bins=num_bins, num_subbins=num_subbins,
-                           recon=_Typicality(p_yr_xs, n, cfg.epsilon),
                            state_cols=_cdf_columns(channel.state_pmf[None]),
                            x_cols=_cdf_columns(policy.x_given_s),
                            kernel_cols=_kernel_columns(channel),
@@ -1124,39 +1115,37 @@ def _one_round_tables(channel: StateChannel, policy: InputPolicy,
 
 def _reconstruct(tables: _OneRoundTables, xs_seqs: np.ndarray,
                  published: np.ndarray) -> np.ndarray:
-    """Per trial, the unique member of its published bin jointly typical
-    with its (x, s) pairs, coded x * |S| + s in ``xs_seqs`` (trials, n),
-    under the test ``tables.recon``; -1 where no member or several are.
+    """Per trial, the most likely member of its published bin given its
+    (x, s) pairs, coded x * |S| + s in ``xs_seqs`` (trials, n): the largest
+    sum_i log p(yr_i | x_i, s_i).  -1 where the bin is empty, where every
+    member has zero likelihood (a top at or below ``_LOG_ZERO``), or where a
+    second member lies within 1e-12 of the top (a tie).
 
-    The fixed side of the test is prepared once for the whole chunk, its
-    trials sorted stably by published bin, so the live trials of a bin are
-    one slice of the prepared rows, as its members are one slice of
-    ``tables.candidates``.  A bin's members go in pieces of at most
-    ``_chunk_rows(_PAIR_BYTES)``, and its trials in steps whose pairs fit
-    the chunk budget; per trial, the hit count and the position of a hit
-    (``argmax``) add up over the pieces, so a lone hit's position is that
-    member's.
+    Each bin takes one product, as ``decode`` does: the (x, s) one-hot of
+    the trials, sorted stably by published bin and built once, so a bin's
+    trials are one slice of it, times the bin's slice of
+    ``tables.member_terms``, in steps of trials whose (trials, members)
+    scores fit the chunk budget.
     """
-    test, starts = tables.recon, tables.bin_starts
+    terms, starts = tables.member_terms, tables.bin_starts
     order = np.argsort(published, kind="stable")
-    live, rows, zero_rows = test.fixed_side(xs_seqs[order])
-    order = order[live]
-    hits, at = np.zeros((2, len(published)), dtype=np.int64)
+    onehot = _onehot(xs_seqs[order], terms.shape[1] // xs_seqs.shape[1])
+    found = np.full(len(published), -1)
     bins, firsts = np.unique(published[order], return_index=True)
-    member_step = _chunk_rows(_PAIR_BYTES)
     for b, first, end in zip(bins, firsts, [*firsts[1:], len(order)]):
-        for lo in range(starts[b], starts[b + 1], member_step):
-            cand = tables.candidates[lo:min(lo + member_step, starts[b + 1])]
-            step = _chunk_rows(_PAIR_BYTES * len(cand))
-            for t in range(first, end, step):
-                part = slice(t, min(t + step, end))
-                ok = test.hold(cand, rows[part],
-                               None if zero_rows is None else zero_rows[part])
-                count = np.count_nonzero(ok, axis=1)
-                hits[order[part]] += count
-                at[order[part]] += np.where(count > 0, lo + ok.argmax(axis=1), 0)
-    # Where a trial hits more than once, its positions add up past a bin.
-    return np.where(hits == 1, tables.by_bin.take(at, mode="clip"), -1)
+        lo, hi = starts[b], starts[b + 1]
+        if lo == hi:
+            continue
+        step = _chunk_rows(8 * (hi - lo))
+        for t in range(first, end, step):
+            rows = slice(t, min(t + step, end))
+            log_lik = onehot[rows] @ terms[lo:hi].T
+            best = log_lik.argmax(axis=1)
+            top = log_lik[np.arange(len(best)), best]
+            ok = (top > _LOG_ZERO) & (np.count_nonzero(
+                log_lik >= top[:, None] - 1e-12, axis=1) == 1)
+            found[order[rows][ok]] = tables.by_bin[lo + best[ok]]
+    return found
 
 
 def one_round_exact_leakage(tables: _OneRoundTables) -> float:
@@ -1184,9 +1173,8 @@ def _one_round_chunk(channel: StateChannel, tables: _OneRoundTables,
 
     One ``TrialStreams`` draws the 3n uniforms of every trial, and the rest
     runs on all the trials at once: the receiver's draw (the eavesdropper's
-    output is never drawn), and the reconstruction, whose fixed side is
-    prepared once and then held against each published bin.  Nothing else
-    outlives the call.
+    output is never drawn), and the reconstruction, one likelihood product
+    per published bin.  Nothing else outlives the call.
     """
     n = cfg.n
     uniforms = TrialStreams(cfg.seed, (1,), trials, 3 * n).random(3 * n)
@@ -1212,20 +1200,21 @@ def run_one_round_discussion(channel: StateChannel, policy: InputPolicy,
 
     Per trial: the sender draws x^n from p(x|s); the receiver observes yr^n,
     publishes its bin index (an overflow marker when yr^n is atypical), and
-    keeps its sub-bin index as the key; the sender reconstructs yr^n from
-    (x^n, s^n, bin) by unique joint typicality and declares the reconstructed
-    sub-bin.  Reconstruction failures count as disagreements and are reported
-    through ``encode_failure_rate``.  Trials run in chunks, one
+    keeps its sub-bin index as the key; the sender reconstructs yr^n as the
+    member of the published bin most likely given (x^n, s^n), and declares
+    the reconstructed sub-bin.  Reconstruction failures (an empty bin, zero
+    likelihood, or a tie at the top) count as disagreements and are
+    reported through ``encode_failure_rate``.  Trials run in chunks, one
     ``_one_round_chunk`` call each, so no array of one chunk is alive while
     the next builds its stream words.  A chunk is sized to two floats per
-    stream word (3n per trial) or to the reconstruction's n |Yr| floats of
-    zero-cell rows per trial; ``_reconstruct`` splits its own pairs.
+    stream word (3n per trial) or to the reconstruction's (x, s) one-hot,
+    n |X| |S| floats per trial; ``_reconstruct`` splits its own scores.
     """
     tables = _one_round_tables(channel, policy, cfg)
     n = cfg.n
     disagreements, recon_failures, unique_correct, key_counts = _sum_chunks(
         functools.partial(_one_round_chunk, channel, tables, cfg), cfg.trials,
-        max(48, 8 * channel.yr_size) * n)
+        max(48, 8 * channel.x_size * channel.s_size) * n)
     unique_lookups = cfg.trials - recon_failures
     leakage = one_round_exact_leakage(tables)
     achieved = _entropy(key_counts / cfg.trials) / n

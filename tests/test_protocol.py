@@ -67,10 +67,13 @@ def partly_deterministic_channel():
 
 
 # Laws of yr given (x, s) with one positive cell in every (x, s) column, with
-# two in every column, and with both kinds of column.
+# two in every column, with both kinds of column, and a sparse random law
+# over three inputs, two states and three outputs.
 RECONSTRUCT_CHANNELS = {"one-cell": factorized_binary(0.0, 0.3),
                         "two-cell": factorized_binary(0.1, 0.25),
-                        "both": partly_deterministic_channel()}
+                        "both": partly_deterministic_channel(),
+                        "sparse": sparse_channel(np.random.default_rng(5),
+                                                 3, 2, 3, 2)}
 
 
 def kron_law(rows):
@@ -130,54 +133,61 @@ def typical_rows(rows, fixed, pmf, eps):
             & (counts[:, pmf <= 0] == 0).all(axis=1))
 
 
-def yr_xs_law(channel, policy):
-    """p(yr, (x, s)) of a one-round run, (x, s) coded x * |S| + s: the law of
-    the sender's reconstruction test."""
-    return np.einsum("s,sx,xsr->rxs", channel.state_pmf, policy.x_given_s,
-                     channel.receiver_kernel()).reshape(channel.yr_size, -1)
+def log_yr_given_xs(channel, policy):
+    """log p(yr | x, s) of a one-round run, shape (|X| |S|, |Yr|) with (x, s)
+    coded x * |S| + s, and -inf on a cell of probability 0."""
+    joint = np.einsum("s,sx,xsr->xsr", channel.state_pmf, policy.x_given_s,
+                      channel.receiver_kernel()).reshape(-1, channel.yr_size)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.log(joint / joint.sum(axis=1, keepdims=True))
+
+
+def ml_reconstruction(tables, log_law, xs_seq, b):
+    """The per-trial oracle of ``_reconstruct``: (member, failure) for the
+    (x, s) sequence ``xs_seq`` and the published bin ``b``, scoring each
+    member of the bin by its summed log p(yr_i | x_i, s_i).  The member of
+    the largest score wins; an empty bin, a bin whose members all have zero
+    likelihood, and a second member within 1e-12 of the top score (a tie)
+    give member -1 and the failure's name."""
+    members = np.flatnonzero(tables.bin_of == b)
+    if not members.size:
+        return -1, "empty bin"
+    log_lik = log_law[xs_seq, tables.all_yr[members]].sum(axis=1)
+    top = log_lik.max()
+    if top == -np.inf:
+        return -1, "zero likelihood"
+    if np.count_nonzero(log_lik >= top - 1e-12) > 1:
+        return -1, "tie"
+    return members[log_lik.argmax()], None
 
 
 def reconstruct_case(name, n, epsilon):
-    """(tables, xs_seqs, published, expected) of 80 + |bins| reconstruction
-    trials on ``RECONSTRUCT_CHANNELS[name]``, expected from the per-trial
-    oracle: each trial's published bin tested member by member.
+    """(tables, xs_seqs, published, expected, failures) of 80 + |bins|
+    reconstruction trials on ``RECONSTRUCT_CHANNELS[name]``, ``expected``
+    and ``failures`` from the per-trial oracle ``ml_reconstruction``.
 
     The first 40 trials publish their output's bin, the next 40 any bin,
-    the overflow bin included.  Trials 78 and 79 repeat one (x, s) symbol n
-    times, past its count band: x = s = 0, published with its output 0^n,
-    and x = 0, s = 1.  The last trials repeat x = s = 0 too, one in each bin
-    and the overflow bin."""
+    the overflow bin included.  The last trials repeat x = s = 0, one in
+    each bin and the overflow bin."""
     channel = RECONSTRUCT_CHANNELS[name]
     policy = uniform_input_policy(channel)
     cfg = SimConfig(n=n, epsilon=epsilon, rate_margin=0.2, trials=1, seed=7)
     tables = _one_round_tables(channel, policy, cfg)
-    law = yr_xs_law(channel, policy)
     rng = np.random.default_rng(n)
-    s_seqs = rng.integers(0, 2, size=(80, n))
-    x_seqs = rng.integers(0, 2, size=(80, n))
-    yr_seqs = _draw(_cdf_columns(channel.receiver_kernel().reshape(4, 2)),
-                    x_seqs * 2 + s_seqs, rng.random((80, n)))
-    xs_seqs = x_seqs * 2 + s_seqs
-    xs_seqs[-2:] = [[0], [1]]
-    published = np.concatenate([
-        tables.bin_of[yr_seqs[:40] @ 2 ** np.arange(n - 1, -1, -1)],
-        rng.integers(0, tables.num_bins + 1, size=40)])
-    published[-2] = tables.bin_of[0]
+    xs_seqs = rng.integers(0, channel.x_size, size=(80, n)) * channel.s_size \
+        + rng.integers(0, channel.s_size, size=(80, n))
+    yr_seqs = _draw(_cdf_columns(channel.receiver_kernel().reshape(
+        -1, channel.yr_size)), xs_seqs, rng.random((80, n)))
+    powers = channel.yr_size ** np.arange(n - 1, -1, -1)
+    published = np.concatenate([tables.bin_of[yr_seqs[:40] @ powers],
+                                rng.integers(0, tables.num_bins + 1, size=40)])
     bins = np.arange(tables.num_bins + 1)
     xs_seqs = np.vstack([xs_seqs, np.zeros((len(bins), n), dtype=int)])
     published = np.concatenate([published, bins])
-    expected = []
-    for xs_seq, b in zip(xs_seqs, published):
-        members = np.flatnonzero(tables.bin_of == b)
-        typical = _Typicality(law, n, epsilon).pairs(
-            _indicators(tables.all_yr[members], channel.yr_size),
-            xs_seq[None])[0]
-        # The oracle is checked against explicit cell counts.
-        assert np.array_equal(typical, typical_rows(
-            tables.all_yr[members], xs_seq, law, epsilon))
-        hits = members[typical]
-        expected.append(hits[0] if len(hits) == 1 else -1)
-    return tables, xs_seqs, published, np.array(expected)
+    log_law = log_yr_given_xs(channel, policy)
+    expected, failures = zip(*(ml_reconstruction(tables, log_law, xs_seq, b)
+                               for xs_seq, b in zip(xs_seqs, published)))
+    return tables, xs_seqs, published, np.array(expected), failures
 
 
 def draw(cdf_rows, rng):
@@ -257,7 +267,7 @@ def reference_run_one_round(channel, policy, cfg, events):
     kernel_cdf = np.cumsum(channel.kernel.reshape(
         channel.x_size, channel.s_size, -1), axis=2)
     powers = channel.yr_size ** np.arange(n - 1, -1, -1)
-    law = yr_xs_law(channel, policy)
+    log_law = log_yr_given_xs(channel, policy)
     key_counts = np.zeros(tables.num_subbins)
     disagreements = failures = correct = 0
     for t in range(cfg.trials):
@@ -271,16 +281,15 @@ def reference_run_one_round(channel, policy, cfg, events):
             events.add("overflow bin")
         key = tables.sub_of[yr_index]
         key_counts[key] += 1
-        members = np.flatnonzero(tables.bin_of == published)
-        hits = members[typical_rows(tables.all_yr[members],
-                                    x_seq * channel.s_size + s_seq,
-                                    law, cfg.epsilon)]
-        if hits.size != 1:
+        found, failure = ml_reconstruction(
+            tables, log_law, x_seq * channel.s_size + s_seq, published)
+        if failure is not None:
+            events.add(f"reconstruction {failure}")
             failures += 1
             disagreements += 1
             continue
-        correct += int(hits[0] == yr_index)
-        disagreements += int(tables.sub_of[hits[0]] != key)
+        correct += int(found == yr_index)
+        disagreements += int(tables.sub_of[found] != key)
     return SimReport(
         disagreement_prob=disagreements / cfg.trials,
         leakage_bits_per_symbol=one_round_exact_leakage(tables),
@@ -1049,11 +1058,14 @@ class TestBatchedTrialLoops:
         for event in ("zero likelihood", "decode tie"):
             assert sum(event in case for case in cases) >= 4, event
         events = set().union(*cases)
+        # A trial's own output is a member of its published bin, of positive
+        # likelihood, so a run's reconstructions fail only at ties.
         for channel, policy, cfg in one_round_grid():
             assert run_one_round_discussion(channel, policy, cfg) == \
                 reference_run_one_round(channel, policy, cfg, events), cfg
         assert events == {"encode fallback", "decode tie", "zero likelihood",
-                          "empty public bin", "overflow bin"}
+                          "empty public bin", "overflow bin",
+                          "reconstruction tie"}
 
     def test_run_tables_give_the_per_trial_chunks_report(self, monkeypatch):
         # Each grid case against the same run with the per-trial chunk, on
@@ -1108,11 +1120,11 @@ class TestBatchedTrialLoops:
 
     @pytest.mark.parametrize("mode", ["no-disc", "one-round"])
     def test_typicality_tests_are_built_once_per_run(self, mode, monkeypatch):
-        # A run builds its tests with its tables, whatever the chunking: the
+        # A run builds its test with its tables, whatever the chunking: the
         # encoder's, which the exact leakage reads too, or the one-round
-        # typical set's and the reconstruction's.  A test built per chunk
-        # would count more per chunk, and one trial per chunk makes 100
-        # chunks.
+        # typical set's (the reconstruction tests no typicality).  A test
+        # built per chunk would count more per chunk, and one trial per
+        # chunk makes 100 chunks.
         channel, policy, run, fields = benchmark_simulation(mode)
         cfg = SimConfig(rate_margin=0.2, trials=100, seed=42, **fields)
         builds = []
@@ -1128,8 +1140,7 @@ class TestBatchedTrialLoops:
             monkeypatch.setattr(sim_module, "_TRIAL_CHUNK_BYTES", chunk_bytes)
             builds.append(0)
             reports.append(run(channel, policy, cfg))
-        tests = 1 if mode == "no-disc" else 2
-        assert builds == [tests, tests]
+        assert builds == [1, 1]
         assert reports[0] == reports[1]
 
     @pytest.mark.parametrize("mode", ["no-disc", "one-round"])
@@ -1218,11 +1229,11 @@ class TestBatchedTrialLoops:
 
     @pytest.mark.parametrize("mode", ["no-disc", "one-round"])
     def test_receiver_rows_of_a_chunk_fit_its_budget(self, mode, monkeypatch):
-        # At |Yr| = 16 the chunk rules' 8 n |Yr| bytes per trial outgrow the
-        # stream words' share: a no-discussion chunk that decodes its own
-        # trials holds their (trials, n |Yr|) one-hot, and a one-round chunk
-        # the reconstruction's (trials, |Yr| n) zero-cell rows (a sparse
-        # kernel gives its law zero cells).  Either fills the budget to
+        # At 16 symbols per position the chunk rules' 8 n 16 bytes per trial
+        # outgrow the stream words' share: a no-discussion chunk that
+        # decodes its own trials holds their (trials, n |Yr|) one-hot at
+        # |Yr| = 16, and a one-round chunk the reconstruction's (trials,
+        # n |X| |S|) one-hot at |X| = 8, |S| = 2.  Either fills the budget to
         # within one trial's row, and never past it.
         held, width = [], 8 * 16
         if mode == "no-disc":
@@ -1236,20 +1247,16 @@ class TestBatchedTrialLoops:
                                         trials=2000, seed=42))
             held = [width * size for size in held]
         else:
-            n, fixed_side = 3, sim_module._Typicality.fixed_side
-
-            def recorded(test, fixed):
-                side = fixed_side(test, fixed)
-                if side[2] is not None:
-                    held.append(side[2].nbytes)
-                return side
-
-            monkeypatch.setattr(sim_module._Typicality, "fixed_side", recorded)
-            channel = sparse_channel(np.random.default_rng(11), 2, 2, 16, 2)
+            n, onehot = 3, sim_module._onehot
+            monkeypatch.setattr(sim_module, "_onehot",
+                                lambda *args: held.append(onehot(*args))
+                                or held[-1])
+            channel = random_channel(np.random.default_rng(11), 8, 2, 2, 2)
             run_one_round_discussion(
                 channel, uniform_input_policy(channel),
                 SimConfig(n=n, epsilon=0.4, rate_margin=0.2, trials=2000,
                           seed=42))
+            held = [array.nbytes for array in held]
         budget = sim_module._TRIAL_CHUNK_BYTES
         assert budget - width * n < max(held) <= budget
 
@@ -1454,16 +1461,17 @@ class TestOneRoundDiscussion:
             report.diagnostics["unique_lookups"]
 
     def test_draws_pinned(self):
-        # Frozen from the implementation that filled the bins in a loop.
+        # Frozen from the maximum-likelihood reconstruction; the key rate
+        # depends only on the receiver's draws and the bins.
         channel = factorized_binary()
         cfg = SimConfig(n=6, epsilon=0.3, rate_margin=0.2, trials=400, seed=42)
         report = run_one_round_discussion(channel, uniform_input_policy(channel),
                                           cfg)
-        assert report.encode_failure_rate == 0.735
-        assert report.disagreement_prob == 0.76
+        assert report.encode_failure_rate == 0.1325
+        assert report.disagreement_prob == 0.1475
         assert report.achieved_key_rate == 0.24716854198008087
-        assert report.diagnostics["unique_lookups"] == 106
-        assert report.diagnostics["unique_and_correct"] == 96
+        assert report.diagnostics["unique_lookups"] == 347
+        assert report.diagnostics["unique_and_correct"] == 334
 
     def test_determinism(self):
         channel = factorized_binary(0.0, 0.3)
@@ -1474,66 +1482,71 @@ class TestOneRoundDiscussion:
 
     @pytest.mark.parametrize("name", sorted(RECONSTRUCT_CHANNELS))
     @pytest.mark.parametrize("n, epsilon", [(6, 0.3), (7, 0.01)])
-    def test_reconstruct_equals_the_per_trial_oracle(self, name, n, epsilon):
+    def test_reconstruct_equals_the_ml_oracle(self, name, n, epsilon):
+        # A binary symmetric position scores a member by whether it flips,
+        # so members with as many flips tie, and members that permute the
+        # outputs at positions of one (x, s) symbol tie under any law; a
+        # zero cell gives zero likelihood to every member that crosses it.
         # At n = 7 and epsilon 0.01 no output sequence is typical, so bin 0
-        # is empty and every sequence is in the overflow bin; no cell band
-        # holds an integer count there either.
-        tables, xs_seqs, published, expected = reconstruct_case(name, n,
-                                                                epsilon)
-        found = _reconstruct(tables, xs_seqs, published)
-        assert np.array_equal(found, expected)
-        assert (published == tables.num_bins).any()
-        if epsilon == 0.01:
-            assert tables.bin_starts[1] == 0       # bin 0 is empty
-            assert (published == 0).any()
-        else:
-            assert (found >= 0).any() and (found == -1).any()
-
-    @pytest.mark.parametrize("name", sorted(RECONSTRUCT_CHANNELS))
-    def test_split_reconstruction_equals_the_per_trial_oracle(
-            self, name, monkeypatch):
-        # A budget of five pairs splits every bin of more than five members
-        # into pieces of five, and its trials into steps of one against a
-        # full piece; every live (trial, member) pair is still held once.
-        tables, xs_seqs, published, expected = reconstruct_case(name, 6, 0.3)
-        monkeypatch.setattr(sim_module, "_TRIAL_CHUNK_BYTES",
-                            5 * sim_module._PAIR_BYTES)
-        held, hold = [], sim_module._Typicality.hold
-        monkeypatch.setattr(sim_module._Typicality, "hold",
-                            lambda test, cand, rows, zero_rows: held.append(
-                                (len(cand), len(rows)))
-                            or hold(test, cand, rows, zero_rows))
+        # is empty and every sequence is in the overflow bin, where each
+        # (x, s) sequence has one most likely member.
+        tables, xs_seqs, published, expected, failures = reconstruct_case(
+            name, n, epsilon)
         assert np.array_equal(_reconstruct(tables, xs_seqs, published),
                               expected)
-        live = tables.recon.fixed_side(xs_seqs)[0]
-        sizes = np.diff(tables.bin_starts)
-        assert sum(m * t for m, t in held) == sizes[published[live]].sum()
-        assert max(m * t for m, t in held) <= 5
-        split = published[live][sizes[published[live]] > 5]
-        assert np.bincount(split).max() > 1     # several steps in a split bin
-        # Trials that fail their count bands sit in several bins, the
-        # overflow bin among them, wherever the law has a band to fail.
-        failed = np.unique(published[~live])
-        assert len(failed) > 2 or name == "two-cell"
-        assert (failed == tables.num_bins).any() or name == "two-cell"
+        overflow = published == tables.num_bins
+        assert (expected[overflow] >= 0).any()
+        if epsilon == 0.01:
+            assert set(failures) == {None, "empty bin"}
+        else:
+            assert (expected[~overflow] >= 0).any()
+            assert ("tie" in failures) == (name != "one-cell")
+            assert ("zero likelihood" in failures) == (name != "two-cell")
+            assert "empty bin" not in failures
 
-    @pytest.mark.parametrize("flip", [0.0, 0.02])
-    def test_typicality_holds_the_bytes_per_pair_reconstruct_budgets(self, flip):
-        # Flip 0 puts one positive cell in every (x, s) column (the zero-cell
-        # product and the per-row bands), flip 0.02 two (a product per cell).
-        channel = factorized_binary(flip, 0.3)
-        cfg = SimConfig(n=12, epsilon=0.4, rate_margin=0.2, trials=1, seed=42)
-        tables = _one_round_tables(channel, uniform_input_policy(channel), cfg)
-        b = np.diff(tables.bin_starts).argmax()
-        members = tables.by_bin[tables.bin_starts[b]:tables.bin_starts[b + 1]]
-        test = tables.recon
-        candidates = _indicators(tables.all_yr[members], test.a_size)
-        xs_seqs = np.random.default_rng(0).integers(0, 4, size=(2000, cfg.n))
-        tracemalloc.start()
-        try:
-            test.pairs(candidates, xs_seqs)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert len(members) > 200
-        assert peak <= sim_module._PAIR_BYTES * 2000 * len(members)
+    @pytest.mark.parametrize("name", sorted(RECONSTRUCT_CHANNELS))
+    def test_split_reconstruction_equals_the_ml_oracle(self, name,
+                                                       monkeypatch):
+        # A budget of five scores takes each bin's trials in steps of
+        # (trials, members) scores of at most five, or of one trial.
+        tables, xs_seqs, published, expected, _ = reconstruct_case(name, 6,
+                                                                   0.3)
+        monkeypatch.setattr(sim_module, "_TRIAL_CHUNK_BYTES", 8 * 5)
+        steps, chunk_rows = [], sim_module._chunk_rows
+        monkeypatch.setattr(sim_module, "_chunk_rows",
+                            lambda row_bytes: steps.append(
+                                (row_bytes // 8, chunk_rows(row_bytes)))
+                            or steps[-1][1])
+        assert np.array_equal(_reconstruct(tables, xs_seqs, published),
+                              expected)
+        sizes = np.diff(tables.bin_starts)
+        trials = np.bincount(published, minlength=len(sizes))
+        bins = np.flatnonzero((trials > 0) & (sizes > 0))
+        assert [members for members, _ in steps] == list(sizes[bins])
+        assert all(step * members <= 5 or step == 1 for members, step in steps)
+        assert any(trials[b] > step for b, (_, step) in zip(bins, steps))
+
+    def test_leakage_budget_counts_the_member_terms(self, monkeypatch):
+        # Each of the 2^6 receiver sequences holds a weight and n |X| |S| =
+        # 24 likelihood terms (|Yr| is 2), and the key-by-view table holds
+        # the views (public bin or overflow, ye^n) of each sub-bin.  One
+        # byte less refuses the run before any sequence is enumerated.
+        channel = factorized_binary()
+        policy = uniform_input_policy(channel)
+        cfg = SimConfig(n=6, epsilon=0.3, rate_margin=0.2, trials=20, seed=42)
+        tables = _one_round_tables(channel, policy, cfg)
+        # Bins uncut by the typical set, so the check counts the same bins.
+        assert tables.num_bins == math.ceil(2.0 ** (cfg.n * (
+            one_round_oracle(channel, policy)[0] + cfg.rate_margin)))
+        limit = 8 * (2 ** 6 * (1 + 6 * 4)
+                     + tables.num_subbins * (tables.num_bins + 1) * 2 ** 6)
+        monkeypatch.setattr(sim_module, "MAX_LEAKAGE_BYTES", limit)
+        report = run_one_round_discussion(channel, policy, cfg)
+        assert report.diagnostics["num_public_bins"] == tables.num_bins
+        calls = []
+        monkeypatch.setattr(sim_module, "MAX_LEAKAGE_BYTES", limit - 1)
+        monkeypatch.setattr(sim_module, "_sequences",
+                            lambda *args: calls.append(args))
+        with pytest.raises(BudgetError, match="exact leakage"):
+            run_one_round_discussion(channel, policy, cfg)
+        assert calls == []
